@@ -4,9 +4,8 @@ Subcommands: bound-states, phase-shifts, cross-section, dcs, wavefunction,
 compare, selftest.  The well is specified by exactly two of
 --theta / --capital-n / --radius plus --v; radii accept sqrt literals such
 as "sqrt20" so quantized setups are expressible exactly.  Numeric output is
-17-significant-digit round-trippable and byte-identical across runs; sweep
-points may be evaluated on a thread pool sized by NCWELL_THREADS, with rows
-always emitted in sweep order.
+17-significant-digit round-trippable and byte-identical across runs; rows
+are emitted in sweep order.
 
 Exit status: 0 success, 1 domain error, 2 numerical non-convergence,
 64 usage error.
@@ -19,15 +18,12 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import core, oracle, specfun
 from .errors import ConvergenceError, DomainError
-from .logscale import ZERO, ls_exp
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 1
@@ -146,23 +142,6 @@ def _energy_grid(args, spec: core.WellSpec) -> list[float]:
     return [e_min + (e_max - e_min) * i / (n - 1) for i in range(n)]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NCWELL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    n_threads = _thread_count()
-    if n_threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -225,7 +204,7 @@ def _cmd_phase_shifts(args) -> int:
     energies = cfg.energies
     comm = oracle.CommWellSpec(spec.radius, spec.v)
     pts = core.phase_shift_sweep(energies, spec, m)
-    cms = _map_ordered(lambda e: oracle.comm_phase_shift(e, comm, m), energies)
+    cms = [oracle.comm_phase_shift(e, comm, m) for e in energies]
     rows = [
         [
             p.energy,
@@ -255,12 +234,10 @@ def _cmd_cross_section(args) -> int:
     if spec.v == 0.0:
         rows = [[e, math.sqrt(2.0 * e), 0.0] for e in energies]
     else:
-        pts = _map_ordered(
-            lambda e: core.cross_section_total(
-                e, spec, cfg.m_max, include_negative=args.include_negative_m
-            ),
-            energies,
-        )
+        pts = [
+            core.cross_section_total(e, spec, cfg.m_max, include_negative=args.include_negative_m)
+            for e in energies
+        ]
         rows = [[p.energy, p.k, p.sigma_total] for p in pts]
     _write_rows(["energy", "k", "sigma"], rows, cfg.output, cfg.fmt)
     return 0
@@ -306,7 +283,7 @@ def _cmd_wavefunction(args) -> int:
         if not states:
             raise DomainError(f"no bound state exists for m={m}")
         energy = min(states, key=lambda b: abs(b.energy - args.energy)).energy
-        interior, exterior = _bound_solutions(energy, spec, m)
+        interior, exterior = core.bound_solutions(energy, spec, m)
         k_in = math.sqrt(2.0 * energy)
         k_out = math.sqrt(2.0 * (spec.v - energy))
     else:
@@ -328,33 +305,6 @@ def _cmd_wavefunction(args) -> int:
     return 0
 
 
-def _bound_solutions(energy, spec, m):
-    """Interior and exterior solutions of a bound level, normalized to c1 = 1.
-
-    The exterior carries the branch weights (c1, c2) directly (the w < 0
-    evaluation maps them to I/K position amplitudes itself); the interior is
-    oscillatory, so its c1 is converted to the position-space J amplitude
-    A = sqrt(m!) w^{-m/2} c1 here.
-    """
-    theta = spec.theta
-    w_in = theta * energy
-    w_out = theta * (energy - spec.v)
-    n_cap = spec.cap_n
-    lag = specfun.laguerre(n_cap, m, w_in)
-    u = specfun.kummer_u(n_cap + 1, 1 - m, -w_out)
-    elem_l = lag * ls_exp(
-        0.5 * (math.lgamma(m + 1.0) + math.lgamma(n_cap + 1.0) - math.lgamma(n_cap + m + 1.0))
-    )
-    elem_u = u * ls_exp(
-        0.5 * (math.lgamma(n_cap + 1.0) + math.lgamma(n_cap + m + 1.0) - math.lgamma(m + 1.0))
-    )
-    c2 = elem_l / elem_u
-    a_pos = ls_exp(0.5 * math.lgamma(m + 1.0) - 0.5 * m * math.log(w_in))
-    interior = core.RegionSolution(core.INTERIOR, w_in, a_pos, ZERO)
-    exterior = core.RegionSolution(core.EXTERIOR, w_out, ZERO, c2)
-    return interior, exterior
-
-
 def _cmd_compare(args) -> int:
     cfg = RunConfig.from_args(args)
     spec = cfg.spec
@@ -366,8 +316,8 @@ def _cmd_compare(args) -> int:
         if cfg.energies is None:
             raise DomainError("--emax is required")
         energies = cfg.energies
-        nc = _map_ordered(lambda e: core.phase_shift(e, spec, m).tan_delta, energies)
-        cm = _map_ordered(lambda e: oracle.comm_phase_shift(e, comm, m).tan_delta, energies)
+        nc = [core.phase_shift(e, spec, m).tan_delta for e in energies]
+        cm = [oracle.comm_phase_shift(e, comm, m).tan_delta for e in energies]
         rows = []
         for e, a, b in zip(energies, nc, cm):
             dev = abs(a - b)
@@ -383,12 +333,8 @@ def _cmd_compare(args) -> int:
         if cfg.energies is None:
             raise DomainError("--emax is required")
         energies = cfg.energies
-        nc = _map_ordered(
-            lambda e: core.cross_section_total(e, spec, cfg.m_max).sigma_total, energies
-        )
-        cm = _map_ordered(
-            lambda e: oracle.comm_cross_section(e, comm, cfg.m_max).sigma_total, energies
-        )
+        nc = [core.cross_section_total(e, spec, cfg.m_max).sigma_total for e in energies]
+        cm = [oracle.comm_cross_section(e, comm, cfg.m_max).sigma_total for e in energies]
         rows = []
         for e, a, b in zip(energies, nc, cm):
             dev = abs(a - b)

@@ -29,6 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import special
 
 from .errors import DomainError, SingularSystemError
@@ -38,8 +39,12 @@ from .specfun import (
     _anchor_index,
     _check_int,
     _laguerre_sweep,
+    _laguerre_sweep_grid,
+    _ls_from_sweep,
+    _lower_order,
     _reu_direct,
     _u_ratio_1m,
+    _u_ratio_1m_grid,
     _DIRECT_N,
     _RENORM_HI,
     _RENORM_LO,
@@ -197,14 +202,7 @@ def _reu_pair(m: int, w: float, n: int):
 def _laguerre_pair(m: int, w: float, n: int):
     """(L^m_n(w), L^m_{n+1}(w)) for m >= 0 from one forward sweep."""
     res = _laguerre_sweep(m, w, {n, n + 1})
-
-    def to_ls(idx):
-        mant, scale = res[idx]
-        if mant == 0.0:
-            return ZERO
-        return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + scale)
-
-    return to_ls(n), to_ls(n + 1)
+    return _ls_from_sweep(*res[n]), _ls_from_sweep(*res[n + 1])
 
 
 def _jy_basis_rows(m: int, w: float, n: int):
@@ -272,22 +270,22 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
 # bound states
 # ---------------------------------------------------------------------------
 
-def _bound_terms(energy: float, spec: WellSpec, m: int):
-    """The two cross-multiplied matching terms, divided by U(N+1,1-m,x) > 0."""
-    theta, n_cap = spec.theta, spec.cap_n
-    wi = theta * energy
-    x = theta * (spec.v - energy)
-    if m >= 0:
-        l_n, l_n1 = _laguerre_pair(m, wi, n_cap)
-        ratio = _u_ratio_1m(n_cap + 1, m, x)
-    else:
-        k = -m
-        l_n = laguerre(n_cap, m, wi)
-        l_n1 = laguerre(n_cap + 1, m, wi)
-        ratio = _u_ratio_1m(n_cap + 1 - k, k, x)
+def _bound_residual(l_n: LogScaled, l_n1: LogScaled, ratio: float, w: float, spec: WellSpec, m: int) -> float:
+    """G(E) from its factors at one energy.
+
+    l_n, l_n1 are L^|m| at rows N-k and N+1-k (k = max(-m, 0)), lowered to
+    order m here; ratio is U(N+2-k,1-|m|,x)/U(N+1-k,1-|m|,x); w = theta E.
+    """
+    k = max(-m, 0)
+    if k:
+        l_n = _lower_order(l_n, spec.cap_n, k, w)
+        l_n1 = _lower_order(l_n1, spec.cap_n + 1, k, w)
     t1 = l_n1
-    t2 = l_n * ((n_cap + m + 1) * ratio)
-    return t1, t2
+    t2 = l_n * ((spec.cap_n + m + 1) * ratio)
+    scale = max(abs(t1), abs(t2))
+    if scale.is_zero():
+        return 0.0
+    return ((t1 - t2) / scale).to_float()
 
 
 def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
@@ -306,63 +304,121 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
         raise DomainError(
             f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
         )
-    t1, t2 = _bound_terms(energy, spec, m)
-    scale = max(abs(t1), abs(t2))
-    if scale.is_zero():
-        return 0.0
-    return ((t1 - t2) / scale).to_float()
+    order, k = abs(m), max(-m, 0)
+    w = spec.theta * energy
+    x = spec.theta * (spec.v - energy)
+    l_n, l_n1 = _laguerre_pair(order, w, spec.cap_n - k)
+    return _bound_residual(l_n, l_n1, _u_ratio_1m(spec.cap_n + 1 - k, order, x), w, spec, m)
+
+
+def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> list[float]:
+    """matching_residual_bound at every energy of a scan grid, bit for bit.
+
+    The Laguerre sweep and the U-ratio continued fraction run on numpy
+    lanes, one per energy; only the final LogScaled combination is per lane.
+    """
+    order, k = abs(m), max(-m, 0)
+    w = spec.theta * energies
+    x = spec.theta * (spec.v - energies)
+    rows = _laguerre_sweep_grid(order, w, (spec.cap_n - k, spec.cap_n + 1 - k))
+    ratio = _u_ratio_1m_grid(spec.cap_n + 1 - k, order, x)
+    cols = [a.tolist() for a in (*rows[spec.cap_n - k], *rows[spec.cap_n + 1 - k], ratio, w)]
+    return [
+        _bound_residual(_ls_from_sweep(m0, s0), _ls_from_sweep(m1, s1), r, wi, spec, m)
+        for m0, s0, m1, s1, r, wi in zip(*cols)
+    ]
+
+
+def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
+    """Roots of g in [lo, hi] as (root, |g(root)|) pairs, in increasing order.
+
+    g_grid(energies) evaluates g on the whole uniform scan grid in one call
+    and must equal g point by point.  Each sign change between neighbouring
+    grid values is bisected with g down to width tol; a grid value that is
+    exactly 0 is itself a root.
+    """
+    grid_points = _check_int(grid_points, "grid_points")
+    if grid_points < 2:
+        raise DomainError("grid_points must be >= 2")
+    if hi <= lo:
+        return []
+    step = (hi - lo) / (grid_points - 1)
+    grid = lo + np.arange(grid_points) * step
+    vals = np.asarray(g_grid(grid), dtype=float)
+    zero, neg = vals == 0.0, vals < 0.0
+    hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
+    es, gs = grid.tolist(), vals.tolist()
+    roots = []
+    for i in hits.tolist():
+        if gs[i] == 0.0:
+            roots.append((es[i], 0.0))
+            continue
+        a, b, fa = es[i], es[i + 1], gs[i]
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = g(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm < 0.0) == (fa < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        root = 0.5 * (a + b)
+        roots.append((root, abs(g(root))))
+    return roots
 
 
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Scan (0, V) for sign changes of the matching function and bisect them."""
     m = _check_int(m, "m")
-    grid_points = _check_int(grid_points, "grid_points")
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
     if m < 0 and -m > spec.cap_n:
         raise DomainError(
             f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
         )
-    v = spec.v
-    if v <= 0.0:
-        return []
-    eps = EDGE_FRACTION * v
-    lo, hi = eps, v - eps
-    if hi <= lo:
-        return []
-    tol = BISECT_FRACTION * v
+    eps = EDGE_FRACTION * spec.v
+    roots = scan_roots(
+        lambda e: matching_residual_bound(e, spec, m),
+        lambda grid: _matching_residual_grid(grid, spec, m),
+        eps,
+        spec.v - eps,
+        grid_points,
+        BISECT_FRACTION * spec.v,
+    )
+    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
 
-    def g(e):
-        return matching_residual_bound(e, spec, m)
 
-    states = []
-    step = (hi - lo) / (grid_points - 1)
-    prev_e, prev_g = lo, g(lo)
-    for i in range(1, grid_points):
-        e = lo + i * step
-        cur = g(e)
-        if prev_g == 0.0:
-            states.append((prev_e, 0.0))
-        elif (prev_g < 0.0) != (cur < 0.0):
-            a, b = prev_e, e
-            fa = prev_g
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = g(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            root = 0.5 * (a + b)
-            states.append((root, abs(g(root))))
-        prev_e, prev_g = e, cur
-    return [
-        BoundState(m=m, energy=e, residual=r, level=i)
-        for i, (e, r) in enumerate(states)
-    ]
+def bound_solutions(energy: float, spec: WellSpec, m: int):
+    """Interior and exterior solutions of a bound level, normalized to c1 = 1.
+
+    The exterior carries the branch weights (c1, c2) directly (the w < 0
+    evaluation maps them to I/K position amplitudes itself); the interior is
+    oscillatory, so its c1 is converted to the position-space J amplitude
+    A = sqrt(m!) w^{-m/2} c1 here.  Supports m >= 0.
+    """
+    m = _check_int(m, "m")
+    if m < 0:
+        raise DomainError(f"bound solutions support m >= 0, got m={m}")
+    if not (0.0 < energy < spec.v):
+        raise DomainError(
+            f"bound-state energy must lie strictly inside (0, V), got E={energy}, V={spec.v}"
+        )
+    w_in = spec.theta * energy
+    w_out = spec.theta * (energy - spec.v)
+    n_cap = spec.cap_n
+    lag = laguerre(n_cap, m, w_in)
+    u = kummer_u(n_cap + 1, 1 - m, -w_out)
+    elem_l = lag * ls_exp(
+        0.5 * (math.lgamma(m + 1.0) + math.lgamma(n_cap + 1.0) - math.lgamma(n_cap + m + 1.0))
+    )
+    elem_u = u * ls_exp(
+        0.5 * (math.lgamma(n_cap + 1.0) + math.lgamma(n_cap + m + 1.0) - math.lgamma(m + 1.0))
+    )
+    c2 = elem_l / elem_u
+    a_pos = ls_exp(0.5 * math.lgamma(m + 1.0) - 0.5 * m * math.log(w_in))
+    interior = RegionSolution(INTERIOR, w_in, a_pos, ZERO)
+    exterior = RegionSolution(EXTERIOR, w_out, ZERO, c2)
+    return interior, exterior
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ derivative continuity at r = R fixes the spectrum and tan(delta) = -B/A.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
-from .core import BoundState, CrossSectionPoint, PhaseShiftPoint
+import numpy as np
+from scipy import special
+
+from .core import BoundState, CrossSectionPoint, PhaseShiftPoint, scan_roots
 from .errors import DomainError
 from .specfun import _check_int, bessel, bessel_deriv
 
@@ -51,45 +55,35 @@ def _log_derivative_mismatch(energy: float, spec: CommWellSpec, m: int) -> float
     ) * bessel("J", m, k * r)
 
 
+def _log_derivative_mismatch_grid(energies: np.ndarray, spec: CommWellSpec, m: int) -> np.ndarray:
+    """_log_derivative_mismatch on an array of energies, bit for bit.
+
+    Same arithmetic order as the scalar path, on array calls of the scipy
+    ufuncs (which return the same bits for an array as for scalars).
+    """
+    r = spec.radius
+    k = np.sqrt(2.0 * energies)
+    kappa = np.sqrt(2.0 * (spec.v - energies))
+    kr, kappar = k * r, kappa * r
+    j_m, k_m = special.jv(m, kr), special.kv(m, kappar)
+    dj = special.jv(m - 1, kr) - (m / kr) * j_m
+    dk = -special.kv(m - 1, kappar) - (m / kappar) * k_m
+    return k * dj * k_m - kappa * dk * j_m
+
+
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V); the spectrum depends on |m| only."""
     m = abs(_check_int(m, "m"))
-    v = spec.v
-    if v <= 0.0:
-        return []
-    eps = EDGE_FRACTION * v
-    lo, hi = eps, v - eps
-    tol = BISECT_FRACTION * v
-
-    def g(e):
-        return _log_derivative_mismatch(e, spec, m)
-
-    states = []
-    step = (hi - lo) / (grid_points - 1)
-    prev_e, prev_g = lo, g(lo)
-    for i in range(1, grid_points):
-        e = lo + i * step
-        cur = g(e)
-        if (prev_g < 0.0) != (cur < 0.0):
-            a, b = prev_e, e
-            fa = prev_g
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = g(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            root = 0.5 * (a + b)
-            states.append((root, abs(g(root))))
-        prev_e, prev_g = e, cur
-    return [
-        BoundState(m=m, energy=e, residual=r_, level=i)
-        for i, (e, r_) in enumerate(states)
-    ]
+    eps = EDGE_FRACTION * spec.v
+    roots = scan_roots(
+        lambda e: _log_derivative_mismatch(e, spec, m),
+        lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
+        eps,
+        spec.v - eps,
+        grid_points,
+        BISECT_FRACTION * spec.v,
+    )
+    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
 
 
 def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoint:
@@ -153,6 +147,11 @@ def comm_cross_section(
         if m + 1 > min_extend and below >= 2:
             break
         if m >= HARD_M_CAP:
+            warnings.warn(
+                f"partial-wave sum hit the cap m = {HARD_M_CAP} before the tail "
+                f"condition was met at E = {energy}",
+                stacklevel=2,
+            )
             break
         m += 1
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

@@ -95,6 +95,54 @@ def _laguerre_sweep(m: int, w: float, targets):
     return out
 
 
+def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
+    """_laguerre_sweep on an array of arguments, one lane per w.
+
+    Every lane runs the scalar arithmetic in the same order, and a lane's
+    log scale grows by math.log of its own renormalization factor, so each
+    lane's (mantissa, log_scale) equals the scalar sweep's bit for bit.
+    Returns {n: (mantissa array, log_scale array)}.
+    """
+    nmax = max(targets)
+    out = {}
+    lp = np.ones_like(w)
+    lc = (1.0 + m) - w
+    ls = np.zeros_like(w)
+    if 0 in targets:
+        out[0] = (lp.copy(), ls.copy())
+    if 1 in targets:
+        out[1] = (lc.copy(), ls.copy())
+    for n in range(2, nmax + 1):
+        lp, lc = lc, ((2 * n - 1 + m - w) * lc - (n - 1 + m) * lp) / n
+        a = np.abs(lp) + np.abs(lc)
+        renorm = (a > _RENORM_HI) | (a < _RENORM_LO)
+        if renorm.any():
+            for i in np.flatnonzero(renorm & (a > 0.0)):
+                lp[i] /= a[i]
+                lc[i] /= a[i]
+                ls[i] += math.log(a[i])
+        if n in targets:
+            out[n] = (lc.copy(), ls.copy())
+    return out
+
+
+def _ls_from_sweep(mant: float, scale: float) -> LogScaled:
+    """LogScaled value of a sweep row stored as (mantissa, log scale)."""
+    if mant == 0.0:
+        return ZERO
+    return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + scale)
+
+
+def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
+    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base."""
+    if w == 0.0 or base.is_zero():
+        return ZERO
+    # (-w)^k is negative only for w > 0 and odd k
+    sign = (-1) ** k if w > 0 else 1
+    lg = k * math.log(abs(w)) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
+    return base * LogScaled.from_log(sign, lg)
+
+
 def laguerre(n: int, m: int, w: float) -> LogScaled:
     """Generalized Laguerre polynomial L^m_n(w).
 
@@ -113,17 +161,8 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
             raise DomainError(
                 f"L^m_n with m < 0 needs n >= -m, got n={n}, m={m}"
             )
-        base = laguerre(n - k, k, w)
-        if w == 0.0 or base.is_zero():
-            return ZERO
-        # (-w)^k is negative only for w > 0 and odd k
-        sign = (-1) ** k if w > 0 else 1
-        lg = k * math.log(abs(w)) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
-        return base * LogScaled.from_log(sign, lg)
-    mant, ls = _laguerre_sweep(m, w, {n})[n]
-    if mant == 0.0:
-        return ZERO
-    return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + ls)
+        return _lower_order(laguerre(n - k, k, w), n, k, w)
+    return _ls_from_sweep(*_laguerre_sweep(m, w, {n})[n])
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +201,47 @@ def _u_cf(a: int, b: int, x: float, tol: float = 5e-15, max_iter: int = 200_000)
     raise ConvergenceError(
         f"U-ratio continued fraction did not converge within {max_iter} "
         f"iterations for a={a}, b={b}, x={x}"
+    )
+
+
+def _u_cf_grid(a: int, b: int, x: np.ndarray, tol: float = 5e-15, max_iter: int = 200_000) -> np.ndarray:
+    """_u_cf on an array of x, one lane per x, bit-identical to the scalar.
+
+    The modified-Lentz steps run on all live lanes at once; a lane leaves
+    the live set on the iteration where the scalar loop would return.
+    """
+    tiny = 1e-300
+    out = np.empty_like(x)
+    if x.size == 0:
+        return out
+    live = np.arange(x.size)
+    xs = x
+    f = np.full_like(x, tiny)
+    c = f.copy()
+    d = np.zeros_like(x)
+    for j in range(max_iter):
+        if j == 0:
+            aj, bj = 1.0, xs + 2.0 * (a + 1) - b
+        else:
+            aj = -(a + j) * (a + j + 1.0 - b)
+            bj = xs + 2.0 * (a + j) + 2.0 - b
+        d = bj + aj * d
+        d[d == 0.0] = tiny
+        c = bj + aj / c
+        c[c == 0.0] = tiny
+        d = 1.0 / d
+        delta = c * d
+        f = f * delta
+        done = np.abs(delta - 1.0) < tol
+        if done.any():
+            out[live[done]] = f[done]
+            keep = ~done
+            live, xs, f, c, d = live[keep], xs[keep], f[keep], c[keep], d[keep]
+            if live.size == 0:
+                return out
+    raise ConvergenceError(
+        f"U-ratio continued fraction did not converge within {max_iter} "
+        f"iterations for a={a}, b={b}, x={float(xs[0])}"
     )
 
 
@@ -586,6 +666,19 @@ def _u_ratio_1m(a: int, m: int, x: float) -> float:
     if (a + m + 1) * x <= 4.0:
         return (_u_pos_direct(a + 1, m, x) / _u_pos_direct(a, m, x)).to_float()
     return _u_cf(a, 1 - m, x)
+
+
+def _u_ratio_1m_grid(a: int, m: int, x: np.ndarray) -> np.ndarray:
+    """_u_ratio_1m on an array of x with the same series/CF dispatch per lane.
+
+    Series lanes stay scalar; the continued-fraction lanes run batched.
+    """
+    series = (a + m + 1) * x <= 4.0
+    out = np.empty_like(x)
+    out[~series] = _u_cf_grid(a, 1 - m, x[~series])
+    for i in np.flatnonzero(series):
+        out[i] = _u_ratio_1m(a, m, float(x[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -184,16 +185,32 @@ def test_usage_error_exits_64(capsys):
     assert main([]) == 64
 
 
-def test_threads_env_var_keeps_order(capsys, monkeypatch):
+def test_phase_shift_rows_equal_pointwise_values_in_order(capsys):
+    from ncwell import core, oracle
+
     argv = [
         "phase-shifts", *WELL10, "--m", "1",
         "--emin", "6.5", "--emax", "8.0", "--esteps", "9",
     ]
-    code, seq, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("NCWELL_THREADS", "4")
-    code, par, _ = run_cli(capsys, argv)
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert seq == par
+    rows = [[float(c) for c in line.split(",")] for line in out.strip().split("\r\n")[1:]]
+    spec = core.WellSpec.from_radius(20.0, 10, 6.0)
+    comm = oracle.CommWellSpec(spec.radius, spec.v)
+    energies = [6.5 + (8.0 - 6.5) * i / 8 for i in range(9)]
+    assert [r[0] for r in rows] == energies
+    for (e, tan_nc, delta_nc, _, tan_comm, dev), e_ref in zip(rows, energies):
+        p = core.phase_shift(e_ref, spec, 1)
+        c = oracle.comm_phase_shift(e_ref, comm, 1)
+        assert (tan_nc, delta_nc, tan_comm) == (p.tan_delta, p.delta, c.tan_delta)
+        assert dev == abs(p.tan_delta - c.tan_delta)
+
+
+def test_readme_bound_states_matches_golden_csv(capsys):
+    golden = pathlib.Path(__file__).parent / "data" / "readme_bound_states_n10.csv"
+    code, out, _ = run_cli(capsys, ["bound-states", *WELL10, "--m=-6..6"])
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_emin_defaults_to_v_plus_offset(capsys):
@@ -212,13 +229,12 @@ def test_bound_wavefunction_continuity_emerges_at_small_theta():
     # branch-weight -> position-amplitude maps for every m
     import math
 
-    from ncwell import WellSpec, find_bound_states, wavefunction_eval
-    from ncwell.cli import _bound_solutions
+    from ncwell import WellSpec, bound_solutions, find_bound_states, wavefunction_eval
 
     for m in (0, 3, 6):
         spec = WellSpec.from_radius(20.0, 1000, 6.0)
         state = find_bound_states(spec, m)[0]
-        interior, exterior = _bound_solutions(state.energy, spec, m)
+        interior, exterior = bound_solutions(state.energy, spec, m)
         r_coh = spec.radius / math.sqrt(2.0 * spec.theta)
         vi = wavefunction_eval(interior, m, math.sqrt(2 * state.energy), [(r_coh, 0.0)])[0]
         ve = wavefunction_eval(

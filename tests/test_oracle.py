@@ -100,6 +100,22 @@ def test_cross_section_tail_bound_at_returned_mmax():
     assert nxt < 1e-5 * pt.sigma_total
 
 
+def test_partial_wave_cap_warns(monkeypatch):
+    import warnings
+
+    import ncwell.oracle as oracle_mod
+
+    spec = CommWellSpec(SQRT20, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = comm_cross_section(30.0, spec, 8)
+    monkeypatch.setattr(oracle_mod, "HARD_M_CAP", 3)
+    with pytest.warns(UserWarning, match="cap m = 3"):
+        capped = comm_cross_section(30.0, spec, 8)
+    assert [m for m, _ in capped.contributions] == [0, 1, 2, 3]
+    assert capped.contributions == full.contributions[:4]
+
+
 def test_threshold_divergence():
     # sigma grows without bound as E -> V+ (1/(k ln^2 k): slow, logarithmic in
     # the s-wave phase), while sigma*sqrt(E-V) stays bounded
@@ -121,6 +137,7 @@ def test_oracle_never_reads_theta():
         oracle_mod.comm_phase_shift,
         oracle_mod.comm_cross_section,
         oracle_mod._log_derivative_mismatch,
+        oracle_mod._log_derivative_mismatch_grid,
         oracle_mod._comm_sin2,
     ]
     for fn in fns:

@@ -1,0 +1,113 @@
+"""The batched scan grid against the scalar matching functions.
+
+The grid path must reproduce the scalar value bit for bit at every lane
+(asserted with ==, no tolerance), so the scan brackets, the bisected roots
+and the CLI tables cannot move.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ncwell.core import (
+    WellSpec,
+    _matching_residual_grid,
+    find_bound_states,
+    matching_residual_bound,
+    scan_roots,
+)
+from ncwell.errors import ConvergenceError, DomainError
+from ncwell.oracle import (
+    CommWellSpec,
+    _log_derivative_mismatch,
+    _log_derivative_mismatch_grid,
+    comm_bound_states,
+)
+from ncwell.specfun import _laguerre_sweep_grid, _u_cf, _u_cf_grid
+
+
+def scan_grid(v, points):
+    # the grid scan_roots builds: lo, then lo + i * step
+    lo, hi = 1e-9 * v, v - 1e-9 * v
+    return lo + np.arange(points) * ((hi - lo) / (points - 1))
+
+
+def assert_nc_grid_exact(energies, spec, m):
+    got = _matching_residual_grid(energies, spec, m)
+    want = [matching_residual_bound(e, spec, m) for e in energies.tolist()]
+    assert got == want
+
+
+def test_nc_grid_exact_at_n0():
+    spec = WellSpec.from_radius(20.0, 0, 6.0)
+    assert_nc_grid_exact(scan_grid(spec.v, 400), spec, 0)
+
+
+@pytest.mark.parametrize("m", range(-10, 7))
+def test_nc_grid_exact_at_n10_every_sector(m):
+    spec = WellSpec.from_radius(20.0, 10, 6.0)
+    assert_nc_grid_exact(scan_grid(spec.v, 300), spec, m)
+
+
+@pytest.mark.parametrize("m", [0, 9])
+def test_nc_grid_exact_at_n1000_long_continued_fractions(m):
+    spec = WellSpec.from_radius(20.0, 1000, 10.0)
+    assert_nc_grid_exact(scan_grid(spec.v, 60), spec, m)
+
+
+@pytest.mark.parametrize("m", [0, 9])
+def test_nc_grid_exact_at_n1000_renormalizing_sweeps(m):
+    # theta = 10: w = theta E passes 4N, where L^m_n grows past 1e250
+    spec = WellSpec(10.0, 1000, 1000.0)
+    energies = scan_grid(spec.v, 40)
+    rows = _laguerre_sweep_grid(m, spec.theta * energies, (1000, 1001))
+    assert np.count_nonzero(rows[1001][1]) > 10
+    assert_nc_grid_exact(energies, spec, m)
+
+
+def test_nc_grid_exact_across_series_cf_seam():
+    spec = WellSpec.from_radius(20.0, 10, 6.0)
+    m = 1
+    a = spec.cap_n + 1
+    # (a + m + 1) x = 4 with x = theta (V - E)
+    e_seam = spec.v - 4.0 / ((a + m + 1) * spec.theta)
+    energies = e_seam + np.linspace(-0.05, 0.05, 41)
+    x = spec.theta * (spec.v - energies)
+    series = (a + m + 1) * x <= 4.0
+    assert series.any() and not series.all()
+    assert_nc_grid_exact(energies, spec, m)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_comm_grid_exact(m):
+    spec = CommWellSpec(math.sqrt(20.0), 6.0)
+    energies = scan_grid(spec.v, 4000)
+    got = _log_derivative_mismatch_grid(energies, spec, m).tolist()
+    assert got == [_log_derivative_mismatch(e, spec, m) for e in energies.tolist()]
+
+
+def test_cf_grid_exact_and_raises_naming_the_lane():
+    x = np.array([0.004, 0.03, 0.5, 7.0])
+    assert _u_cf_grid(1001, 1, x).tolist() == [_u_cf(1001, 1, xi) for xi in x.tolist()]
+    with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004"):
+        _u_cf_grid(1001, 1, x, max_iter=5)
+
+
+def test_scan_roots_counts_an_exact_grid_zero_once():
+    def g(e):
+        return e - 0.5
+
+    roots = scan_roots(g, lambda grid: grid - 0.5, 0.0, 1.0, 5, 1e-12)
+    assert roots == [(0.5, 0.0)]
+    roots = scan_roots(g, lambda grid: grid - 0.5, 0.0, 1.0, 4, 1e-12)
+    assert len(roots) == 1 and abs(roots[0][0] - 0.5) <= 1e-12
+
+
+
+def test_scan_roots_validates_grid_points_for_both_solvers():
+    for bad in (1, 2.5):
+        with pytest.raises(DomainError, match="grid_points"):
+            find_bound_states(WellSpec.from_radius(20.0, 10, 6.0), 0, grid_points=bad)
+        with pytest.raises(DomainError, match="grid_points"):
+            comm_bound_states(CommWellSpec(math.sqrt(20.0), 6.0), 0, grid_points=bad)
