@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -129,8 +130,6 @@ def _energy_grid(args, spec: core.WellSpec) -> list[float]:
         raise DomainError(f"--esteps must be >= 2, got {args.esteps}")
     e_min = args.emin if args.emin is not None else spec.v + args.e_offset
     e_max = args.emax
-    if e_max is None:
-        raise DomainError("--emax is required")
     if e_min <= spec.v:
         raise DomainError(
             f"energy sweep must start strictly above V={spec.v}; got emin={e_min} "
@@ -140,6 +139,12 @@ def _energy_grid(args, spec: core.WellSpec) -> list[float]:
         raise DomainError(f"need emin < emax, got {e_min} >= {e_max}")
     n = args.esteps
     return [e_min + (e_max - e_min) * i / (n - 1) for i in range(n)]
+
+
+def _sweep_energies(cfg: RunConfig) -> list[float]:
+    if cfg.energies is None:
+        raise DomainError("--emax is required")
+    return cfg.energies
 
 
 def _fmt(x) -> str:
@@ -180,15 +185,9 @@ def _cmd_bound_states(args) -> int:
     for m in cfg.m_list:
         nc = core.find_bound_states(spec, m, grid_points=args.grid_points)
         cm = oracle.comm_bound_states(comm, m)
-        for level in range(max(len(nc), len(cm))):
-            rows.append(
-                [
-                    m,
-                    level,
-                    nc[level].energy if level < len(nc) else None,
-                    cm[level].energy if level < len(cm) else None,
-                ]
-            )
+        # a level only one solver finds leaves the other column empty
+        for level, (a, b) in enumerate(itertools.zip_longest(nc, cm)):
+            rows.append([m, level, a.energy if a else None, b.energy if b else None])
     _write_rows(["m", "level", "energy_nc", "energy_comm"], rows, cfg.output, cfg.fmt)
     return 0
 
@@ -199,9 +198,7 @@ def _cmd_phase_shifts(args) -> int:
     if len(cfg.m_list) != 1:
         raise DomainError("phase-shifts takes a single m, not a range")
     m = cfg.m_list[0]
-    if cfg.energies is None:
-        raise DomainError("--emax is required")
-    energies = cfg.energies
+    energies = _sweep_energies(cfg)
     comm = oracle.CommWellSpec(spec.radius, spec.v)
     pts = core.phase_shift_sweep(energies, spec, m)
     cms = [oracle.comm_phase_shift(e, comm, m) for e in energies]
@@ -228,9 +225,7 @@ def _cmd_phase_shifts(args) -> int:
 def _cmd_cross_section(args) -> int:
     cfg = RunConfig.from_args(args)
     spec = cfg.spec
-    if cfg.energies is None:
-        raise DomainError("--emax is required")
-    energies = cfg.energies
+    energies = _sweep_energies(cfg)
     if spec.v == 0.0:
         rows = [[e, math.sqrt(2.0 * e), 0.0] for e in energies]
     else:
@@ -274,8 +269,6 @@ def _cmd_wavefunction(args) -> int:
     theta = spec.theta
     if energy > spec.v:
         interior, exterior = core.scattering_coeffs(energy, spec, m)
-        k_in = math.sqrt(2.0 * energy)
-        k_out = math.sqrt(2.0 * (energy - spec.v))
     elif 0.0 < energy < spec.v:
         if m < 0:
             raise DomainError("bound wavefunction output supports m >= 0")
@@ -284,10 +277,10 @@ def _cmd_wavefunction(args) -> int:
             raise DomainError(f"no bound state exists for m={m}")
         energy = min(states, key=lambda b: abs(b.energy - args.energy)).energy
         interior, exterior = core.bound_solutions(energy, spec, m)
-        k_in = math.sqrt(2.0 * energy)
-        k_out = math.sqrt(2.0 * (spec.v - energy))
     else:
         raise DomainError(f"energy must lie in (0, V) or above V, got {energy}")
+    k_in = math.sqrt(2.0 * energy)
+    k_out = math.sqrt(2.0 * abs(energy - spec.v))
     # radial cut at phi = 0: z = r, coherent-state radius r = rho / sqrt(2 theta)
     rows = []
     for i in range(n):
@@ -305,6 +298,15 @@ def _cmd_wavefunction(args) -> int:
     return 0
 
 
+def _deviation_rows(energies, nc, cm) -> list[list]:
+    """[E, nc, comm, |nc - comm|, |nc - comm| / |comm|] per energy."""
+    rows = []
+    for e, a, b in zip(energies, nc, cm):
+        dev = abs(a - b)
+        rows.append([e, a, b, dev, dev / abs(b) if b != 0.0 else math.inf])
+    return rows
+
+
 def _cmd_compare(args) -> int:
     cfg = RunConfig.from_args(args)
     spec = cfg.spec
@@ -313,36 +315,22 @@ def _cmd_compare(args) -> int:
         if len(cfg.m_list) != 1:
             raise DomainError("compare --quantity phase-shift takes a single m")
         m = cfg.m_list[0]
-        if cfg.energies is None:
-            raise DomainError("--emax is required")
-        energies = cfg.energies
+        energies = _sweep_energies(cfg)
         nc = [core.phase_shift(e, spec, m).tan_delta for e in energies]
         cm = [oracle.comm_phase_shift(e, comm, m).tan_delta for e in energies]
-        rows = []
-        for e, a, b in zip(energies, nc, cm):
-            dev = abs(a - b)
-            rel = dev / abs(b) if b != 0.0 else math.inf
-            rows.append([e, a, b, dev, rel])
         _write_rows(
             ["energy", "tan_delta_nc", "tan_delta_comm", "abs_deviation", "rel_deviation"],
-            rows,
+            _deviation_rows(energies, nc, cm),
             cfg.output,
             cfg.fmt,
         )
     elif args.quantity == "cross-section":
-        if cfg.energies is None:
-            raise DomainError("--emax is required")
-        energies = cfg.energies
+        energies = _sweep_energies(cfg)
         nc = [core.cross_section_total(e, spec, cfg.m_max).sigma_total for e in energies]
         cm = [oracle.comm_cross_section(e, comm, cfg.m_max).sigma_total for e in energies]
-        rows = []
-        for e, a, b in zip(energies, nc, cm):
-            dev = abs(a - b)
-            rel = dev / abs(b) if b != 0.0 else math.inf
-            rows.append([e, a, b, dev, rel])
         _write_rows(
             ["energy", "sigma_nc", "sigma_comm", "abs_deviation", "rel_deviation"],
-            rows,
+            _deviation_rows(energies, nc, cm),
             cfg.output,
             cfg.fmt,
         )
@@ -351,8 +339,7 @@ def _cmd_compare(args) -> int:
         for m in cfg.m_list:
             nc = core.find_bound_states(spec, m)
             cm = oracle.comm_bound_states(comm, m)
-            for level in range(min(len(nc), len(cm))):
-                a, b = nc[level].energy, cm[level].energy
+            for level, (a, b) in enumerate(zip([s.energy for s in nc], [s.energy for s in cm])):
                 rows.append([m, level, a, b, abs(a - b), abs(a - b) / abs(b)])
         _write_rows(
             ["m", "level", "energy_nc", "energy_comm", "abs_deviation", "rel_deviation"],

@@ -34,20 +34,17 @@ from scipy import special
 
 from .errors import DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, ls_exp
-from .specfun import (
+from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
     OrderIndex,
-    _anchor_index,
     _check_int,
     _laguerre_sweep,
     _laguerre_sweep_grid,
     _ls_from_sweep,
     _lower_order,
     _reu_direct,
+    _reu_rows,
     _u_ratio_1m,
     _u_ratio_1m_grid,
-    _DIRECT_N,
-    _RENORM_HI,
-    _RENORM_LO,
     kummer_u,
     laguerre,
 )
@@ -163,40 +160,7 @@ class CrossSectionPoint:
 
 def _reu_pair(m: int, w: float, n: int):
     """(ReU at rows n and n+1) sharing one recurrence pass."""
-    if n + 1 <= _DIRECT_N:
-        return _reu_direct(n, m, w), _reu_direct(n + 1, m, w)
-    n_anchor = min(n - 1, max(0, _anchor_index(m, w)))
-    v0 = _reu_direct(n_anchor, m, w)
-    v1 = _reu_direct(n_anchor + 1, m, w)
-    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
-    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
-    ls = max(l0, l1)
-    lp = v0.sign * math.exp(l0 - ls)
-    lc = v1.sign * math.exp(l1 - ls)
-    out = {}
-    for j in range(n_anchor + 2, n + 2):
-        lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
-        a = abs(lp) + abs(lc)
-        if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
-            lp /= a
-            lc /= a
-            ls += math.log(a)
-        if j == n:
-            out[n] = (lc, ls)
-    out[n + 1] = (lc, ls)
-    if n == n_anchor + 1:
-        out[n] = (v1.sign * math.exp(l1 - ls), ls)
-
-    def to_ls(idx):
-        mant, scale = out[idx]
-        if mant == 0.0:
-            return ZERO
-        return LogScaled.from_log(
-            1 if mant > 0 else -1,
-            math.log(abs(mant)) + scale - math.lgamma(idx + m + 1.0),
-        )
-
-    return to_ls(n), to_ls(n + 1)
+    return tuple(_reu_rows(m, w, n, 2))
 
 
 def _laguerre_pair(m: int, w: float, n: int):
@@ -266,6 +230,30 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     return c1_part + c2_part
 
 
+def _check_bound_energy(energy: float, spec: WellSpec) -> None:
+    if not (0.0 < energy < spec.v):
+        raise DomainError(
+            f"bound-state energy must lie strictly inside (0, V), got E={energy}, V={spec.v}"
+        )
+
+
+def _check_negative_cutoff(m: int, spec: WellSpec) -> None:
+    if m < 0 and -m > spec.cap_n:
+        raise DomainError(
+            f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
+        )
+
+
+def _check_cross_section_args(energy: float, v: float, m_max) -> int:
+    """m_max as an int; it must be positive, and the energy above V."""
+    m_max = _check_int(m_max, "m_max")
+    if m_max < 1:
+        raise DomainError(f"m_max must be a positive integer, got {m_max}")
+    if not (energy > v):
+        raise DomainError(f"cross section needs E > V, got E={energy}, V={v}")
+    return m_max
+
+
 # ---------------------------------------------------------------------------
 # bound states
 # ---------------------------------------------------------------------------
@@ -296,14 +284,8 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
     magnitude so the return value lies in [-2, 2].
     """
     m = _check_int(m, "m")
-    if not (0.0 < energy < spec.v):
-        raise DomainError(
-            f"bound-state energy must lie strictly inside (0, V), got E={energy}, V={spec.v}"
-        )
-    if m < 0 and -m > spec.cap_n:
-        raise DomainError(
-            f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
-        )
+    _check_bound_energy(energy, spec)
+    _check_negative_cutoff(m, spec)
     order, k = abs(m), max(-m, 0)
     w = spec.theta * energy
     x = spec.theta * (spec.v - energy)
@@ -369,23 +351,28 @@ def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
     return roots
 
 
+def _bound_levels(g, g_grid, m: int, v: float, grid_points: int) -> list[BoundState]:
+    """Bound levels of sector m: the roots of g in (0, V), by scan_roots.
+
+    The scan stays EDGE_FRACTION V clear of both ends and bisects each sign
+    change to BISECT_FRACTION V.
+    """
+    eps = EDGE_FRACTION * v
+    roots = scan_roots(g, g_grid, eps, v - eps, grid_points, BISECT_FRACTION * v)
+    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
+
+
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Scan (0, V) for sign changes of the matching function and bisect them."""
     m = _check_int(m, "m")
-    if m < 0 and -m > spec.cap_n:
-        raise DomainError(
-            f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
-        )
-    eps = EDGE_FRACTION * spec.v
-    roots = scan_roots(
+    _check_negative_cutoff(m, spec)
+    return _bound_levels(
         lambda e: matching_residual_bound(e, spec, m),
         lambda grid: _matching_residual_grid(grid, spec, m),
-        eps,
-        spec.v - eps,
+        m,
+        spec.v,
         grid_points,
-        BISECT_FRACTION * spec.v,
     )
-    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
 
 
 def bound_solutions(energy: float, spec: WellSpec, m: int):
@@ -399,10 +386,7 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
     m = _check_int(m, "m")
     if m < 0:
         raise DomainError(f"bound solutions support m >= 0, got m={m}")
-    if not (0.0 < energy < spec.v):
-        raise DomainError(
-            f"bound-state energy must lie strictly inside (0, V), got E={energy}, V={spec.v}"
-        )
+    _check_bound_energy(energy, spec)
     w_in = spec.theta * energy
     w_out = spec.theta * (energy - spec.v)
     n_cap = spec.cap_n
@@ -425,6 +409,15 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
 # scattering
 # ---------------------------------------------------------------------------
 
+def _matching_rows(w_in: float, w_out: float, spec: WellSpec, m: int):
+    """Interior and exterior basis rows at the two matching rows of sector m.
+
+    Negative m is the same system at rows shifted down by |m| in the |m| sector.
+    """
+    row = spec.cap_n - (-m if m < 0 else 0)
+    return _jy_basis_rows(abs(m), w_in, row), _jy_basis_rows(abs(m), w_out, row)
+
+
 def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     """Interior and exterior coefficients of the scattering solution.
 
@@ -436,29 +429,20 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     m = _check_int(m, "m")
     if not (energy > spec.v):
         raise DomainError(f"scattering needs E > V, got E={energy}, V={spec.v}")
-    if m < 0 and -m > spec.cap_n:
-        raise DomainError(
-            f"negative angular momentum is cut off at |m| <= N: got m={m}, N={spec.cap_n}"
-        )
+    _check_negative_cutoff(m, spec)
     theta = spec.theta
     w_in = theta * energy
     w_out = theta * (energy - spec.v)
-    # negative m: same system at shifted rows of the |m| sector
-    m_eff = abs(m)
-    row = spec.cap_n - (m_eff if m < 0 else 0)
-    rows_in = _jy_basis_rows(m_eff, w_in, row)
-    rows_out = _jy_basis_rows(m_eff, w_out, row)
+    rows_in, rows_out = _matching_rows(w_in, w_out, spec, m)
 
     jin = [rows_in[0][0], rows_in[1][0]]
     jout = [rows_out[0][0], rows_out[1][0]]
     yout = [rows_out[0][1], rows_out[1][1]]
 
-    c1 = max(jin[0].logmag if jin[0].sign else -math.inf,
-             jin[1].logmag if jin[1].sign else -math.inf)
-    c2 = max(yout[0].logmag if yout[0].sign else -math.inf,
-             yout[1].logmag if yout[1].sign else -math.inf)
-    c3 = max(jout[0].logmag if jout[0].sign else -math.inf,
-             jout[1].logmag if jout[1].sign else -math.inf)
+    # column scales: the larger log magnitude of each basis column
+    c1, c2, c3 = (
+        max(v.logmag if v.sign else -math.inf for v in col) for col in (jin, yout, jout)
+    )
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise SingularSystemError("a basis column vanished identically at both rows")
     if not math.isfinite(c3):
@@ -507,10 +491,7 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
 def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     """Relative residuals of the two matching rows for the solved coefficients."""
     interior, exterior = scattering_coeffs(energy, spec, m)
-    m_eff = abs(m)
-    row = spec.cap_n - (m_eff if m < 0 else 0)
-    rows_in = _jy_basis_rows(m_eff, interior.w, row)
-    rows_out = _jy_basis_rows(m_eff, exterior.w, row)
+    rows_in, rows_out = _matching_rows(interior.w, exterior.w, spec, m)
     out = []
     for i in (0, 1):
         lhs = interior.coeff_a * rows_in[i][0]
@@ -521,16 +502,6 @@ def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
         else:
             out.append((abs(lhs - rhs) / scale).to_float())
     return out
-
-
-def _fold_principal(delta: float) -> float:
-    """Map an angle to the principal branch (-pi/2, pi/2]."""
-    d = math.fmod(delta, math.pi)
-    if d > math.pi / 2:
-        d -= math.pi
-    elif d <= -math.pi / 2:
-        d += math.pi
-    return d
 
 
 def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
@@ -581,8 +552,44 @@ def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float
     return delta, t * t / (1.0 + t * t)
 
 
-def _sin2_delta(energy: float, spec: WellSpec, m: int) -> float:
-    return _delta_and_sin2(energy, spec, m)[1]
+def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, cap: int,
+                     tail_rel: float):
+    """Sum the partial waves m = 0, 1, ... as (sigma, contributions).
+
+    waves(m) returns wave m's contributions as (label, term) pairs; the
+    largest term of a wave is what the tail rule sees.  Partial waves carry
+    weight up to the impact-parameter cutoff m ~ kR, so the sum runs at
+    least to max(m_max, ceil(kR) + 2) (sin^2(delta) can dip through zero at
+    isolated m well before the tail truly decays); past that it stops once
+    two waves in a row fall below tail_rel of the running total.  At m = cap
+    it stops with a warning aimed at the caller's caller.
+    """
+    min_extend = max(m_max, math.ceil(k * radius) + 2)
+    sigma = 0.0
+    contributions = []
+    below = 0
+    m = 0
+    while True:
+        terms = waves(m)
+        for entry in terms:
+            contributions.append(entry)
+            sigma += entry[1]
+        term = max(t for _, t in terms)
+        if term <= tail_rel * sigma:
+            below += 1
+        else:
+            below = 0
+        if m + 1 > min_extend and below >= 2:
+            break
+        if m >= cap:
+            warnings.warn(
+                f"partial-wave sum hit the cap m = {cap} before the tail "
+                f"condition was met at E = {energy}",
+                stacklevel=3,
+            )
+            break
+        m += 1
+    return sigma, contributions
 
 
 def cross_section_total(
@@ -600,50 +607,22 @@ def cross_section_total(
     sin^2(delta) with unit weight instead (exploratory variant; the
     negative side is cut off at N).
     """
-    m_max = _check_int(m_max, "m_max")
-    if m_max < 1:
-        raise DomainError(f"m_max must be a positive integer, got {m_max}")
-    if not (energy > spec.v):
-        raise DomainError(f"cross section needs E > V, got E={energy}, V={spec.v}")
+    m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
-    # partial waves carry weight up to the impact-parameter cutoff m ~ kR;
-    # the tail rule may only stop the sum beyond it (sin^2(delta) can dip
-    # through zero at isolated m well before the tail truly decays)
-    min_extend = max(m_max, math.ceil(k * spec.radius) + 2)
-    contributions = []
-    sigma = 0.0
-    below = 0
-    m = 0
-    cap = spec.cap_n if include_negative else HARD_M_CAP
-    while True:
-        if include_negative:
-            term = (4.0 / k) * _sin2_delta(energy, spec, m)
-            contributions.append((m, term))
-            sigma += term
-            if m >= 1 and m <= spec.cap_n:
-                term_neg = (4.0 / k) * _sin2_delta(energy, spec, -m)
-                contributions.append((-m, term_neg))
-                sigma += term_neg
-                term = max(term, term_neg)
-        else:
+
+    if include_negative:
+        def waves(m):
+            terms = [(m, (4.0 / k) * _delta_and_sin2(energy, spec, m)[1])]
+            if 1 <= m <= spec.cap_n:
+                terms.append((-m, (4.0 / k) * _delta_and_sin2(energy, spec, -m)[1]))
+            return terms
+    else:
+        def waves(m):
             eps = 1.0 if m == 0 else 2.0
-            term = (4.0 / k) * eps * _sin2_delta(energy, spec, m)
-            contributions.append((m, term))
-            sigma += term
-        if term <= tail_rel * sigma:
-            below += 1
-        else:
-            below = 0
-        if m + 1 > min_extend and below >= 2:
-            break
-        if m >= cap:
-            warnings.warn(
-                f"partial-wave sum hit the cap m = {cap} before the tail "
-                f"condition was met at E = {energy}",
-                stacklevel=2,
-            )
-            break
-        m += 1
+            return [(m, (4.0 / k) * eps * _delta_and_sin2(energy, spec, m)[1])]
+
+    cap = spec.cap_n if include_negative else HARD_M_CAP
+    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, cap, tail_rel)
     return CrossSectionPoint(
         energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions)
     )
@@ -660,41 +639,22 @@ def cross_section_differential(
 
     f(phi) = sqrt(2/pi) sum_m eps_m cos(m phi) e^{i delta_m} sin(delta_m).
     """
-    m_max = _check_int(m_max, "m_max")
-    if m_max < 1:
-        raise DomainError(f"m_max must be a positive integer, got {m_max}")
-    if not (energy > spec.v):
-        raise DomainError(f"cross section needs E > V, got E={energy}, V={spec.v}")
+    m_max = _check_cross_section_args(energy, spec.v, m_max)
     phis = list(phi_grid)
     for p in phis:
         if not (0.0 <= p < 2.0 * math.pi):
             raise DomainError(f"phi values must lie in [0, 2 pi), got {p}")
     k = math.sqrt(2.0 * (energy - spec.v))
     # collect phase shifts with the same tail rule as the summed form
-    min_extend = max(m_max, math.ceil(k * spec.radius) + 2)
     deltas = []
-    sig = 0.0
-    below = 0
-    m = 0
-    while True:
+
+    def waves(m):
         eps = 1.0 if m == 0 else 2.0
         delta, sin2 = _delta_and_sin2(energy, spec, m)
         deltas.append((m, eps, delta))
-        term = (4.0 / k) * eps * sin2
-        sig += term
-        if term <= tail_rel * sig:
-            below += 1
-        else:
-            below = 0
-        if m + 1 > min_extend and below >= 2:
-            break
-        if m >= HARD_M_CAP:
-            warnings.warn(
-                f"partial-wave sum hit the cap m = {HARD_M_CAP} at E = {energy}",
-                stacklevel=2,
-            )
-            break
-        m += 1
+        return [(m, (4.0 / k) * eps * sin2)]
+
+    partial_wave_sum(waves, energy, k, spec.radius, m_max, HARD_M_CAP, tail_rel)
     pref = math.sqrt(2.0 / math.pi)
     out = []
     for phi in phis:

@@ -11,21 +11,25 @@ derivative continuity at r = R fixes the spectrum and tan(delta) = -B/A.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .core import BoundState, CrossSectionPoint, PhaseShiftPoint, scan_roots
+from .core import (
+    HARD_M_CAP,
+    TAIL_REL,
+    BoundState,
+    CrossSectionPoint,
+    PhaseShiftPoint,
+    _bound_levels,
+    _check_cross_section_args,
+    partial_wave_sum,
+)
 from .errors import DomainError
 from .specfun import _check_int, bessel, bessel_deriv
 
 GRID_POINTS = 4000
-EDGE_FRACTION = 1e-9
-BISECT_FRACTION = 1e-12
-TAIL_REL = 1e-6
-HARD_M_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,13 @@ def _log_derivative_mismatch_grid(energies: np.ndarray, spec: CommWellSpec, m: i
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V); the spectrum depends on |m| only."""
     m = abs(_check_int(m, "m"))
-    eps = EDGE_FRACTION * spec.v
-    roots = scan_roots(
+    return _bound_levels(
         lambda e: _log_derivative_mismatch(e, spec, m),
         lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
-        eps,
-        spec.v - eps,
+        m,
+        spec.v,
         grid_points,
-        BISECT_FRACTION * spec.v,
     )
-    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
 
 
 def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoint:
@@ -114,44 +115,19 @@ def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoi
     return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta)
 
 
-def _comm_sin2(energy: float, spec: CommWellSpec, m: int) -> float:
-    p = comm_phase_shift(energy, spec, m)
-    s = math.sin(p.delta)
-    return s * s
-
-
 def comm_cross_section(
     energy: float, spec: CommWellSpec, m_max: int, tail_rel: float = TAIL_REL
 ) -> CrossSectionPoint:
     """sigma = (4/k) sum_m eps_m sin^2(delta_m), same tail rule as the core."""
-    m_max = _check_int(m_max, "m_max")
-    if m_max < 1:
-        raise DomainError(f"m_max must be a positive integer, got {m_max}")
-    if not (energy > spec.v):
-        raise DomainError(f"cross section needs E > V, got E={energy}, V={spec.v}")
+    m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
-    min_extend = max(m_max, math.ceil(k * spec.radius) + 2)
-    sigma = 0.0
-    contributions = []
-    below = 0
-    m = 0
-    while True:
+
+    def waves(m):
         eps = 1.0 if m == 0 else 2.0
-        term = (4.0 / k) * eps * _comm_sin2(energy, spec, m)
-        contributions.append((m, term))
-        sigma += term
-        if term <= tail_rel * sigma:
-            below += 1
-        else:
-            below = 0
-        if m + 1 > min_extend and below >= 2:
-            break
-        if m >= HARD_M_CAP:
-            warnings.warn(
-                f"partial-wave sum hit the cap m = {HARD_M_CAP} before the tail "
-                f"condition was met at E = {energy}",
-                stacklevel=2,
-            )
-            break
-        m += 1
+        s = math.sin(comm_phase_shift(energy, spec, m).delta)
+        return [(m, (4.0 / k) * eps * (s * s))]
+
+    sigma, contributions = partial_wave_sum(
+        waves, energy, k, spec.radius, m_max, HARD_M_CAP, tail_rel
+    )
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

@@ -74,24 +74,38 @@ def _check_int(value, name):
 # generalized Laguerre polynomials
 # ---------------------------------------------------------------------------
 
+def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float, targets):
+    """Run j y_j = (2j-1+m-w) y_{j-1} - (j-1+m) y_{j-2} upward from row j0.
+
+    (lp, lc) are rows j0-2 and j0-1 as mantissas at the common log scale ls;
+    the pair is renormalized whenever it leaves [1e-250, 1e250].  L^m_n(w)
+    and the scaled cut values (n+m)! Re[U(n+1,1-m,-w)] both obey this
+    recurrence.  Returns {j: (mantissa, log_scale)} for the targets >= j0.
+    """
+    out = {}
+    j = j0
+    # run up to each target in turn, so the steps test no membership
+    for target in sorted(t for t in targets if t >= j0):
+        for j in range(j, target + 1):
+            lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
+            a = abs(lp) + abs(lc)
+            if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
+                lp /= a
+                lc /= a
+                ls += math.log(a)
+        out[target] = (lc, ls)
+        j = target + 1
+    return out
+
+
 def _laguerre_sweep(m: int, w: float, targets):
     """Forward recurrence for L^m_n(w), m >= 0; returns {n: (mantissa, log_scale)}."""
-    nmax = max(targets)
-    out = {}
-    lp, lc, ls = 1.0, 1.0 + m - w, 0.0
+    lp, lc = 1.0, 1.0 + m - w
+    out = _recurrence_rows(m, w, 2, lp, lc, 0.0, targets)
     if 0 in targets:
-        out[0] = (lp, ls)
+        out[0] = (lp, 0.0)
     if 1 in targets:
-        out[1] = (lc, ls)
-    for n in range(2, nmax + 1):
-        lp, lc = lc, ((2 * n - 1 + m - w) * lc - (n - 1 + m) * lp) / n
-        a = abs(lp) + abs(lc)
-        if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
-            lp /= a
-            lc /= a
-            ls += math.log(a)
-        if n in targets:
-            out[n] = (lc, ls)
+        out[1] = (lc, 0.0)
     return out
 
 
@@ -126,11 +140,11 @@ def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
     return out
 
 
-def _ls_from_sweep(mant: float, scale: float) -> LogScaled:
-    """LogScaled value of a sweep row stored as (mantissa, log scale)."""
+def _ls_from_sweep(mant: float, scale: float, log_div: float = 0.0) -> LogScaled:
+    """LogScaled value of a sweep row stored as (mantissa, log scale), over e^log_div."""
     if mant == 0.0:
         return ZERO
-    return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + scale)
+    return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + scale - log_div)
 
 
 def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
@@ -245,8 +259,8 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray, tol: float = 5e-15, max_iter: int 
     )
 
 
-def kummer_u_ratio(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
-    """U(a+1,b,x) / U(a,b,x) for x > 0, integer b <= 1, integer a >= 1."""
+def _check_u_args(a, b, x, what: str) -> tuple[int, int]:
+    """(a, b) as ints; U needs integer a >= 1, integer b <= 1 and finite x > 0."""
     a = _check_int(a, "a")
     b = _check_int(b, "b")
     if a < 1:
@@ -254,7 +268,13 @@ def kummer_u_ratio(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
     if b > 1:
         raise DomainError(f"second parameter b must be <= 1, got {b}")
     if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"U ratio needs x > 0, got {x}")
+        raise DomainError(f"{what} needs x > 0, got {x}")
+    return a, b
+
+
+def kummer_u_ratio(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
+    """U(a+1,b,x) / U(a,b,x) for x > 0, integer b <= 1, integer a >= 1."""
+    a, b = _check_u_args(a, b, x, "U ratio")
     return _u_cf(a, b, x, max_iter=max_iter)
 
 
@@ -295,14 +315,7 @@ def kummer_u(a: int, b: int, x: float) -> LogScaled:
     logarithmic series; otherwise the a = 1 quadrature anchor is propagated
     upward with continued-fraction ratios.
     """
-    a = _check_int(a, "a")
-    b = _check_int(b, "b")
-    if a < 1:
-        raise DomainError(f"first parameter a must be a positive integer, got {a}")
-    if b > 1:
-        raise DomainError(f"second parameter b must be <= 1, got {b}")
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"kummer_u needs x > 0, got {x}")
+    a, b = _check_u_args(a, b, x, "kummer_u")
     m = 1 - b
     if (a + m + 1) * x <= 4.0:
         val = _u_pos_direct(a, m, x)
@@ -325,24 +338,46 @@ def _lost_digits(max_piece_log: float, result: LogScaled) -> float:
     return (max_piece_log - result.logmag) / math.log(10.0)
 
 
-def _reu_pieces_float(n: int, m: int, w: float):
-    """Double-precision pass for Re[U(n+1,1-m,-w)].
+_SERIES_FAILED = (None, math.inf, None)
 
-    Returns (value, max_piece_log, t_piece_log); the last is the log
-    magnitude of the all-positive tail piece (or None for m = 0), a cheap
-    lower bound on the result scale used to seed the escalated precision.
+
+def _log_series_float(a: int, m: int, z: float):
+    """Double-precision integer-b log series for U(a, 1-m, z) (DLMF 13.2.9).
+
+    z > 0 is the positive axis.  z = -w < 0 is the branch cut, where ln z is
+    read as ln w, so the value is Re[U(a, 1-m, -w)].  The sign of z picks
+    the M factor (the convergent series for z > 0, Kummer's finite form
+    e^z M(1-a, m+1, -z) on the cut) and the signs of the prefactor and of
+    the tail terms; the digamma-weighted series and the combination are
+    shared.  Returns (value, max_piece_log, t_piece_log), or (None, inf,
+    None) on overflow; t_piece_log is the log magnitude of the tail piece
+    (None for m = 0), which on the cut is all positive and so a cheap lower
+    bound on the result scale, used to seed the escalated precision.
     """
-    A = n + m + 1
-    lnw = math.log(w)
-    # M(A, m+1, -w) = e^{-w} M(-n, m+1, w): finite sum, all-term tracking
-    pv, t, pmax = 0.0, 1.0, 1.0
-    for r in range(n):
-        pv += t
-        t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
-        pmax = max(pmax, abs(t))
-    pv += t
-    if not math.isfinite(pv):
-        return None, math.inf, None
+    A = a + m
+    cut = z < 0.0
+    lnz = math.log(abs(z))
+    if cut:
+        n, w = a - 1, -z
+        mv, t, mmax = 0.0, 1.0, 1.0
+        for r in range(n):
+            mv += t
+            t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
+            mmax = max(mmax, abs(t))
+        mv += t
+    else:
+        mv, t, mmax, r = 0.0, 1.0, 1.0, 0
+        while True:
+            mv += t
+            t *= (A + r) * z / ((m + 1 + r) * (r + 1.0))
+            mmax = max(mmax, abs(t))
+            r += 1
+            if r > 3 and abs(t) < 1e-19 * max(abs(mv), 1e-280):
+                break
+            if not math.isfinite(mv) or r > 500_000:
+                return _SERIES_FAILED
+    if not math.isfinite(mv):
+        return _SERIES_FAILED
     # digamma-weighted series
     br = EULER_GAMMA
     for i in range(m + 1, A):
@@ -352,46 +387,49 @@ def _reu_pieces_float(n: int, m: int, w: float):
         contrib = t * br
         s += contrib
         smax = max(smax, abs(contrib))
-        t *= (A + r) * (-w) / ((m + 1 + r) * (r + 1.0))
+        t *= (A + r) * z / ((m + 1 + r) * (r + 1.0))
         br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (m + 1 + r)
         r += 1
         if r > 4 and abs(t) * (abs(br) + 1.0) < 1e-19 * max(abs(s), 1e-280):
             break
         if not math.isfinite(s) or r > 500_000:
-            return None, math.inf, None
-    if not (math.isfinite(pv) and math.isfinite(s)):
-        return None, math.inf, None
-    pref_log = m * lnw - math.lgamma(m + 1.0) - math.lgamma(n + 1.0)
-    # piece 1: -pref * e^{-w} P * ln w
-    if pv != 0.0 and lnw != 0.0:
+            return _SERIES_FAILED
+    if not math.isfinite(s):
+        return _SERIES_FAILED
+    pref_log = m * lnz - math.lgamma(m + 1.0) - math.lgamma(a + 0.0)
+    # the cut's M factor carries e^z; the prefactor is -1 on the cut and
+    # (-1)^(m+1) on the positive axis, where the tail terms alternate
+    m_log = pref_log + z if cut else pref_log
+    sgn = -1 if cut else (-1) ** (m + 1)
+    tail_sgn = 1 if cut else -1
+    # piece 1: pref * M * ln z
+    p1 = ZERO
+    if mv != 0.0 and lnz != 0.0:
         p1 = LogScaled.from_log(
-            -1 if (pv > 0) == (lnw > 0) else 1,
-            pref_log - w + math.log(abs(pv)) + math.log(abs(lnw)),
+            sgn * (1 if (mv > 0) == (lnz > 0) else -1),
+            m_log + math.log(abs(mv)) + math.log(abs(lnz)),
         )
-    else:
-        p1 = ZERO
-    # piece 2: -pref * S
+    # piece 2: pref * S
+    p2 = ZERO
     if s != 0.0:
-        p2 = LogScaled.from_log(-1 if s > 0 else 1, pref_log + math.log(abs(s)))
-    else:
-        p2 = ZERO
-    # piece 3: sum_{r<m} (n+1)_r (m-1-r)! w^r / ((n+m)! r!), all positive
+        p2 = LogScaled.from_log(sgn * (1 if s > 0 else -1), pref_log + math.log(abs(s)))
+    # piece 3: sum_{r<m} (+-1)^r (a)_r (m-1-r)! |z|^r / (A-1)! / r!
     p3 = ZERO
     t3max = -math.inf
     for r in range(m):
         tl = (
-            math.lgamma(n + 1.0 + r)
-            - math.lgamma(n + 1.0)
+            math.lgamma(a + 0.0 + r)
+            - math.lgamma(a + 0.0)
             + math.lgamma(m - r + 0.0)
-            - math.lgamma(n + m + 1.0)
+            - math.lgamma(A + 0.0)
             - math.lgamma(r + 1.0)
-            + r * lnw
+            + r * lnz
         )
         t3max = max(t3max, tl)
-        p3 = p3 + LogScaled.from_log(1, tl)
+        p3 = p3 + LogScaled.from_log(tail_sgn**r, tl)
     result = p1 + p2 + p3
     max_piece_log = max(
-        pref_log - w + math.log(max(pmax, 1e-300)) + math.log(max(abs(lnw), 1e-300)),
+        m_log + math.log(max(mmax, 1e-300)) + math.log(max(abs(lnz), 1e-300)),
         pref_log + math.log(max(smax, 1e-300)),
         t3max,
     )
@@ -399,26 +437,45 @@ def _reu_pieces_float(n: int, m: int, w: float):
     return result, max_piece_log, t_piece_log
 
 
-def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
-    """Arbitrary-precision evaluation of the cut series.
+def _reu_pieces_float(n: int, m: int, w: float):
+    """Double-precision pass for Re[U(n+1,1-m,-w)]; see _log_series_float."""
+    return _log_series_float(n + 1, m, -w)
+
+
+def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScaled:
+    """_log_series_float in arbitrary precision, starting at dps digits.
 
     The series is exact, so the only error is roundoff amplified by the
     cancellation between its pieces; each pass measures that amplification
     directly (largest term magnitude vs result magnitude) and escalates the
-    working precision in one step when too few digits survive.
+    working precision in one step when too few digits survive.  Raises
+    ConvergenceError(failure) when five passes do not stabilize.
     """
+    cut = z < 0.0
+
     def attempt(prec):
         with mp.workdps(prec):
-            A = n + m + 1
-            w_ = mp.mpf(w)
-            lnw = mp.log(w_)
-            pv, t = mp.mpf(0), mp.mpf(1)
-            mx_pv = 0
-            for r in range(n + 1):
-                pv += t
-                if t:
-                    mx_pv = max(mx_pv, mp.mag(t))
-                t *= (r - n) * w_ / ((m + 1 + r) * (r + 1))
+            A = a + m
+            z_ = mp.mpf(z)
+            mz, lnz = -z_, mp.log(abs(z_))
+            tol, tiny = mp.mpf(10) ** (-prec - 8), mp.mpf(10) ** -9999
+            if cut:
+                n = a - 1
+                mv, t = mp.mpf(0), mp.mpf(1)
+                mx_mv = 0
+                for r in range(n + 1):
+                    mv += t
+                    if t:
+                        mx_mv = max(mx_mv, mp.mag(t))
+                    t *= (r - n) * mz / ((m + 1 + r) * (r + 1))
+            else:
+                mv, t, r = mp.mpf(0), mp.mpf(1), 0
+                while True:
+                    mv += t
+                    t *= (A + r) * z_ / ((m + 1 + r) * (r + 1))
+                    r += 1
+                    if r > 3 and abs(t) < tol * abs(mv):
+                        break
             br = mp.euler + mp.harmonic(A - 1) - mp.harmonic(m)
             s, t, r = mp.mpf(0), mp.mpf(1), 0
             mx_s = -(10**9)
@@ -427,29 +484,33 @@ def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
                 s += contrib
                 if contrib:
                     mx_s = max(mx_s, mp.mag(contrib))
-                t *= (A + r) * (-w_) / ((m + 1 + r) * (r + 1))
+                t *= (A + r) * z_ / ((m + 1 + r) * (r + 1))
                 br += mp.mpf(1) / (A + r) - mp.mpf(1) / (1 + r) - mp.mpf(1) / (m + 1 + r)
                 r += 1
-                if r > 4 and abs(t) * (abs(br) + 1) < mp.mpf(10) ** (-prec - 8) * max(
-                    abs(s), mp.mpf(10) ** -9999
-                ):
+                if r > 4 and abs(t) * (abs(br) + 1) < tol * max(abs(s), tiny):
                     break
                 if r > 2_000_000:
-                    raise ConvergenceError("cut series stalled in mp pass")
-            # all-positive tail sum, incremental terms
+                    raise ConvergenceError("integer-b log series stalled in mp pass")
+            # tail sum, incremental terms
             t3 = mp.mpf(0)
             if m >= 1:
-                term = mp.gamma(m) / mp.gamma(n + m + 1)
+                term = mp.gamma(m) / mp.gamma(A)
                 for r in range(m):
                     t3 += term
                     if r < m - 1:
-                        term *= (n + 1 + r) * w_ / ((m - 1 - r) * (r + 1))
-            pref = w_**m / (mp.factorial(m) * mp.factorial(n))
-            p1 = -pref * mp.e**(-w_) * pv * lnw
-            p2 = -pref * s
-            val = p1 + p2 + t3
-            # largest intermediate at the overall scale bounds the roundoff
-            mx = mp.mag(pref) + max(mx_s, mx_pv - int(w * 1.4427))
+                        term *= (a + r) * mz / ((m - 1 - r) * (r + 1))
+            pref = abs(z_)**m / (mp.factorial(m) * mp.factorial(a - 1))
+            if cut:
+                p1 = -pref * mp.e**z_ * mv * lnz
+                p2 = -pref * s
+                val = p1 + p2 + t3
+                # largest intermediate at the overall scale bounds the roundoff
+                mx = mp.mag(pref) + max(mx_s, mx_mv - int(-z * 1.4427))
+            else:
+                pref = (-1) ** (m + 1) * pref
+                p1, p2 = pref * mv * lnz, pref * s
+                val = pref * (mv * lnz + s) + t3
+                mx = mp.mag(pref) + mx_s
             for piece in (p1, p2, t3):
                 if piece:
                     mx = max(mx, mp.mag(piece))
@@ -463,18 +524,21 @@ def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
         if dps - lost >= 17:
             return LogScaled.from_log(sign, logmag) if sign else ZERO
         dps = int(lost) + 26
-    raise ConvergenceError(
-        f"cut series failed to stabilize for n={n}, m={m}, w={w}"
-    )
+    raise ConvergenceError(failure)
+
+
+def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
+    """Re[U(n+1,1-m,-w)] by the cut series in arbitrary precision."""
+    failure = f"cut series failed to stabilize for n={n}, m={m}, w={w}"
+    return _log_series_mp(n + 1, m, -w, dps, failure)
 
 
 def _reu_direct(n: int, m: int, w: float) -> LogScaled:
     val, max_piece_log, t_piece_log = _reu_pieces_float(n, m, w)
-    if val is not None and _lost_digits(max_piece_log, val) <= _MAX_LOST_DIGITS:
+    lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
+    if lost <= _MAX_LOST_DIGITS:
         return val
-    if val is not None and not val.is_zero():
-        lost = _lost_digits(max_piece_log, val)
-    else:
+    if val is None or val.is_zero():
         # overflow or total cancellation: bound the loss from the term growth
         lost = (2.0 * math.sqrt((n + m + 1) * w) + w) / math.log(10.0) + 10.0
     if t_piece_log is not None and math.isfinite(max_piece_log):
@@ -497,6 +561,30 @@ def _anchor_index(m: int, w: float) -> int:
     return math.ceil(max(radial, centrifugal)) + 2
 
 
+def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
+    """Re[U(j+1, 1-m, -w)] at rows j = n .. n+count-1, from one pass.
+
+    Rows up to _DIRECT_N come from the series.  Higher rows anchor the
+    series at two rows past the recurrence turning points and carry
+    W_j = (j+m)! Re[U(j+1,1-m,-w)] up with the shared three-term recurrence.
+    """
+    top = n + count - 1
+    if top <= _DIRECT_N:
+        return [_reu_direct(j, m, w) for j in range(n, top + 1)]
+    n_anchor = min(n - 1, max(0, _anchor_index(m, w)))
+    v0 = _reu_direct(n_anchor, m, w)
+    v1 = _reu_direct(n_anchor + 1, m, w)
+    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
+    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
+    ls = max(l0, l1)
+    lp = v0.sign * math.exp(l0 - ls)
+    lc = v1.sign * math.exp(l1 - ls)
+    rows = _recurrence_rows(m, w, n_anchor + 2, lp, lc, ls, range(n, top + 1))
+    if n == n_anchor + 1:
+        rows[n] = (lc, ls)  # the upper anchor row itself
+    return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
+
+
 def re_u_neg(n: int, m: int, w: float) -> LogScaled:
     """Re[U(n+1, 1-m, -w)], the branch-cut average, for w > 0 and integer m >= 0.
 
@@ -510,30 +598,7 @@ def re_u_neg(n: int, m: int, w: float) -> LogScaled:
         raise DomainError(f"re_u_neg needs n >= 0 and m >= 0, got n={n}, m={m}")
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"re_u_neg needs w > 0, got {w}")
-    if n <= _DIRECT_N:
-        return _reu_direct(n, m, w)
-    n_anchor = min(n - 1, max(0, _anchor_index(m, w)))
-    v0 = _reu_direct(n_anchor, m, w)
-    v1 = _reu_direct(n_anchor + 1, m, w)
-    # W_j = (j+m)! * V_j obeys the Laguerre recurrence; run it in scaled floats
-    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
-    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
-    ls = max(l0, l1)
-    lp = v0.sign * math.exp(l0 - ls)
-    lc = v1.sign * math.exp(l1 - ls)
-    for j in range(n_anchor + 2, n + 1):
-        lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
-        a = abs(lp) + abs(lc)
-        if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
-            lp /= a
-            lc /= a
-            ls += math.log(a)
-    if lc == 0.0:
-        return ZERO
-    return LogScaled.from_log(
-        1 if lc > 0 else -1,
-        math.log(abs(lc)) + ls - math.lgamma(n + m + 1.0),
-    )
+    return _reu_rows(m, w, n, 1)[0]
 
 
 def _u_pos_direct(a: int, m: int, x: float) -> LogScaled:
@@ -542,118 +607,11 @@ def _u_pos_direct(a: int, m: int, x: float) -> LogScaled:
     Intended for the small-a*x region where the series terms stay bounded;
     escalates to mpmath if a double pass cancels badly.
     """
-    A = a + m
-    lnx = math.log(x)
-    mv, t, mmax, r = 0.0, 1.0, 1.0, 0
-    while True:
-        mv += t
-        t *= (A + r) * x / ((m + 1 + r) * (r + 1.0))
-        mmax = max(mmax, abs(t))
-        r += 1
-        if r > 3 and abs(t) < 1e-19 * max(abs(mv), 1e-280):
-            break
-        if not math.isfinite(mv) or r > 500_000:
-            mv = math.nan
-            break
-    br = EULER_GAMMA
-    for i in range(m + 1, A):
-        br += 1.0 / i
-    s, t, smax, r = 0.0, 1.0, 0.0, 0
-    while math.isfinite(mv):
-        contrib = t * br
-        s += contrib
-        smax = max(smax, abs(contrib))
-        t *= (A + r) * x / ((m + 1 + r) * (r + 1.0))
-        br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (m + 1 + r)
-        r += 1
-        if r > 4 and abs(t) * (abs(br) + 1.0) < 1e-19 * max(abs(s), 1e-280):
-            break
-        if not math.isfinite(s) or r > 500_000:
-            mv = math.nan
-            break
-    if math.isfinite(mv) and math.isfinite(s):
-        pref_log = m * lnx - math.lgamma(m + 1.0) - math.lgamma(a + 0.0)
-        sgn = (-1) ** (m + 1)
-        p1 = ZERO
-        if mv != 0.0 and lnx != 0.0:
-            p1 = LogScaled.from_log(
-                sgn * (1 if (mv > 0) == (lnx > 0) else -1),
-                pref_log + math.log(abs(mv)) + math.log(abs(lnx)),
-            )
-        p2 = ZERO
-        if s != 0.0:
-            p2 = LogScaled.from_log(sgn * (1 if s > 0 else -1), pref_log + math.log(abs(s)))
-        p3 = ZERO
-        t3max = -math.inf
-        for r in range(m):
-            tl = (
-                math.lgamma(a + 0.0 + r)
-                - math.lgamma(a + 0.0)
-                + math.lgamma(m - r + 0.0)
-                - math.lgamma(A + 0.0)
-                - math.lgamma(r + 1.0)
-                + r * lnx
-            )
-            t3max = max(t3max, tl)
-            p3 = p3 + LogScaled.from_log((-1) ** r, tl)
-        val = p1 + p2 + p3
-        max_piece_log = max(
-            pref_log + math.log(max(mmax, 1e-300)) + math.log(max(abs(lnx), 1e-300)),
-            pref_log + math.log(max(smax, 1e-300)),
-            t3max,
-        )
-        if _lost_digits(max_piece_log, val) <= _MAX_LOST_DIGITS:
-            return val
+    val, max_piece_log, _ = _log_series_float(a, m, x)
+    if val is not None and _lost_digits(max_piece_log, val) <= _MAX_LOST_DIGITS:
+        return val
     # rare: fall back to high precision through the same series
-    def attempt(prec):
-        with mp.workdps(prec):
-            x_ = mp.mpf(x)
-            lnx_ = mp.log(x_)
-            mv_, t_ = mp.mpf(0), mp.mpf(1)
-            r_ = 0
-            while True:
-                mv_ += t_
-                t_ *= (A + r_) * x_ / ((m + 1 + r_) * (r_ + 1))
-                r_ += 1
-                if r_ > 3 and abs(t_) < mp.mpf(10) ** (-prec - 8) * abs(mv_):
-                    break
-            br_ = mp.euler + mp.harmonic(A - 1) - mp.harmonic(m)
-            s_, t_, r_ = mp.mpf(0), mp.mpf(1), 0
-            mx_s = -(10**9)
-            while True:
-                contrib = t_ * br_
-                s_ += contrib
-                if contrib:
-                    mx_s = max(mx_s, mp.mag(contrib))
-                t_ *= (A + r_) * x_ / ((m + 1 + r_) * (r_ + 1))
-                br_ += mp.mpf(1) / (A + r_) - mp.mpf(1) / (1 + r_) - mp.mpf(1) / (m + 1 + r_)
-                r_ += 1
-                if r_ > 4 and abs(t_) * (abs(br_) + 1) < mp.mpf(10) ** (-prec - 8) * abs(s_):
-                    break
-            t3_ = mp.mpf(0)
-            if m >= 1:
-                term = mp.gamma(m) / mp.gamma(A)
-                for rr in range(m):
-                    t3_ += term
-                    if rr < m - 1:
-                        term *= (a + rr) * (-x_) / ((m - 1 - rr) * (rr + 1))
-            pref = (-1) ** (m + 1) * x_**m / (mp.factorial(m) * mp.factorial(a - 1))
-            val_ = pref * (mv_ * lnx_ + s_) + t3_
-            mx = mp.mag(pref) + mx_s
-            for piece in (pref * mv_ * lnx_, pref * s_, t3_):
-                if piece:
-                    mx = max(mx, mp.mag(piece))
-            if val_ == 0:
-                return 0, 0.0, prec * 3.4
-            return int(mp.sign(val_)), float(mp.log(abs(val_))), (mx - mp.mag(val_)) / 3.32
-
-    dps = 30
-    for _ in range(5):
-        sign, logmag, lost = attempt(dps)
-        if dps - lost >= 17:
-            return LogScaled.from_log(sign, logmag) if sign else ZERO
-        dps = int(lost) + 26
-    raise ConvergenceError(f"U series failed to stabilize for a={a}, m={m}, x={x}")
+    return _log_series_mp(a, m, x, 30, f"U series failed to stabilize for a={a}, m={m}, x={x}")
 
 
 def _u_ratio_1m(a: int, m: int, x: float) -> float:
@@ -882,23 +840,25 @@ def selftest(fast: bool = True) -> list[CheckResult]:
     """
     results = []
 
-    def run(name, pairs, tol):
+    def run(name, cases, rel_of, tol):
         worst = 0.0
         worst_at = None
-        for (n, m, kind, s) in pairs:
-            got = _CLOSED_FORMS[kind](n, m, s)
-            ref = hankel_integral_scaled(n, m, kind, s)
-            rel = _rel_diff_ls(got, ref)
+        for case in cases:
+            rel = rel_of(*case)
             if rel > worst:
-                worst, worst_at = rel, (n, m, kind, s)
+                worst, worst_at = rel, case
         results.append(
             CheckResult(name, worst <= tol, f"worst rel {worst:.3e} at {worst_at} (tol {tol:g})")
         )
+
+    def closed_vs_quad(n, m, kind, s):
+        return _rel_diff_ls(_CLOSED_FORMS[kind](n, m, s), hankel_integral_scaled(n, m, kind, s))
 
     ns_j = (0, 2, 7, 20, 40) if fast else tuple(range(0, 41, 2))
     run(
         "J-integral closed form vs quadrature",
         [(n, m, "J", s) for n in ns_j for m in (0, 3, 8) for s in (0.3, 1.0, 3.0)],
+        closed_vs_quad,
         1e-8,
     )
     ns_y = (0, 3, 10, 20) if fast else tuple(range(0, 21))
@@ -910,52 +870,45 @@ def selftest(fast: bool = True) -> list[CheckResult]:
             for m in (0, 2, 6)
             for w in (0.05, 0.5, 3.0, 10.0)
         ],
+        closed_vs_quad,
         1e-6,
     )
     run(
         "I-integral closed form vs quadrature",
         [(n, m, "I", s) for n in (0, 4, 10) for m in (0, 2) for s in (0.7, 2.0)],
+        closed_vs_quad,
         1e-8,
     )
     run(
         "K-integral closed form vs quadrature",
         [(n, m, "K", s) for n in (0, 3, 10) for m in (0, 2) for s in (0.7, 2.0)],
+        closed_vs_quad,
         1e-8,
     )
 
     # Kummer transform: U(a,1-m,x) == x^m U(a+m,1+m,x); right side evaluated
     # independently through the anchor/continued-fraction route at b = 1+m
-    worst = 0.0
-    worst_at = None
-    for (a, m, x) in [(3, 0, 1.0), (5, 2, 0.8), (11, 0, 20.0 / 7.0), (8, 4, 2.5), (20, 1, 5.0)]:
-        left = kummer_u(a, 1 - m, x)
+    def kummer_transform(a, m, x):
         right = ls_exp(m * math.log(x)) * _u_abs_anchor_product(a + m, 1 + m, x)
-        rel = _rel_diff_ls(left, right)
-        if rel > worst:
-            worst, worst_at = rel, (a, m, x)
-    results.append(
-        CheckResult(
-            "Kummer transform consistency",
-            worst <= 1e-10,
-            f"worst rel {worst:.3e} at {worst_at} (tol 1e-10)",
-        )
+        return _rel_diff_ls(kummer_u(a, 1 - m, x), right)
+
+    run(
+        "Kummer transform consistency",
+        [(3, 0, 1.0), (5, 2, 0.8), (11, 0, 20.0 / 7.0), (8, 4, 2.5), (20, 1, 5.0)],
+        kummer_transform,
+        1e-10,
     )
 
     # ratio consistency: CF against series across the dispatch boundary
-    worst = 0.0
-    worst_at = None
-    for (a, m, x) in [(10, 0, 0.2), (10, 2, 0.3), (50, 1, 0.06), (30, 4, 0.1)]:
-        cf = _u_cf(a, 1 - m, x)
+    def ratio_cf_vs_series(a, m, x):
         ser = (_u_pos_direct(a + 1, m, x) / _u_pos_direct(a, m, x)).to_float()
-        rel = abs(cf - ser) / abs(ser)
-        if rel > worst:
-            worst, worst_at = rel, (a, m, x)
-    results.append(
-        CheckResult(
-            "U-ratio series vs continued fraction",
-            worst <= 1e-11,
-            f"worst rel {worst:.3e} at {worst_at} (tol 1e-11)",
-        )
+        return abs(_u_cf(a, 1 - m, x) - ser) / abs(ser)
+
+    run(
+        "U-ratio series vs continued fraction",
+        [(10, 0, 0.2), (10, 2, 0.3), (50, 1, 0.06), (30, 4, 0.1)],
+        ratio_cf_vs_series,
+        1e-11,
     )
 
     # Wronskian of J and Y

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import pathlib
@@ -8,6 +9,12 @@ from ncwell.cli import main, _parse_m_list, _parse_radius_sq
 from ncwell.errors import DomainError
 
 WELL10 = ["--radius", "sqrt20", "--capital-n", "10", "--v", "6"]
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", pathlib.Path(__file__).parent / "data" / "make_golden.py"
+)
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 
 def run_cli(capsys, argv):
@@ -206,11 +213,12 @@ def test_phase_shift_rows_equal_pointwise_values_in_order(capsys):
         assert dev == abs(p.tan_delta - c.tan_delta)
 
 
-def test_readme_bound_states_matches_golden_csv(capsys):
-    golden = pathlib.Path(__file__).parent / "data" / "readme_bound_states_n10.csv"
-    code, out, _ = run_cli(capsys, ["bound-states", *WELL10, "--m=-6..6"])
+@pytest.mark.filterwarnings("ignore:partial-wave sum hit the cap")
+@pytest.mark.parametrize("name", sorted(make_golden.CLI_GOLDENS))
+def test_readme_bound_states_matches_golden_csv(capsys, name):
+    code, out, _ = run_cli(capsys, make_golden.CLI_GOLDENS[name])
     assert code == 0
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == (make_golden.DATA / name).read_bytes()
 
 
 def test_emin_defaults_to_v_plus_offset(capsys):

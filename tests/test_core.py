@@ -294,13 +294,15 @@ def test_cross_section_limit_agreement_improves_with_n():
 # ---------------------------------------------------------------------------
 
 def test_cross_section_all_deltas_zero(monkeypatch):
-    monkeypatch.setattr(core_mod, "_sin2_delta", lambda e, s, m: 0.0)
+    monkeypatch.setattr(core_mod, "_delta_and_sin2", lambda e, s, m: (0.0, 0.0))
     pt = cross_section_total(12.0, N10, 4)
     assert pt.sigma_total == 0.0
 
 
 def test_cross_section_unitarity_limit_s_wave(monkeypatch):
-    monkeypatch.setattr(core_mod, "_sin2_delta", lambda e, s, m: 1.0 if m == 0 else 0.0)
+    monkeypatch.setattr(
+        core_mod, "_delta_and_sin2", lambda e, s, m: (math.pi / 2, 1.0) if m == 0 else (0.0, 0.0)
+    )
     e = 12.0
     pt = cross_section_total(e, N10, 4)
     k = math.sqrt(2.0 * (e - N10.v))
@@ -331,6 +333,29 @@ def test_cross_section_negative_variant_capped():
     ms = [m for m, _ in pt.contributions]
     assert min(ms) >= -spec.cap_n
     assert max(ms) <= spec.cap_n
+
+
+def test_partial_wave_cap_warns_at_caller(monkeypatch):
+    # both core sums stop at HARD_M_CAP with the shared warning, attributed
+    # to the line that called them, and keep the uncapped prefix
+    e, phis = 30.0, [0.0, 1.0, 2.5]
+    full = cross_section_total(e, N1000, 8)
+    monkeypatch.setattr(core_mod, "HARD_M_CAP", 3)
+    with pytest.warns(UserWarning, match="cap m = 3") as rec:
+        capped = cross_section_total(e, N1000, 8)
+    assert rec[0].filename == __file__
+    assert capped.contributions == full.contributions[:4]
+    with pytest.warns(UserWarning, match="cap m = 3") as rec:
+        rows = cross_section_differential(e, N1000, 8, phis)
+    assert rec[0].filename == __file__
+    # the amplitude of waves m = 0..3 alone, in the same arithmetic order
+    deltas = [core_mod._delta_and_sin2(e, N1000, m)[0] for m in range(4)]
+    k = math.sqrt(2.0 * (e - N1000.v))
+    for phi, val in rows:
+        f = 0j
+        for m, d in enumerate(deltas):
+            f += (1.0 if m == 0 else 2.0) * math.cos(m * phi) * cmath.exp(1j * d) * math.sin(d)
+        assert val == abs(f * math.sqrt(2.0 / math.pi)) ** 2 / k
 
 
 def test_dcs_isotropic_when_only_s_wave(monkeypatch):

@@ -130,6 +130,7 @@ def test_threshold_divergence():
 
 def test_oracle_never_reads_theta():
     import inspect
+    import ncwell.core as core_mod
     import ncwell.oracle as oracle_mod
 
     fns = [
@@ -138,7 +139,7 @@ def test_oracle_never_reads_theta():
         oracle_mod.comm_cross_section,
         oracle_mod._log_derivative_mismatch,
         oracle_mod._log_derivative_mismatch_grid,
-        oracle_mod._comm_sin2,
+        core_mod.partial_wave_sum,
     ]
     for fn in fns:
         src = inspect.getsource(fn)
