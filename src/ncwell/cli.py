@@ -316,7 +316,7 @@ def _cmd_compare(args) -> int:
             raise DomainError("compare --quantity phase-shift takes a single m")
         m = cfg.m_list[0]
         energies = _sweep_energies(cfg)
-        nc = [core.phase_shift(e, spec, m).tan_delta for e in energies]
+        nc = [p.tan_delta for p in core.phase_shift_sweep(energies, spec, m)]
         cm = [oracle.comm_phase_shift(e, comm, m).tan_delta for e in energies]
         _write_rows(
             ["energy", "tan_delta_nc", "tan_delta_comm", "abs_deviation", "rel_deviation"],

@@ -37,6 +37,7 @@ from .logscale import LogScaled, ONE, ZERO, ls_exp
 from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
     OrderIndex,
     _check_int,
+    _lag_reu_pairs_grid,
     _laguerre_sweep,
     _laguerre_sweep_grid,
     _ls_from_sweep,
@@ -176,9 +177,12 @@ def _jy_basis_rows(m: int, w: float, n: int):
     J_row = sqrt(n!/(n+m)!) w^{m/2} L^m_n(w) and
     Y_row = -(1/pi) sqrt(n!(n+m)!) e^w w^{-m/2} Re[U(n+1,1-m,-w)].
     """
+    return _jy_rows(m, w, n, _laguerre_pair(m, w, n), _reu_pair(m, w, n))
+
+
+def _jy_rows(m: int, w: float, n: int, lag, reu):
+    """_jy_basis_rows from the Laguerre and Re U values at rows n and n+1."""
     lnw = math.log(w)
-    lag = _laguerre_pair(m, w, n)
-    reu = _reu_pair(m, w, n)
     rows = []
     for i, idx in enumerate((n, n + 1)):
         half = 0.5 * (math.lgamma(idx + 1.0) - math.lgamma(idx + m + 1.0))
@@ -409,32 +413,32 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
 # scattering
 # ---------------------------------------------------------------------------
 
-def _matching_rows(w_in: float, w_out: float, spec: WellSpec, m: int):
-    """Interior and exterior basis rows at the two matching rows of sector m.
-
-    Negative m is the same system at rows shifted down by |m| in the |m| sector.
-    """
-    row = spec.cap_n - (-m if m < 0 else 0)
-    return _jy_basis_rows(abs(m), w_in, row), _jy_basis_rows(abs(m), w_out, row)
-
-
-def scattering_coeffs(energy: float, spec: WellSpec, m: int):
-    """Interior and exterior coefficients of the scattering solution.
-
-    Interior coeff_b is pinned to 0 (regularity), exterior coeff_a to 1;
-    the two matching rows n = N, N+1 give a 2x2 system for the interior
-    amplitude and the exterior irregular coefficient B, with
-    tan(delta_m) = -B.
-    """
+def _check_scattering(energy: float, spec: WellSpec, m) -> int:
+    """m as an int; scattering needs E > V and |m| <= N for negative m."""
     m = _check_int(m, "m")
     if not (energy > spec.v):
         raise DomainError(f"scattering needs E > V, got E={energy}, V={spec.v}")
     _check_negative_cutoff(m, spec)
-    theta = spec.theta
-    w_in = theta * energy
-    w_out = theta * (energy - spec.v)
-    rows_in, rows_out = _matching_rows(w_in, w_out, spec, m)
+    return m
 
+
+def _matching_rows(energy: float, spec: WellSpec, m: int):
+    """Interior and exterior basis rows at the two matching rows of sector m.
+
+    Negative m is the same system at rows shifted down by |m| in the |m| sector.
+    """
+    row = spec.cap_n - max(-m, 0)
+    w_in = spec.theta * energy
+    w_out = spec.theta * (energy - spec.v)
+    return _jy_basis_rows(abs(m), w_in, row), _jy_basis_rows(abs(m), w_out, row)
+
+
+def _solve_matching(rows_in, rows_out, energy: float, m: int):
+    """(interior amplitude, exterior B) of scattering_coeffs from its basis rows.
+
+    Raises SingularSystemError when the 2x2 system is degenerate or its
+    solution leaves a relative row residual above 1e-10.
+    """
     jin = [rows_in[0][0], rows_in[1][0]]
     jout = [rows_out[0][0], rows_out[1][0]]
     yout = [rows_out[0][1], rows_out[1][1]]
@@ -470,9 +474,6 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     a_in = LogScaled.from_float(x1) * ls_exp(c3 - c1) if x1 != 0.0 else ZERO
     b_out = LogScaled.from_float(x2) * ls_exp(c3 - c2) if x2 != 0.0 else ZERO
 
-    interior = RegionSolution(INTERIOR, w_in, a_in, ZERO)
-    exterior = RegionSolution(EXTERIOR, w_out, ONE, b_out)
-
     # residual of both rows, relative to the largest contributing term
     for i in (0, 1):
         terms = (a_in * jin[i], -(b_out * yout[i]), -jout[i])
@@ -485,17 +486,33 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
             raise SingularSystemError(
                 f"matching residual {rel:.2e} exceeds 1e-10 at E={energy}, m={m}"
             )
+    return a_in, b_out
+
+
+def scattering_coeffs(energy: float, spec: WellSpec, m: int):
+    """Interior and exterior coefficients of the scattering solution.
+
+    Interior coeff_b is pinned to 0 (regularity), exterior coeff_a to 1;
+    the two matching rows n = N, N+1 give a 2x2 system for the interior
+    amplitude and the exterior irregular coefficient B, with
+    tan(delta_m) = -B.
+    """
+    m = _check_scattering(energy, spec, m)
+    a_in, b_out = _solve_matching(*_matching_rows(energy, spec, m), energy, m)
+    interior = RegionSolution(INTERIOR, spec.theta * energy, a_in, ZERO)
+    exterior = RegionSolution(EXTERIOR, spec.theta * (energy - spec.v), ONE, b_out)
     return interior, exterior
 
 
 def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     """Relative residuals of the two matching rows for the solved coefficients."""
-    interior, exterior = scattering_coeffs(energy, spec, m)
-    rows_in, rows_out = _matching_rows(interior.w, exterior.w, spec, m)
+    m = _check_scattering(energy, spec, m)
+    rows_in, rows_out = _matching_rows(energy, spec, m)
+    a_in, b_out = _solve_matching(rows_in, rows_out, energy, m)
     out = []
     for i in (0, 1):
-        lhs = interior.coeff_a * rows_in[i][0]
-        rhs = exterior.coeff_a * rows_out[i][0] + exterior.coeff_b * rows_out[i][1]
+        lhs = a_in * rows_in[i][0]
+        rhs = rows_out[i][0] + b_out * rows_out[i][1]
         scale = max(abs(lhs), abs(rhs))
         if scale.is_zero():
             out.append(0.0)
@@ -504,18 +521,54 @@ def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     return out
 
 
-def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
-    """Phase shift of partial wave m at E > V: tan(delta) = -B/A."""
-    _, exterior = scattering_coeffs(energy, spec, m)
-    ratio = exterior.coeff_b / exterior.coeff_a if exterior.coeff_b.sign else ZERO
-    tan_delta = -ratio.to_float()
+def _phase_point(energy: float, m: int, b_out: LogScaled) -> PhaseShiftPoint:
+    """tan(delta) = -B/A with the exterior A pinned to 1."""
+    tan_delta = -b_out.to_float()
     delta = math.atan(tan_delta) if math.isfinite(tan_delta) else math.pi / 2
     return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta)
 
 
+def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
+    """Phase shift of partial wave m at E > V: tan(delta) = -B/A."""
+    _, exterior = scattering_coeffs(energy, spec, m)
+    return _phase_point(energy, m, exterior.coeff_b)
+
+
 def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]:
-    """Phase shifts over an energy grid, with a continuity-unwrapped companion."""
-    pts = [phase_shift(e, spec, m) for e in energies]
+    """Phase shifts over an energy grid, with a continuity-unwrapped companion.
+
+    The whole axis is one lane pass: the Laguerre and Re U rows of the
+    interior (w = theta E) and exterior (w = theta (E - V)) lane of every
+    point come from specfun._lag_reu_pairs_grid, then each point takes the
+    scalar prefactors and 2x2 solve.  Every point equals phase_shift(e, spec, m)
+    bit for bit, and a sweep that fails raises the error phase_shift
+    raises at the first energy where it fails.
+    """
+    valid, failure = [], None
+    for e in energies:
+        try:
+            mi = _check_scattering(e, spec, m)
+        except DomainError as exc:
+            failure = exc
+            break
+        valid.append(e)
+    pts = []
+    if valid:
+        order, row = abs(mi), spec.cap_n - max(-mi, 0)
+        e_arr = np.array(valid, dtype=float)
+        # lanes 2i and 2i+1: interior and exterior of point i, in the order they fail
+        w = np.stack((spec.theta * e_arr, spec.theta * (e_arr - spec.v)), axis=1).ravel()
+        lanes = _lag_reu_pairs_grid(order, w, row)
+        ws = w.tolist()
+        for i, e in enumerate(valid):
+            rows = []
+            for lane in (2 * i, 2 * i + 1):
+                if isinstance(lanes[lane], Exception):
+                    raise lanes[lane]
+                rows.append(_jy_rows(order, ws[lane], row, *lanes[lane]))
+            pts.append(_phase_point(e, m, _solve_matching(*rows, e, mi)[1]))
+    if failure is not None:
+        raise failure
     unwrapped = []
     offset = 0.0
     prev = None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import core
 from .core import (
-    HARD_M_CAP,
     TAIL_REL,
     BoundState,
     CrossSectionPoint,
@@ -128,6 +128,6 @@ def comm_cross_section(
         return [(m, (4.0 / k) * eps * (s * s))]
 
     sigma, contributions = partial_wave_sum(
-        waves, energy, k, spec.radius, m_max, HARD_M_CAP, tail_rel
+        waves, energy, k, spec.radius, m_max, core.HARD_M_CAP, tail_rel
     )
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

@@ -24,6 +24,7 @@ an independent oracle for all of the closed forms above.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,12 +81,13 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
     (lp, lc) are rows j0-2 and j0-1 as mantissas at the common log scale ls;
     the pair is renormalized whenever it leaves [1e-250, 1e250].  L^m_n(w)
     and the scaled cut values (n+m)! Re[U(n+1,1-m,-w)] both obey this
-    recurrence.  Returns {j: (mantissa, log_scale)} for the targets >= j0.
+    recurrence.  Returns {j: (mantissa, log_scale)} for the targets, each
+    >= j0 - 2 (a target below j0 is one of the two start rows).
     """
     out = {}
     j = j0
     # run up to each target in turn, so the steps test no membership
-    for target in sorted(t for t in targets if t >= j0):
+    for target in sorted(targets):
         for j in range(j, target + 1):
             lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
             a = abs(lp) + abs(lc)
@@ -93,51 +95,71 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
                 lp /= a
                 lc /= a
                 ls += math.log(a)
-        out[target] = (lc, ls)
-        j = target + 1
+        out[target] = (lc if target >= j0 - 1 else lp, ls)
+        j = max(j, target + 1)
     return out
+
+
+def _recurrence_rows_grid(m: int, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
+                          ls: np.ndarray, targets):
+    """_recurrence_rows on numpy lanes, lane i starting at its own row j0[i].
+
+    A lane sits idle until its start row.  Every running lane does the
+    scalar arithmetic in the same order, and its log scale grows by
+    math.log of its own renormalization factor, so each lane's (mantissa,
+    log_scale) equals the scalar runner's bit for bit.  Returns
+    {t: (mantissa array, log_scale array)}; every target must be >= j0 - 2
+    on every lane.
+    """
+    order = np.argsort(j0, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    starts = j0[order]
+    w, lp0, lc0, ls0 = w[order], lp[order], lc[order], ls[order]
+    begin = starts.tolist()
+    # lanes [:k] of the start-sorted order are running; lp, lc, ls hold them
+    k = 0
+    lp, lc, ls, wk = lp0[:0], lc0[:0], ls0[:0], w[:0]
+    out = {}
+    j = begin[0] if begin else 0
+    for target in sorted(targets):
+        for j in range(j, target + 1):
+            if k < len(begin) and begin[k] <= j:
+                k_new = bisect.bisect_right(begin, j, k)
+                lp = np.concatenate((lp, lp0[k:k_new]))
+                lc = np.concatenate((lc, lc0[k:k_new]))
+                ls = np.concatenate((ls, ls0[k:k_new]))
+                k, wk = k_new, w[:k_new]
+            lp, lc = lc, ((2 * j - 1 + m - wk) * lc - (j - 1 + m) * lp) / j
+            a = np.abs(lp) + np.abs(lc)
+            # one min and one max clear the common step; NaN falls through
+            if not (a.max() <= _RENORM_HI and a.min() >= _RENORM_LO):
+                for i in np.flatnonzero(((a > _RENORM_HI) | (a < _RENORM_LO)) & (a > 0.0)).tolist():
+                    lp[i] /= a[i]
+                    lc[i] /= a[i]
+                    ls[i] += math.log(a[i])
+        idle = np.where(starts[k:] <= target + 1, lc0[k:], lp0[k:])
+        out[target] = (np.concatenate((lc, idle))[inverse], np.concatenate((ls, ls0[k:]))[inverse])
+        j = max(j, target + 1)
+    return out
+
+
+def _laguerre_start(m: int, w):
+    """(j0, lp, lc, ls) starting the recurrence of L^m_n(w) at j0 = 2 from rows 0 and 1."""
+    return 2, 1.0, 1.0 + m - w, 0.0
 
 
 def _laguerre_sweep(m: int, w: float, targets):
     """Forward recurrence for L^m_n(w), m >= 0; returns {n: (mantissa, log_scale)}."""
-    lp, lc = 1.0, 1.0 + m - w
-    out = _recurrence_rows(m, w, 2, lp, lc, 0.0, targets)
-    if 0 in targets:
-        out[0] = (lp, 0.0)
-    if 1 in targets:
-        out[1] = (lc, 0.0)
-    return out
+    return _recurrence_rows(m, w, *_laguerre_start(m, w), targets)
 
 
 def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
-    """_laguerre_sweep on an array of arguments, one lane per w.
+    """_laguerre_sweep on an array of arguments, one lane per w, bit for bit.
 
-    Every lane runs the scalar arithmetic in the same order, and a lane's
-    log scale grows by math.log of its own renormalization factor, so each
-    lane's (mantissa, log_scale) equals the scalar sweep's bit for bit.
     Returns {n: (mantissa array, log_scale array)}.
     """
-    nmax = max(targets)
-    out = {}
-    lp = np.ones_like(w)
-    lc = (1.0 + m) - w
-    ls = np.zeros_like(w)
-    if 0 in targets:
-        out[0] = (lp.copy(), ls.copy())
-    if 1 in targets:
-        out[1] = (lc.copy(), ls.copy())
-    for n in range(2, nmax + 1):
-        lp, lc = lc, ((2 * n - 1 + m - w) * lc - (n - 1 + m) * lp) / n
-        a = np.abs(lp) + np.abs(lc)
-        renorm = (a > _RENORM_HI) | (a < _RENORM_LO)
-        if renorm.any():
-            for i in np.flatnonzero(renorm & (a > 0.0)):
-                lp[i] /= a[i]
-                lc[i] /= a[i]
-                ls[i] += math.log(a[i])
-        if n in targets:
-            out[n] = (lc.copy(), ls.copy())
-    return out
+    return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets)
 
 
 def _ls_from_sweep(mant: float, scale: float, log_div: float = 0.0) -> LogScaled:
@@ -348,16 +370,15 @@ def _log_series_float(a: int, m: int, z: float):
     read as ln w, so the value is Re[U(a, 1-m, -w)].  The sign of z picks
     the M factor (the convergent series for z > 0, Kummer's finite form
     e^z M(1-a, m+1, -z) on the cut) and the signs of the prefactor and of
-    the tail terms; the digamma-weighted series and the combination are
-    shared.  Returns (value, max_piece_log, t_piece_log), or (None, inf,
-    None) on overflow; t_piece_log is the log magnitude of the tail piece
-    (None for m = 0), which on the cut is all positive and so a cheap lower
-    bound on the result scale, used to seed the escalated precision.
+    the tail terms; the digamma-weighted series and the combination
+    (_log_series_tail) are shared.  Returns (value, max_piece_log,
+    t_piece_log), or (None, inf, None) on overflow; t_piece_log is the log
+    magnitude of the tail piece (None for m = 0), which on the cut is all
+    positive and so a cheap lower bound on the result scale, used to seed
+    the escalated precision.
     """
     A = a + m
-    cut = z < 0.0
-    lnz = math.log(abs(z))
-    if cut:
+    if z < 0.0:
         n, w = a - 1, -z
         mv, t, mmax = 0.0, 1.0, 1.0
         for r in range(n):
@@ -396,6 +417,19 @@ def _log_series_float(a: int, m: int, z: float):
             return _SERIES_FAILED
     if not math.isfinite(s):
         return _SERIES_FAILED
+    return _log_series_tail(a, m, z, mv, mmax, s, smax)
+
+
+def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float, smax: float):
+    """_log_series_float's result from the M factor mv and the digamma sum s.
+
+    mmax and smax are the largest term magnitudes of the two sums; the
+    pieces pref * M * ln z, pref * S and the finite tail are combined in
+    LogScaled arithmetic.
+    """
+    cut = z < 0.0
+    lnz = math.log(abs(z))
+    A = a + m
     pref_log = m * lnz - math.lgamma(m + 1.0) - math.lgamma(a + 0.0)
     # the cut's M factor carries e^z; the prefactor is -1 on the cut and
     # (-1)^(m+1) on the positive axis, where the tail terms alternate
@@ -435,6 +469,59 @@ def _log_series_float(a: int, m: int, z: float):
     )
     t_piece_log = p3.logmag if p3.sign else None
     return result, max_piece_log, t_piece_log
+
+
+def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
+    """_log_series_float(a[i], m, -w[i]) on numpy lanes, bit for bit; w > 0.
+
+    The finite M sum of a lane runs along its own r = 0 .. a-2 as running
+    products and sums (np.multiply/np.add.accumulate keep the scalar order).
+    Every lane's digamma start is a prefix of the one harmonic sum, taken
+    from a single scalar pass.  The digamma series runs across the lanes,
+    and a lane leaves it on the iteration where the scalar loop would break
+    or fail, and ends in the scalar _log_series_tail.  Returns one
+    _log_series_float result per lane, _SERIES_FAILED included.
+    """
+    out = [_SERIES_FAILED] * a.size
+    if a.size == 0:
+        return out
+    n = a - 1
+    mv, mmax = np.empty(a.size), np.empty(a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (ni, wi) in enumerate(zip(n.tolist(), w.tolist())):
+            r = np.arange(ni)
+            t = np.multiply.accumulate(np.append(1.0, (r - ni) * wi / ((m + 1 + r) * (r + 1.0))))
+            mv[i] = np.add.accumulate(t)[-1]
+            mmax[i] = np.fmax.reduce(np.abs(t[1:]), initial=1.0)
+        # digamma start EULER_GAMMA + sum_{i=m+1}^{a+m-1} 1/i, for every a at once
+        harmonic = [EULER_GAMMA]
+        for i in range(m + 1, m + int(n.max()) + 1):
+            harmonic.append(harmonic[-1] + 1.0 / i)
+        live = np.flatnonzero(np.isfinite(mv))
+        A, z, br = a[live] + m, -w[live], np.array(harmonic)[n[live]]
+        s, t, smax = np.zeros(live.size), np.ones(live.size), np.zeros(live.size)
+        r = 0
+        while live.size:
+            contrib = t * br
+            s += contrib
+            smax = np.fmax(smax, np.abs(contrib))
+            t *= (A + r) * z / ((m + 1 + r) * (r + 1.0))
+            br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (m + 1 + r)
+            r += 1
+            done = (r > 4) & (np.abs(t) * (np.abs(br) + 1.0) < 1e-19 * np.maximum(np.abs(s), 1e-280))
+            finite = np.isfinite(s)
+            leave = done | ~finite | (r > 500_000)
+            if leave.any():
+                for i in np.flatnonzero(done & finite).tolist():
+                    lane = live[i]
+                    out[lane] = _log_series_tail(
+                        int(a[lane]), m, float(-w[lane]), float(mv[lane]), float(mmax[lane]),
+                        float(s[i]), float(smax[i]),
+                    )
+                keep = ~leave
+                live, A, z, br = live[keep], A[keep], z[keep], br[keep]
+                s, t, smax = s[keep], t[keep], smax[keep]
+    return out
 
 
 def _reu_pieces_float(n: int, m: int, w: float):
@@ -534,7 +621,16 @@ def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
 
 
 def _reu_direct(n: int, m: int, w: float) -> LogScaled:
-    val, max_piece_log, t_piece_log = _reu_pieces_float(n, m, w)
+    return _reu_settle(n, m, w, _reu_pieces_float(n, m, w))
+
+
+def _reu_settle(n: int, m: int, w: float, pieces) -> LogScaled:
+    """Re[U(n+1,1-m,-w)] from its double pass, or from mpmath if that lost its digits.
+
+    pieces is _reu_pieces_float(n, m, w); the digits it lost set the
+    precision of the mpmath pass.
+    """
+    val, max_piece_log, t_piece_log = pieces
     lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
     if lost <= _MAX_LOST_DIGITS:
         return val
@@ -561,6 +657,23 @@ def _anchor_index(m: int, w: float) -> int:
     return math.ceil(max(radial, centrifugal)) + 2
 
 
+def _anchor_row(m: int, w: float, n: int) -> int:
+    """Lower of the two series rows that start the recurrence up to row n > _DIRECT_N."""
+    return min(n - 1, max(0, _anchor_index(m, w)))
+
+
+def _reu_anchor_start(n_anchor: int, m: int, v0: LogScaled, v1: LogScaled):
+    """(lp, lc, ls) for _recurrence_rows from Re U at rows n_anchor and n_anchor + 1.
+
+    The rows are rescaled to W_j = (j+m)! Re[U(j+1,1-m,-w)] and stored as
+    mantissas at the larger of their two log magnitudes.
+    """
+    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
+    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
+    ls = max(l0, l1)
+    return v0.sign * math.exp(l0 - ls), v1.sign * math.exp(l1 - ls), ls
+
+
 def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     """Re[U(j+1, 1-m, -w)] at rows j = n .. n+count-1, from one pass.
 
@@ -571,18 +684,59 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     top = n + count - 1
     if top <= _DIRECT_N:
         return [_reu_direct(j, m, w) for j in range(n, top + 1)]
-    n_anchor = min(n - 1, max(0, _anchor_index(m, w)))
-    v0 = _reu_direct(n_anchor, m, w)
-    v1 = _reu_direct(n_anchor + 1, m, w)
-    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
-    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
-    ls = max(l0, l1)
-    lp = v0.sign * math.exp(l0 - ls)
-    lc = v1.sign * math.exp(l1 - ls)
-    rows = _recurrence_rows(m, w, n_anchor + 2, lp, lc, ls, range(n, top + 1))
-    if n == n_anchor + 1:
-        rows[n] = (lc, ls)  # the upper anchor row itself
+    n_anchor = _anchor_row(m, w, n)
+    start = _reu_anchor_start(n_anchor, m, _reu_direct(n_anchor, m, w), _reu_direct(n_anchor + 1, m, w))
+    rows = _recurrence_rows(m, w, n_anchor + 2, *start, range(n, top + 1))
     return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
+
+
+def _lag_reu_pairs_grid(m: int, w: np.ndarray, n: int) -> list:
+    """(L^m_n, L^m_{n+1}) and Re U at rows n, n+1 on every lane of w > 0, bit for bit.
+
+    Lane i holds ((L_n, L_n1), (U_n, U_n1)) equal to
+    _laguerre_sweep(m, w[i], {n, n+1}) and _reu_rows(m, w[i], n, 2).  The
+    Re U series rows (direct, or the two anchors of the recurrence) run in
+    one _cut_series_grid call and then settle lane by lane through
+    _reu_settle; the first lane whose mpmath pass fails holds its
+    ConvergenceError and ends the list, since a caller raises there.  The
+    Laguerre lanes and the Re U recurrence lanes run in one
+    _recurrence_rows_grid call.
+    """
+    ws = w.tolist()
+    size = len(ws)
+    direct = n + 1 <= _DIRECT_N
+    first = [n] * size if direct else [_anchor_row(m, wi, n) for wi in ws]
+    rows = np.array(first, dtype=np.int64) + 1  # the series parameter a is the row + 1
+    pieces = _cut_series_grid(np.concatenate((rows, rows + 1)), m, np.concatenate((w, w)))
+    reu, starts, failed = [], [], []
+    for j, wi, lo, hi in zip(first, ws, pieces[:size], pieces[size:]):
+        try:
+            pair = _reu_settle(j, m, wi, lo), _reu_settle(j + 1, m, wi, hi)
+        except ConvergenceError as exc:
+            failed.append(exc)
+            break
+        reu.append(pair)
+        if not direct:
+            starts.append((j + 2, *_reu_anchor_start(j, m, *pair)))
+    if not reu:
+        return failed
+    w = w[: len(reu)]
+    lanes = [np.broadcast_arrays(*_laguerre_start(m, w))]
+    if starts:
+        lanes.append([np.array(col) for col in zip(*starts)])
+    j0, lp, lc, ls = (np.concatenate(col) for col in zip(*lanes))
+    swept = _recurrence_rows_grid(m, np.concatenate((w,) * len(lanes)), j0, lp, lc, ls, (n, n + 1))
+    mant = [swept[j][0].tolist() for j in (n, n + 1)]
+    scale = [swept[j][1].tolist() for j in (n, n + 1)]
+    lg = [math.lgamma(j + m + 1.0) for j in (n, n + 1)]
+    out = []
+    for i, pair in enumerate(reu):
+        lag = tuple(_ls_from_sweep(mant[r][i], scale[r][i]) for r in (0, 1))
+        if starts:
+            k = len(reu) + i  # the lane's Re U recurrence runs after the Laguerre lanes
+            pair = tuple(_ls_from_sweep(mant[r][k], scale[r][k], lg[r]) for r in (0, 1))
+        out.append((lag, pair))
+    return out + failed
 
 
 def re_u_neg(n: int, m: int, w: float) -> LogScaled:

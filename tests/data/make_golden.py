@@ -40,6 +40,16 @@ CLI_GOLDENS = {
     "cross_section_negative_m_n10.csv": [
         "cross-section", *WELL10, "--emax", "12", "--esteps", "2", "--include-negative-m",
     ],
+    # rows N-3 = 7, N-3+1 = 8 come from the direct cut series (<= _DIRECT_N)
+    "phase_shifts_n10_m-3.csv": ["phase-shifts", *WELL10, "--m=-3", "--emax", "30", "--esteps", "50"],
+    # near V the exterior anchor rule clips to n - 1, so row n is the upper anchor itself
+    "phase_shifts_n200_m16.csv": [
+        "phase-shifts", "--radius", "sqrt20", "--capital-n", "200", "--v", "10", "--m", "16",
+        "--emax", "25", "--esteps", "60",
+    ],
+    "compare_phase_shift_n1000.csv": [
+        "compare", "--quantity", "phase-shift", *WELL1000, "--m", "3", "--emax", "30", "--esteps", "25",
+    ],
 }
 
 KERNEL_GOLDEN = "kernel_golden.json"

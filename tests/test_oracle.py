@@ -103,13 +103,14 @@ def test_cross_section_tail_bound_at_returned_mmax():
 def test_partial_wave_cap_warns(monkeypatch):
     import warnings
 
-    import ncwell.oracle as oracle_mod
+    import ncwell.core as core_mod
 
     spec = CommWellSpec(SQRT20, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         full = comm_cross_section(30.0, spec, 8)
-    monkeypatch.setattr(oracle_mod, "HARD_M_CAP", 3)
+    # the one cap in core caps the commutative sum too
+    monkeypatch.setattr(core_mod, "HARD_M_CAP", 3)
     with pytest.warns(UserWarning, match="cap m = 3"):
         capped = comm_cross_section(30.0, spec, 8)
     assert [m for m, _ in capped.contributions] == [0, 1, 2, 3]

@@ -1,0 +1,155 @@
+"""The batched phase-shift sweep against the scalar kernels it replaces.
+
+Every lane must reproduce the scalar value bit for bit (asserted with ==,
+no tolerance), so the phase-shifts and compare tables cannot move; a
+failing sweep must raise what the per-point loop raises, at the same energy.
+"""
+
+import numpy as np
+import pytest
+
+from ncwell import specfun
+from ncwell.core import WellSpec, phase_shift, phase_shift_sweep
+from ncwell.errors import ConvergenceError, DomainError
+from ncwell.specfun import (
+    _MAX_LOST_DIGITS,
+    _SERIES_FAILED,
+    _anchor_row,
+    _cut_series_grid,
+    _lag_reu_pairs_grid,
+    _laguerre_sweep,
+    _log_series_float,
+    _lost_digits,
+    _recurrence_rows,
+    _recurrence_rows_grid,
+    _reu_rows,
+)
+
+
+def grid(lo, hi, steps):
+    # the CLI's energy grid
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
+def test_runner_with_mixed_start_rows_matches_scalar():
+    rng = np.random.default_rng(3)
+    size = 40
+    # starts from row 2 up to 301: 300 and 301 read their start rows at the targets
+    w = rng.uniform(0.01, 3.0, size)
+    j0 = rng.integers(2, 302, size)
+    j0[:4] = (2, 299, 300, 301)
+    # w past 4n from low rows on: these rows grow through 1e250 and renormalize
+    w[-10:], j0[-10:] = rng.uniform(1500.0, 3000.0, 10), rng.integers(2, 20, 10)
+    lp, lc = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size)
+    ls = rng.uniform(-30.0, 30.0, size)
+    targets = (299, 300)
+    got = _recurrence_rows_grid(5, w, j0, lp, lc, ls, targets)
+    for i in range(size):
+        want = _recurrence_rows(5, w[i].item(), int(j0[i]), lp[i].item(), lc[i].item(), ls[i].item(), targets)
+        assert {t: (got[t][0][i].item(), got[t][1][i].item()) for t in targets} == want
+    assert np.count_nonzero(got[300][1] != ls) > 5
+
+
+@pytest.mark.parametrize("m", [0, 3, 16])
+def test_cut_series_lanes_match_scalar(m):
+    # (2, 1e-9): the digamma series stops on its first allowed iteration, r = 5
+    a = np.array([1, 2, 3, 30, 65, 200, 1001, 2000, 3, 40, 1500, 2, 1, 2000])
+    w = np.array([0.3, 2.5, 0.01, 9.0, 30.0, 0.05, 0.7, 12.0, 300.0, 25.0, 0.002, 1e-9, 720.0, 700.0])
+    got = _cut_series_grid(a, m, w)
+    want = [_log_series_float(ai, m, -wi) for ai, wi in zip(a.tolist(), w.tolist())]
+    assert got == want
+    # (1, 720) overflows in the digamma series, (2000, 700) in the M sum
+    assert got[-2:] == [_SERIES_FAILED, _SERIES_FAILED]
+    # lanes whose double pass lost its digits, so _reu_settle escalates them
+    assert any(_lost_digits(v[1], v[0]) > _MAX_LOST_DIGITS for v in want if v[0] is not None)
+
+
+@pytest.mark.parametrize(
+    "m, n, w",
+    [
+        (3, 0, [0.5, 7.0]),  # rows 0 and 1 are the Laguerre start rows
+        (0, 63, [0.05, 1.0, 9.0]),  # top row 64 = _DIRECT_N: direct series
+        (2, 64, [0.05, 1.0, 9.0]),  # top row 65: anchored recurrence
+        (16, 200, [0.01, 0.36, 0.37, 0.9]),  # n == n_anchor + 1 below w = 0.366
+        (9, 3000, [0.0016, 0.1, 0.45, 1.2]),
+    ],
+)
+def test_lag_reu_pairs_match_scalar(m, n, w):
+    got = _lag_reu_pairs_grid(m, np.array(w), n)
+    for wi, (lag, reu) in zip(w, got):
+        rows = _laguerre_sweep(m, wi, {n, n + 1})
+        assert lag == tuple(specfun._ls_from_sweep(*rows[j]) for j in (n, n + 1))
+        assert list(reu) == _reu_rows(m, wi, n, 2)
+    if n == 200:
+        assert [_anchor_row(m, wi, n) + 1 == n for wi in w] == [True, True, False, False]
+
+
+SWEEPS = [
+    # (R^2, N, V, m, energies)
+    (0.5, 0, 10.0, 0, grid(10.05, 11.0, 5)),  # N = 0: rows 0 and 1
+    (20.0, 10, 6.0, -3, grid(6.05, 20.0, 12)),  # rows <= _DIRECT_N; lanes escalate to mpmath
+    (20.0, 63, 10.0, 0, grid(10.05, 35.0, 20)),
+    (20.0, 64, 10.0, 2, grid(10.05, 35.0, 20)),
+    (20.0, 200, 10.0, 16, grid(10.05, 25.0, 60)),
+    (20.0, 1000, 10.0, 4, grid(10.05, 35.0, 50)),
+    (20.0, 1000, 10.0, -7, grid(10.05, 40.0, 30)),
+    (20.0, 10, 0.0, 2, grid(0.05, 20.0, 20)),  # V = 0: interior and exterior lanes coincide
+    (20.0, 3000, 10.0, 9, [10.5, 12.0]),
+]
+
+
+@pytest.mark.parametrize("r2, cap_n, v, m, energies", SWEEPS)
+def test_sweep_equals_pointwise_phase_shift(r2, cap_n, v, m, energies):
+    spec = WellSpec.from_radius(r2, cap_n, v)
+    got = [(p.m, p.energy, p.tan_delta, p.delta) for p in phase_shift_sweep(energies, spec, m)]
+    want = [(p.m, p.energy, p.tan_delta, p.delta) for p in (phase_shift(e, spec, m) for e in energies)]
+    assert got == want
+
+
+def test_empty_sweep_is_empty():
+    spec = WellSpec.from_radius(20.0, 10, 6.0)
+    assert phase_shift_sweep([], spec, 4) == []
+    # with no energy nothing is checked, as in the per-point loop
+    assert phase_shift_sweep([], spec, -20) == []
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def assert_same_failure(energies, spec, m):
+    want = raised(lambda: [phase_shift(e, spec, m) for e in energies])
+    assert raised(lambda: phase_shift_sweep(energies, spec, m)) == want
+    return want
+
+
+def test_sweep_raises_the_domain_error_of_the_first_bad_energy():
+    spec = WellSpec.from_radius(20.0, 1000, 10.0)
+    kind, msg = assert_same_failure([11.0, 12.0, 9.5, 10.0, 13.0], spec, 4)
+    assert kind is DomainError and "E=9.5" in msg
+    kind, msg = assert_same_failure([11.0, 12.0], spec, -1001)
+    assert kind is DomainError and "cut off" in msg
+
+
+@pytest.mark.parametrize("fail_at, bad_energy_at", [(4, 2), (4, 7), (0, 7)])
+def test_sweep_raises_at_the_first_failing_energy(monkeypatch, fail_at, bad_energy_at):
+    spec = WellSpec.from_radius(20.0, 10, 6.0)
+    energies = grid(6.05, 20.0, 10)
+    # the mpmath pass of the interior lane of energy fail_at fails
+    fail_w = spec.theta * energies[fail_at]
+    real = specfun._reu_direct_mp
+
+    def failing(n, m, w, dps):
+        if w == fail_w:
+            raise ConvergenceError(f"cut series failed to stabilize for n={n}, m={m}, w={w}")
+        return real(n, m, w, dps)
+
+    monkeypatch.setattr(specfun, "_reu_direct_mp", failing)
+    energies[bad_energy_at] = 5.0  # below V
+    kind, msg = assert_same_failure(energies, spec, -3)
+    if bad_energy_at < fail_at:
+        assert kind is DomainError and "E=5.0" in msg
+    else:
+        assert kind is ConvergenceError and f"w={fail_w}" in msg
