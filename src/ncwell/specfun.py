@@ -45,6 +45,10 @@ _DIRECT_N = 64
 # escalate to mpmath when a double pass lost more than this many digits
 _MAX_LOST_DIGITS = 3.5
 
+# guard bits of the fixed-point M sum and digamma series in _log_series_mp
+_M_GUARD_BITS = 20
+_S_GUARD_BITS = 40
+
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
 
@@ -430,7 +434,8 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     cut = z < 0.0
     lnz = math.log(abs(z))
     A = a + m
-    pref_log = m * lnz - math.lgamma(m + 1.0) - math.lgamma(a + 0.0)
+    lga, lgA = math.lgamma(a + 0.0), math.lgamma(A + 0.0)
+    pref_log = m * lnz - math.lgamma(m + 1.0) - lga
     # the cut's M factor carries e^z; the prefactor is -1 on the cut and
     # (-1)^(m+1) on the positive axis, where the tail terms alternate
     m_log = pref_log + z if cut else pref_log
@@ -451,14 +456,7 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     p3 = ZERO
     t3max = -math.inf
     for r in range(m):
-        tl = (
-            math.lgamma(a + 0.0 + r)
-            - math.lgamma(a + 0.0)
-            + math.lgamma(m - r + 0.0)
-            - math.lgamma(A + 0.0)
-            - math.lgamma(r + 1.0)
-            + r * lnz
-        )
+        tl = math.lgamma(a + 0.0 + r) - lga + math.lgamma(m - r + 0.0) - lgA - math.lgamma(r + 1.0) + r * lnz
         t3max = max(t3max, tl)
         p3 = p3 + LogScaled.from_log(tail_sgn**r, tl)
     result = p1 + p2 + p3
@@ -535,49 +533,62 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
     The series is exact, so the only error is roundoff amplified by the
     cancellation between its pieces; each pass measures that amplification
     directly (largest term magnitude vs result magnitude) and escalates the
-    working precision in one step when too few digits survive.  Raises
+    working precision in one step when too few digits survive.  A pass that
+    lost nearly all its digits has measured only a lower bound on the loss,
+    so the next one at least doubles the precision.  Raises
     ConvergenceError(failure) when five passes do not stabilize.
+
+    The M sum and the digamma-weighted series run as fixed-point integers
+    (each term in units of 2^-F, F = the pass's bits + guard bits +
+    bits(a - 1)).  A step multiplies a term by the exact integer mantissa of
+    |z| and does one truncating division by (m+1+r)(r+1) shifted by the
+    exponent of z.  The terms start at 1 and rise to a single peak, so each
+    sum's absolute error is at most (terms) * 2^-F, below the roundoff
+    2^(max term - bits) of the same loops in mpf.  The largest term
+    magnitudes are read off the integers' bit lengths, as mp.mag reads them
+    off an mpf, so the escalation decisions are those of the mpf loops.
     """
     cut = z < 0.0
+    A = a + m
+    nbits = (a - 1).bit_length()
+    # |z| = zm * 2^-zk exactly
+    zm, zden = abs(z).as_integer_ratio()
+    zk = zden.bit_length() - 1
+    # M term ratio in magnitude: (c0 + dc r) |z| / ((m+1+r)(r+1)); the cut's
+    # finite sum has c0 + dc r = a - 1 - r, the positive axis's series A + r
+    c0, dc = (a - 1, -1) if cut else (A, 1)
 
     def attempt(prec):
         with mp.workdps(prec):
-            A = a + m
             z_ = mp.mpf(z)
             mz, lnz = -z_, mp.log(abs(z_))
-            tol, tiny = mp.mpf(10) ** (-prec - 8), mp.mpf(10) ** -9999
-            if cut:
-                n = a - 1
-                mv, t = mp.mpf(0), mp.mpf(1)
-                mx_mv = 0
-                for r in range(n + 1):
-                    mv += t
-                    if t:
-                        mx_mv = max(mx_mv, mp.mag(t))
-                    t *= (r - n) * mz / ((m + 1 + r) * (r + 1))
-            else:
-                mv, t, r = mp.mpf(0), mp.mpf(1), 0
-                while True:
-                    mv += t
-                    t *= (A + r) * z_ / ((m + 1 + r) * (r + 1))
-                    r += 1
-                    if r > 3 and abs(t) < tol * abs(mv):
-                        break
-            br = mp.euler + mp.harmonic(A - 1) - mp.harmonic(m)
-            s, t, r = mp.mpf(0), mp.mpf(1), 0
-            mx_s = -(10**9)
-            while True:
-                contrib = t * br
-                s += contrib
-                if contrib:
-                    mx_s = max(mx_s, mp.mag(contrib))
-                t *= (A + r) * z_ / ((m + 1 + r) * (r + 1))
-                br += mp.mpf(1) / (A + r) - mp.mpf(1) / (1 + r) - mp.mpf(1) / (m + 1 + r)
+            # M factor; on the cut the terms alternate in sign
+            fm = mp.mp.prec + _M_GUARD_BITS + nbits
+            mv, t, tmax, r = 0, 1 << fm, 0, 0
+            while t:
+                mv += -t if cut and r & 1 else t
+                tmax = max(tmax, t)
+                t = t * (c0 + dc * r) * zm // (((m + 1 + r) * (r + 1)) << zk)
                 r += 1
-                if r > 4 and abs(t) * (abs(br) + 1) < tol * max(abs(s), tiny):
-                    break
+            mx_mv = tmax.bit_length() - fm
+            mv = mp.mpf((mv, -fm))
+            # digamma-weighted series; same alternation on the cut
+            fs = mp.mp.prec + _S_GUARD_BITS + nbits
+            one = 1 << fs
+            with mp.workprec(fs):
+                br = int(mp.ldexp(mp.euler + mp.harmonic(A - 1) - mp.harmonic(m), fs))
+            s, t, cmax, r = 0, one, 0, 0
+            while t:
+                contrib = t * br >> fs
+                s += -contrib if cut and r & 1 else contrib
+                cmax = max(cmax, abs(contrib))
+                t = t * (A + r) * zm // (((m + 1 + r) * (r + 1)) << zk)
+                br += one // (A + r) - one // (1 + r) - one // (m + 1 + r)
+                r += 1
                 if r > 2_000_000:
                     raise ConvergenceError("integer-b log series stalled in mp pass")
+            mx_s = cmax.bit_length() - fs
+            s = mp.mpf((s, -fs))
             # tail sum, incremental terms
             t3 = mp.mpf(0)
             if m >= 1:
@@ -610,7 +621,7 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
         sign, logmag, lost = attempt(dps)
         if dps - lost >= 17:
             return LogScaled.from_log(sign, logmag) if sign else ZERO
-        dps = int(lost) + 26
+        dps = max(int(lost) + 26, 2 * dps) if lost > dps - 10 else int(lost) + 26
     raise ConvergenceError(failure)
 
 

@@ -92,10 +92,19 @@ def kernel_values() -> dict:
     for m, w in ((0, 0.7), (4, 0.02), (3, 35.0), (0, -0.5), (6, -3.0), (2, -40.0)):
         targets = (0, 1, 2, 50, 999, 1000)
         out[f"_laguerre_sweep({m}, {w!r}, {targets})"] = _rows(specfun._laguerre_sweep(m, w, set(targets)))
-    # positive-axis series on both sides of (a+m+1)x = 4; x >= 10 escalates to mpmath
+    # positive-axis series on both sides of (a+m+1)x = 4; x >= 10 escalates to mpmath,
+    # in two passes for (20, 3, 12.0) and three for (60, 5, 10.0)
     for a, m, x in ((1, 0, 0.5), (5, 2, 0.5), (5, 2, 0.6), (1001, 0, 0.0039), (1001, 0, 0.0041),
-                    (30, 9, 0.1), (1, 0, 10.0), (2, 3, 12.0)):
+                    (30, 9, 0.1), (1, 0, 10.0), (2, 3, 12.0), (20, 3, 12.0), (60, 5, 10.0)):
         out[f"_u_pos_direct({a}, {m}, {x!r})"] = _ls(specfun._u_pos_direct(a, m, x))
+    # mpmath cut series at escalations of a README-well cross-section sweep:
+    # n up to 1000, m up to 51, w = 0.08 .. 0.58, 27 .. 35 digits
+    for n, m, w, dps in ((999, 46, 0.5842278860569715, 35), (1000, 51, 0.4842778610694653, 28),
+                         (1000, 41, 0.31007496251874067, 27), (999, 49, 0.5842278860569715, 33),
+                         (889, 43, 0.5842278860569715, 35), (984, 17, 0.08245877061469266, 27),
+                         (125, 16, 0.5842278860569715, 27), (326, 26, 0.5842278860569715, 30),
+                         (397, 17, 0.20507746126936532, 27), (557, 34, 0.5842278860569715, 32)):
+        out[f"_reu_direct_mp({n}, {m}, {w!r}, {dps})"] = _ls(specfun._reu_direct_mp(n, m, w, dps))
     # cut series: float kept, and float lost so mpmath takes over
     for n, m, w in ((3, 2, 0.4), (60, 0, 30.0), (20, 6, 25.0), (64, 8, 9.0), (40, 30, 12.0)):
         out[f"_reu_direct({n}, {m}, {w!r})"] = _ls(specfun._reu_direct(n, m, w))

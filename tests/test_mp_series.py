@@ -1,0 +1,80 @@
+"""The mpmath escalation of the integer-b log series against 50-digit mpmath hyperu.
+
+_reu_direct_mp (the branch cut) and _u_pos_direct (the positive axis) must
+return the sign of U(a, 1-m, z) at 50 digits (its real part on the cut) and
+a log magnitude equal to float(log|...|) to the last bit.  The arguments are
+escalations of a README-well cross-section and phase-shift sweep, positive-
+axis cases that need several passes, and random draws over the region the
+cross sections escalate in.
+"""
+
+import mpmath as mp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncwell import specfun
+
+
+def reference(a: int, m: int, z: float) -> tuple:
+    with mp.workdps(50):
+        v = mp.re(mp.hyperu(a, 1 - m, z))
+        return int(mp.sign(v)), float(mp.log(abs(v)))
+
+
+def assert_matches(got, a, m, z):
+    assert (got.sign, got.logmag) == reference(a, m, z)
+
+
+# (n, m, w, dps) as the cross-section and phase-shift sweeps escalate them
+CUT_CASES = [
+    (999, 46, 0.5842278860569715, 35),
+    (1000, 51, 0.4842778610694653, 28),
+    (1000, 41, 0.31007496251874067, 27),
+    (889, 43, 0.5842278860569715, 35),
+    (984, 17, 0.08245877061469266, 27),
+    (125, 16, 0.5842278860569715, 27),
+    (397, 17, 0.20507746126936532, 27),
+    (557, 34, 0.5842278860569715, 32),
+    (4, 1, 1.5122039496626576, 30),
+    (18, 6, 0.7188616082603253, 28),
+]
+
+# (a, m, x) whose float pass escalates and whose mpmath pass runs 2 to 4
+# times; the last two lose nearly all digits of their early passes and
+# stalled after five passes while a retry added only the measured loss
+POS_CASES = [
+    (20, 3, 12.0),
+    (60, 5, 10.0),
+    (928, 28, 6.306),
+    (300, 30, 20.0),
+]
+
+
+@pytest.mark.parametrize("n, m, w, dps", CUT_CASES)
+def test_cut_escalation_matches_hyperu(n, m, w, dps):
+    assert_matches(specfun._reu_direct_mp(n, m, w, dps), n + 1, m, -w)
+
+
+@pytest.mark.parametrize("a, m, x", POS_CASES)
+def test_positive_axis_escalation_matches_hyperu(a, m, x):
+    val, max_piece_log, _ = specfun._log_series_float(a, m, x)
+    assert specfun._lost_digits(max_piece_log, val) > specfun._MAX_LOST_DIGITS
+    assert_matches(specfun._u_pos_direct(a, m, x), a, m, x)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(
+    n=st.integers(100, 1000),
+    m=st.integers(15, 55),
+    w=st.floats(0.08, 0.6),
+    dps=st.integers(27, 35),
+)
+def test_cut_escalation_region_matches_hyperu(n, m, w, dps):
+    assert_matches(specfun._reu_direct_mp(n, m, w, dps), n + 1, m, -w)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(a=st.integers(1, 300), m=st.integers(0, 30), x=st.floats(6.0, 20.0))
+def test_positive_axis_mp_pass_matches_hyperu(a, m, x):
+    # the pass _u_pos_direct falls back to, from its 30-digit start
+    assert_matches(specfun._log_series_mp(a, m, x, 30, "positive-axis series"), a, m, x)
