@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import core, oracle, specfun
 from .errors import ConvergenceError, DomainError
@@ -40,40 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated description of one table-producing run.
-
-    Invariants enforced by from_args: exactly two of theta/capital-n/radius
-    fix the well, energy sweeps satisfy V < emin < emax with esteps >= 2,
-    and m ranges are nonempty.
-    """
-
-    command: str
-    spec: core.WellSpec
-    m_list: list | None
-    energies: list | None
-    m_max: int | None
-    output: str
-    fmt: str
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        spec = _well_from_args(args)
-        m_raw = getattr(args, "m", None)
-        m_list = _parse_m_list(m_raw) if m_raw is not None else None
-        energies = _energy_grid(args, spec) if getattr(args, "emax", None) is not None else None
-        return cls(
-            command=args.command,
-            spec=spec,
-            m_list=m_list,
-            energies=energies,
-            m_max=getattr(args, "mmax", None),
-            output=args.output,
-            fmt=args.format,
-        )
-
-
 def _parse_radius_sq(text: str) -> float:
     mt = _SQRT_RE.match(text.strip())
     if mt:
@@ -89,13 +54,23 @@ def _parse_radius_sq(text: str) -> float:
 
 def _parse_m_list(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise DomainError(f"empty m range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise DomainError(f"--m must be an integer or a range lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise DomainError(f"empty m range {text!r}")
+    return list(range(lo, hi + 1))
+
+
+def _single_m(args, message: str) -> int:
+    """The one m of --m; message is the error for a range."""
+    m_list = _parse_m_list(args.m)
+    if len(m_list) != 1:
+        raise DomainError(message)
+    return m_list[0]
 
 
 def _well_from_args(args) -> core.WellSpec:
@@ -126,6 +101,11 @@ def _well_from_args(args) -> core.WellSpec:
 
 
 def _energy_grid(args, spec: core.WellSpec) -> list[float]:
+    if args.emax is None:
+        raise DomainError("--emax is required")
+    for flag, val in (("--emin", args.emin), ("--emax", args.emax)):
+        if val is not None and not math.isfinite(val):
+            raise DomainError(f"{flag} must be finite, got {val}")
     if args.esteps < 2:
         raise DomainError(f"--esteps must be >= 2, got {args.esteps}")
     e_min = args.emin if args.emin is not None else spec.v + args.e_offset
@@ -139,12 +119,6 @@ def _energy_grid(args, spec: core.WellSpec) -> list[float]:
         raise DomainError(f"need emin < emax, got {e_min} >= {e_max}")
     n = args.esteps
     return [e_min + (e_max - e_min) * i / (n - 1) for i in range(n)]
-
-
-def _sweep_energies(cfg: RunConfig) -> list[float]:
-    if cfg.energies is None:
-        raise DomainError("--emax is required")
-    return cfg.energies
 
 
 def _fmt(x) -> str:
@@ -177,87 +151,91 @@ def _write_rows(columns: list[str], rows: list[list], output: str, fmt: str) -> 
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_bound_states(args) -> int:
-    cfg = RunConfig.from_args(args)
-    spec = cfg.spec
+def _level_rows(spec: core.WellSpec, m_list: list[int], grid_points: int) -> list[list]:
+    """[m, level, E_nc, E_comm] per level; a level only one solver finds leaves the other empty."""
     comm = oracle.CommWellSpec(spec.radius, spec.v)
     rows = []
-    for m in cfg.m_list:
-        nc = core.find_bound_states(spec, m, grid_points=args.grid_points)
+    for m in m_list:
+        nc = core.find_bound_states(spec, m, grid_points=grid_points)
         cm = oracle.comm_bound_states(comm, m)
-        # a level only one solver finds leaves the other column empty
         for level, (a, b) in enumerate(itertools.zip_longest(nc, cm)):
             rows.append([m, level, a.energy if a else None, b.energy if b else None])
-    _write_rows(["m", "level", "energy_nc", "energy_comm"], rows, cfg.output, cfg.fmt)
+    return rows
+
+
+def _phase_pairs(spec: core.WellSpec, m: int, energies: list[float]) -> list[tuple]:
+    """(nc point, comm point) per energy."""
+    comm = oracle.CommWellSpec(spec.radius, spec.v)
+    pts = core.phase_shift_sweep(energies, spec, m)
+    cms = [oracle.comm_phase_shift(e, comm, m) for e in energies]
+    return list(zip(pts, cms))
+
+
+def _with_deviations(rows: list[list]) -> list[list]:
+    """Extend rows ending in [nc, comm] by |nc - comm| and |nc - comm| / |comm|.
+
+    Both stay empty when either value is missing.
+    """
+    for row in rows:
+        a, b = row[-2:]
+        if a is None or b is None:
+            row += [None, None]
+        else:
+            dev = abs(a - b)
+            row += [dev, dev / abs(b) if b != 0.0 else math.inf]
+    return rows
+
+
+def _cmd_bound_states(args) -> int:
+    rows = _level_rows(_well_from_args(args), _parse_m_list(args.m), args.grid_points)
+    _write_rows(["m", "level", "energy_nc", "energy_comm"], rows, args.output, args.format)
     return 0
 
 
 def _cmd_phase_shifts(args) -> int:
-    cfg = RunConfig.from_args(args)
-    spec = cfg.spec
-    if len(cfg.m_list) != 1:
-        raise DomainError("phase-shifts takes a single m, not a range")
-    m = cfg.m_list[0]
-    energies = _sweep_energies(cfg)
-    comm = oracle.CommWellSpec(spec.radius, spec.v)
-    pts = core.phase_shift_sweep(energies, spec, m)
-    cms = [oracle.comm_phase_shift(e, comm, m) for e in energies]
+    spec = _well_from_args(args)
+    m = _single_m(args, "phase-shifts takes a single m, not a range")
     rows = [
-        [
-            p.energy,
-            p.tan_delta,
-            p.delta,
-            p.delta_unwrapped,
-            c.tan_delta,
-            abs(p.tan_delta - c.tan_delta),
-        ]
-        for p, c in zip(pts, cms)
+        [p.energy, p.tan_delta, p.delta, p.delta_unwrapped, c.tan_delta, abs(p.tan_delta - c.tan_delta)]
+        for p, c in _phase_pairs(spec, m, _energy_grid(args, spec))
     ]
     _write_rows(
         ["energy", "tan_delta_nc", "delta_nc", "delta_nc_unwrapped", "tan_delta_comm", "abs_deviation"],
         rows,
-        cfg.output,
-        cfg.fmt,
+        args.output,
+        args.format,
     )
     return 0
 
 
 def _cmd_cross_section(args) -> int:
-    cfg = RunConfig.from_args(args)
-    spec = cfg.spec
-    energies = _sweep_energies(cfg)
-    if spec.v == 0.0:
-        rows = [[e, math.sqrt(2.0 * e), 0.0] for e in energies]
-    else:
-        pts = [
-            core.cross_section_total(e, spec, cfg.m_max, include_negative=args.include_negative_m)
-            for e in energies
-        ]
-        rows = [[p.energy, p.k, p.sigma_total] for p in pts]
-    _write_rows(["energy", "k", "sigma"], rows, cfg.output, cfg.fmt)
+    spec = _well_from_args(args)
+    pts = [
+        core.cross_section_total(e, spec, args.mmax, include_negative=args.include_negative_m)
+        for e in _energy_grid(args, spec)
+    ]
+    rows = [[p.energy, p.k, p.sigma_total] for p in pts]
+    _write_rows(["energy", "k", "sigma"], rows, args.output, args.format)
     return 0
 
 
 def _cmd_dcs(args) -> int:
-    cfg = RunConfig.from_args(args)
+    spec = _well_from_args(args)
     if args.energy is None:
         raise DomainError("--energy is required for dcs")
     n = args.phi_steps
     if n < 2:
         raise DomainError(f"--phi-steps must be >= 2, got {n}")
     phis = [2.0 * math.pi * i / n for i in range(n)]
-    pts = core.cross_section_differential(args.energy, cfg.spec, cfg.m_max, phis)
+    pts = core.cross_section_differential(args.energy, spec, args.mmax, phis)
     rows = [[phi, val] for (phi, val) in pts]
-    _write_rows(["phi", "dsigma_dphi"], rows, cfg.output, cfg.fmt)
+    _write_rows(["phi", "dsigma_dphi"], rows, args.output, args.format)
     return 0
 
 
 def _cmd_wavefunction(args) -> int:
-    cfg = RunConfig.from_args(args)
-    spec = cfg.spec
-    if len(cfg.m_list) != 1:
-        raise DomainError("wavefunction takes a single m, not a range")
-    m = cfg.m_list[0]
+    spec = _well_from_args(args)
+    m = _single_m(args, "wavefunction takes a single m, not a range")
     energy = args.energy
     if energy is None:
         raise DomainError("--energy is required for wavefunction")
@@ -294,59 +272,30 @@ def _cmd_wavefunction(args) -> int:
             region = "exterior"
         val = core.wavefunction_eval(sol, m, k, [(r_coh, 0.0)])[0]
         rows.append([rho, val.real, val.imag, region])
-    _write_rows(["r", "psi_re", "psi_im", "region"], rows, cfg.output, cfg.fmt)
+    _write_rows(["r", "psi_re", "psi_im", "region"], rows, args.output, args.format)
     return 0
 
 
-def _deviation_rows(energies, nc, cm) -> list[list]:
-    """[E, nc, comm, |nc - comm|, |nc - comm| / |comm|] per energy."""
-    rows = []
-    for e, a, b in zip(energies, nc, cm):
-        dev = abs(a - b)
-        rows.append([e, a, b, dev, dev / abs(b) if b != 0.0 else math.inf])
-    return rows
-
-
 def _cmd_compare(args) -> int:
-    cfg = RunConfig.from_args(args)
-    spec = cfg.spec
-    comm = oracle.CommWellSpec(spec.radius, spec.v)
+    spec = _well_from_args(args)
     if args.quantity == "phase-shift":
-        if len(cfg.m_list) != 1:
-            raise DomainError("compare --quantity phase-shift takes a single m")
-        m = cfg.m_list[0]
-        energies = _sweep_energies(cfg)
-        nc = [p.tan_delta for p in core.phase_shift_sweep(energies, spec, m)]
-        cm = [oracle.comm_phase_shift(e, comm, m).tan_delta for e in energies]
-        _write_rows(
-            ["energy", "tan_delta_nc", "tan_delta_comm", "abs_deviation", "rel_deviation"],
-            _deviation_rows(energies, nc, cm),
-            cfg.output,
-            cfg.fmt,
-        )
+        m = _single_m(args, "compare --quantity phase-shift takes a single m")
+        pairs = _phase_pairs(spec, m, _energy_grid(args, spec))
+        columns = ["energy", "tan_delta_nc", "tan_delta_comm"]
+        rows = [[p.energy, p.tan_delta, c.tan_delta] for p, c in pairs]
     elif args.quantity == "cross-section":
-        energies = _sweep_energies(cfg)
-        nc = [core.cross_section_total(e, spec, cfg.m_max).sigma_total for e in energies]
-        cm = [oracle.comm_cross_section(e, comm, cfg.m_max).sigma_total for e in energies]
-        _write_rows(
-            ["energy", "sigma_nc", "sigma_comm", "abs_deviation", "rel_deviation"],
-            _deviation_rows(energies, nc, cm),
-            cfg.output,
-            cfg.fmt,
-        )
+        energies = _energy_grid(args, spec)
+        comm = oracle.CommWellSpec(spec.radius, spec.v)
+        # every NC value before any commutative one: the NC sum's warnings and errors come first
+        nc = [core.cross_section_total(e, spec, args.mmax).sigma_total for e in energies]
+        cm = [oracle.comm_cross_section(e, comm, args.mmax).sigma_total for e in energies]
+        columns = ["energy", "sigma_nc", "sigma_comm"]
+        rows = [list(row) for row in zip(energies, nc, cm)]
     else:  # bound-states
-        rows = []
-        for m in cfg.m_list:
-            nc = core.find_bound_states(spec, m)
-            cm = oracle.comm_bound_states(comm, m)
-            for level, (a, b) in enumerate(zip([s.energy for s in nc], [s.energy for s in cm])):
-                rows.append([m, level, a, b, abs(a - b), abs(a - b) / abs(b)])
-        _write_rows(
-            ["m", "level", "energy_nc", "energy_comm", "abs_deviation", "rel_deviation"],
-            rows,
-            cfg.output,
-            cfg.fmt,
-        )
+        columns = ["m", "level", "energy_nc", "energy_comm"]
+        rows = _level_rows(spec, _parse_m_list(args.m), core.GRID_POINTS)
+    columns += ["abs_deviation", "rel_deviation"]
+    _write_rows(columns, _with_deviations(rows), args.output, args.format)
     return 0
 
 
@@ -448,7 +397,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bound-states", help="bound levels of the well and the commutative reference")
     _add_well_args(p)
     p.add_argument("--m", type=str, required=True, help="angular momentum, int or range like -6..6")
-    p.add_argument("--grid-points", type=int, default=2000, help="energy scan density")
+    p.add_argument("--grid-points", type=int, default=core.GRID_POINTS, help="energy scan density")
     p.set_defaults(func=_cmd_bound_states)
 
     p = sub.add_parser("phase-shifts", help="tan(delta_m) sweep, with the commutative reference")

@@ -605,8 +605,7 @@ def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float
     return delta, t * t / (1.0 + t * t)
 
 
-def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, cap: int,
-                     tail_rel: float):
+def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, cap: int):
     """Sum the partial waves m = 0, 1, ... as (sigma, contributions).
 
     waves(m) returns wave m's contributions as (label, term) pairs; the
@@ -614,7 +613,7 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, 
     weight up to the impact-parameter cutoff m ~ kR, so the sum runs at
     least to max(m_max, ceil(kR) + 2) (sin^2(delta) can dip through zero at
     isolated m well before the tail truly decays); past that it stops once
-    two waves in a row fall below tail_rel of the running total.  At m = cap
+    two waves in a row fall below TAIL_REL of the running total.  At m = cap
     it stops with a warning aimed at the caller's caller.
     """
     min_extend = max(m_max, math.ceil(k * radius) + 2)
@@ -628,7 +627,7 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, 
             contributions.append(entry)
             sigma += entry[1]
         term = max(t for _, t in terms)
-        if term <= tail_rel * sigma:
+        if term <= TAIL_REL * sigma:
             below += 1
         else:
             below = 0
@@ -650,12 +649,11 @@ def cross_section_total(
     spec: WellSpec,
     m_max: int,
     include_negative: bool = False,
-    tail_rel: float = TAIL_REL,
 ) -> CrossSectionPoint:
     """Total cross section sigma = (4/k) sum_m eps_m sin^2(delta_m).
 
     eps_0 = 1, eps_{m>=1} = 2; the sum extends beyond m_max until the last
-    contribution falls below tail_rel of the running total.  With
+    contribution falls below TAIL_REL of the running total.  With
     include_negative=True each sector m and -m contributes its own
     sin^2(delta) with unit weight instead (exploratory variant; the
     negative side is cut off at N).
@@ -675,7 +673,7 @@ def cross_section_total(
             return [(m, (4.0 / k) * eps * _delta_and_sin2(energy, spec, m)[1])]
 
     cap = spec.cap_n if include_negative else HARD_M_CAP
-    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, cap, tail_rel)
+    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, cap)
     return CrossSectionPoint(
         energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions)
     )
@@ -686,7 +684,6 @@ def cross_section_differential(
     spec: WellSpec,
     m_max: int,
     phi_grid,
-    tail_rel: float = TAIL_REL,
 ) -> list[tuple[float, float]]:
     """d(sigma)/d(phi) = |f(phi)|^2 / k on the supplied angular grid.
 
@@ -707,7 +704,7 @@ def cross_section_differential(
         deltas.append((m, eps, delta))
         return [(m, (4.0 / k) * eps * sin2)]
 
-    partial_wave_sum(waves, energy, k, spec.radius, m_max, HARD_M_CAP, tail_rel)
+    partial_wave_sum(waves, energy, k, spec.radius, m_max, HARD_M_CAP)
     pref = math.sqrt(2.0 / math.pi)
     out = []
     for phi in phis:

@@ -18,7 +18,6 @@ from scipy import special
 
 from . import core
 from .core import (
-    TAIL_REL,
     BoundState,
     CrossSectionPoint,
     PhaseShiftPoint,
@@ -115,9 +114,7 @@ def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoi
     return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta)
 
 
-def comm_cross_section(
-    energy: float, spec: CommWellSpec, m_max: int, tail_rel: float = TAIL_REL
-) -> CrossSectionPoint:
+def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSectionPoint:
     """sigma = (4/k) sum_m eps_m sin^2(delta_m), same tail rule as the core."""
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
@@ -127,7 +124,5 @@ def comm_cross_section(
         s = math.sin(comm_phase_shift(energy, spec, m).delta)
         return [(m, (4.0 / k) * eps * (s * s))]
 
-    sigma, contributions = partial_wave_sum(
-        waves, energy, k, spec.radius, m_max, core.HARD_M_CAP, tail_rel
-    )
+    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, core.HARD_M_CAP)
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

@@ -50,6 +50,16 @@ CLI_GOLDENS = {
     "compare_phase_shift_n1000.csv": [
         "compare", "--quantity", "phase-shift", *WELL1000, "--m", "3", "--emax", "30", "--esteps", "25",
     ],
+    # 0 < E < V snaps to the nearest bound level of m = 1
+    "readme_wavefunction_n10_e0.3.csv": ["wavefunction", *WELL10, "--m", "1", "--energy", "0.3"],
+    "wavefunction_n10_e8.csv": ["wavefunction", *WELL10, "--m", "1", "--energy", "8.0"],
+    # the free well: every partial wave has delta = 0
+    "cross_section_free_n10.csv": [
+        "cross-section", "--radius", "sqrt20", "--capital-n", "10", "--v", "0",
+        "--emin", "0.5", "--emax", "30", "--esteps", "4",
+    ],
+    # every level of m = -2..3 is found by both solvers
+    "compare_bound_states_n10.csv": ["compare", "--quantity", "bound-states", *WELL10, "--m=-2..3"],
 }
 
 KERNEL_GOLDEN = "kernel_golden.json"

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -37,6 +38,9 @@ def test_m_range_parsing():
     assert _parse_m_list("-3..-1") == [-3, -2, -1]
     with pytest.raises(DomainError):
         _parse_m_list("3..-3")
+    for text in ("abc", "1..", "..3", "1.5"):
+        with pytest.raises(DomainError, match=f"--m .*{re.escape(repr(text))}"):
+            _parse_m_list(text)
 
 
 def test_bound_states_layout(capsys):
@@ -108,6 +112,13 @@ def test_cross_section_zero_potential(capsys):
     assert code == 0
     for line in out.strip().split("\r\n")[1:]:
         assert line.split(",")[2] == "0"
+    # the free well goes through the same argument checks as any other
+    code, _, err = run_cli(
+        capsys,
+        ["cross-section", "--radius", "sqrt20", "--capital-n", "10", "--v", "0", "--emax", "1.0", "--mmax", "0"],
+    )
+    assert code == 1
+    assert "m_max must be a positive integer" in err
 
 
 def test_compare_phase_shift(capsys):
@@ -130,6 +141,35 @@ def test_compare_bound_states(capsys):
     assert code == 0
     header = out.strip().split("\r\n")[0]
     assert header == "m,level,energy_nc,energy_comm,abs_deviation,rel_deviation"
+
+
+def test_compare_bound_states_keeps_unpaired_levels(capsys):
+    # sector -5 of WELL10 has one commutative level more than noncommutative ones
+    code, out, _ = run_cli(capsys, ["compare", *WELL10, "--quantity", "bound-states", "--m=-5"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
+    assert len(rows) == 3
+    m, level, e_nc, e_comm, dev, rel = rows[-1]
+    assert (m, level, e_nc, dev, rel) == ("-5", "2", "", "", "")
+    assert float(e_comm) > 0.0
+
+
+def test_compare_bound_states_ignores_sweep_flags(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["compare", *WELL10, "--quantity", "bound-states", "--m", "1", "--emax", "3", "--esteps", "1"],
+    )
+    assert code == 0
+    assert out == run_cli(capsys, ["compare", *WELL10, "--quantity", "bound-states", "--m", "1"])[1]
+
+
+def test_nonfinite_sweep_bound_is_domain_error(capsys):
+    base = ["phase-shifts", *WELL10, "--m", "0", "--esteps", "3"]
+    for flags, name in ((["--emax", "inf"], "--emax"), (["--emax", "nan"], "--emax"),
+                        (["--emin", "inf", "--emax", "8"], "--emin")):
+        code, _, err = run_cli(capsys, base + flags)
+        assert code == 1
+        assert f"{name} must be finite" in err
 
 
 def test_dcs_runs(capsys):
@@ -164,6 +204,9 @@ def test_domain_error_names_rule_and_exits_1(capsys):
     code, _, err = run_cli(capsys, ["bound-states", *WELL10, "--m=-11"])
     assert code == 1
     assert "|m| <= N" in err
+    code, _, err = run_cli(capsys, ["bound-states", *WELL10, "--m", "1.."])
+    assert code == 1
+    assert err == "ncwell: domain error: --m must be an integer or a range lo..hi, got '1..'\n"
 
 
 def test_scattering_below_v_is_domain_error(capsys):
