@@ -41,15 +41,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_radius_sq(text: str) -> float:
     mt = _SQRT_RE.match(text.strip())
+    try:
+        val = float(mt.group(1) if mt else text)
+    except ValueError:
+        raise DomainError(f"--radius must be a number or a sqrt literal like sqrt20, got {text!r}") from None
     if mt:
-        val = float(mt.group(1))
         if not (val > 0.0):
             raise DomainError(f"radius^2 must be positive, got sqrt of {val}")
         return val
-    r = float(text)
-    if not (r > 0.0):
-        raise DomainError(f"radius must be positive, got {r}")
-    return r * r
+    if not (val > 0.0):
+        raise DomainError(f"radius must be positive, got {val}")
+    return val * val
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -413,7 +415,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--include-negative-m",
         action="store_true",
-        help="exploratory variant summing each sector m and -m separately (capped at N)",
+        help="exploratory variant summing each sector m and -m separately (negative side capped at N)",
     )
     p.set_defaults(func=_cmd_cross_section)
 

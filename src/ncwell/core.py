@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, SingularSystemError
+from .errors import ConvergenceError, DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, ls_exp
 from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
     OrderIndex,
@@ -249,12 +249,14 @@ def _check_negative_cutoff(m: int, spec: WellSpec) -> None:
 
 
 def _check_cross_section_args(energy: float, v: float, m_max) -> int:
-    """m_max as an int; it must be positive, and the energy above V."""
+    """m_max as an int; it must be positive, and the energy finite and above V."""
     m_max = _check_int(m_max, "m_max")
     if m_max < 1:
         raise DomainError(f"m_max must be a positive integer, got {m_max}")
     if not (energy > v):
         raise DomainError(f"cross section needs E > V, got E={energy}, V={v}")
+    if not math.isfinite(energy):
+        raise DomainError(f"cross section needs a finite energy, got E={energy}")
     return m_max
 
 
@@ -414,10 +416,12 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
 # ---------------------------------------------------------------------------
 
 def _check_scattering(energy: float, spec: WellSpec, m) -> int:
-    """m as an int; scattering needs E > V and |m| <= N for negative m."""
+    """m as an int; scattering needs a finite E > V and |m| <= N for negative m."""
     m = _check_int(m, "m")
     if not (energy > spec.v):
         raise DomainError(f"scattering needs E > V, got E={energy}, V={spec.v}")
+    if not math.isfinite(energy):
+        raise DomainError(f"scattering needs a finite energy, got E={energy}")
     _check_negative_cutoff(m, spec)
     return m
 
@@ -434,10 +438,11 @@ def _matching_rows(energy: float, spec: WellSpec, m: int):
 
 
 def _solve_matching(rows_in, rows_out, energy: float, m: int):
-    """(interior amplitude, exterior B) of scattering_coeffs from its basis rows.
+    """(interior amplitude, exterior B, row residuals) of scattering_coeffs from its basis rows.
 
-    Raises SingularSystemError when the 2x2 system is degenerate or its
-    solution leaves a relative row residual above 1e-10.
+    The residual of a row is relative to its largest term (0.0 when every
+    term vanishes).  Raises SingularSystemError when the 2x2 system is
+    degenerate or a row residual exceeds 1e-10.
     """
     jin = [rows_in[0][0], rows_in[1][0]]
     jout = [rows_out[0][0], rows_out[1][0]]
@@ -475,18 +480,18 @@ def _solve_matching(rows_in, rows_out, energy: float, m: int):
     b_out = LogScaled.from_float(x2) * ls_exp(c3 - c2) if x2 != 0.0 else ZERO
 
     # residual of both rows, relative to the largest contributing term
+    residuals = []
     for i in (0, 1):
         terms = (a_in * jin[i], -(b_out * yout[i]), -jout[i])
         resid = terms[0] + terms[1] + terms[2]
         scale = max(abs(t) for t in terms)
-        if scale.is_zero():
-            continue
-        rel = (abs(resid) / scale).to_float()
+        rel = 0.0 if scale.is_zero() else (abs(resid) / scale).to_float()
         if rel > 1e-10:
             raise SingularSystemError(
                 f"matching residual {rel:.2e} exceeds 1e-10 at E={energy}, m={m}"
             )
-    return a_in, b_out
+        residuals.append(rel)
+    return a_in, b_out, residuals
 
 
 def scattering_coeffs(energy: float, spec: WellSpec, m: int):
@@ -498,7 +503,7 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     tan(delta_m) = -B.
     """
     m = _check_scattering(energy, spec, m)
-    a_in, b_out = _solve_matching(*_matching_rows(energy, spec, m), energy, m)
+    a_in, b_out, _ = _solve_matching(*_matching_rows(energy, spec, m), energy, m)
     interior = RegionSolution(INTERIOR, spec.theta * energy, a_in, ZERO)
     exterior = RegionSolution(EXTERIOR, spec.theta * (energy - spec.v), ONE, b_out)
     return interior, exterior
@@ -507,18 +512,7 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
 def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     """Relative residuals of the two matching rows for the solved coefficients."""
     m = _check_scattering(energy, spec, m)
-    rows_in, rows_out = _matching_rows(energy, spec, m)
-    a_in, b_out = _solve_matching(rows_in, rows_out, energy, m)
-    out = []
-    for i in (0, 1):
-        lhs = a_in * rows_in[i][0]
-        rhs = rows_out[i][0] + b_out * rows_out[i][1]
-        scale = max(abs(lhs), abs(rhs))
-        if scale.is_zero():
-            out.append(0.0)
-        else:
-            out.append((abs(lhs - rhs) / scale).to_float())
-    return out
+    return _solve_matching(*_matching_rows(energy, spec, m), energy, m)[2]
 
 
 def _phase_point(energy: float, m: int, b_out: LogScaled) -> PhaseShiftPoint:
@@ -542,7 +536,8 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
     point come from specfun._lag_reu_pairs_grid, then each point takes the
     scalar prefactors and 2x2 solve.  Every point equals phase_shift(e, spec, m)
     bit for bit, and a sweep that fails raises the error phase_shift
-    raises at the first energy where it fails.
+    raises at the first energy where it fails: when a lane's mpmath pass
+    fails, the valid energies are replayed through phase_shift in order.
     """
     valid, failure = [], None
     for e in energies:
@@ -558,14 +553,15 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
         e_arr = np.array(valid, dtype=float)
         # lanes 2i and 2i+1: interior and exterior of point i, in the order they fail
         w = np.stack((spec.theta * e_arr, spec.theta * (e_arr - spec.v)), axis=1).ravel()
-        lanes = _lag_reu_pairs_grid(order, w, row)
+        try:
+            lanes = _lag_reu_pairs_grid(order, w, row)
+        except ConvergenceError:
+            for e in valid:
+                phase_shift(e, spec, m)
+            raise
         ws = w.tolist()
         for i, e in enumerate(valid):
-            rows = []
-            for lane in (2 * i, 2 * i + 1):
-                if isinstance(lanes[lane], Exception):
-                    raise lanes[lane]
-                rows.append(_jy_rows(order, ws[lane], row, *lanes[lane]))
+            rows = [_jy_rows(order, ws[lane], row, *lanes[lane]) for lane in (2 * i, 2 * i + 1)]
             pts.append(_phase_point(e, m, _solve_matching(*rows, e, mi)[1]))
     if failure is not None:
         raise failure
@@ -605,7 +601,7 @@ def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float
     return delta, t * t / (1.0 + t * t)
 
 
-def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, cap: int):
+def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
     """Sum the partial waves m = 0, 1, ... as (sigma, contributions).
 
     waves(m) returns wave m's contributions as (label, term) pairs; the
@@ -613,8 +609,8 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, 
     weight up to the impact-parameter cutoff m ~ kR, so the sum runs at
     least to max(m_max, ceil(kR) + 2) (sin^2(delta) can dip through zero at
     isolated m well before the tail truly decays); past that it stops once
-    two waves in a row fall below TAIL_REL of the running total.  At m = cap
-    it stops with a warning aimed at the caller's caller.
+    two waves in a row fall below TAIL_REL of the running total.  At
+    m = HARD_M_CAP it stops with a warning aimed at the caller's caller.
     """
     min_extend = max(m_max, math.ceil(k * radius) + 2)
     sigma = 0.0
@@ -633,9 +629,9 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, 
             below = 0
         if m + 1 > min_extend and below >= 2:
             break
-        if m >= cap:
+        if m >= HARD_M_CAP:
             warnings.warn(
-                f"partial-wave sum hit the cap m = {cap} before the tail "
+                f"partial-wave sum hit the cap m = {HARD_M_CAP} before the tail "
                 f"condition was met at E = {energy}",
                 stacklevel=3,
             )
@@ -656,7 +652,7 @@ def cross_section_total(
     contribution falls below TAIL_REL of the running total.  With
     include_negative=True each sector m and -m contributes its own
     sin^2(delta) with unit weight instead (exploratory variant; the
-    negative side is cut off at N).
+    negative side is cut off at N, the positive side runs on).
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
@@ -672,8 +668,7 @@ def cross_section_total(
             eps = 1.0 if m == 0 else 2.0
             return [(m, (4.0 / k) * eps * _delta_and_sin2(energy, spec, m)[1])]
 
-    cap = spec.cap_n if include_negative else HARD_M_CAP
-    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, cap)
+    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
     return CrossSectionPoint(
         energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions)
     )
@@ -695,22 +690,22 @@ def cross_section_differential(
         if not (0.0 <= p < 2.0 * math.pi):
             raise DomainError(f"phi values must lie in [0, 2 pi), got {p}")
     k = math.sqrt(2.0 * (energy - spec.v))
-    # collect phase shifts with the same tail rule as the summed form
-    deltas = []
+    # (m, eps_m, e^{i delta_m}, sin(delta_m)) per wave, with the same tail rule as the summed form
+    factors = []
 
     def waves(m):
         eps = 1.0 if m == 0 else 2.0
         delta, sin2 = _delta_and_sin2(energy, spec, m)
-        deltas.append((m, eps, delta))
+        factors.append((m, eps, cmath.exp(1j * delta), math.sin(delta)))
         return [(m, (4.0 / k) * eps * sin2)]
 
-    partial_wave_sum(waves, energy, k, spec.radius, m_max, HARD_M_CAP)
+    partial_wave_sum(waves, energy, k, spec.radius, m_max)
     pref = math.sqrt(2.0 / math.pi)
     out = []
     for phi in phis:
         f = 0j
-        for (mm, eps, d) in deltas:
-            f += eps * math.cos(mm * phi) * cmath.exp(1j * d) * math.sin(d)
+        for (mm, eps, phase, sin_d) in factors:
+            f += eps * math.cos(mm * phi) * phase * sin_d
         f *= pref
         out.append((phi, abs(f) ** 2 / k))
     return out

@@ -115,13 +115,6 @@ class LogScaled:
             return ZERO
         return LogScaled(1, self.logmag)
 
-    def sqrt(self) -> "LogScaled":
-        if self.sign == 0:
-            return ZERO
-        if self.sign < 0:
-            raise ValueError("sqrt of negative LogScaled")
-        return LogScaled(1, 0.5 * self.logmag)
-
     # -- ordering (by real value) --------------------------------------
     def _key(self):
         # maps to a totally ordered (sign, signed magnitude) pair
@@ -158,11 +151,3 @@ def _coerce(x) -> LogScaled:
 def ls_exp(logx: float, sign: int = 1) -> LogScaled:
     """Shorthand for sign * e^logx."""
     return LogScaled.from_log(sign, logx)
-
-
-def ls_sum(values) -> LogScaled:
-    """Sum an iterable of LogScaled values (left fold)."""
-    acc = ZERO
-    for v in values:
-        acc = acc + v
-    return acc

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import core
 from .core import (
     BoundState,
     CrossSectionPoint,
@@ -45,24 +44,13 @@ class CommWellSpec:
             raise DomainError(f"v must be >= 0, got {self.v}")
 
 
-def _log_derivative_mismatch(energy: float, spec: CommWellSpec, m: int) -> float:
+def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.ndarray:
     """Cross-multiplied continuity condition; zeros are the bound levels.
 
-    k J'_m(kR) K_m(kappa R) - kappa K'_m(kappa R) J_m(kR), pole-free in E.
-    """
-    r = spec.radius
-    k = math.sqrt(2.0 * energy)
-    kappa = math.sqrt(2.0 * (spec.v - energy))
-    return k * bessel_deriv("J", m, k * r) * bessel("K", m, kappa * r) - kappa * bessel_deriv(
-        "K", m, kappa * r
-    ) * bessel("J", m, k * r)
-
-
-def _log_derivative_mismatch_grid(energies: np.ndarray, spec: CommWellSpec, m: int) -> np.ndarray:
-    """_log_derivative_mismatch on an array of energies, bit for bit.
-
-    Same arithmetic order as the scalar path, on array calls of the scipy
-    ufuncs (which return the same bits for an array as for scalars).
+    k J'_m(kR) K_m(kappa R) - kappa K'_m(kappa R) J_m(kR), pole-free in E,
+    with C'_m = C_{m-1} - (m/x) C_m (K'_m = -K_{m-1} - (m/x) K_m).  Takes
+    an array of energies or one energy; the scipy ufuncs return the same
+    bits for an array as for scalars.
     """
     r = spec.radius
     k = np.sqrt(2.0 * energies)
@@ -78,7 +66,7 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
     """Bound levels in (0, V); the spectrum depends on |m| only."""
     m = abs(_check_int(m, "m"))
     return _bound_levels(
-        lambda e: _log_derivative_mismatch(e, spec, m),
+        lambda e: float(_log_derivative_mismatch_grid(e, spec, m)),
         lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
         m,
         spec.v,
@@ -124,5 +112,5 @@ def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSe
         s = math.sin(comm_phase_shift(energy, spec, m).delta)
         return [(m, (4.0 / k) * eps * (s * s))]
 
-    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max, core.HARD_M_CAP)
+    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

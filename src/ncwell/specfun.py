@@ -52,6 +52,9 @@ _S_GUARD_BITS = 40
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
 
+# the U-ratio continued fraction stops once a Lentz factor is this close to 1
+_CF_TOL = 5e-15
+
 
 @dataclass(frozen=True)
 class OrderIndex:
@@ -209,7 +212,7 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
 # Tricomi U, positive argument, integer b <= 1
 # ---------------------------------------------------------------------------
 
-def _u_cf(a: int, b: int, x: float, tol: float = 5e-15, max_iter: int = 200_000) -> float:
+def _u_cf(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
     """U(a+1,b,x)/U(a,b,x) by the continued fraction of the a-recurrence.
 
     U is the minimal solution of
@@ -236,7 +239,7 @@ def _u_cf(a: int, b: int, x: float, tol: float = 5e-15, max_iter: int = 200_000)
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _CF_TOL:
             return f
     raise ConvergenceError(
         f"U-ratio continued fraction did not converge within {max_iter} "
@@ -244,7 +247,7 @@ def _u_cf(a: int, b: int, x: float, tol: float = 5e-15, max_iter: int = 200_000)
     )
 
 
-def _u_cf_grid(a: int, b: int, x: np.ndarray, tol: float = 5e-15, max_iter: int = 200_000) -> np.ndarray:
+def _u_cf_grid(a: int, b: int, x: np.ndarray, max_iter: int = 200_000) -> np.ndarray:
     """_u_cf on an array of x, one lane per x, bit-identical to the scalar.
 
     The modified-Lentz steps run on all live lanes at once; a lane leaves
@@ -272,7 +275,7 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray, tol: float = 5e-15, max_iter: int 
         d = 1.0 / d
         delta = c * d
         f = f * delta
-        done = np.abs(delta - 1.0) < tol
+        done = np.abs(delta - 1.0) < _CF_TOL
         if done.any():
             out[live[done]] = f[done]
             keep = ~done
@@ -367,6 +370,29 @@ def _lost_digits(max_piece_log: float, result: LogScaled) -> float:
 _SERIES_FAILED = (None, math.inf, None)
 
 
+def _cut_m_sum(n: int, m: int, w: float) -> tuple[float, float]:
+    """(M, largest |t_r| for r >= 1, at least 1) of the cut's finite M sum, w > 0.
+
+    M = sum_{r=0}^{n} t_r with t_0 = 1, t_{r+1} = t_r (r-n) w / ((m+1+r)(r+1)):
+    Kummer's M(-n, m+1, w).  np.multiply/np.add.accumulate run in the order
+    of a term-by-term loop, so both values are that loop's bit for bit.
+    Overflow comes back as inf or nan.
+    """
+    r = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.multiply.accumulate(np.append(1.0, (r - n) * w / ((m + 1 + r) * (r + 1.0))))
+        return float(np.add.accumulate(t)[-1]), float(np.fmax.reduce(np.abs(t[1:]), initial=1.0))
+
+
+def _digamma_starts(m: int, count: int) -> np.ndarray:
+    """EULER_GAMMA + sum_{i=m+1}^{m+k} 1/i for k = 0 .. count.
+
+    Entry a - 1 starts the digamma-weighted series of U(a, 1-m, z).  One
+    sequential np.add.accumulate, so every entry is the harmonic loop's.
+    """
+    return np.add.accumulate(np.append(EULER_GAMMA, 1.0 / np.arange(m + 1, m + count + 1)))
+
+
 def _log_series_float(a: int, m: int, z: float):
     """Double-precision integer-b log series for U(a, 1-m, z) (DLMF 13.2.9).
 
@@ -383,13 +409,7 @@ def _log_series_float(a: int, m: int, z: float):
     """
     A = a + m
     if z < 0.0:
-        n, w = a - 1, -z
-        mv, t, mmax = 0.0, 1.0, 1.0
-        for r in range(n):
-            mv += t
-            t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
-            mmax = max(mmax, abs(t))
-        mv += t
+        mv, mmax = _cut_m_sum(a - 1, m, -z)
     else:
         mv, t, mmax, r = 0.0, 1.0, 1.0, 0
         while True:
@@ -404,9 +424,7 @@ def _log_series_float(a: int, m: int, z: float):
     if not math.isfinite(mv):
         return _SERIES_FAILED
     # digamma-weighted series
-    br = EULER_GAMMA
-    for i in range(m + 1, A):
-        br += 1.0 / i
+    br = float(_digamma_starts(m, a - 1)[-1])
     s, t, smax, r = 0.0, 1.0, 0.0, 0
     while True:
         contrib = t * br
@@ -472,31 +490,21 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
 def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
     """_log_series_float(a[i], m, -w[i]) on numpy lanes, bit for bit; w > 0.
 
-    The finite M sum of a lane runs along its own r = 0 .. a-2 as running
-    products and sums (np.multiply/np.add.accumulate keep the scalar order).
-    Every lane's digamma start is a prefix of the one harmonic sum, taken
-    from a single scalar pass.  The digamma series runs across the lanes,
-    and a lane leaves it on the iteration where the scalar loop would break
-    or fail, and ends in the scalar _log_series_tail.  Returns one
-    _log_series_float result per lane, _SERIES_FAILED included.
+    Each lane's finite M sum is one _cut_m_sum call, and its digamma start
+    is an entry of one _digamma_starts call.  The digamma series runs
+    across the lanes, and a lane leaves it on the iteration where the
+    scalar loop would break or fail, and ends in the scalar
+    _log_series_tail.  Returns one _log_series_float result per lane,
+    _SERIES_FAILED included.
     """
     out = [_SERIES_FAILED] * a.size
     if a.size == 0:
         return out
     n = a - 1
-    mv, mmax = np.empty(a.size), np.empty(a.size)
+    mv, mmax = np.array([_cut_m_sum(ni, m, wi) for ni, wi in zip(n.tolist(), w.tolist())]).T
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (ni, wi) in enumerate(zip(n.tolist(), w.tolist())):
-            r = np.arange(ni)
-            t = np.multiply.accumulate(np.append(1.0, (r - ni) * wi / ((m + 1 + r) * (r + 1.0))))
-            mv[i] = np.add.accumulate(t)[-1]
-            mmax[i] = np.fmax.reduce(np.abs(t[1:]), initial=1.0)
-        # digamma start EULER_GAMMA + sum_{i=m+1}^{a+m-1} 1/i, for every a at once
-        harmonic = [EULER_GAMMA]
-        for i in range(m + 1, m + int(n.max()) + 1):
-            harmonic.append(harmonic[-1] + 1.0 / i)
         live = np.flatnonzero(np.isfinite(mv))
-        A, z, br = a[live] + m, -w[live], np.array(harmonic)[n[live]]
+        A, z, br = a[live] + m, -w[live], _digamma_starts(m, int(n.max()))[n[live]]
         s, t, smax = np.zeros(live.size), np.ones(live.size), np.zeros(live.size)
         r = 0
         while live.size:
@@ -708,9 +716,8 @@ def _lag_reu_pairs_grid(m: int, w: np.ndarray, n: int) -> list:
     _laguerre_sweep(m, w[i], {n, n+1}) and _reu_rows(m, w[i], n, 2).  The
     Re U series rows (direct, or the two anchors of the recurrence) run in
     one _cut_series_grid call and then settle lane by lane through
-    _reu_settle; the first lane whose mpmath pass fails holds its
-    ConvergenceError and ends the list, since a caller raises there.  The
-    Laguerre lanes and the Re U recurrence lanes run in one
+    _reu_settle, which raises the ConvergenceError of a failed mpmath pass.
+    The Laguerre lanes and the Re U recurrence lanes run in one
     _recurrence_rows_grid call.
     """
     ws = w.tolist()
@@ -719,19 +726,11 @@ def _lag_reu_pairs_grid(m: int, w: np.ndarray, n: int) -> list:
     first = [n] * size if direct else [_anchor_row(m, wi, n) for wi in ws]
     rows = np.array(first, dtype=np.int64) + 1  # the series parameter a is the row + 1
     pieces = _cut_series_grid(np.concatenate((rows, rows + 1)), m, np.concatenate((w, w)))
-    reu, starts, failed = [], [], []
-    for j, wi, lo, hi in zip(first, ws, pieces[:size], pieces[size:]):
-        try:
-            pair = _reu_settle(j, m, wi, lo), _reu_settle(j + 1, m, wi, hi)
-        except ConvergenceError as exc:
-            failed.append(exc)
-            break
-        reu.append(pair)
-        if not direct:
-            starts.append((j + 2, *_reu_anchor_start(j, m, *pair)))
-    if not reu:
-        return failed
-    w = w[: len(reu)]
+    reu = [
+        (_reu_settle(j, m, wi, lo), _reu_settle(j + 1, m, wi, hi))
+        for j, wi, lo, hi in zip(first, ws, pieces[:size], pieces[size:])
+    ]
+    starts = [] if direct else [(j + 2, *_reu_anchor_start(j, m, *pair)) for j, pair in zip(first, reu)]
     lanes = [np.broadcast_arrays(*_laguerre_start(m, w))]
     if starts:
         lanes.append([np.array(col) for col in zip(*starts)])
@@ -744,10 +743,10 @@ def _lag_reu_pairs_grid(m: int, w: np.ndarray, n: int) -> list:
     for i, pair in enumerate(reu):
         lag = tuple(_ls_from_sweep(mant[r][i], scale[r][i]) for r in (0, 1))
         if starts:
-            k = len(reu) + i  # the lane's Re U recurrence runs after the Laguerre lanes
+            k = size + i  # the lane's Re U recurrence runs after the Laguerre lanes
             pair = tuple(_ls_from_sweep(mant[r][k], scale[r][k], lg[r]) for r in (0, 1))
         out.append((lag, pair))
-    return out + failed
+    return out
 
 
 def re_u_neg(n: int, m: int, w: float) -> LogScaled:

@@ -172,6 +172,13 @@ def test_nonfinite_sweep_bound_is_domain_error(capsys):
         assert f"{name} must be finite" in err
 
 
+def test_nonfinite_energy_is_domain_error(capsys):
+    for argv in (["wavefunction", *WELL10, "--m", "1", "--energy", "inf"], ["dcs", *WELL10, "--energy", "inf"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "finite energy, got E=inf" in err
+
+
 def test_dcs_runs(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -207,6 +214,10 @@ def test_domain_error_names_rule_and_exits_1(capsys):
     code, _, err = run_cli(capsys, ["bound-states", *WELL10, "--m", "1.."])
     assert code == 1
     assert err == "ncwell: domain error: --m must be an integer or a range lo..hi, got '1..'\n"
+    for text in ("abc", "sqrt1e"):
+        code, _, err = run_cli(capsys, ["bound-states", "--radius", text, "--capital-n", "10", "--v", "6", "--m", "0"])
+        assert code == 1
+        assert err == f"ncwell: domain error: --radius must be a number or a sqrt literal like sqrt20, got '{text}'\n"
 
 
 def test_scattering_below_v_is_domain_error(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import statistics
+import warnings
 
 import pytest
 
@@ -327,12 +328,20 @@ def test_cross_section_tail_extension():
 
 
 def test_cross_section_negative_variant_capped():
+    # only the negative side stops at N; the positive waves run to the tail rule
     spec = WellSpec.from_radius(20.0, 3, 10.0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pt = cross_section_total(40.0, spec, 2, include_negative=True)
     ms = [m for m, _ in pt.contributions]
-    assert min(ms) >= -spec.cap_n
-    assert max(ms) <= spec.cap_n
+    assert sorted(m for m in ms if m < 0) == [-3, -2, -1]
+    assert max(ms) >= math.ceil(pt.k * spec.radius) + 2 > spec.cap_n
+
+
+def test_nonfinite_energy_is_domain_error():
+    for fn in (lambda e: phase_shift(e, N10, 1), lambda e: cross_section_total(e, N10, 4)):
+        with pytest.raises(DomainError, match="finite energy, got E=inf"):
+            fn(math.inf)
 
 
 def test_partial_wave_cap_warns_at_caller(monkeypatch):

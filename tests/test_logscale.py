@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ncwell.logscale import LogScaled, ONE, ZERO, ls_exp, ls_sum
+from ncwell.logscale import LogScaled, ONE, ZERO, ls_exp
 
 logmags = st.floats(min_value=-600.0, max_value=600.0, allow_nan=False)
 signs = st.sampled_from([-1, 1])
@@ -83,7 +83,7 @@ def test_ordering_matches_real_values():
 
 def test_sum_and_helpers():
     xs = [1.5, -0.25, 3.0, -4.25]
-    total = ls_sum(LogScaled.from_float(x) for x in xs)
+    total = sum((LogScaled.from_float(x) for x in xs), ZERO)
     assert total.to_float() == pytest.approx(sum(xs), rel=1e-14)
     assert ls_exp(0.0).to_float() == 1.0
     assert ls_exp(1.0, sign=-1).to_float() == pytest.approx(-math.e)
@@ -93,9 +93,3 @@ def test_overflow_to_float_is_inf():
     assert ls(1, 1000.0).to_float() == math.inf
     assert ls(-1, 1000.0).to_float() == -math.inf
     assert ls(1, -1000.0).to_float() == 0.0
-
-
-def test_sqrt():
-    assert ls(1, 8.0).sqrt() == ls(1, 4.0)
-    with pytest.raises(ValueError):
-        ls(-1, 1.0).sqrt()

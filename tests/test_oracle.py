@@ -138,7 +138,6 @@ def test_oracle_never_reads_theta():
         oracle_mod.comm_bound_states,
         oracle_mod.comm_phase_shift,
         oracle_mod.comm_cross_section,
-        oracle_mod._log_derivative_mismatch,
         oracle_mod._log_derivative_mismatch_grid,
         core_mod.partial_wave_sum,
     ]

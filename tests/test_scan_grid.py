@@ -18,13 +18,8 @@ from ncwell.core import (
     scan_roots,
 )
 from ncwell.errors import ConvergenceError, DomainError
-from ncwell.oracle import (
-    CommWellSpec,
-    _log_derivative_mismatch,
-    _log_derivative_mismatch_grid,
-    comm_bound_states,
-)
-from ncwell.specfun import _laguerre_sweep_grid, _u_cf, _u_cf_grid
+from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
+from ncwell.specfun import _laguerre_sweep_grid, _u_cf, _u_cf_grid, bessel, bessel_deriv
 
 
 def scan_grid(v, points):
@@ -79,12 +74,24 @@ def test_nc_grid_exact_across_series_cf_seam():
     assert_nc_grid_exact(energies, spec, m)
 
 
+def comm_mismatch_reference(energy, spec, m):
+    # the commutative matching function one energy at a time, from the Bessel wrappers
+    r = spec.radius
+    k = math.sqrt(2.0 * energy)
+    kappa = math.sqrt(2.0 * (spec.v - energy))
+    return k * bessel_deriv("J", m, k * r) * bessel("K", m, kappa * r) - kappa * bessel_deriv(
+        "K", m, kappa * r
+    ) * bessel("J", m, k * r)
+
+
 @pytest.mark.parametrize("m", range(7))
 def test_comm_grid_exact(m):
     spec = CommWellSpec(math.sqrt(20.0), 6.0)
-    energies = scan_grid(spec.v, 4000)
-    got = _log_derivative_mismatch_grid(energies, spec, m).tolist()
-    assert got == [_log_derivative_mismatch(e, spec, m) for e in energies.tolist()]
+    energies = scan_grid(spec.v, 4000).tolist()
+    want = [comm_mismatch_reference(e, spec, m) for e in energies]
+    assert _log_derivative_mismatch_grid(np.array(energies), spec, m).tolist() == want
+    # one energy at a time, as the bisection calls it
+    assert [float(_log_derivative_mismatch_grid(e, spec, m)) for e in energies] == want
 
 
 def test_cf_grid_exact_and_raises_naming_the_lane():

@@ -12,10 +12,13 @@ from ncwell import specfun
 from ncwell.core import WellSpec, phase_shift, phase_shift_sweep
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.specfun import (
+    EULER_GAMMA,
     _MAX_LOST_DIGITS,
     _SERIES_FAILED,
     _anchor_row,
+    _cut_m_sum,
     _cut_series_grid,
+    _digamma_starts,
     _lag_reu_pairs_grid,
     _laguerre_sweep,
     _log_series_float,
@@ -50,11 +53,35 @@ def test_runner_with_mixed_start_rows_matches_scalar():
     assert np.count_nonzero(got[300][1] != ls) > 5
 
 
+def m_sum_reference(n, m, w):
+    # the cut's finite M sum term by term: (sum, largest |t_r| over r >= 1, at least 1)
+    mv, t, mmax = 0.0, 1.0, 1.0
+    for r in range(n):
+        mv += t
+        t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
+        mmax = max(mmax, abs(t))
+    return mv + t, mmax
+
+
+def digamma_start_reference(m, count):
+    # EULER_GAMMA + the harmonic sum from m + 1, one term at a time
+    br, out = EULER_GAMMA, [EULER_GAMMA]
+    for i in range(m + 1, m + count + 1):
+        br += 1.0 / i
+        out.append(br)
+    return out
+
+
 @pytest.mark.parametrize("m", [0, 3, 16])
 def test_cut_series_lanes_match_scalar(m):
     # (2, 1e-9): the digamma series stops on its first allowed iteration, r = 5
     a = np.array([1, 2, 3, 30, 65, 200, 1001, 2000, 3, 40, 1500, 2, 1, 2000])
     w = np.array([0.3, 2.5, 0.01, 9.0, 30.0, 0.05, 0.7, 12.0, 300.0, 25.0, 0.002, 1e-9, 720.0, 700.0])
+    # the steps both paths share, against the loops they replace (float.hex: the overflow is nan)
+    for ai, wi in zip(a.tolist(), w.tolist()):
+        got_m, want_m = _cut_m_sum(ai - 1, m, wi), m_sum_reference(ai - 1, m, wi)
+        assert [float.hex(v) for v in got_m] == [float.hex(v) for v in want_m]
+    assert _digamma_starts(m, int(a.max()) - 1).tolist() == digamma_start_reference(m, int(a.max()) - 1)
     got = _cut_series_grid(a, m, w)
     want = [_log_series_float(ai, m, -wi) for ai, wi in zip(a.tolist(), w.tolist())]
     assert got == want
