@@ -48,10 +48,12 @@ def _parse_radius_sq(text: str) -> float:
     if mt:
         if not (val > 0.0):
             raise DomainError(f"radius^2 must be positive, got sqrt of {val}")
-        return val
-    if not (val > 0.0):
+    elif not (val > 0.0):
         raise DomainError(f"radius must be positive, got {val}")
-    return val * val
+    radius_sq = val if mt else val * val
+    if not math.isfinite(radius_sq):
+        raise DomainError(f"--radius must give a finite radius^2, got {text!r}")
+    return radius_sq
 
 
 def _parse_m_list(text: str) -> list[int]:

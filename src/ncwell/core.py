@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .errors import ConvergenceError, DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, ls_exp
@@ -57,10 +57,12 @@ EXTERIOR = "exterior"
 TAIL_REL = 1e-6
 HARD_M_CAP = 1024
 
-# bound-state search defaults
+# bound-state search defaults; the edge offset and the root tolerance are fractions of V
 GRID_POINTS = 2000
 EDGE_FRACTION = 1e-9
-BISECT_FRACTION = 1e-12
+ROOT_FRACTION = 5e-13
+# the smallest relative tolerance scipy.optimize.brentq accepts
+BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +99,15 @@ class WellSpec:
     def from_radius(cls, radius_sq: float, cap_n: int, v: float) -> "WellSpec":
         """Construct from the squared radius; theta = R^2 / (2N+1)."""
         cap_n = _check_int(cap_n, "cap_n")
-        if not (radius_sq > 0.0):
-            raise DomainError(f"radius_sq must be positive, got {radius_sq}")
+        if not (radius_sq > 0.0 and math.isfinite(radius_sq)):
+            raise DomainError(f"radius_sq must be positive and finite, got {radius_sq}")
         return cls(radius_sq / (2 * cap_n + 1), cap_n, v)
 
     @classmethod
     def from_theta_radius(cls, theta: float, radius_sq: float, v: float) -> "WellSpec":
         """Construct from (theta, R^2); N = (R^2/theta - 1)/2 must be integral."""
-        if not (theta > 0.0 and radius_sq > 0.0):
-            raise DomainError("theta and radius_sq must be positive")
+        if not (theta > 0.0 and radius_sq > 0.0 and math.isfinite(radius_sq)):
+            raise DomainError("theta and radius_sq must be positive, radius_sq finite")
         n_real = (radius_sq / theta - 1.0) / 2.0
         n_int = round(n_real)
         if n_int < 0 or abs(n_real - n_int) > 1e-9 * max(1.0, abs(n_real)):
@@ -322,8 +324,12 @@ def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
 
     g_grid(energies) evaluates g on the whole uniform scan grid in one call
     and must equal g point by point.  Each sign change between neighbouring
-    grid values is bisected with g down to width tol; a grid value that is
-    exactly 0 is itself a root.
+    grid values is refined by Brent's method (scipy.optimize.brentq) to
+    within tol + BRENT_RTOL |root|; a grid value that is exactly 0 is itself
+    a root.  Brent takes its two bracket values from the grid, and the
+    residual of a root is the value g had at the point Brent returns, so g
+    is called only strictly inside the brackets and never twice at one
+    point.
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
@@ -336,40 +342,39 @@ def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
     zero, neg = vals == 0.0, vals < 0.0
     hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
     es, gs = grid.tolist(), vals.tolist()
+    known = {}
+
+    def g_once(e):
+        ge = known.get(e)
+        if ge is None:
+            ge = known[e] = g(e)
+        return ge
+
     roots = []
     for i in hits.tolist():
         if gs[i] == 0.0:
             roots.append((es[i], 0.0))
             continue
-        a, b, fa = es[i], es[i + 1], gs[i]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = g(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        root = 0.5 * (a + b)
-        roots.append((root, abs(g(root))))
+        known[es[i]], known[es[i + 1]] = gs[i], gs[i + 1]
+        # brentq returns a point it evaluated, so its value is in known
+        root = optimize.brentq(g_once, es[i], es[i + 1], xtol=tol, rtol=BRENT_RTOL)
+        roots.append((root, abs(known[root])))
     return roots
 
 
 def _bound_levels(g, g_grid, m: int, v: float, grid_points: int) -> list[BoundState]:
     """Bound levels of sector m: the roots of g in (0, V), by scan_roots.
 
-    The scan stays EDGE_FRACTION V clear of both ends and bisects each sign
-    change to BISECT_FRACTION V.
+    The scan stays EDGE_FRACTION V clear of both ends and refines each sign
+    change to within ROOT_FRACTION V.
     """
     eps = EDGE_FRACTION * v
-    roots = scan_roots(g, g_grid, eps, v - eps, grid_points, BISECT_FRACTION * v)
+    roots = scan_roots(g, g_grid, eps, v - eps, grid_points, ROOT_FRACTION * v)
     return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
 
 
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
-    """Scan (0, V) for sign changes of the matching function and bisect them."""
+    """Scan (0, V) for sign changes of the matching function and refine them."""
     m = _check_int(m, "m")
     _check_negative_cutoff(m, spec)
     return _bound_levels(

@@ -6,7 +6,9 @@
 The goldens pin outputs bit for bit: the CSV files hold the stdout bytes of
 CLI commands, kernel_golden.json holds float.hex of kernel values.  Refresh
 them only on purpose, from the parent commit of a change that is meant to
-keep its outputs.
+keep its outputs, or after a change that moves output bits under README's
+"Changing output bits".  For a CSV that differs, --check prints how many
+rows changed and the largest relative change of each numeric column.
 """
 
 from __future__ import annotations
@@ -149,20 +151,49 @@ def generate() -> dict:
     return files
 
 
+def _cells(data: bytes) -> list:
+    return [line.split(",") for line in data.decode().splitlines()]
+
+
+def csv_changes(old: bytes, new: bytes) -> str:
+    """How a CLI golden moved: rows changed and the largest relative change per numeric column."""
+    old_rows, new_rows = _cells(old), _cells(new)
+    if len(old_rows) != len(new_rows) or old_rows[0] != new_rows[0]:
+        return f"layout changed: {len(old_rows) - 1} -> {len(new_rows) - 1} rows, header {new_rows[0]}"
+    header = new_rows[0]
+    worst = {}
+    for a, b in zip(old_rows[1:], new_rows[1:]):
+        for col, x, y in zip(header, a, b):
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                if x != y:
+                    worst[col] = "text"
+                continue
+            rel = 0.0 if fx == fy else abs(fy - fx) / abs(fx) if fx else math.inf
+            if worst.get(col) != "text":
+                worst[col] = max(worst.get(col, 0.0), rel)
+    changed = sum(a != b for a, b in zip(old_rows[1:], new_rows[1:]))
+    cols = ", ".join(f"{c} {v}" if v == "text" else f"{c} {v:.2e}" for c, v in worst.items())
+    return f"{changed} of {len(new_rows) - 1} rows changed; largest relative change: {cols}"
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true", help="compare against the committed files instead")
     args = ap.parse_args(argv)
-    changed = []
+    changed = 0
     for name, data in generate().items():
         path = DATA / name
-        if args.check:
-            if not path.exists() or path.read_bytes() != data:
-                changed.append(name)
-        else:
+        if not args.check:
             path.write_bytes(data)
-    for name in changed:
-        print(f"differs: {name}", file=sys.stderr)
+            continue
+        old = path.read_bytes() if path.exists() else None
+        if old == data:
+            continue
+        changed += 1
+        how = "" if old is None or name == KERNEL_GOLDEN else f": {csv_changes(old, data)}"
+        print(f"differs: {name}{how}", file=sys.stderr)
     return 1 if changed else 0
 
 

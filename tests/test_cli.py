@@ -218,6 +218,11 @@ def test_domain_error_names_rule_and_exits_1(capsys):
         code, _, err = run_cli(capsys, ["bound-states", "--radius", text, "--capital-n", "10", "--v", "6", "--m", "0"])
         assert code == 1
         assert err == f"ncwell: domain error: --radius must be a number or a sqrt literal like sqrt20, got '{text}'\n"
+    # a radius whose square overflows names --radius, not theta
+    for text in ("inf", "1e200", "sqrt(1e400)"):
+        code, _, err = run_cli(capsys, ["bound-states", "--radius", text, "--capital-n", "10", "--v", "6", "--m", "0"])
+        assert code == 1
+        assert err == f"ncwell: domain error: --radius must give a finite radius^2, got '{text}'\n"
 
 
 def test_scattering_below_v_is_domain_error(capsys):

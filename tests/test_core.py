@@ -56,6 +56,11 @@ def test_wellspec_validation():
         WellSpec(1.0, -1, 6.0)
     with pytest.raises(DomainError):
         WellSpec(1.0, 10, -2.0)
+    # an infinite R^2 is named as such, not as the theta it would give
+    with pytest.raises(DomainError, match="radius_sq must be positive and finite"):
+        WellSpec.from_radius(math.inf, 10, 6.0)
+    with pytest.raises(DomainError, match="radius_sq finite"):
+        WellSpec.from_theta_radius(1.0, math.inf, 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The recurrence rows, both signs of the integer-b log series, the mpmath
 escalations and the partial-wave sums must reproduce the stored float.hex
-values exactly; tests/data/make_golden.py regenerates the file.
+values exactly; tests/data/make_golden.py regenerates the file.  Its
+--check also reports how a CLI golden that differs moved.
 """
 
 import importlib.util
@@ -22,3 +23,12 @@ def test_kernel_values_match_golden():
     assert sorted(got) == sorted(stored)
     changed = [case for case in stored if got[case] != stored[case]]
     assert changed == []
+
+
+def test_csv_changes_counts_rows_and_the_largest_change_per_column():
+    old = b"m,energy,region\r\n0,2.0,interior\r\n1,4.0,interior\r\n2,1.0,exterior\r\n"
+    new = b"m,energy,region\r\n0,2.0,interior\r\n1,4.0000000002,interior\r\n2,1.0000000001,interior\r\n"
+    assert make_golden.csv_changes(old, new) == (
+        "2 of 3 rows changed; largest relative change: m 0.00e+00, energy 1.00e-10, region text"
+    )
+    assert make_golden.csv_changes(old, old[:-len("2,1.0,exterior\r\n")]).startswith("layout changed: 3 -> 2 rows")

@@ -1,7 +1,7 @@
 """The batched scan grid against the scalar matching functions.
 
 The grid path must reproduce the scalar value bit for bit at every lane
-(asserted with ==, no tolerance), so the scan brackets, the bisected roots
+(asserted with ==, no tolerance), so the scan brackets, the refined roots
 and the CLI tables cannot move.
 """
 
@@ -90,7 +90,7 @@ def test_comm_grid_exact(m):
     energies = scan_grid(spec.v, 4000).tolist()
     want = [comm_mismatch_reference(e, spec, m) for e in energies]
     assert _log_derivative_mismatch_grid(np.array(energies), spec, m).tolist() == want
-    # one energy at a time, as the bisection calls it
+    # one energy at a time, as the root refinement calls it
     assert [float(_log_derivative_mismatch_grid(e, spec, m)) for e in energies] == want
 
 
@@ -110,6 +110,32 @@ def test_scan_roots_counts_an_exact_grid_zero_once():
     roots = scan_roots(g, lambda grid: grid - 0.5, 0.0, 1.0, 4, 1e-12)
     assert len(roots) == 1 and abs(roots[0][0] - 0.5) <= 1e-12
 
+
+@pytest.mark.parametrize(
+    "g, lo, hi, points, want",
+    [
+        (lambda e: (e - 0.2) * (e - 0.55) * (e - 0.9), 0.0, 1.0, 7, [0.2, 0.55, 0.9]),
+        (math.cos, 0.0, 10.0, 20, [0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi]),
+    ],
+)
+def test_scan_roots_refines_inside_brackets_and_reuses_every_value(g, lo, hi, points, want):
+    calls = []
+
+    def counted(e):
+        calls.append((e, g(e)))
+        return calls[-1][1]
+
+    grid = lo + np.arange(points) * ((hi - lo) / (points - 1))
+    tol = 1e-12
+    roots = scan_roots(counted, lambda es: [g(e) for e in es.tolist()], lo, hi, points, tol)
+    assert [r for r, _ in roots] == pytest.approx(want, rel=0, abs=tol)
+    # the grid supplies the bracket values: g is called only between grid points
+    called = dict(calls)
+    assert not set(called) & set(grid.tolist())
+    assert len(calls) == len(called) <= 10 * len(roots)
+    # each residual is |g| at a point g was called at, the root itself
+    for root, residual in roots:
+        assert residual == abs(called[root])
 
 
 def test_scan_roots_validates_grid_points_for_both_solvers():
