@@ -22,7 +22,7 @@ import math
 import re
 import sys
 
-from . import core, oracle, specfun
+from . import core, oracle
 from .errors import ConvergenceError, DomainError
 
 USAGE_EXIT = 64
@@ -244,11 +244,11 @@ def _cmd_wavefunction(args) -> int:
     if energy is None:
         raise DomainError("--energy is required for wavefunction")
     r_max = args.rmax if args.rmax is not None else 2.0 * spec.radius
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise DomainError(f"--rmax must be positive and finite, got {r_max}")
     n = args.points
     if n < 2:
         raise DomainError(f"--points must be >= 2, got {n}")
-    radius = spec.radius
-    theta = spec.theta
     if energy > spec.v:
         interior, exterior = core.scattering_coeffs(energy, spec, m)
     elif 0.0 < energy < spec.v:
@@ -261,21 +261,14 @@ def _cmd_wavefunction(args) -> int:
         interior, exterior = core.bound_solutions(energy, spec, m)
     else:
         raise DomainError(f"energy must lie in (0, V) or above V, got {energy}")
-    k_in = math.sqrt(2.0 * energy)
-    k_out = math.sqrt(2.0 * abs(energy - spec.v))
     # radial cut at phi = 0: z = r, coherent-state radius r = rho / sqrt(2 theta)
     rows = []
     for i in range(n):
         rho = r_max * i / (n - 1)
-        r_coh = rho / math.sqrt(2.0 * theta)
-        if rho <= radius:
-            sol, k = interior, k_in
-            region = "interior"
-        else:
-            sol, k = exterior, k_out
-            region = "exterior"
-        val = core.wavefunction_eval(sol, m, k, [(r_coh, 0.0)])[0]
-        rows.append([rho, val.real, val.imag, region])
+        r_coh = rho / math.sqrt(2.0 * spec.theta)
+        sol = interior if rho <= spec.radius else exterior
+        val = core.wavefunction_eval(sol, m, [(r_coh, 0.0)])[0]
+        rows.append([rho, val.real, val.imag, sol.region])
     _write_rows(["r", "psi_re", "psi_im", "region"], rows, args.output, args.format)
     return 0
 
@@ -304,67 +297,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    checks = list(specfun.selftest(fast=not args.full))
-    checks.extend(_core_invariant_checks())
+    checks = core.selftest(fast=not args.full)
     n_pass = sum(1 for c in checks if c.passed)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
     print(f"{n_pass} passed, {len(checks) - n_pass} failed")
     return 0 if n_pass == len(checks) else CONVERGENCE_EXIT
-
-
-def _core_invariant_checks():
-    from .specfun import CheckResult
-
-    out = []
-    spec10 = core.WellSpec.from_radius(20.0, 10, 6.0)
-    spec1000 = core.WellSpec.from_radius(20.0, 1000, 10.0)
-    ok = spec10.theta == 20.0 / 21.0 and spec1000.theta == 20.0 / 2001.0
-    out.append(
-        CheckResult(
-            "radius quantization theta = R^2/(2N+1)",
-            ok,
-            f"theta(N=10)={spec10.theta!r}, theta(N=1000)={spec1000.theta!r}",
-        )
-    )
-
-    worst = 0.0
-    for e in (12.0, 21.0, 30.0):
-        worst = max(worst, max(core.matching_relative_residuals(e, spec1000, 4)))
-    out.append(
-        CheckResult(
-            "scattering matching residuals", worst <= 1e-10, f"worst rel {worst:.2e} (tol 1e-10)"
-        )
-    )
-
-    states = core.find_bound_states(spec10, 1)
-    worst = max((s.residual for s in states), default=0.0)
-    out.append(
-        CheckResult(
-            "bound-state matching residuals", worst <= 1e-9, f"worst |G| {worst:.2e} (tol 1e-9)"
-        )
-    )
-
-    cs = core.cross_section_total(12.0, spec1000, 4)
-    bound_ok = all(
-        -1e-15 <= contrib <= (4.0 / cs.k) * (1.0 if m == 0 else 2.0) * (1.0 + 1e-12)
-        for (m, contrib) in cs.contributions
-    )
-    sum_ok = abs(cs.sigma_total - sum(c for _, c in cs.contributions)) <= 1e-12 * cs.sigma_total
-    out.append(
-        CheckResult(
-            "cross-section unitarity and additivity",
-            bound_ok and sum_ok,
-            f"{len(cs.contributions)} partial waves at E=12",
-        )
-    )
-
-    free = core.WellSpec.from_radius(20.0, 10, 0.0)
-    p = core.phase_shift(3.0, free, 2)
-    out.append(
-        CheckResult("free well scatters nothing", p.tan_delta == 0.0, f"tan delta = {p.tan_delta!r}")
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------

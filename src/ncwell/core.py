@@ -35,6 +35,7 @@ from scipy import optimize, special
 from .errors import ConvergenceError, DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, ls_exp
 from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
+    CheckResult,
     OrderIndex,
     _check_int,
     _lag_reu_pairs_grid,
@@ -42,6 +43,7 @@ from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it he
     _laguerre_sweep_grid,
     _ls_from_sweep,
     _lower_order,
+    _oracle_suites,
     _reu_direct,
     _reu_rows,
     _u_ratio_1m,
@@ -250,16 +252,26 @@ def _check_negative_cutoff(m: int, spec: WellSpec) -> None:
         )
 
 
+def _check_above_v(energy: float, v: float, what: str) -> None:
+    """what (scattering or a cross section) needs a finite energy above V = v."""
+    if not (energy > v):
+        raise DomainError(f"{what} needs E > V, got E={energy}, V={v}")
+    if not math.isfinite(energy):
+        raise DomainError(f"{what} needs a finite energy, got E={energy}")
+
+
 def _check_cross_section_args(energy: float, v: float, m_max) -> int:
     """m_max as an int; it must be positive, and the energy finite and above V."""
     m_max = _check_int(m_max, "m_max")
     if m_max < 1:
         raise DomainError(f"m_max must be a positive integer, got {m_max}")
-    if not (energy > v):
-        raise DomainError(f"cross section needs E > V, got E={energy}, V={v}")
-    if not math.isfinite(energy):
-        raise DomainError(f"cross section needs a finite energy, got E={energy}")
+    _check_above_v(energy, v, "cross section")
     return m_max
+
+
+def _sector(m: int, spec: WellSpec) -> tuple[int, int]:
+    """(order, row): sector m matches at rows row, row + 1 of order |m|; negative m sits -m rows lower."""
+    return abs(m), spec.cap_n - max(-m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +306,11 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
     m = _check_int(m, "m")
     _check_bound_energy(energy, spec)
     _check_negative_cutoff(m, spec)
-    order, k = abs(m), max(-m, 0)
+    order, row = _sector(m, spec)
     w = spec.theta * energy
     x = spec.theta * (spec.v - energy)
-    l_n, l_n1 = _laguerre_pair(order, w, spec.cap_n - k)
-    return _bound_residual(l_n, l_n1, _u_ratio_1m(spec.cap_n + 1 - k, order, x), w, spec, m)
+    l_n, l_n1 = _laguerre_pair(order, w, row)
+    return _bound_residual(l_n, l_n1, _u_ratio_1m(row + 1, order, x), w, spec, m)
 
 
 def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> list[float]:
@@ -307,12 +319,12 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> lis
     The Laguerre sweep and the U-ratio continued fraction run on numpy
     lanes, one per energy; only the final LogScaled combination is per lane.
     """
-    order, k = abs(m), max(-m, 0)
+    order, row = _sector(m, spec)
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
-    rows = _laguerre_sweep_grid(order, w, (spec.cap_n - k, spec.cap_n + 1 - k))
-    ratio = _u_ratio_1m_grid(spec.cap_n + 1 - k, order, x)
-    cols = [a.tolist() for a in (*rows[spec.cap_n - k], *rows[spec.cap_n + 1 - k], ratio, w)]
+    rows = _laguerre_sweep_grid(order, w, (row, row + 1))
+    ratio = _u_ratio_1m_grid(row + 1, order, x)
+    cols = [a.tolist() for a in (*rows[row], *rows[row + 1], ratio, w)]
     return [
         _bound_residual(_ls_from_sweep(m0, s0), _ls_from_sweep(m1, s1), r, wi, spec, m)
         for m0, s0, m1, s1, r, wi in zip(*cols)
@@ -423,23 +435,17 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
 def _check_scattering(energy: float, spec: WellSpec, m) -> int:
     """m as an int; scattering needs a finite E > V and |m| <= N for negative m."""
     m = _check_int(m, "m")
-    if not (energy > spec.v):
-        raise DomainError(f"scattering needs E > V, got E={energy}, V={spec.v}")
-    if not math.isfinite(energy):
-        raise DomainError(f"scattering needs a finite energy, got E={energy}")
+    _check_above_v(energy, spec.v, "scattering")
     _check_negative_cutoff(m, spec)
     return m
 
 
 def _matching_rows(energy: float, spec: WellSpec, m: int):
-    """Interior and exterior basis rows at the two matching rows of sector m.
-
-    Negative m is the same system at rows shifted down by |m| in the |m| sector.
-    """
-    row = spec.cap_n - max(-m, 0)
+    """Interior and exterior basis rows at the two matching rows of sector m."""
+    order, row = _sector(m, spec)
     w_in = spec.theta * energy
     w_out = spec.theta * (energy - spec.v)
-    return _jy_basis_rows(abs(m), w_in, row), _jy_basis_rows(abs(m), w_out, row)
+    return _jy_basis_rows(order, w_in, row), _jy_basis_rows(order, w_out, row)
 
 
 def _solve_matching(rows_in, rows_out, energy: float, m: int):
@@ -554,7 +560,7 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
         valid.append(e)
     pts = []
     if valid:
-        order, row = abs(mi), spec.cap_n - max(-mi, 0)
+        order, row = _sector(mi, spec)
         e_arr = np.array(valid, dtype=float)
         # lanes 2i and 2i+1: interior and exterior of point i, in the order they fail
         w = np.stack((spec.theta * e_arr, spec.theta * (e_arr - spec.v)), axis=1).ravel()
@@ -591,31 +597,33 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
 def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float]:
     """(delta_m, sin^2(delta_m)) from one matching solve.
 
-    sin^2 is computed as B^2/(A^2+B^2), robust where |tan(delta)| blows up.
+    With the exterior A pinned to 1, sin^2 is B^2/(1+B^2), computed as
+    1/(1+B^-2) where |B| > 1, robust where |tan(delta)| blows up.
     """
     _, exterior = scattering_coeffs(energy, spec, m)
-    a, b = exterior.coeff_a, exterior.coeff_b
+    b = exterior.coeff_b
     if b.is_zero():
         return 0.0, 0.0
-    tan_delta = -(b / a).to_float()
-    delta = math.atan(tan_delta) if math.isfinite(tan_delta) else math.pi / 2
-    if b.logmag > a.logmag:
-        t = (a / b).to_float()
+    delta = _phase_point(energy, m, b).delta
+    if b.logmag > 0.0:
+        t = (ONE / b).to_float()
         return delta, 1.0 / (1.0 + t * t)
-    t = (b / a).to_float()
+    t = b.to_float()
     return delta, t * t / (1.0 + t * t)
 
 
 def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
     """Sum the partial waves m = 0, 1, ... as (sigma, contributions).
 
-    waves(m) returns wave m's contributions as (label, term) pairs; the
-    largest term of a wave is what the tail rule sees.  Partial waves carry
-    weight up to the impact-parameter cutoff m ~ kR, so the sum runs at
-    least to max(m_max, ceil(kR) + 2) (sin^2(delta) can dip through zero at
-    isolated m well before the tail truly decays); past that it stops once
-    two waves in a row fall below TAIL_REL of the running total.  At
-    m = HARD_M_CAP it stops with a warning aimed at the caller's caller.
+    waves(m) returns wave m's sectors as (label, eps, sin^2(delta)); each
+    adds the term (4/k) eps sin^2(delta), listed in contributions as
+    (label, term), and the largest term of a wave is what the tail rule
+    sees.  Partial waves carry weight up to the impact-parameter cutoff
+    m ~ kR, so the sum runs at least to max(m_max, ceil(kR) + 2)
+    (sin^2(delta) can dip through zero at isolated m well before the tail
+    truly decays); past that it stops once two waves in a row fall below
+    TAIL_REL of the running total.  At m = HARD_M_CAP it stops with a
+    warning aimed at the caller's caller.
     """
     min_extend = max(m_max, math.ceil(k * radius) + 2)
     sigma = 0.0
@@ -623,7 +631,7 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
     below = 0
     m = 0
     while True:
-        terms = waves(m)
+        terms = [(label, (4.0 / k) * eps * sin2) for label, eps, sin2 in waves(m)]
         for entry in terms:
             contributions.append(entry)
             sigma += entry[1]
@@ -664,14 +672,11 @@ def cross_section_total(
 
     if include_negative:
         def waves(m):
-            terms = [(m, (4.0 / k) * _delta_and_sin2(energy, spec, m)[1])]
-            if 1 <= m <= spec.cap_n:
-                terms.append((-m, (4.0 / k) * _delta_and_sin2(energy, spec, -m)[1]))
-            return terms
+            sectors = (m, -m) if 1 <= m <= spec.cap_n else (m,)
+            return [(s, 1.0, _delta_and_sin2(energy, spec, s)[1]) for s in sectors]
     else:
         def waves(m):
-            eps = 1.0 if m == 0 else 2.0
-            return [(m, (4.0 / k) * eps * _delta_and_sin2(energy, spec, m)[1])]
+            return [(m, 1.0 if m == 0 else 2.0, _delta_and_sin2(energy, spec, m)[1])]
 
     sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
     return CrossSectionPoint(
@@ -702,7 +707,7 @@ def cross_section_differential(
         eps = 1.0 if m == 0 else 2.0
         delta, sin2 = _delta_and_sin2(energy, spec, m)
         factors.append((m, eps, cmath.exp(1j * delta), math.sin(delta)))
-        return [(m, (4.0 / k) * eps * sin2)]
+        return [(m, eps, sin2)]
 
     partial_wave_sum(waves, energy, k, spec.radius, m_max)
     pref = math.sqrt(2.0 / math.pi)
@@ -720,7 +725,7 @@ def cross_section_differential(
 # position-representation wavefunction
 # ---------------------------------------------------------------------------
 
-def wavefunction_eval(sol: RegionSolution, m: int, k: float, points) -> list[complex]:
+def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
     """psi(x, y) at coherent-state coordinates z = x + iy.
 
     Oscillatory regions (w > 0) evaluate A J_m + B Y_m with radial argument
@@ -731,8 +736,6 @@ def wavefunction_eval(sol: RegionSolution, m: int, k: float, points) -> list[com
     with wt = |w|.
     """
     m = _check_int(m, "m")
-    if not (k > 0.0):
-        raise DomainError(f"wavenumber k must be positive, got {k}")
     if sol.w >= 0.0:
         regular, irregular = special.jv, special.yv
         a = sol.coeff_a.to_float()
@@ -768,4 +771,45 @@ def wavefunction_eval(sol: RegionSolution, m: int, k: float, points) -> list[com
         if b != 0.0:
             radial += b * float(irregular(m, c * r))
         out.append(radial * cmath.exp(1j * m * phi))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# selftest
+# ---------------------------------------------------------------------------
+
+def selftest(fast: bool = True) -> list[CheckResult]:
+    """Every check the CLI selftest command prints, in its order.
+
+    The specfun oracle-equivalence suites come first (denser grids unless
+    fast), then the invariants of the well.
+    """
+    out = _oracle_suites(fast)
+    spec10 = WellSpec.from_radius(20.0, 10, 6.0)
+    spec1000 = WellSpec.from_radius(20.0, 1000, 10.0)
+    ok = spec10.theta == 20.0 / 21.0 and spec1000.theta == 20.0 / 2001.0
+    out.append(CheckResult(
+        "radius quantization theta = R^2/(2N+1)", ok,
+        f"theta(N=10)={spec10.theta!r}, theta(N=1000)={spec1000.theta!r}",
+    ))
+
+    worst = max(max(matching_relative_residuals(e, spec1000, 4)) for e in (12.0, 21.0, 30.0))
+    out.append(CheckResult("scattering matching residuals", worst <= 1e-10, f"worst rel {worst:.2e} (tol 1e-10)"))
+
+    worst = max((s.residual for s in find_bound_states(spec10, 1)), default=0.0)
+    out.append(CheckResult("bound-state matching residuals", worst <= 1e-9, f"worst |G| {worst:.2e} (tol 1e-9)"))
+
+    cs = cross_section_total(12.0, spec1000, 4)
+    bound_ok = all(
+        -1e-15 <= contrib <= (4.0 / cs.k) * (1.0 if m == 0 else 2.0) * (1.0 + 1e-12)
+        for (m, contrib) in cs.contributions
+    )
+    sum_ok = abs(cs.sigma_total - sum(c for _, c in cs.contributions)) <= 1e-12 * cs.sigma_total
+    out.append(CheckResult(
+        "cross-section unitarity and additivity", bound_ok and sum_ok,
+        f"{len(cs.contributions)} partial waves at E=12",
+    ))
+
+    p = phase_shift(3.0, WellSpec.from_radius(20.0, 10, 0.0), 2)
+    out.append(CheckResult("free well scatters nothing", p.tan_delta == 0.0, f"tan delta = {p.tan_delta!r}"))
     return out

@@ -21,6 +21,7 @@ from .core import (
     CrossSectionPoint,
     PhaseShiftPoint,
     _bound_levels,
+    _check_above_v,
     _check_cross_section_args,
     partial_wave_sum,
 )
@@ -77,8 +78,7 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
 def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoint:
     """tan(delta_m) from log-derivative matching of the scattering solution."""
     m = abs(_check_int(m, "m"))
-    if not (energy > spec.v):
-        raise DomainError(f"scattering needs E > V, got E={energy}, V={spec.v}")
+    _check_above_v(energy, spec.v, "scattering")
     r = spec.radius
     k_in = math.sqrt(2.0 * energy)
     k_out = math.sqrt(2.0 * (energy - spec.v))
@@ -108,9 +108,8 @@ def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSe
     k = math.sqrt(2.0 * (energy - spec.v))
 
     def waves(m):
-        eps = 1.0 if m == 0 else 2.0
         s = math.sin(comm_phase_shift(energy, spec, m).delta)
-        return [(m, (4.0 / k) * eps * (s * s))]
+        return [(m, 1.0 if m == 0 else 2.0, s * s)]
 
     sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))

@@ -52,8 +52,10 @@ _S_GUARD_BITS = 40
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
 
-# the U-ratio continued fraction stops once a Lentz factor is this close to 1
+# the U-ratio continued fraction stops once a Lentz factor is this close to 1,
+# and raises ConvergenceError after this many iterations
 _CF_TOL = 5e-15
+_CF_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
 # Tricomi U, positive argument, integer b <= 1
 # ---------------------------------------------------------------------------
 
-def _u_cf(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
+def _u_cf(a: int, b: int, x: float) -> float:
     """U(a+1,b,x)/U(a,b,x) by the continued fraction of the a-recurrence.
 
     U is the minimal solution of
@@ -224,7 +226,7 @@ def _u_cf(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
     f = tiny
     c = tiny
     d = 0.0
-    for j in range(max_iter):
+    for j in range(_CF_MAX_ITER):
         if j == 0:
             aj, bj = 1.0, x + 2.0 * (a + 1) - b
         else:
@@ -242,12 +244,12 @@ def _u_cf(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
         if abs(delta - 1.0) < _CF_TOL:
             return f
     raise ConvergenceError(
-        f"U-ratio continued fraction did not converge within {max_iter} "
+        f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
         f"iterations for a={a}, b={b}, x={x}"
     )
 
 
-def _u_cf_grid(a: int, b: int, x: np.ndarray, max_iter: int = 200_000) -> np.ndarray:
+def _u_cf_grid(a: int, b: int, x: np.ndarray) -> np.ndarray:
     """_u_cf on an array of x, one lane per x, bit-identical to the scalar.
 
     The modified-Lentz steps run on all live lanes at once; a lane leaves
@@ -262,7 +264,7 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray, max_iter: int = 200_000) -> np.nda
     f = np.full_like(x, tiny)
     c = f.copy()
     d = np.zeros_like(x)
-    for j in range(max_iter):
+    for j in range(_CF_MAX_ITER):
         if j == 0:
             aj, bj = 1.0, xs + 2.0 * (a + 1) - b
         else:
@@ -283,7 +285,7 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray, max_iter: int = 200_000) -> np.nda
             if live.size == 0:
                 return out
     raise ConvergenceError(
-        f"U-ratio continued fraction did not converge within {max_iter} "
+        f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
         f"iterations for a={a}, b={b}, x={float(xs[0])}"
     )
 
@@ -301,10 +303,10 @@ def _check_u_args(a, b, x, what: str) -> tuple[int, int]:
     return a, b
 
 
-def kummer_u_ratio(a: int, b: int, x: float, max_iter: int = 200_000) -> float:
+def kummer_u_ratio(a: int, b: int, x: float) -> float:
     """U(a+1,b,x) / U(a,b,x) for x > 0, integer b <= 1, integer a >= 1."""
     a, b = _check_u_args(a, b, x, "U ratio")
-    return _u_cf(a, b, x, max_iter=max_iter)
+    return _u_cf(a, b, x)
 
 
 def _u_anchor_quad(b: int, x: float) -> float:
@@ -997,10 +999,10 @@ class CheckResult:
     detail: str
 
 
-def selftest(fast: bool = True) -> list[CheckResult]:
+def _oracle_suites(fast: bool = True) -> list[CheckResult]:
     """Oracle-equivalence suites: closed forms against the quadrature oracle.
 
-    Returns one result per suite; the CLI selftest command prints them.
+    Returns one result per suite; core.selftest runs them first.
     """
     results = []
 

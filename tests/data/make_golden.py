@@ -3,12 +3,13 @@
     PYTHONPATH=src python tests/data/make_golden.py          # rewrite every golden
     PYTHONPATH=src python tests/data/make_golden.py --check  # diff; exit 1 on change
 
-The goldens pin outputs bit for bit: the CSV files hold the stdout bytes of
-CLI commands, kernel_golden.json holds float.hex of kernel values.  Refresh
-them only on purpose, from the parent commit of a change that is meant to
-keep its outputs, or after a change that moves output bits under README's
-"Changing output bits".  For a CSV that differs, --check prints how many
-rows changed and the largest relative change of each numeric column.
+The goldens pin outputs bit for bit: the CSV files and selftest.txt hold the
+stdout bytes of CLI commands, kernel_golden.json holds float.hex of kernel
+values.  Refresh them only on purpose, from the parent commit of a change
+that is meant to keep its outputs, or after a change that moves output bits
+under README's "Changing output bits".  For a CSV that differs, --check
+prints how many rows changed and the largest relative change of each
+numeric column.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ CLI_GOLDENS = {
     ],
     # every level of m = -2..3 is found by both solvers
     "compare_bound_states_n10.csv": ["compare", "--quantity", "bound-states", *WELL10, "--m=-2..3"],
+    # every check of the library selftest, as the CLI prints it
+    "selftest.txt": ["selftest"],
 }
 
 KERNEL_GOLDEN = "kernel_golden.json"
@@ -192,7 +195,7 @@ def run(argv=None) -> int:
         if old == data:
             continue
         changed += 1
-        how = "" if old is None or name == KERNEL_GOLDEN else f": {csv_changes(old, data)}"
+        how = "" if old is None or not name.endswith(".csv") else f": {csv_changes(old, data)}"
         print(f"differs: {name}{how}", file=sys.stderr)
     return 1 if changed else 0
 

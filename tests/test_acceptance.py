@@ -336,9 +336,9 @@ def test_criterion_7_cross_section_consistency():
 # 8. discrete Helmholtz check with O(h^2) decay
 # ---------------------------------------------------------------------------
 
-def _lap_err(sol, m, k, x0, y0, h):
+def _lap_err(sol, m, x0, y0, h):
     pts = [(x0, y0), (x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
-    c, e_, w_, n_, s_ = wavefunction_eval(sol, m, k, pts)
+    c, e_, w_, n_, s_ = wavefunction_eval(sol, m, pts)
     lap = (e_ + w_ + n_ + s_ - 4.0 * c) / (h * h)
     return abs(-lap - 4.0 * sol.w * c)
 
@@ -346,12 +346,12 @@ def _lap_err(sol, m, k, x0, y0, h):
 def test_criterion_8_wavefunction_pde():
     ok = True
     details = []
-    for (sol, m, k, x0, y0) in [
-        (RegionSolution(INTERIOR, 0.8, ONE, ZERO), 0, 1.0, 0.9, 0.4),
-        (RegionSolution(EXTERIOR, 1.7, ONE, LogScaled.from_float(0.6)), 3, 1.0, 1.4, -0.3),
-        (RegionSolution(EXTERIOR, -0.5, ZERO, ONE), 2, 1.0, 1.1, 0.8),
+    for (sol, m, x0, y0) in [
+        (RegionSolution(INTERIOR, 0.8, ONE, ZERO), 0, 0.9, 0.4),
+        (RegionSolution(EXTERIOR, 1.7, ONE, LogScaled.from_float(0.6)), 3, 1.4, -0.3),
+        (RegionSolution(EXTERIOR, -0.5, ZERO, ONE), 2, 1.1, 0.8),
     ]:
-        errs = [_lap_err(sol, m, k, x0, y0, h) for h in (0.02, 0.01, 0.005)]
+        errs = [_lap_err(sol, m, x0, y0, h) for h in (0.02, 0.01, 0.005)]
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         details.append(f"w={sol.w}: decay ratios {r1:.2f}, {r2:.2f}")
         if not (r1 > 3.0 and r2 > 3.0):

@@ -223,6 +223,10 @@ def test_domain_error_names_rule_and_exits_1(capsys):
         code, _, err = run_cli(capsys, ["bound-states", "--radius", text, "--capital-n", "10", "--v", "6", "--m", "0"])
         assert code == 1
         assert err == f"ncwell: domain error: --radius must give a finite radius^2, got '{text}'\n"
+    for text, shown in (("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")):
+        code, out, err = run_cli(capsys, ["wavefunction", *WELL10, "--m", "1", "--energy", "8.0", "--rmax", text])
+        assert (code, out) == (1, "")
+        assert err == f"ncwell: domain error: --rmax must be positive and finite, got {shown}\n"
 
 
 def test_scattering_below_v_is_domain_error(capsys):
@@ -312,10 +316,8 @@ def test_bound_wavefunction_continuity_emerges_at_small_theta():
         state = find_bound_states(spec, m)[0]
         interior, exterior = bound_solutions(state.energy, spec, m)
         r_coh = spec.radius / math.sqrt(2.0 * spec.theta)
-        vi = wavefunction_eval(interior, m, math.sqrt(2 * state.energy), [(r_coh, 0.0)])[0]
-        ve = wavefunction_eval(
-            exterior, m, math.sqrt(2 * (6.0 - state.energy)), [(r_coh, 0.0)]
-        )[0]
+        vi = wavefunction_eval(interior, m, [(r_coh, 0.0)])[0]
+        ve = wavefunction_eval(exterior, m, [(r_coh, 0.0)])[0]
         assert vi.real / ve.real == pytest.approx(1.0, abs=0.1)
 
 
@@ -325,6 +327,14 @@ def test_run_config_invariants(capsys):
     assert code == 1 and "esteps" in err
     code, _, err = run_cli(capsys, base + ["--emin", "9.0", "--esteps", "3"])
     assert code == 1 and "emin < emax" in err
+
+
+def test_library_selftest_is_what_the_cli_prints(capsys):
+    import ncwell
+
+    _, out, _ = run_cli(capsys, ["selftest"])
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in ncwell.selftest()]
+    assert out.splitlines()[:-1] == lines
 
 
 def test_selftest_passes_and_exits_zero(capsys):

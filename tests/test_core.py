@@ -324,6 +324,17 @@ def test_cross_section_contributions_sum_and_bounds():
     assert pt.k == pytest.approx(math.sqrt(2.0 * (12.0 - N1000.v)), rel=1e-15)
 
 
+@pytest.mark.parametrize("spec, energy", [(N10, 7.0), (WellSpec.from_radius(20.0, 10, 0.0), 3.0)])
+def test_wave_delta_is_the_phase_shift_delta(spec, energy):
+    # the N = 10 waves include |B| > 1 on both sides of m = 0; the free well has B = 0
+    ms = [m for m, _ in cross_section_total(energy, spec, 4, include_negative=True).contributions]
+    if spec.v > 0.0:
+        assert any(abs(phase_shift(energy, spec, m).tan_delta) > 1.0 for m in ms if m < 0)
+        assert any(abs(phase_shift(energy, spec, m).tan_delta) > 1.0 for m in ms if m > 0)
+    for m in ms:
+        assert core_mod._delta_and_sin2(energy, spec, m)[0] == phase_shift(energy, spec, m).delta
+
+
 def test_cross_section_tail_extension():
     pt = cross_section_total(30.0, N1000, 1)
     # kR is sizeable at E = 30, so the sum must have extended well past m_max = 1
@@ -408,16 +419,16 @@ def test_dcs_rejects_bad_phi():
 
 def test_wavefunction_origin_regular_branch():
     sol = RegionSolution(INTERIOR, 0.8, ONE, ZERO)
-    val = wavefunction_eval(sol, 0, 1.0, [(0.0, 0.0)])[0]
+    val = wavefunction_eval(sol, 0, [(0.0, 0.0)])[0]
     assert val == pytest.approx(1.0)
-    val = wavefunction_eval(sol, 3, 1.0, [(0.0, 0.0)])[0]
+    val = wavefunction_eval(sol, 3, [(0.0, 0.0)])[0]
     assert val == 0.0
 
 
 def test_wavefunction_origin_rejected_with_irregular_branch():
     sol = RegionSolution(EXTERIOR, 0.8, ONE, ONE)
     with pytest.raises(DomainError):
-        wavefunction_eval(sol, 0, 1.0, [(0.0, 0.0)])
+        wavefunction_eval(sol, 0, [(0.0, 0.0)])
 
 
 def test_wavefunction_phase_winding():
@@ -429,7 +440,7 @@ def test_wavefunction_phase_winding():
         (r * math.cos(2 * math.pi * i / n_pts), r * math.sin(2 * math.pi * i / n_pts))
         for i in range(n_pts)
     ]
-    vals = wavefunction_eval(sol, m, 1.0, pts)
+    vals = wavefunction_eval(sol, m, pts)
     total = 0.0
     prev = cmath.phase(vals[0])
     for v in vals[1:] + [vals[0]]:
@@ -444,9 +455,9 @@ def test_wavefunction_phase_winding():
     assert total == pytest.approx(2.0 * math.pi * m, rel=1e-9)
 
 
-def _laplacian_error(sol, m, k, x0, y0, h):
+def _laplacian_error(sol, m, x0, y0, h):
     pts = [(x0, y0), (x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)]
-    c, e, w_, n_, s_ = wavefunction_eval(sol, m, k, pts)
+    c, e, w_, n_, s_ = wavefunction_eval(sol, m, pts)
     lap = (e + w_ + n_ + s_ - 4.0 * c) / (h * h)
     eig = 4.0 * sol.w  # 2 theta k^2 with matching sign for bound branches
     return abs(-lap - eig * c)
@@ -454,10 +465,10 @@ def _laplacian_error(sol, m, k, x0, y0, h):
 
 def test_wavefunction_satisfies_helmholtz_with_h2_decay():
     sol = RegionSolution(INTERIOR, 0.8, ONE, LogScaled.from_float(0.3))
-    errs = [_laplacian_error(sol, 2, 1.0, 1.3, 0.7, h) for h in (0.02, 0.01, 0.005)]
+    errs = [_laplacian_error(sol, 2, 1.3, 0.7, h) for h in (0.02, 0.01, 0.005)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
     # bound branch: eigenvalue flips sign with w
     solb = RegionSolution(EXTERIOR, -0.6, ZERO, ONE)
-    errs = [_laplacian_error(solb, 1, 1.0, 1.1, 0.4, h) for h in (0.02, 0.01, 0.005)]
+    errs = [_laplacian_error(solb, 1, 1.1, 0.4, h) for h in (0.02, 0.01, 0.005)]
     assert errs[0] / errs[1] > 3.0

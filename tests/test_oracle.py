@@ -82,6 +82,12 @@ def test_phase_shift_requires_scattering_energy():
         comm_phase_shift(9.0, spec, 0)
 
 
+@pytest.mark.parametrize("energy", [math.inf, math.nan])
+def test_phase_shift_rejects_nonfinite_energy(energy):
+    with pytest.raises(DomainError, match="scattering needs"):
+        comm_phase_shift(energy, CommWellSpec(SQRT20, 10.0), 0)
+
+
 def test_cross_section_zero_when_free():
     spec = CommWellSpec(SQRT20, 0.0)
     pt = comm_cross_section(2.0, spec, 4)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ncwell import specfun
 from ncwell.core import (
     WellSpec,
     _matching_residual_grid,
@@ -94,11 +95,12 @@ def test_comm_grid_exact(m):
     assert [float(_log_derivative_mismatch_grid(e, spec, m)) for e in energies] == want
 
 
-def test_cf_grid_exact_and_raises_naming_the_lane():
+def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
     x = np.array([0.004, 0.03, 0.5, 7.0])
     assert _u_cf_grid(1001, 1, x).tolist() == [_u_cf(1001, 1, xi) for xi in x.tolist()]
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
     with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004"):
-        _u_cf_grid(1001, 1, x, max_iter=5)
+        _u_cf_grid(1001, 1, x)
 
 
 def test_scan_roots_counts_an_exact_grid_zero_once():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+from ncwell import specfun
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.logscale import LogScaled, ls_exp
 from ncwell.specfun import (
@@ -159,16 +160,19 @@ def test_kummer_ratio_times_value_is_next_value(a, b, x):
     assert rel_ls(lhs, rhs) < 1e-11
 
 
-def test_kummer_ratio_extreme_order_stable_under_cap_doubling():
-    r1 = kummer_u_ratio(1001, -3, 0.05, max_iter=200_000)
-    r2 = kummer_u_ratio(1001, -3, 0.05, max_iter=400_000)
+def test_kummer_ratio_extreme_order_stable_under_cap_doubling(monkeypatch):
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 200_000)
+    r1 = kummer_u_ratio(1001, -3, 0.05)
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 400_000)
+    r2 = kummer_u_ratio(1001, -3, 0.05)
     assert math.isfinite(r1) and r1 > 0.0
     assert r1 == pytest.approx(r2, rel=1e-10)
 
 
-def test_kummer_ratio_cap_exhaustion_raises():
+def test_kummer_ratio_cap_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 10)
     with pytest.raises(ConvergenceError):
-        kummer_u_ratio(1001, -3, 0.05, max_iter=10)
+        kummer_u_ratio(1001, -3, 0.05)
 
 
 def test_kummer_u_bound_exterior_matches_k_bessel_quadrature():
