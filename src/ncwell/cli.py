@@ -77,6 +77,13 @@ def _single_m(args, message: str) -> int:
     return m_list[0]
 
 
+def _m_max(args) -> int:
+    """--mmax, checked here so that its error names the flag."""
+    if args.mmax < 1:
+        raise DomainError(f"--mmax must be a positive integer, got {args.mmax}")
+    return args.mmax
+
+
 def _well_from_args(args) -> core.WellSpec:
     given = [
         name
@@ -161,7 +168,7 @@ def _level_rows(spec: core.WellSpec, m_list: list[int], grid_points: int) -> lis
     rows = []
     for m in m_list:
         nc = core.find_bound_states(spec, m, grid_points=grid_points)
-        cm = oracle.comm_bound_states(comm, m)
+        cm = oracle.comm_bound_states(comm, m, grid_points=grid_points)
         for level, (a, b) in enumerate(itertools.zip_longest(nc, cm)):
             rows.append([m, level, a.energy if a else None, b.energy if b else None])
     return rows
@@ -214,8 +221,9 @@ def _cmd_phase_shifts(args) -> int:
 
 def _cmd_cross_section(args) -> int:
     spec = _well_from_args(args)
+    m_max = _m_max(args)
     pts = [
-        core.cross_section_total(e, spec, args.mmax, include_negative=args.include_negative_m)
+        core.cross_section_total(e, spec, m_max, include_negative=args.include_negative_m)
         for e in _energy_grid(args, spec)
     ]
     rows = [[p.energy, p.k, p.sigma_total] for p in pts]
@@ -225,13 +233,14 @@ def _cmd_cross_section(args) -> int:
 
 def _cmd_dcs(args) -> int:
     spec = _well_from_args(args)
+    m_max = _m_max(args)
     if args.energy is None:
         raise DomainError("--energy is required for dcs")
     n = args.phi_steps
     if n < 2:
         raise DomainError(f"--phi-steps must be >= 2, got {n}")
     phis = [2.0 * math.pi * i / n for i in range(n)]
-    pts = core.cross_section_differential(args.energy, spec, args.mmax, phis)
+    pts = core.cross_section_differential(args.energy, spec, m_max, phis)
     rows = [[phi, val] for (phi, val) in pts]
     _write_rows(["phi", "dsigma_dphi"], rows, args.output, args.format)
     return 0
@@ -249,6 +258,8 @@ def _cmd_wavefunction(args) -> int:
     n = args.points
     if n < 2:
         raise DomainError(f"--points must be >= 2, got {n}")
+    if not math.isfinite(r_max * (n - 1)):
+        raise DomainError(f"--rmax times (--points - 1) must be finite, got --rmax {r_max}, --points {n}")
     if energy > spec.v:
         interior, exterior = core.scattering_coeffs(energy, spec, m)
     elif 0.0 < energy < spec.v:
@@ -281,11 +292,12 @@ def _cmd_compare(args) -> int:
         columns = ["energy", "tan_delta_nc", "tan_delta_comm"]
         rows = [[p.energy, p.tan_delta, c.tan_delta] for p, c in pairs]
     elif args.quantity == "cross-section":
+        m_max = _m_max(args)
         energies = _energy_grid(args, spec)
         comm = oracle.CommWellSpec(spec.radius, spec.v)
         # every NC value before any commutative one: the NC sum's warnings and errors come first
-        nc = [core.cross_section_total(e, spec, args.mmax).sigma_total for e in energies]
-        cm = [oracle.comm_cross_section(e, comm, args.mmax).sigma_total for e in energies]
+        nc = [core.cross_section_total(e, spec, m_max).sigma_total for e in energies]
+        cm = [oracle.comm_cross_section(e, comm, m_max).sigma_total for e in energies]
         columns = ["energy", "sigma_nc", "sigma_comm"]
         rows = [list(row) for row in zip(energies, nc, cm)]
     else:  # bound-states

@@ -767,7 +767,8 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
             out.append(complex(a * float(regular(m, 0.0))))
             continue
         phi = math.atan2(y, x)
-        radial = a * float(regular(m, c * r))
+        # a zero regular term is skipped: I_m(c r) overflows far out in a bound exterior
+        radial = a * float(regular(m, c * r)) if a != 0.0 else 0.0
         if b != 0.0:
             radial += b * float(irregular(m, c * r))
         out.append(radial * cmath.exp(1j * m * phi))

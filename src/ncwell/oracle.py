@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .core import (
+    GRID_POINTS,
     BoundState,
     CrossSectionPoint,
     PhaseShiftPoint,
@@ -27,8 +28,6 @@ from .core import (
 )
 from .errors import DomainError
 from .specfun import _check_int, bessel, bessel_deriv
-
-GRID_POINTS = 4000
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ The radial matrix elements mix three ingredient families:
   the arguments of interest sit in the oscillatory range w < 4n, and the
   renormalization keeps intermediates in float range for n ~ 2000),
 * the Tricomi function U(a, b, x) for positive argument and integer b <= 1,
-  via a continued fraction for first-parameter ratios plus a
-  quadrature-backed anchor at a = 1,
+  via the integer-b logarithmic series for |U| and a series/continued-
+  fraction seam for first-parameter ratios,
 * Re[U(n+1, 1-m, -w)], the real part across the branch cut on the negative
   axis, via the integer-b logarithmic series with ln(-w) -> ln(w).  The
   series is exact but cancels catastrophically when (n+m+1)*w is large, so
@@ -304,9 +304,9 @@ def _check_u_args(a, b, x, what: str) -> tuple[int, int]:
 
 
 def kummer_u_ratio(a: int, b: int, x: float) -> float:
-    """U(a+1,b,x) / U(a,b,x) for x > 0, integer b <= 1, integer a >= 1."""
+    """U(a+1,b,x) / U(a,b,x) for x > 0, integer b <= 1, integer a >= 1, by _u_ratio_1m's seam."""
     a, b = _check_u_args(a, b, x, "U ratio")
-    return _u_cf(a, b, x)
+    return _u_ratio_1m(a, 1 - b, x)
 
 
 def _u_anchor_quad(b: int, x: float) -> float:
@@ -331,7 +331,7 @@ def _u_anchor_quad(b: int, x: float) -> float:
 
 
 def _u_abs_anchor_product(a: int, b: int, x: float) -> LogScaled:
-    """|U(a,b,x)| from the a=1 anchor times a product of CF ratios."""
+    """|U(a,b,x)| from the a=1 anchor times CF ratios; the selftest's independent route at b = 1+m."""
     anchor = _u_anchor_quad(b, x)
     logmag = math.log(anchor)
     for j in range(1, a):
@@ -342,16 +342,12 @@ def _u_abs_anchor_product(a: int, b: int, x: float) -> LogScaled:
 def kummer_u(a: int, b: int, x: float) -> LogScaled:
     """Tricomi confluent hypergeometric U(a, b, x), x > 0, integer b <= 1.
 
-    Positive for these arguments.  Small a*x is evaluated by the integer-b
-    logarithmic series; otherwise the a = 1 quadrature anchor is propagated
-    upward with continued-fraction ratios.
+    Positive for these arguments.  Evaluated by the integer-b logarithmic
+    series at every argument, escalating to mpmath where a double pass
+    cancels (_u_pos_direct).
     """
     a, b = _check_u_args(a, b, x, "kummer_u")
-    m = 1 - b
-    if (a + m + 1) * x <= 4.0:
-        val = _u_pos_direct(a, m, x)
-    else:
-        val = _u_abs_anchor_product(a, b, x)
+    val = _u_pos_direct(a, 1 - b, x)
     if val.sign <= 0:
         raise ConvergenceError(
             f"U({a},{b},{x}) evaluated non-positive; arguments out of the stable range"
@@ -485,7 +481,7 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
         pref_log + math.log(max(smax, 1e-300)),
         t3max,
     )
-    t_piece_log = p3.logmag if p3.sign else None
+    t_piece_log = p3.logmag if p3.sign and cut else None
     return result, max_piece_log, t_piece_log
 
 
@@ -552,7 +548,9 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
     (each term in units of 2^-F, F = the pass's bits + guard bits +
     bits(a - 1)).  A step multiplies a term by the exact integer mantissa of
     |z| and does one truncating division by (m+1+r)(r+1) shifted by the
-    exponent of z.  The terms start at 1 and rise to a single peak, so each
+    exponent of z.  The digamma start EULER_GAMMA + sum_{i=m+1}^{A-1} 1/i is
+    summed the same way, which at thousands of digits costs far less than
+    mp.harmonic.  The terms start at 1 and rise to a single peak, so each
     sum's absolute error is at most (terms) * 2^-F, below the roundoff
     2^(max term - bits) of the same loops in mpf.  The largest term
     magnitudes are read off the integers' bit lengths, as mp.mag reads them
@@ -585,8 +583,7 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
             # digamma-weighted series; same alternation on the cut
             fs = mp.mp.prec + _S_GUARD_BITS + nbits
             one = 1 << fs
-            with mp.workprec(fs):
-                br = int(mp.ldexp(mp.euler + mp.harmonic(A - 1) - mp.harmonic(m), fs))
+            br = mp.libmp.euler_fixed(fs) + sum(one // i for i in range(m + 1, A))
             s, t, cmax, r = 0, one, 0, 0
             while t:
                 contrib = t * br >> fs
@@ -645,24 +642,30 @@ def _reu_direct(n: int, m: int, w: float) -> LogScaled:
     return _reu_settle(n, m, w, _reu_pieces_float(n, m, w))
 
 
-def _reu_settle(n: int, m: int, w: float, pieces) -> LogScaled:
-    """Re[U(n+1,1-m,-w)] from its double pass, or from mpmath if that lost its digits.
+def _mp_start(pieces, big: int, z: float):
+    """None if the double pass pieces = _log_series_float(a, m, z) kept its digits, else the mpmath start.
 
-    pieces is _reu_pieces_float(n, m, w); the digits it lost set the
-    precision of the mpmath pass.
+    The start is 24 digits above the measured loss, with big = a + m.  An overflow or a zero measures
+    none; the terms bound it, as each M sum is <= e^x L_{big-1}(-x) <= e^(x + 2 sqrt(big x)), x = |z|,
+    and for z > 0 U falls like e^(-2 sqrt(big x)) (DLMF §13.8(iii)), while Re U on the cut does not.
     """
     val, max_piece_log, t_piece_log = pieces
     lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
     if lost <= _MAX_LOST_DIGITS:
-        return val
+        return None
     if val is None or val.is_zero():
-        # overflow or total cancellation: bound the loss from the term growth
-        lost = (2.0 * math.sqrt((n + m + 1) * w) + w) / math.log(10.0) + 10.0
+        x = abs(z)
+        lost = ((2.0 if z < 0.0 else 4.0) * math.sqrt(big * x) + x) / math.log(10.0) + 10.0
     if t_piece_log is not None and math.isfinite(max_piece_log):
-        # the positive tail piece bounds the result scale from below
+        # the tail piece, all positive on the cut, bounds the result scale from below
         lost = max(lost, (max_piece_log - t_piece_log) / math.log(10.0))
-    dps = 24 + int(min(lost, 20000.0))
-    return _reu_direct_mp(n, m, w, dps)
+    return 24 + int(min(lost, 20000.0))
+
+
+def _reu_settle(n: int, m: int, w: float, pieces) -> LogScaled:
+    """Re[U(n+1,1-m,-w)] from its double pass pieces (_reu_pieces_float), or from mpmath at _mp_start."""
+    dps = _mp_start(pieces, n + m + 1, -w)
+    return pieces[0] if dps is None else _reu_direct_mp(n, m, w, dps)
 
 
 def _anchor_index(m: int, w: float) -> int:
@@ -768,16 +771,16 @@ def re_u_neg(n: int, m: int, w: float) -> LogScaled:
 
 
 def _u_pos_direct(a: int, m: int, x: float) -> LogScaled:
-    """U(a, 1-m, x) for x > 0 by the integer-b logarithmic series.
+    """U(a, 1-m, x) for x > 0 by the integer-b logarithmic series, at any a and x.
 
-    Intended for the small-a*x region where the series terms stay bounded;
-    escalates to mpmath if a double pass cancels badly.
+    A double pass that cancels or overflows is redone in mpmath through the
+    same series, starting at the precision _mp_start sets.
     """
-    val, max_piece_log, _ = _log_series_float(a, m, x)
-    if val is not None and _lost_digits(max_piece_log, val) <= _MAX_LOST_DIGITS:
-        return val
-    # rare: fall back to high precision through the same series
-    return _log_series_mp(a, m, x, 30, f"U series failed to stabilize for a={a}, m={m}, x={x}")
+    pieces = _log_series_float(a, m, x)
+    dps = _mp_start(pieces, a + m, x)
+    if dps is None:
+        return pieces[0]
+    return _log_series_mp(a, m, x, dps, f"U series failed to stabilize for a={a}, m={m}, x={x}")
 
 
 def _u_ratio_1m(a: int, m: int, x: float) -> float:

@@ -9,13 +9,14 @@ values.  Refresh them only on purpose, from the parent commit of a change
 that is meant to keep its outputs, or after a change that moves output bits
 under README's "Changing output bits".  For a CSV that differs, --check
 prints how many rows changed and the largest relative change of each
-numeric column.
+numeric column; for any other golden, a unified line diff.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import math
@@ -181,6 +182,15 @@ def csv_changes(old: bytes, new: bytes) -> str:
     return f"{changed} of {len(new_rows) - 1} rows changed; largest relative change: {cols}"
 
 
+def text_changes(name: str, old: bytes, new: bytes) -> str:
+    """How a text golden moved: a unified line diff, committed file first."""
+    lines = difflib.unified_diff(
+        old.decode().splitlines(), new.decode().splitlines(), f"{name} (committed)", f"{name} (generated)",
+        lineterm="",
+    )
+    return "\n".join(lines)
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true", help="compare against the committed files instead")
@@ -195,7 +205,12 @@ def run(argv=None) -> int:
         if old == data:
             continue
         changed += 1
-        how = "" if old is None or not name.endswith(".csv") else f": {csv_changes(old, data)}"
+        if old is None:
+            how = ""
+        elif name.endswith(".csv"):
+            how = f": {csv_changes(old, data)}"
+        else:
+            how = f"\n{text_changes(name, old, data)}"
         print(f"differs: {name}{how}", file=sys.stderr)
     return 1 if changed else 0
 

@@ -118,7 +118,7 @@ def test_cross_section_zero_potential(capsys):
         ["cross-section", "--radius", "sqrt20", "--capital-n", "10", "--v", "0", "--emax", "1.0", "--mmax", "0"],
     )
     assert code == 1
-    assert "m_max must be a positive integer" in err
+    assert err == "ncwell: domain error: --mmax must be a positive integer, got 0\n"
 
 
 def test_compare_phase_shift(capsys):
@@ -205,6 +205,13 @@ def test_wavefunction_scattering_and_bound(capsys):
         ["wavefunction", *WELL10, "--m", "0", "--energy", "0.12", "--points", "8"],
     )
     assert code == 0
+    # far out in the bound exterior I_m overflows; its zero coefficient must not make nan
+    code, out, _ = run_cli(
+        capsys,
+        ["wavefunction", *WELL10, "--m", "1", "--energy", "0.3", "--rmax", "1e5", "--points", "3"],
+    )
+    assert code == 0
+    assert out.split("\r\n")[2:4] == ["50000,0,0,exterior", "100000,0,0,exterior"]
 
 
 def test_domain_error_names_rule_and_exits_1(capsys):
@@ -227,6 +234,13 @@ def test_domain_error_names_rule_and_exits_1(capsys):
         code, out, err = run_cli(capsys, ["wavefunction", *WELL10, "--m", "1", "--energy", "8.0", "--rmax", text])
         assert (code, out) == (1, "")
         assert err == f"ncwell: domain error: --rmax must be positive and finite, got {shown}\n"
+    # the last radius, --rmax * (points - 1) / (points - 1), overflows on the way
+    code, out, err = run_cli(capsys, ["wavefunction", *WELL10, "--m", "1", "--energy", "8", "--rmax", "1e308"])
+    assert (code, out) == (1, "")
+    assert err == "ncwell: domain error: --rmax times (--points - 1) must be finite, got --rmax 1e+308, --points 200\n"
+    code, out, err = run_cli(capsys, ["dcs", *WELL10, "--energy", "8", "--mmax", "0"])
+    assert (code, out) == (1, "")
+    assert err == "ncwell: domain error: --mmax must be a positive integer, got 0\n"
 
 
 def test_scattering_below_v_is_domain_error(capsys):

@@ -1,11 +1,11 @@
 """The mpmath escalation of the integer-b log series against 50-digit mpmath hyperu.
 
-_reu_direct_mp (the branch cut) and _u_pos_direct (the positive axis) must
+_reu_direct_mp (the branch cut) and kummer_u (the positive axis) must
 return the sign of U(a, 1-m, z) at 50 digits (its real part on the cut) and
 a log magnitude equal to float(log|...|) to the last bit.  The arguments are
 escalations of a README-well cross-section and phase-shift sweep, positive-
-axis cases that need several passes, and random draws over the region the
-cross sections escalate in.
+axis cases that need several passes or lie far past (a+m+1)x = 4, and
+random draws over the region the cross sections escalate in.
 """
 
 import mpmath as mp
@@ -39,14 +39,22 @@ CUT_CASES = [
     (18, 6, 0.7188616082603253, 28),
 ]
 
-# (a, m, x) whose float pass escalates and whose mpmath pass runs 2 to 4
-# times; the last two lose nearly all digits of their early passes and
-# stalled after five passes while a retry added only the measured loss
+# (a, m, x) whose float pass escalates; the first four need 2 or 3 mpmath
+# passes, and the third and fourth lose nearly all digits of their early
+# passes and stalled after five passes while a retry added only the measured loss
 POS_CASES = [
     (20, 3, 12.0),
     (60, 5, 10.0),
     (928, 28, 6.306),
     (300, 30, 20.0),
+    # past (a+m+1)x = 4; a quadrature anchor times a - 1 CF ratios puts
+    # log U 5.0e-10 and 4.2e-10 off at a = 1001 and 3001
+    (1001, 0, 0.057),
+    (3001, 0, 0.5),
+    (200, 61, 3.0),
+    (11, 6, 4.0),
+    # the float pass overflows, and the mpmath pass starts from the growth bound
+    (1, 0, 2000.0),
 ]
 
 
@@ -58,8 +66,8 @@ def test_cut_escalation_matches_hyperu(n, m, w, dps):
 @pytest.mark.parametrize("a, m, x", POS_CASES)
 def test_positive_axis_escalation_matches_hyperu(a, m, x):
     val, max_piece_log, _ = specfun._log_series_float(a, m, x)
-    assert specfun._lost_digits(max_piece_log, val) > specfun._MAX_LOST_DIGITS
-    assert_matches(specfun._u_pos_direct(a, m, x), a, m, x)
+    assert val is None or specfun._lost_digits(max_piece_log, val) > specfun._MAX_LOST_DIGITS
+    assert_matches(specfun.kummer_u(a, 1 - m, x), a, m, x)
 
 
 @settings(deadline=None, max_examples=25, derandomize=True)
@@ -76,5 +84,6 @@ def test_cut_escalation_region_matches_hyperu(n, m, w, dps):
 @settings(deadline=None, max_examples=15, derandomize=True)
 @given(a=st.integers(1, 300), m=st.integers(0, 30), x=st.floats(6.0, 20.0))
 def test_positive_axis_mp_pass_matches_hyperu(a, m, x):
-    # the pass _u_pos_direct falls back to, from its 30-digit start
+    # the pass kummer_u escalates to, from a fixed 30-digit start instead of
+    # the 24 digits above the float pass's loss that _mp_start picks
     assert_matches(specfun._log_series_mp(a, m, x, 30, "positive-axis series"), a, m, x)
