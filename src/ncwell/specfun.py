@@ -365,7 +365,7 @@ def _lost_digits(max_piece_log: float, result: LogScaled) -> float:
     return (max_piece_log - result.logmag) / math.log(10.0)
 
 
-_SERIES_FAILED = (None, math.inf, None)
+_SERIES_FAILED = (None, math.inf)
 
 
 def _cut_m_sum(n: int, m: int, w: float) -> tuple[float, float]:
@@ -399,11 +399,8 @@ def _log_series_float(a: int, m: int, z: float):
     the M factor (the convergent series for z > 0, Kummer's finite form
     e^z M(1-a, m+1, -z) on the cut) and the signs of the prefactor and of
     the tail terms; the digamma-weighted series and the combination
-    (_log_series_tail) are shared.  Returns (value, max_piece_log,
-    t_piece_log), or (None, inf, None) on overflow; t_piece_log is the log
-    magnitude of the tail piece (None for m = 0), which on the cut is all
-    positive and so a cheap lower bound on the result scale, used to seed
-    the escalated precision.
+    (_log_series_tail) are shared.  Returns (value, max_piece_log), or
+    (None, inf) on overflow.
     """
     A = a + m
     if z < 0.0:
@@ -481,8 +478,7 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
         pref_log + math.log(max(smax, 1e-300)),
         t3max,
     )
-    t_piece_log = p3.logmag if p3.sign and cut else None
-    return result, max_piece_log, t_piece_log
+    return result, max_piece_log
 
 
 def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
@@ -649,16 +645,13 @@ def _mp_start(pieces, big: int, z: float):
     none; the terms bound it, as each M sum is <= e^x L_{big-1}(-x) <= e^(x + 2 sqrt(big x)), x = |z|,
     and for z > 0 U falls like e^(-2 sqrt(big x)) (DLMF §13.8(iii)), while Re U on the cut does not.
     """
-    val, max_piece_log, t_piece_log = pieces
+    val, max_piece_log = pieces
     lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
     if lost <= _MAX_LOST_DIGITS:
         return None
     if val is None or val.is_zero():
         x = abs(z)
         lost = ((2.0 if z < 0.0 else 4.0) * math.sqrt(big * x) + x) / math.log(10.0) + 10.0
-    if t_piece_log is not None and math.isfinite(max_piece_log):
-        # the tail piece, all positive on the cut, bounds the result scale from below
-        lost = max(lost, (max_piece_log - t_piece_log) / math.log(10.0))
     return 24 + int(min(lost, 20000.0))
 
 

@@ -65,7 +65,7 @@ def test_cut_escalation_matches_hyperu(n, m, w, dps):
 
 @pytest.mark.parametrize("a, m, x", POS_CASES)
 def test_positive_axis_escalation_matches_hyperu(a, m, x):
-    val, max_piece_log, _ = specfun._log_series_float(a, m, x)
+    val, max_piece_log = specfun._log_series_float(a, m, x)
     assert val is None or specfun._lost_digits(max_piece_log, val) > specfun._MAX_LOST_DIGITS
     assert_matches(specfun.kummer_u(a, 1 - m, x), a, m, x)
 
