@@ -13,10 +13,12 @@ The radial matrix elements mix three ingredient families:
   axis, via the integer-b logarithmic series with ln(-w) -> ln(w).  The
   series is exact but cancels catastrophically when (n+m+1)*w is large, so
   the evaluation escalates its working precision when a double-precision
-  pass is detected to have lost too many digits.  For large n the value is
-  instead propagated by the same three-term recurrence that the Laguerre
-  branch obeys: W_n = (n+m)! * Re[U(n+1, 1-m, -w)] satisfies
-  (n+1) W_{n+1} = (2n+1+m-w) W_n - (n+m) W_{n-1}.
+  pass is detected to have lost too many digits.  That pass sums the three
+  pieces of the series as floats relative to their shared prefactor, so
+  a kept pass is off by float roundoff times the measured cancellation.
+  For large n the value is instead propagated by the same three-term
+  recurrence that the Laguerre branch obeys: W_n = (n+m)! *
+  Re[U(n+1, 1-m, -w)] satisfies (n+1) W_{n+1} = (2n+1+m-w) W_n - (n+m) W_{n-1}.
 
 An adaptive quadrature of the defining Hankel-type integrals is provided as
 an independent oracle for all of the closed forms above.
@@ -399,8 +401,8 @@ def _log_series_float(a: int, m: int, z: float):
     the M factor (the convergent series for z > 0, Kummer's finite form
     e^z M(1-a, m+1, -z) on the cut) and the signs of the prefactor and of
     the tail terms; the digamma-weighted series and the combination
-    (_log_series_tail) are shared.  Returns (value, max_piece_log), or
-    (None, inf) on overflow.
+    (_log_series_tail, a float sum over the pieces' shared prefactor) are
+    shared.  Returns (value, max_piece_log), or (None, inf) on overflow.
     """
     A = a + m
     if z < 0.0:
@@ -440,45 +442,37 @@ def _log_series_float(a: int, m: int, z: float):
 def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float, smax: float):
     """_log_series_float's result from the M factor mv and the digamma sum s.
 
-    mmax and smax are the largest term magnitudes of the two sums; the
-    pieces pref * M * ln z, pref * S and the finite tail are combined in
-    LogScaled arithmetic.
+    mmax and smax are the largest term magnitudes of the two sums.  The
+    pieces pref * e^z M ln|z| (no e^z on the positive axis), pref * S and the
+    finite tail share pref = |z|^m / (m! (a-1)!), so they are summed as
+    floats relative to it, q = sgn (e^z M ln|z| + S) + T, and pref is applied
+    once: a cancellation among them costs float roundoff, not ulps of
+    lgamma(a).  T, the tail over pref, takes _log_series_mp's tail ratio
+    (a+r)(-z) / ((m-1-r)(r+1)), run down from its top term
+    (-sgn z)^(m-1) m / ((a+m-1) |z|).  The piece size the lost-digits rule
+    reads is pref times the largest of e^z mmax |ln z|, smax and the
+    largest tail term.  An overflowing q is _SERIES_FAILED.
     """
     cut = z < 0.0
     lnz = math.log(abs(z))
-    A = a + m
-    lga, lgA = math.lgamma(a + 0.0), math.lgamma(A + 0.0)
-    pref_log = m * lnz - math.lgamma(m + 1.0) - lga
+    pref_log = m * lnz - math.lgamma(m + 1.0) - math.lgamma(a + 0.0)
     # the cut's M factor carries e^z; the prefactor is -1 on the cut and
     # (-1)^(m+1) on the positive axis, where the tail terms alternate
-    m_log = pref_log + z if cut else pref_log
+    ez = math.exp(z) if cut else 1.0
     sgn = -1 if cut else (-1) ** (m + 1)
-    tail_sgn = 1 if cut else -1
-    # piece 1: pref * M * ln z
-    p1 = ZERO
-    if mv != 0.0 and lnz != 0.0:
-        p1 = LogScaled.from_log(
-            sgn * (1 if (mv > 0) == (lnz > 0) else -1),
-            m_log + math.log(abs(mv)) + math.log(abs(lnz)),
-        )
-    # piece 2: pref * S
-    p2 = ZERO
-    if s != 0.0:
-        p2 = LogScaled.from_log(sgn * (1 if s > 0 else -1), pref_log + math.log(abs(s)))
-    # piece 3: sum_{r<m} (+-1)^r (a)_r (m-1-r)! |z|^r / (A-1)! / r!
-    p3 = ZERO
-    t3max = -math.inf
-    for r in range(m):
-        tl = math.lgamma(a + 0.0 + r) - lga + math.lgamma(m - r + 0.0) - lgA - math.lgamma(r + 1.0) + r * lnz
-        t3max = max(t3max, tl)
-        p3 = p3 + LogScaled.from_log(tail_sgn**r, tl)
-    result = p1 + p2 + p3
-    max_piece_log = max(
-        m_log + math.log(max(mmax, 1e-300)) + math.log(max(abs(lnz), 1e-300)),
-        pref_log + math.log(max(smax, 1e-300)),
-        t3max,
-    )
-    return result, max_piece_log
+    tail = tmax = 0.0
+    if m:
+        t = m / ((a + m - 1) * abs(z)) * (1 if cut or m % 2 else -1)
+        tail, tmax = t, abs(t)
+        for r in range(m - 1, 0, -1):
+            t *= (m - r) * r / ((a + r - 1) * -z)
+            tail += t
+            tmax = max(tmax, abs(t))
+    q = sgn * (ez * mv * lnz + s) + tail
+    if not math.isfinite(q):
+        return _SERIES_FAILED
+    result = LogScaled.from_log(1 if q > 0 else -1, pref_log + math.log(abs(q))) if q else ZERO
+    return result, pref_log + math.log(max(ez * mmax * abs(lnz), smax, tmax, 1e-300))
 
 
 def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:

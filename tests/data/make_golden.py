@@ -9,7 +9,9 @@ values.  Refresh them only on purpose, from the parent commit of a change
 that is meant to keep its outputs, or after a change that moves output bits
 under README's "Changing output bits".  For a CSV that differs, --check
 prints how many rows changed and the largest relative change of each
-numeric column; for any other golden, a unified line diff.
+numeric column; for kernel_golden.json, how many cases changed and, per
+kernel family, the largest change and any sign flip; for selftest.txt, a
+unified line diff.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import pathlib
 import sys
+from collections import Counter
 
 from ncwell import core, oracle, specfun
 from ncwell.cli import main
@@ -68,6 +71,8 @@ CLI_GOLDENS = {
 }
 
 KERNEL_GOLDEN = "kernel_golden.json"
+# kernel families whose values are LogScaled [sign, float.hex(log magnitude)]
+LOG_FAMILIES = {"re_u_neg", "core._reu_pair", "_u_pos_direct", "_reu_direct_mp", "_reu_direct"}
 
 
 def cli_stdout(argv) -> bytes:
@@ -182,6 +187,47 @@ def csv_changes(old: bytes, new: bytes) -> str:
     return f"{changed} of {len(new_rows) - 1} rows changed; largest relative change: {cols}"
 
 
+def _leaves(value) -> list:
+    """The leaves of a kernel value in order: ints (signs, labels) as they are, float.hex decoded."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [float.fromhex(value) if isinstance(value, str) else value]
+
+
+def kernel_changes(old: bytes, new: bytes) -> str:
+    """How kernel_golden.json moved: cases changed and, per family, the largest change and sign flips.
+
+    A family is a case name up to its "(".  The change is in log magnitude
+    for the LogScaled families and relative for every other float; a sign
+    flip is a changed int (a LogScaled sign) or a plain float changing sign.
+    """
+    old_cases, new_cases = json.loads(old), json.loads(new)
+    if sorted(old_cases) != sorted(new_cases):
+        return f"cases changed: {len(old_cases)} -> {len(new_cases)}"
+    cases, changed, flips, worst = Counter(), Counter(), Counter(), Counter()
+    for case, was in old_cases.items():
+        fam = case.split("(")[0]
+        log = fam in LOG_FAMILIES
+        cases[fam] += 1
+        if was == new_cases[case]:
+            continue
+        changed[fam] += 1
+        for x, y in zip(_leaves(was), _leaves(new_cases[case])):
+            if isinstance(x, int):
+                flips[fam] += x != y
+            elif x != y:
+                flips[fam] += not log and (x < 0) != (y < 0)
+                worst[fam] = max(worst[fam], abs(y - x) if log else abs(y - x) / abs(x) if x else math.inf)
+    parts = [
+        f"{fam} {n} of {cases[fam]} ({'log magnitude' if fam in LOG_FAMILIES else 'relative'} {worst[fam]:.2e}"
+        + (f", {flips[fam]} sign flips)" if flips[fam] else ")")
+        for fam, n in changed.items()
+    ]
+    return f"{changed.total()} of {len(old_cases)} cases changed; largest change: {', '.join(parts)}"
+
+
 def text_changes(name: str, old: bytes, new: bytes) -> str:
     """How a text golden moved: a unified line diff, committed file first."""
     lines = difflib.unified_diff(
@@ -209,6 +255,8 @@ def run(argv=None) -> int:
             how = ""
         elif name.endswith(".csv"):
             how = f": {csv_changes(old, data)}"
+        elif name == KERNEL_GOLDEN:
+            how = f": {kernel_changes(old, data)}"
         else:
             how = f"\n{text_changes(name, old, data)}"
         print(f"differs: {name}{how}", file=sys.stderr)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from ncwell import specfun
 from ncwell.cli import main, _parse_m_list, _parse_radius_sq
 from ncwell.errors import DomainError
 
@@ -241,6 +242,15 @@ def test_domain_error_names_rule_and_exits_1(capsys):
     code, out, err = run_cli(capsys, ["dcs", *WELL10, "--energy", "8", "--mmax", "0"])
     assert (code, out) == (1, "")
     assert err == "ncwell: domain error: --mmax must be a positive integer, got 0\n"
+
+
+def test_convergence_error_names_a_b_x_and_exits_2(capsys, monkeypatch):
+    # a one-step cap stops the scan's first U-ratio continued fraction
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 1)
+    code = main(["bound-states", "--radius", "sqrt20", "--capital-n", "1000", "--v", "10", "--m", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"ncwell: numerical non-convergence: .* for a=\d+, b=-?\d+, x=[0-9.e+-]+\n", err)
 
 
 def test_scattering_below_v_is_domain_error(capsys):

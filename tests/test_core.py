@@ -98,6 +98,18 @@ def test_fock_element_equals_defining_integral(n, m):
     assert fock_element(n, m, sol).to_float() == pytest.approx(expect, rel=1e-8)
 
 
+def test_fock_element_at_w_zero():
+    # only the regular branch is defined at w = 0, and only its m = 0 element is nonzero
+    a = LogScaled.from_float(-2.5)
+    sol = RegionSolution(INTERIOR, 0.0, a, ZERO)
+    for n in (0, 3, 40):
+        assert fock_element(n, 0, sol) == a
+        for m in (1, 4):
+            assert fock_element(n, m, sol).is_zero()
+    with pytest.raises(DomainError, match="irregular branch is undefined at w = 0"):
+        fock_element(2, 0, RegionSolution(EXTERIOR, 0.0, a, ONE))
+
+
 def test_fock_element_negative_m_reduction():
     w = 1.1
     sol = RegionSolution(INTERIOR, w, ONE, ZERO)

@@ -1,11 +1,13 @@
-"""The mpmath escalation of the integer-b log series against 50-digit mpmath hyperu.
+"""The integer-b log series against 50-digit mpmath hyperu.
 
 _reu_direct_mp (the branch cut) and kummer_u (the positive axis) must
 return the sign of U(a, 1-m, z) at 50 digits (its real part on the cut) and
 a log magnitude equal to float(log|...|) to the last bit.  The arguments are
 escalations of a README-well cross-section and phase-shift sweep, positive-
 axis cases that need several passes or lie far past (a+m+1)x = 4, and
-random draws over the region the cross sections escalate in.
+random draws over the region the cross sections escalate in.  A double
+pass that keeps its digits must be within 2e-11 of the reference in log
+magnitude, at large a too.
 """
 
 import mpmath as mp
@@ -56,6 +58,32 @@ POS_CASES = [
     # the float pass overflows, and the mpmath pass starts from the growth bound
     (1, 0, 2000.0),
 ]
+
+
+# (a, m, z) whose double pass keeps its digits, having lost 2.7 to 3.5 of them; the
+# first four are from a bound-state scan and from kummer_u's accuracy sample, where
+# summing the pieces as LogScaled values put log U 2.9e-9, 1.9e-9, 7.1e-10 and
+# 2.8e-10 off; the rest are cut lanes (n+1, m, -w) of the phase-shift and
+# cross-section workloads
+KEPT_CASES = [
+    (1001, 0, 0.003810803680634595),
+    (1865, 10, 0.011248822677487167),
+    (358, 18, 0.151),
+    (716, 19, 0.0811),
+    (797, 15, -0.07552608083855797),
+    (477, 15, -0.13295984611685502),
+    (417, 14, -0.13298350824587707),
+    (1000, 20, -0.10149925037481261),
+]
+
+
+@pytest.mark.parametrize("a, m, z", KEPT_CASES)
+def test_kept_float_pass_matches_hyperu(a, m, z):
+    val, max_piece_log = specfun._log_series_float(a, m, z)
+    assert specfun._lost_digits(max_piece_log, val) <= specfun._MAX_LOST_DIGITS
+    sign, logmag = reference(a, m, z)
+    assert val.sign == sign
+    assert abs(val.logmag - logmag) <= 2e-11
 
 
 @pytest.mark.parametrize("n, m, w, dps", CUT_CASES)
