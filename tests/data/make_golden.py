@@ -72,7 +72,7 @@ CLI_GOLDENS = {
 
 KERNEL_GOLDEN = "kernel_golden.json"
 # kernel families whose values are LogScaled [sign, float.hex(log magnitude)]
-LOG_FAMILIES = {"re_u_neg", "core._reu_pair", "_u_pos_direct", "_reu_direct_mp", "_reu_direct"}
+LOG_FAMILIES = {"re_u_neg", "core._reu_pair", "_u_pos_direct", "_reu_direct_mp", "_reu_direct", "_log_series_mp"}
 
 
 def cli_stdout(argv) -> bytes:
@@ -125,6 +125,17 @@ def kernel_values() -> dict:
                          (125, 16, 0.5842278860569715, 27), (326, 26, 0.5842278860569715, 30),
                          (397, 17, 0.20507746126936532, 27), (557, 34, 0.5842278860569715, 32)):
         out[f"_reu_direct_mp({n}, {m}, {w!r}, {dps})"] = _ls(specfun._reu_direct_mp(n, m, w, dps))
+    # the escalated log series itself: cut passes of the seed-7 phase-sweep and cross-section
+    # workloads at the digits they start at; positive-axis passes from 30 digits that need
+    # 2 to 4 passes; and a tail that dips by about e^-187 between its ends
+    for a, m, z, dps in ((6, 1, -1.2512770645066273, 27), (5, 1, -1.5118597708394697, 28),
+                         (19, 6, -0.7191347183979975, 27), (5, 0, -0.8823771713407607, 27),
+                         (1000, 46, -0.5856171914042979, 35), (1001, 43, -0.48566716641679164, 33),
+                         (493, 32, -0.5856171914042979, 31), (830, 23, -0.17928035982008997, 29),
+                         (598, 19, -0.17041479260369816, 28), (604, 17, -0.13485257371314344, 27),
+                         (928, 28, 6.306, 30), (300, 30, 20.0, 30), (20, 3, 12.0, 30), (60, 5, 10.0, 30),
+                         (10, 900, 190.0, 30)):
+        out[f"_log_series_mp({a}, {m}, {z!r}, {dps})"] = _ls(specfun._log_series_mp(a, m, z, dps, "golden"))
     # cut series: float kept, and float lost so mpmath takes over
     for n, m, w in ((3, 2, 0.4), (60, 0, 30.0), (20, 6, 25.0), (64, 8, 9.0), (40, 30, 12.0)):
         out[f"_reu_direct({n}, {m}, {w!r})"] = _ls(specfun._reu_direct(n, m, w))
