@@ -309,7 +309,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    checks = core.selftest(fast=not args.full)
+    checks = core.selftest()
     n_pass = sum(1 for c in checks if c.passed)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
@@ -399,7 +399,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("selftest", help="run the oracle-equivalence and invariant suites")
-    p.add_argument("--full", action="store_true", help="denser grids (slower)")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -219,9 +219,7 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     if w == 0.0:
         if not b.is_zero():
             raise DomainError("irregular branch is undefined at w = 0")
-        if m == 0:
-            return a * ls_exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + m + 1.0)))
-        return ZERO
+        return a if m == 0 else ZERO
     if w > 0.0:
         j0, y0 = _jy_basis_rows(m, w, n)[0]
         return a * j0 + b * y0
@@ -779,13 +777,13 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
 # selftest
 # ---------------------------------------------------------------------------
 
-def selftest(fast: bool = True) -> list[CheckResult]:
+def selftest() -> list[CheckResult]:
     """Every check the CLI selftest command prints, in its order.
 
-    The specfun oracle-equivalence suites come first (denser grids unless
-    fast), then the invariants of the well.
+    The specfun oracle-equivalence suites come first, then the invariants
+    of the well.
     """
-    out = _oracle_suites(fast)
+    out = _oracle_suites()
     spec10 = WellSpec.from_radius(20.0, 10, 6.0)
     spec1000 = WellSpec.from_radius(20.0, 1000, 10.0)
     ok = spec10.theta == 20.0 / 21.0 and spec1000.theta == 20.0 / 2001.0

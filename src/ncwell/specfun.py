@@ -16,6 +16,8 @@ The radial matrix elements mix three ingredient families:
   pass is detected to have lost too many digits.  That pass sums the three
   pieces of the series as floats relative to their shared prefactor, so
   a kept pass is off by float roundoff times the measured cancellation.
+  The escalated pass is the same combination in fixed-point integers, with
+  mpmath left for the constants and the final log.
   For large n the value is instead propagated by the same three-term
   recurrence that the Laguerre branch obeys: W_n = (n+m)! *
   Re[U(n+1, 1-m, -w)] satisfies (n+1) W_{n+1} = (2n+1+m-w) W_n - (n+m) W_{n-1}.
@@ -47,9 +49,10 @@ _DIRECT_N = 64
 # escalate to mpmath when a double pass lost more than this many digits
 _MAX_LOST_DIGITS = 3.5
 
-# guard bits of the fixed-point M sum and digamma series in _log_series_mp
-_M_GUARD_BITS = 20
-_S_GUARD_BITS = 40
+# guard bits of the fixed-point pieces of _log_series_mp, and the most terms
+# its digamma-weighted series may run before it raises ConvergenceError
+_GUARD_BITS = 40
+_MP_MAX_TERMS = 2_000_000
 
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
@@ -526,25 +529,25 @@ def _reu_pieces_float(n: int, m: int, w: float):
 def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScaled:
     """_log_series_float in arbitrary precision, starting at dps digits.
 
-    The series is exact, so the only error is roundoff amplified by the
-    cancellation between its pieces; each pass measures that amplification
-    directly (largest term magnitude vs result magnitude) and escalates the
-    working precision in one step when too few digits survive.  A pass that
-    lost nearly all its digits has measured only a lower bound on the loss,
-    so the next one at least doubles the precision.  Raises
-    ConvergenceError(failure) when five passes do not stabilize.
+    A pass is _log_series_tail's combination in fixed point: M, the
+    digamma-weighted sum S and the tail T are integers in units of 2^-F,
+    F = the pass's bits + _GUARD_BITS + bits(a - 1), summed as one integer
+    q = sgn (e^z M ln|z| + S) + T.  A term step multiplies by the exact
+    mantissa of |z| and does one truncating division.  The M and S terms
+    rise to a single peak, so each sum is off by at most (terms) units, and
+    ln|z| and e^z carry bits(largest M term) + 8 fractional bits.  T runs
+    down from m / ((a+m-1)|z|) on extra fractional bits that rise as its
+    terms fall (at m in the hundreds they dip by about e^-|z|, then grow by
+    hundreds of orders), so each term keeps about F bits and T is off by at
+    most m^2 2^-F of its largest term plus m units.  mpmath is left with
+    the constants and log pref + log|q|, pref = |z|^m / (m! (a-1)!).
 
-    The M sum and the digamma-weighted series run as fixed-point integers
-    (each term in units of 2^-F, F = the pass's bits + guard bits +
-    bits(a - 1)).  A step multiplies a term by the exact integer mantissa of
-    |z| and does one truncating division by (m+1+r)(r+1) shifted by the
-    exponent of z.  The digamma start EULER_GAMMA + sum_{i=m+1}^{A-1} 1/i is
-    summed the same way, which at thousands of digits costs far less than
-    mp.harmonic.  The terms start at 1 and rise to a single peak, so each
-    sum's absolute error is at most (terms) * 2^-F, below the roundoff
-    2^(max term - bits) of the same loops in mpf.  The largest term
-    magnitudes are read off the integers' bit lengths, as mp.mag reads them
-    off an mpf, so the escalation decisions are those of the mpf loops.
+    The loss of a pass is the bits of the largest piece the double pass
+    reads (e^z mmax |ln z|, smax, the largest tail term) less those of |q|.
+    A pass that lost more than dps - 10 digits measured only a lower bound
+    (its q is noise), so the next one at least doubles the precision and
+    starts no lower than _growth_start.  Raises ConvergenceError(failure)
+    after five passes.
     """
     cut = z < 0.0
     A = a + m
@@ -555,70 +558,58 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
     # M term ratio in magnitude: (c0 + dc r) |z| / ((m+1+r)(r+1)); the cut's
     # finite sum has c0 + dc r = a - 1 - r, the positive axis's series A + r
     c0, dc = (a - 1, -1) if cut else (A, 1)
-
-    def attempt(prec):
-        with mp.workdps(prec):
-            z_ = mp.mpf(z)
-            mz, lnz = -z_, mp.log(abs(z_))
-            # M factor; on the cut the terms alternate in sign
-            fm = mp.mp.prec + _M_GUARD_BITS + nbits
-            mv, t, tmax, r = 0, 1 << fm, 0, 0
-            while t:
-                mv += -t if cut and r & 1 else t
-                tmax = max(tmax, t)
-                t = t * (c0 + dc * r) * zm // (((m + 1 + r) * (r + 1)) << zk)
-                r += 1
-            mx_mv = tmax.bit_length() - fm
-            mv = mp.mpf((mv, -fm))
-            # digamma-weighted series; same alternation on the cut
-            fs = mp.mp.prec + _S_GUARD_BITS + nbits
-            one = 1 << fs
-            br = mp.libmp.euler_fixed(fs) + sum(one // i for i in range(m + 1, A))
-            s, t, cmax, r = 0, one, 0, 0
-            while t:
-                contrib = t * br >> fs
-                s += -contrib if cut and r & 1 else contrib
-                cmax = max(cmax, abs(contrib))
-                t = t * (A + r) * zm // (((m + 1 + r) * (r + 1)) << zk)
-                br += one // (A + r) - one // (1 + r) - one // (m + 1 + r)
-                r += 1
-                if r > 2_000_000:
-                    raise ConvergenceError("integer-b log series stalled in mp pass")
-            mx_s = cmax.bit_length() - fs
-            s = mp.mpf((s, -fs))
-            # tail sum, incremental terms
-            t3 = mp.mpf(0)
-            if m >= 1:
-                term = mp.gamma(m) / mp.gamma(A)
-                for r in range(m):
-                    t3 += term
-                    if r < m - 1:
-                        term *= (a + r) * mz / ((m - 1 - r) * (r + 1))
-            pref = abs(z_)**m / (mp.factorial(m) * mp.factorial(a - 1))
-            if cut:
-                p1 = -pref * mp.e**z_ * mv * lnz
-                p2 = -pref * s
-                val = p1 + p2 + t3
-                # largest intermediate at the overall scale bounds the roundoff
-                mx = mp.mag(pref) + max(mx_s, mx_mv - int(-z * 1.4427))
-            else:
-                pref = (-1) ** (m + 1) * pref
-                p1, p2 = pref * mv * lnz, pref * s
-                val = pref * (mv * lnz + s) + t3
-                mx = mp.mag(pref) + mx_s
-            for piece in (p1, p2, t3):
-                if piece:
-                    mx = max(mx, mp.mag(piece))
-            if val == 0:
-                return 0, 0.0, prec * 3.4
-            lost_bits = mx - mp.mag(val)
-            return int(mp.sign(val)), float(mp.log(abs(val))), lost_bits / 3.32
+    # the prefactor is -1 on the cut and (-1)^(m+1) on the positive axis
+    sgn = -1 if cut else (-1) ** (m + 1)
 
     for _ in range(5):
-        sign, logmag, lost = attempt(dps)
+        f = mp.libmp.dps_to_prec(dps) + _GUARD_BITS + nbits
+        one = 1 << f
+        # M factor; on the cut the terms alternate in sign
+        mv, t, mmax, r = 0, one, 0, 0
+        while t:
+            mv += -t if cut and r & 1 else t
+            mmax = max(mmax, t)
+            t = t * (c0 + dc * r) * zm // (((m + 1 + r) * (r + 1)) << zk)
+            r += 1
+        # digamma-weighted series; same alternation on the cut
+        br = mp.libmp.euler_fixed(f) + sum(one // i for i in range(m + 1, A))
+        s, t, smax, r = 0, one, 0, 0
+        while t:
+            contrib = t * br >> f
+            s += -contrib if cut and r & 1 else contrib
+            smax = max(smax, abs(contrib))
+            t = t * (A + r) * zm // (((m + 1 + r) * (r + 1)) << zk)
+            br += one // (A + r) - one // (1 + r) - one // (m + 1 + r)
+            r += 1
+            if r > _MP_MAX_TERMS:
+                raise ConvergenceError(f"{failure}: digamma series ran past {_MP_MAX_TERMS} terms")
+        # finite tail from its top term down, a term being t 2^-e units with t
+        # held to about f bits; its terms alternate on the positive axis
+        tail = tmax = 0
+        if m:
+            t, e, neg = (m << (f + zk)) // ((a + m - 1) * zm), 0, not (cut or m & 1)
+            tail, tmax = -t if neg else t, t
+            for r in range(m - 1, 0, -1):
+                shift = max(0, f - t.bit_length())
+                t, e = (t * (m - r) * r << (zk + shift)) // ((a + r - 1) * zm), e + shift
+                neg ^= not cut
+                tail += -(t >> e) if neg else t >> e
+                tmax = max(tmax, t >> e)
+        # ln|z| and e^z with gb fractional bits
+        gb = mmax.bit_length() + 8
+        with mp.workprec(gb + 16):
+            lnz = mp.log(abs(mp.mpf(z)))
+            ln_fixed = int(mp.ldexp(lnz, gb))
+            ez = int(mp.ldexp(mp.exp(z), gb)) if cut else 1 << gb
+        q = sgn * ((ez * mv * ln_fixed >> 2 * gb) + s) + tail
+        big = max(ez * mmax * abs(ln_fixed) >> 2 * gb, smax, tmax)
+        lost = (big.bit_length() - abs(q).bit_length()) / 3.32
         if dps - lost >= 17:
-            return LogScaled.from_log(sign, logmag) if sign else ZERO
-        dps = max(int(lost) + 26, 2 * dps) if lost > dps - 10 else int(lost) + 26
+            # q = 0 reads a loss of more than dps digits, so it is never kept
+            with mp.workdps(dps):
+                logmag = m * lnz - mp.loggamma(m + 1) - mp.loggamma(a) + mp.log(mp.mpf((abs(q), -f)))
+                return LogScaled.from_log(1 if q > 0 else -1, float(logmag))
+        dps = max(int(lost) + 26, 2 * dps, _growth_start(A, z)) if lost > dps - 10 else int(lost) + 26
     raise ConvergenceError(failure)
 
 
@@ -632,20 +623,29 @@ def _reu_direct(n: int, m: int, w: float) -> LogScaled:
     return _reu_settle(n, m, w, _reu_pieces_float(n, m, w))
 
 
+def _growth_start(big: int, z: float) -> int:
+    """mpmath start digits from the term growth of the log series, with big = a + m.
+
+    Each M sum is <= e^x L_{big-1}(-x) <= e^(x + 2 sqrt(big x)), x = |z|, and for z > 0 U falls like
+    e^(-2 sqrt(big x)) (DLMF §13.8(iii)), while Re U on the cut does not.
+    """
+    x = abs(z)
+    lost = ((2.0 if z < 0.0 else 4.0) * math.sqrt(big * x) + x) / math.log(10.0) + 10.0
+    return 24 + int(min(lost, 20000.0))
+
+
 def _mp_start(pieces, big: int, z: float):
     """None if the double pass pieces = _log_series_float(a, m, z) kept its digits, else the mpmath start.
 
     The start is 24 digits above the measured loss, with big = a + m.  An overflow or a zero measures
-    none; the terms bound it, as each M sum is <= e^x L_{big-1}(-x) <= e^(x + 2 sqrt(big x)), x = |z|,
-    and for z > 0 U falls like e^(-2 sqrt(big x)) (DLMF §13.8(iii)), while Re U on the cut does not.
+    none, and the start is _growth_start.
     """
     val, max_piece_log = pieces
     lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
     if lost <= _MAX_LOST_DIGITS:
         return None
     if val is None or val.is_zero():
-        x = abs(z)
-        lost = ((2.0 if z < 0.0 else 4.0) * math.sqrt(big * x) + x) / math.log(10.0) + 10.0
+        return _growth_start(big, z)
     return 24 + int(min(lost, 20000.0))
 
 
@@ -989,7 +989,7 @@ class CheckResult:
     detail: str
 
 
-def _oracle_suites(fast: bool = True) -> list[CheckResult]:
+def _oracle_suites() -> list[CheckResult]:
     """Oracle-equivalence suites: closed forms against the quadrature oracle.
 
     Returns one result per suite; core.selftest runs them first.
@@ -1010,19 +1010,17 @@ def _oracle_suites(fast: bool = True) -> list[CheckResult]:
     def closed_vs_quad(n, m, kind, s):
         return _rel_diff_ls(_CLOSED_FORMS[kind](n, m, s), hankel_integral_scaled(n, m, kind, s))
 
-    ns_j = (0, 2, 7, 20, 40) if fast else tuple(range(0, 41, 2))
     run(
         "J-integral closed form vs quadrature",
-        [(n, m, "J", s) for n in ns_j for m in (0, 3, 8) for s in (0.3, 1.0, 3.0)],
+        [(n, m, "J", s) for n in range(0, 41, 2) for m in (0, 3, 8) for s in (0.3, 1.0, 3.0)],
         closed_vs_quad,
         1e-8,
     )
-    ns_y = (0, 3, 10, 20) if fast else tuple(range(0, 21))
     run(
         "Y-integral closed form vs quadrature",
         [
             (n, m, "Y", 2.0 * math.sqrt(w))
-            for n in ns_y
+            for n in range(21)
             for m in (0, 2, 6)
             for w in (0.05, 0.5, 3.0, 10.0)
         ],

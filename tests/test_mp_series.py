@@ -4,8 +4,10 @@ _reu_direct_mp (the branch cut) and kummer_u (the positive axis) must
 return the sign of U(a, 1-m, z) at 50 digits (its real part on the cut) and
 a log magnitude equal to float(log|...|) to the last bit.  The arguments are
 escalations of a README-well cross-section and phase-shift sweep, positive-
-axis cases that need several passes or lie far past (a+m+1)x = 4, and
-random draws over the region the cross sections escalate in.  A double
+axis cases that need several passes, lie far past (a+m+1)x = 4 or have a
+finite tail that dips deep before it grows, and random draws over the
+region the cross sections escalate in; two more are checked against
+stored 50-digit values, as hyperu takes seconds on them.  A double
 pass that keeps its digits must be within 2e-11 of the reference in log
 magnitude, at large a too.
 """
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncwell import specfun
+from ncwell.errors import ConvergenceError
 
 
 def reference(a: int, m: int, z: float) -> tuple:
@@ -57,6 +60,10 @@ POS_CASES = [
     (11, 6, 4.0),
     # the float pass overflows, and the mpmath pass starts from the growth bound
     (1, 0, 2000.0),
+    # the finite tail dips by about e^-x and then grows by hundreds of orders; a
+    # tail truncated in units of the pass puts log U 2.7e-6 and 2.3e-9 off
+    (41, 603, 74.4951931194454),
+    (43, 380, 81.18177363629609),
 ]
 
 
@@ -96,6 +103,27 @@ def test_positive_axis_escalation_matches_hyperu(a, m, x):
     val, max_piece_log = specfun._log_series_float(a, m, x)
     assert val is None or specfun._lost_digits(max_piece_log, val) > specfun._MAX_LOST_DIGITS
     assert_matches(specfun.kummer_u(a, 1 - m, x), a, m, x)
+
+
+# (a, m, x, sign, log|U|): positive-axis passes whose fixed-point q after a
+# loss beyond the pass's digits is noise of about that loss, so they escalate
+# to the term-growth start; 50-digit hyperu, stored as it takes 6-12 s on each
+STORED_CASES = [
+    (1532, 26, 85.41129277051787, 1, -10426.363844499314),
+    (1587, 41, 80.59575039271883, 1, -10849.313627564652),
+]
+
+
+@pytest.mark.parametrize("a, m, x, sign, logmag", STORED_CASES)
+def test_positive_axis_escalation_past_a_noise_pass_matches_stored_hyperu(a, m, x, sign, logmag):
+    got = specfun.kummer_u(a, 1 - m, x)
+    assert (got.sign, got.logmag) == (sign, logmag)
+
+
+def test_stalled_digamma_series_names_its_arguments(monkeypatch):
+    monkeypatch.setattr(specfun, "_MP_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError, match=r"for a=20, m=3, x=12\.0: digamma series ran past 5 terms"):
+        specfun.kummer_u(20, -2, 12.0)
 
 
 @settings(deadline=None, max_examples=25, derandomize=True)
