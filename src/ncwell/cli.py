@@ -119,13 +119,12 @@ def _energy_grid(args, spec: core.WellSpec) -> list[float]:
             raise DomainError(f"{flag} must be finite, got {val}")
     if args.esteps < 2:
         raise DomainError(f"--esteps must be >= 2, got {args.esteps}")
+    if args.emin is None and not (math.isfinite(args.e_offset) and spec.v + args.e_offset > spec.v):
+        raise DomainError(f"--e-offset must be finite and > 0 (V + offset > V={spec.v}), got {args.e_offset}")
     e_min = args.emin if args.emin is not None else spec.v + args.e_offset
     e_max = args.emax
     if e_min <= spec.v:
-        raise DomainError(
-            f"energy sweep must start strictly above V={spec.v}; got emin={e_min} "
-            "(omit --emin to use V + offset)"
-        )
+        raise DomainError(f"--emin must be strictly above V={spec.v}, got {e_min} (omit it for V + --e-offset)")
     if not (e_min < e_max):
         raise DomainError(f"need emin < emax, got {e_min} >= {e_max}")
     n = args.esteps

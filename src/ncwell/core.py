@@ -81,11 +81,12 @@ class WellSpec:
     v: float
 
     def __post_init__(self):
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise DomainError(f"theta must be positive and finite, got {self.theta}")
+        # cap_n first: from_radius turns a negative cap_n into a negative theta
         _check_int(self.cap_n, "cap_n")
         if self.cap_n < 0:
             raise DomainError(f"cap_n must be >= 0, got {self.cap_n}")
+        if not (self.theta > 0.0 and math.isfinite(self.theta)):
+            raise DomainError(f"theta must be positive and finite, got {self.theta}")
         if not (self.v >= 0.0 and math.isfinite(self.v)):
             raise DomainError(f"v must be >= 0 and finite, got {self.v}")
 
@@ -175,30 +176,33 @@ def _laguerre_pair(m: int, w: float, n: int):
 
 
 def _jy_basis_rows(m: int, w: float, n: int):
-    """Regular/irregular basis values at rows n and n+1 for w > 0, m >= 0.
+    """Regular/irregular basis columns (J rows, Y rows) at rows n and n+1 for w > 0, m >= 0.
 
     Row value of the element is coeff_a * J_row + coeff_b * Y_row with
     J_row = sqrt(n!/(n+m)!) w^{m/2} L^m_n(w) and
     Y_row = -(1/pi) sqrt(n!(n+m)!) e^w w^{-m/2} Re[U(n+1,1-m,-w)].
     """
-    return _jy_rows(m, w, n, _laguerre_pair(m, w, n), _reu_pair(m, w, n))
+    return _j_rows(m, w, n, _laguerre_pair(m, w, n)), _y_rows(m, w, n, _reu_pair(m, w, n))
 
 
-def _jy_rows(m: int, w: float, n: int, lag, reu):
-    """_jy_basis_rows from the Laguerre and Re U values at rows n and n+1."""
+def _j_rows(m: int, w: float, n: int, lag):
+    """The J rows of _jy_basis_rows from (L^m_n(w), L^m_{n+1}(w))."""
     lnw = math.log(w)
-    rows = []
-    for i, idx in enumerate((n, n + 1)):
-        half = 0.5 * (math.lgamma(idx + 1.0) - math.lgamma(idx + m + 1.0))
-        j_row = lag[i] * ls_exp(half + 0.5 * m * lnw)
-        y_row = reu[i] * ls_exp(
-            0.5 * (math.lgamma(idx + 1.0) + math.lgamma(idx + m + 1.0))
-            + w
-            - 0.5 * m * lnw,
-            sign=-1,
+    return [
+        lag[i] * ls_exp(0.5 * (math.lgamma(idx + 1.0) - math.lgamma(idx + m + 1.0)) + 0.5 * m * lnw)
+        for i, idx in enumerate((n, n + 1))
+    ]
+
+
+def _y_rows(m: int, w: float, n: int, reu):
+    """The Y rows of _jy_basis_rows from Re U(j+1, 1-m, -w) at rows j = n, n+1."""
+    lnw = math.log(w)
+    return [
+        reu[i] * ls_exp(
+            0.5 * (math.lgamma(idx + 1.0) + math.lgamma(idx + m + 1.0)) + w - 0.5 * m * lnw, sign=-1
         ) / math.pi
-        rows.append((j_row, y_row))
-    return rows
+        for i, idx in enumerate((n, n + 1))
+    ]
 
 
 def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
@@ -221,8 +225,8 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
             raise DomainError("irregular branch is undefined at w = 0")
         return a if m == 0 else ZERO
     if w > 0.0:
-        j0, y0 = _jy_basis_rows(m, w, n)[0]
-        return a * j0 + b * y0
+        j_rows, y_rows = _jy_basis_rows(m, w, n)
+        return a * j_rows[0] + b * y_rows[0]
     # bound branch: w < 0, x = -w > 0
     x = -w
     lag = laguerre(n, m, w)
@@ -439,24 +443,20 @@ def _check_scattering(energy: float, spec: WellSpec, m) -> int:
 
 
 def _matching_rows(energy: float, spec: WellSpec, m: int):
-    """Interior and exterior basis rows at the two matching rows of sector m."""
+    """(interior J, exterior J, exterior Y) at the matching rows of sector m; the regular interior has no Y."""
     order, row = _sector(m, spec)
     w_in = spec.theta * energy
-    w_out = spec.theta * (energy - spec.v)
-    return _jy_basis_rows(order, w_in, row), _jy_basis_rows(order, w_out, row)
+    jin = _j_rows(order, w_in, row, _laguerre_pair(order, w_in, row))
+    return jin, *_jy_basis_rows(order, spec.theta * (energy - spec.v), row)
 
 
-def _solve_matching(rows_in, rows_out, energy: float, m: int):
-    """(interior amplitude, exterior B, row residuals) of scattering_coeffs from its basis rows.
+def _solve_matching(jin, jout, yout, energy: float, m: int):
+    """(interior amplitude, exterior B, row residuals) of scattering_coeffs from the _matching_rows columns.
 
     The residual of a row is relative to its largest term (0.0 when every
     term vanishes).  Raises SingularSystemError when the 2x2 system is
     degenerate or a row residual exceeds 1e-10.
     """
-    jin = [rows_in[0][0], rows_in[1][0]]
-    jout = [rows_out[0][0], rows_out[1][0]]
-    yout = [rows_out[0][1], rows_out[1][1]]
-
     # column scales: the larger log magnitude of each basis column
     c1, c2, c3 = (
         max(v.logmag if v.sign else -math.inf for v in col) for col in (jin, yout, jout)
@@ -540,13 +540,13 @@ def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
 def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]:
     """Phase shifts over an energy grid, with a continuity-unwrapped companion.
 
-    The whole axis is one lane pass: the Laguerre and Re U rows of the
-    interior (w = theta E) and exterior (w = theta (E - V)) lane of every
-    point come from specfun._lag_reu_pairs_grid, then each point takes the
-    scalar prefactors and 2x2 solve.  Every point equals phase_shift(e, spec, m)
-    bit for bit, and a sweep that fails raises the error phase_shift
-    raises at the first energy where it fails: when a lane's mpmath pass
-    fails, the valid energies are replayed through phase_shift in order.
+    The whole axis is one specfun._lag_reu_pairs_grid pass: Laguerre rows at
+    the interior (w = theta E) and exterior (w = theta (E - V)) w of every
+    point, Re U rows at the exterior w only; then each point takes the scalar
+    prefactors and 2x2 solve.  Every point equals phase_shift(e, spec, m) bit
+    for bit, and a failing sweep raises what phase_shift raises at the first
+    energy where it fails: when an mpmath pass fails, the valid energies are
+    replayed through phase_shift in order.
     """
     valid, failure = [], None
     for e in energies:
@@ -560,18 +560,18 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
     if valid:
         order, row = _sector(mi, spec)
         e_arr = np.array(valid, dtype=float)
-        # lanes 2i and 2i+1: interior and exterior of point i, in the order they fail
-        w = np.stack((spec.theta * e_arr, spec.theta * (e_arr - spec.v)), axis=1).ravel()
+        w_in, w_out = spec.theta * e_arr, spec.theta * (e_arr - spec.v)
         try:
-            lanes = _lag_reu_pairs_grid(order, w, row)
+            # Laguerre lanes: every interior point, then every exterior point
+            lag, reu = _lag_reu_pairs_grid(order, np.concatenate((w_in, w_out)), w_out, row)
         except ConvergenceError:
             for e in valid:
                 phase_shift(e, spec, m)
             raise
-        ws = w.tolist()
-        for i, e in enumerate(valid):
-            rows = [_jy_rows(order, ws[lane], row, *lanes[lane]) for lane in (2 * i, 2 * i + 1)]
-            pts.append(_phase_point(e, m, _solve_matching(*rows, e, mi)[1]))
+        for i, (e, wi, wo) in enumerate(zip(valid, w_in.tolist(), w_out.tolist())):
+            jout, yout = _j_rows(order, wo, row, lag[len(valid) + i]), _y_rows(order, wo, row, reu[i])
+            b_out = _solve_matching(_j_rows(order, wi, row, lag[i]), jout, yout, e, mi)[1]
+            pts.append(_phase_point(e, m, b_out))
     if failure is not None:
         raise failure
     unwrapped = []

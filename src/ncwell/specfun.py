@@ -701,44 +701,44 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
 
 
-def _lag_reu_pairs_grid(m: int, w: np.ndarray, n: int) -> list:
-    """(L^m_n, L^m_{n+1}) and Re U at rows n, n+1 on every lane of w > 0, bit for bit.
+def _lag_reu_pairs_grid(m: int, w_lag: np.ndarray, w_reu: np.ndarray, n: int):
+    """Laguerre rows n, n+1 on every lane of w_lag and Re U rows n, n+1 on every lane of w_reu > 0.
 
-    Lane i holds ((L_n, L_n1), (U_n, U_n1)) equal to
-    _laguerre_sweep(m, w[i], {n, n+1}) and _reu_rows(m, w[i], n, 2).  The
-    Re U series rows (direct, or the two anchors of the recurrence) run in
-    one _cut_series_grid call and then settle lane by lane through
+    Returns (lag, reu), bit for bit: lag[i] = (L^m_n, L^m_{n+1}) at w_lag[i]
+    as _laguerre_sweep gives them, reu[i] = tuple(_reu_rows(m, w_reu[i], n, 2)).
+    The Re U series rows (direct, or the two anchors of the recurrence) run
+    in one _cut_series_grid call and then settle lane by lane through
     _reu_settle, which raises the ConvergenceError of a failed mpmath pass.
     The Laguerre lanes and the Re U recurrence lanes run in one
     _recurrence_rows_grid call.
     """
-    ws = w.tolist()
-    size = len(ws)
+    ws = w_reu.tolist()
     direct = n + 1 <= _DIRECT_N
-    first = [n] * size if direct else [_anchor_row(m, wi, n) for wi in ws]
+    first = [n] * len(ws) if direct else [_anchor_row(m, wi, n) for wi in ws]
     rows = np.array(first, dtype=np.int64) + 1  # the series parameter a is the row + 1
-    pieces = _cut_series_grid(np.concatenate((rows, rows + 1)), m, np.concatenate((w, w)))
+    pieces = _cut_series_grid(np.concatenate((rows, rows + 1)), m, np.concatenate((w_reu, w_reu)))
     reu = [
         (_reu_settle(j, m, wi, lo), _reu_settle(j + 1, m, wi, hi))
-        for j, wi, lo, hi in zip(first, ws, pieces[:size], pieces[size:])
+        for j, wi, lo, hi in zip(first, ws, pieces[:len(ws)], pieces[len(ws):])
     ]
-    starts = [] if direct else [(j + 2, *_reu_anchor_start(j, m, *pair)) for j, pair in zip(first, reu)]
-    lanes = [np.broadcast_arrays(*_laguerre_start(m, w))]
-    if starts:
+    lanes, w = [np.broadcast_arrays(*_laguerre_start(m, w_lag))], w_lag
+    if not direct:
+        # the Re U recurrence lanes run after the Laguerre lanes
+        starts = [(j + 2, *_reu_anchor_start(j, m, *pair)) for j, pair in zip(first, reu)]
         lanes.append([np.array(col) for col in zip(*starts)])
+        w = np.concatenate((w_lag, w_reu))
     j0, lp, lc, ls = (np.concatenate(col) for col in zip(*lanes))
-    swept = _recurrence_rows_grid(m, np.concatenate((w,) * len(lanes)), j0, lp, lc, ls, (n, n + 1))
-    mant = [swept[j][0].tolist() for j in (n, n + 1)]
-    scale = [swept[j][1].tolist() for j in (n, n + 1)]
-    lg = [math.lgamma(j + m + 1.0) for j in (n, n + 1)]
-    out = []
-    for i, pair in enumerate(reu):
-        lag = tuple(_ls_from_sweep(mant[r][i], scale[r][i]) for r in (0, 1))
-        if starts:
-            k = size + i  # the lane's Re U recurrence runs after the Laguerre lanes
-            pair = tuple(_ls_from_sweep(mant[r][k], scale[r][k], lg[r]) for r in (0, 1))
-        out.append((lag, pair))
-    return out
+    swept = _recurrence_rows_grid(m, w, j0, lp, lc, ls, (n, n + 1))
+
+    def column(j, part, log_div=0.0):
+        mant, scale = swept[j][0][part].tolist(), swept[j][1][part].tolist()
+        return [_ls_from_sweep(mt, sc, log_div) for mt, sc in zip(mant, scale)]
+
+    head, tail = slice(w_lag.size), slice(w_lag.size, None)
+    lag = list(zip(column(n, head), column(n + 1, head)))
+    if not direct:
+        reu = list(zip(*(column(j, tail, math.lgamma(j + m + 1.0)) for j in (n, n + 1))))
+    return lag, reu
 
 
 def re_u_neg(n: int, m: int, w: float) -> LogScaled:

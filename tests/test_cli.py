@@ -173,6 +173,29 @@ def test_nonfinite_sweep_bound_is_domain_error(capsys):
         assert f"{name} must be finite" in err
 
 
+E_OFFSET_SWEEP = ["phase-shifts", *WELL10, "--m", "0", "--emax", "8", "--esteps", "3"]
+
+
+@pytest.mark.parametrize("text, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-0.5", "-0.5")])
+def test_bad_e_offset_is_named_when_emin_is_omitted(capsys, text, shown):
+    code, out, err = run_cli(capsys, E_OFFSET_SWEEP + ["--e-offset", text])
+    assert (code, out) == (1, "")
+    assert err == f"ncwell: domain error: --e-offset must be finite and > 0 (V + offset > V=6.0), got {shown}\n"
+
+
+def test_e_offset_is_unused_and_unchecked_when_emin_is_given(capsys):
+    code, out, _ = run_cli(capsys, E_OFFSET_SWEEP + ["--emin", "7", "--e-offset", "nan"])
+    assert code == 0
+    assert out == run_cli(capsys, E_OFFSET_SWEEP + ["--emin", "7"])[1]
+
+
+def test_negative_capital_n_is_named(capsys):
+    argv = ["bound-states", "--radius", "sqrt20", "--capital-n", "-1", "--v", "6", "--m", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "ncwell: domain error: cap_n must be >= 0, got -1\n"
+
+
 def test_nonfinite_energy_is_domain_error(capsys):
     for argv in (["wavefunction", *WELL10, "--m", "1", "--energy", "inf"], ["dcs", *WELL10, "--energy", "inf"]):
         code, _, err = run_cli(capsys, argv)

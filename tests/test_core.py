@@ -22,6 +22,7 @@ from ncwell.core import (
     wavefunction_eval,
 )
 import ncwell.core as core_mod
+from ncwell import specfun
 from ncwell.errors import DomainError
 from ncwell.logscale import LogScaled, ONE, ZERO
 from ncwell.oracle import CommWellSpec, comm_phase_shift
@@ -54,6 +55,9 @@ def test_wellspec_validation():
         WellSpec(-1.0, 10, 6.0)
     with pytest.raises(DomainError):
         WellSpec(1.0, -1, 6.0)
+    # a negative N is named as such, not as the negative theta it would give
+    with pytest.raises(DomainError, match="cap_n must be >= 0, got -1"):
+        WellSpec.from_radius(20.0, -1, 6.0)
     with pytest.raises(DomainError):
         WellSpec(1.0, 10, -2.0)
     # an infinite R^2 is named as such, not as the theta it would give
@@ -236,6 +240,49 @@ def test_scattering_residuals_meet_contract():
     ]:
         for e in es:
             assert max(matching_relative_residuals(e, spec, m)) < 1e-10
+
+
+def test_scattering_evaluates_re_u_at_the_exterior_w_only(monkeypatch):
+    # the interior is the regular branch: the Re U series (the scalar
+    # _log_series_float and the lanes of _cut_series_grid, which see z = -w)
+    # runs at w = theta (E - V) only, never at the interior w = theta E
+    seen, grid_calls = set(), []
+    log_series_float, cut_series_grid = specfun._log_series_float, specfun._cut_series_grid
+    recurrence_rows_grid = specfun._recurrence_rows_grid
+
+    def spy_float(a, m, z):
+        seen.add(-z)
+        return log_series_float(a, m, z)
+
+    def spy_grid(a, m, w):
+        seen.update(w.tolist())
+        return cut_series_grid(a, m, w)
+
+    def count_grid(*args):
+        grid_calls.append(args)
+        return recurrence_rows_grid(*args)
+
+    monkeypatch.setattr(specfun, "_log_series_float", spy_float)
+    monkeypatch.setattr(specfun, "_cut_series_grid", spy_grid)
+    monkeypatch.setattr(specfun, "_recurrence_rows_grid", count_grid)
+    n1000_v6 = WellSpec.from_radius(20.0, 1000, 6.0)
+    sweep = [6.5 + 0.7 * i for i in range(12)]  # V is no multiple of the step
+    # (well, energies, lane passes, run): a sweep runs its Laguerre and Re U recurrence lanes in one pass
+    cases = [
+        (N10, (6.5, 12.0), 0, lambda spec: [phase_shift(e, spec, m) for e in (6.5, 12.0) for m in (3, -3)]),
+        (N1000, (15.0,), 0, lambda spec: phase_shift(15.0, spec, 4)),
+        (N10, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, -3)),
+        (n1000_v6, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, 4)),
+        (N10, (15.0,), 0, lambda spec: cross_section_total(15.0, spec, 4, include_negative=True)),
+        (N1000, (12.0,), 0, lambda spec: cross_section_differential(12.0, spec, 4, [0.0, 1.0])),
+    ]
+    for spec, energies, passes, run in cases:
+        seen.clear()
+        grid_calls.clear()
+        run(spec)
+        assert seen == {spec.theta * (e - spec.v) for e in energies}
+        assert not seen & {spec.theta * e for e in energies}
+        assert len(grid_calls) == passes
 
 
 def test_phase_shift_agrees_with_commutative_at_small_theta():

@@ -102,11 +102,15 @@ def test_cut_series_lanes_match_scalar(m):
     ],
 )
 def test_lag_reu_pairs_match_scalar(m, n, w):
-    got = _lag_reu_pairs_grid(m, np.array(w), n)
-    for wi, (lag, reu) in zip(w, got):
+    # twice as many Laguerre lanes as Re U lanes, as in a sweep's interior and exterior
+    w_lag = w + [0.5 * wi for wi in w]
+    lag, reu = _lag_reu_pairs_grid(m, np.array(w_lag), np.array(w), n)
+    assert (len(lag), len(reu)) == (len(w_lag), len(w))
+    for wi, pair in zip(w_lag, lag):
         rows = _laguerre_sweep(m, wi, {n, n + 1})
-        assert lag == tuple(specfun._ls_from_sweep(*rows[j]) for j in (n, n + 1))
-        assert list(reu) == _reu_rows(m, wi, n, 2)
+        assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (n, n + 1))
+    for wi, pair in zip(w, reu):
+        assert list(pair) == _reu_rows(m, wi, n, 2)
     if n == 200:
         assert [_anchor_row(m, wi, n) + 1 == n for wi in w] == [True, True, False, False]
 
@@ -160,16 +164,19 @@ def test_sweep_raises_the_domain_error_of_the_first_bad_energy():
     assert kind is DomainError and "cut off" in msg
 
 
-@pytest.mark.parametrize("fail_at, bad_energy_at", [(4, 2), (4, 7), (0, 7)])
+@pytest.mark.parametrize("fail_at, bad_energy_at", [(4, 2), (4, 7), (2, 7)])
 def test_sweep_raises_at_the_first_failing_energy(monkeypatch, fail_at, bad_energy_at):
     spec = WellSpec.from_radius(20.0, 10, 6.0)
     energies = grid(6.05, 20.0, 10)
-    # the mpmath pass of the interior lane of energy fail_at fails
-    fail_w = spec.theta * energies[fail_at]
+    # the mpmath pass of the exterior lane of energy fail_at fails; that lane
+    # escalates at energies 2..9 of this grid, and Re U is never evaluated inside
+    fail_w = spec.theta * (energies[fail_at] - spec.v)
     real = specfun._reu_direct_mp
+    fired = []
 
     def failing(n, m, w, dps):
         if w == fail_w:
+            fired.append(w)
             raise ConvergenceError(f"cut series failed to stabilize for n={n}, m={m}, w={w}")
         return real(n, m, w, dps)
 
@@ -180,3 +187,5 @@ def test_sweep_raises_at_the_first_failing_energy(monkeypatch, fail_at, bad_ener
         assert kind is DomainError and "E=5.0" in msg
     else:
         assert kind is ConvergenceError and f"w={fail_w}" in msg
+    # a sweep that stops at a bad energy before fail_at never reaches it
+    assert bool(fired) == (bad_energy_at > fail_at)
