@@ -225,8 +225,9 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
             raise DomainError("irregular branch is undefined at w = 0")
         return a if m == 0 else ZERO
     if w > 0.0:
-        j_rows, y_rows = _jy_basis_rows(m, w, n)
-        return a * j_rows[0] + b * y_rows[0]
+        # a zero coefficient's column is not built: a regular solution runs no Re U
+        value = a * _j_rows(m, w, n, _laguerre_pair(m, w, n))[0] if not a.is_zero() else ZERO
+        return value + b * _y_rows(m, w, n, _reu_pair(m, w, n))[0] if not b.is_zero() else value
     # bound branch: w < 0, x = -w > 0
     x = -w
     lag = laguerre(n, m, w)
@@ -592,14 +593,12 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
     ]
 
 
-def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float]:
-    """(delta_m, sin^2(delta_m)) from one matching solve.
+def _wave_of_b(energy: float, m: int, b: LogScaled) -> tuple[float, float]:
+    """(delta_m, sin^2(delta_m)) from the exterior B of a matching solve.
 
     With the exterior A pinned to 1, sin^2 is B^2/(1+B^2), computed as
     1/(1+B^-2) where |B| > 1, robust where |tan(delta)| blows up.
     """
-    _, exterior = scattering_coeffs(energy, spec, m)
-    b = exterior.coeff_b
     if b.is_zero():
         return 0.0, 0.0
     delta = _phase_point(energy, m, b).delta
@@ -608,6 +607,82 @@ def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float
         return delta, 1.0 / (1.0 + t * t)
     t = b.to_float()
     return delta, t * t / (1.0 + t * t)
+
+
+def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float]:
+    """(delta_m, sin^2(delta_m)) from one scalar matching solve."""
+    _, exterior = scattering_coeffs(energy, spec, m)
+    return _wave_of_b(energy, m, exterior.coeff_b)
+
+
+def _sector_waves(energy: float, spec: WellSpec, sectors):
+    """(delta, sin^2) of each sector at one energy, in order, from one lane pass.
+
+    One specfun._lag_reu_pairs_grid call gives every sector its Laguerre
+    rows at the interior and exterior w and its Re U rows at the exterior w
+    (sector -k is a lane of order k at row N - k), and raises a
+    ConvergenceError at once.  Each sector's prefactors and 2x2 solve run
+    when the returned iterator reaches it, so a SingularSystemError comes
+    where the scalar loop would raise it.  Every value equals
+    _delta_and_sin2 bit for bit.
+    """
+    order, row = zip(*(_sector(s, spec) for s in sectors))
+    size = len(sectors)
+    w_in, w_out = spec.theta * energy, spec.theta * (energy - spec.v)
+    lag, reu = _lag_reu_pairs_grid(
+        np.array(order), np.repeat([w_in, w_out], size), np.full(size, w_out), np.array(row)
+    )
+
+    def wave(i, m):
+        jin = _j_rows(order[i], w_in, row[i], lag[i])
+        jout, yout = _j_rows(order[i], w_out, row[i], lag[size + i]), _y_rows(order[i], w_out, row[i], reu[i])
+        return _wave_of_b(energy, m, _solve_matching(jin, jout, yout, energy, m)[1])
+
+    return (wave(i, m) for i, m in enumerate(sectors))
+
+
+def _sum_floor(m_max: int, k: float, radius: float) -> int:
+    """The last wave partial_wave_sum always reaches: max(m_max, ceil(kR) + 2)."""
+    return max(m_max, math.ceil(k * radius) + 2)
+
+
+# a cross section's first lane pass runs this many waves past _sum_floor, a later one this many waves
+_FIRST_PAD = 6
+_NEXT_BLOCK = 8
+
+
+def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, include_negative: bool):
+    """waves(m) -> [(sector, delta, sin^2)] of wave m, for partial_wave_sum, solved in blocks.
+
+    Wave m's sectors are m, and -m for 1 <= m <= N with include_negative.
+    A block is one _sector_waves call: the first covers waves 0 ..
+    _sum_floor + _FIRST_PAD, a later one the next _NEXT_BLOCK waves, each capped at
+    HARD_M_CAP, and a later one is built only when the sum asks for its
+    first wave.  Waves past the sum's stop point are dropped unread.  When
+    a block raises ConvergenceError, wave m and every later one take the
+    scalar _delta_and_sin2 in order, so the sum raises what the scalar loop
+    raises, or nothing if it stops before the failing wave.
+    """
+    block, top = None, -1
+    first_top = _sum_floor(m_max, k, spec.radius) + _FIRST_PAD
+
+    def sectors(m):
+        return (m, -m) if include_negative and 1 <= m <= spec.cap_n else (m,)
+
+    def waves(m):
+        nonlocal block, top
+        if m > top:
+            top = min(first_top if m == 0 else m + _NEXT_BLOCK - 1, HARD_M_CAP)
+            try:
+                block = _sector_waves(energy, spec, [s for j in range(m, top + 1) for s in sectors(j)])
+            except ConvergenceError:
+                # no block from here on: the scalar solves replay the waves in order
+                block, top = None, math.inf
+        if block is None:
+            return [(s, *_delta_and_sin2(energy, spec, s)) for s in sectors(m)]
+        return [(s, *next(block)) for s in sectors(m)]
+
+    return waves
 
 
 def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
@@ -623,7 +698,7 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
     TAIL_REL of the running total.  At m = HARD_M_CAP it stops with a
     warning aimed at the caller's caller.
     """
-    min_extend = max(m_max, math.ceil(k * radius) + 2)
+    min_extend = _sum_floor(m_max, k, radius)
     sigma = 0.0
     contributions = []
     below = 0
@@ -663,18 +738,17 @@ def cross_section_total(
     contribution falls below TAIL_REL of the running total.  With
     include_negative=True each sector m and -m contributes its own
     sin^2(delta) with unit weight instead (exploratory variant; the
-    negative side is cut off at N, the positive side runs on).
+    negative side is cut off at N, the positive side runs on).  The waves
+    are solved in blocks, one lane pass each (_block_waves); every term
+    equals the scalar _delta_and_sin2 loop's bit for bit.
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
+    solved = _block_waves(energy, spec, m_max, k, include_negative)
 
-    if include_negative:
-        def waves(m):
-            sectors = (m, -m) if 1 <= m <= spec.cap_n else (m,)
-            return [(s, 1.0, _delta_and_sin2(energy, spec, s)[1]) for s in sectors]
-    else:
-        def waves(m):
-            return [(m, 1.0 if m == 0 else 2.0, _delta_and_sin2(energy, spec, m)[1])]
+    def waves(m):
+        eps = 1.0 if include_negative or m == 0 else 2.0
+        return [(s, eps, sin2) for s, _, sin2 in solved(m)]
 
     sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
     return CrossSectionPoint(
@@ -690,7 +764,8 @@ def cross_section_differential(
 ) -> list[tuple[float, float]]:
     """d(sigma)/d(phi) = |f(phi)|^2 / k on the supplied angular grid.
 
-    f(phi) = sqrt(2/pi) sum_m eps_m cos(m phi) e^{i delta_m} sin(delta_m).
+    f(phi) = sqrt(2/pi) sum_m eps_m cos(m phi) e^{i delta_m} sin(delta_m),
+    over the waves of cross_section_total's sum, solved in the same blocks.
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     phis = list(phi_grid)
@@ -700,10 +775,11 @@ def cross_section_differential(
     k = math.sqrt(2.0 * (energy - spec.v))
     # (m, eps_m, e^{i delta_m}, sin(delta_m)) per wave, with the same tail rule as the summed form
     factors = []
+    solved = _block_waves(energy, spec, m_max, k, False)
 
     def waves(m):
         eps = 1.0 if m == 0 else 2.0
-        delta, sin2 = _delta_and_sin2(energy, spec, m)
+        [(_, delta, sin2)] = solved(m)
         factors.append((m, eps, cmath.exp(1j * delta), math.sin(delta)))
         return [(m, eps, sin2)]
 

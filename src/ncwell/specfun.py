@@ -56,6 +56,7 @@ _MP_MAX_TERMS = 2_000_000
 
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
+_LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
 
 # the U-ratio continued fraction stops once a Lentz factor is this close to 1,
 # and raises ConvergenceError after this many iterations
@@ -114,26 +115,37 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
     return out
 
 
-def _recurrence_rows_grid(m: int, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
+def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
                           ls: np.ndarray, targets):
     """_recurrence_rows on numpy lanes, lane i starting at its own row j0[i].
 
-    A lane sits idle until its start row.  Every running lane does the
-    scalar arithmetic in the same order, and its log scale grows by
-    math.log of its own renormalization factor, so each lane's (mantissa,
-    log_scale) equals the scalar runner's bit for bit.  Returns
-    {t: (mantissa array, log_scale array)}; every target must be >= j0 - 2
-    on every lane.
+    m is one order for every lane (an int) or an int array of per-lane
+    orders.  A lane sits idle until its start row.  Every running lane does
+    the scalar arithmetic in the same order (2j-1+m and j-1+m are exact
+    integers either way), and its log scale grows by math.log of its own
+    renormalization factor, so each lane's (mantissa, log_scale) equals the
+    scalar runner's bit for bit.  Returns {t: (mantissa array, log_scale
+    array)}; a lane's entry at a target below its j0 - 2 is not its row.
+
+    The renormalization test runs only when a lane may have left [1e-250,
+    1e250]: a step changes |y_{j-1}| + |y_j| by at most a factor
+    1 + (2j - 1 + |m| + |w|) / min(j, j - 1 + m) either way, so after a test
+    that finds every lane inside, the steps until the product of those
+    factors could reach a bound skip it.
     """
     order = np.argsort(j0, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     starts = j0[order]
     w, lp0, lc0, ls0 = w[order], lp[order], lc[order], ls[order]
+    lane_m = isinstance(m, np.ndarray)
+    m0 = m[order] if lane_m else m
     begin = starts.tolist()
     # lanes [:k] of the start-sorted order are running; lp, lc, ls hold them
     k = 0
-    lp, lc, ls, wk = lp0[:0], lc0[:0], ls0[:0], w[:0]
+    lp, lc, ls, wk, mk = lp0[:0], lc0[:0], ls0[:0], w[:0], m
+    # room: log of the growth or shrinkage the lanes may take before the next test
+    room, grow, low = -1.0, 0.0, 0.0
     out = {}
     j = begin[0] if begin else 0
     for target in sorted(targets):
@@ -144,22 +156,38 @@ def _recurrence_rows_grid(m: int, w: np.ndarray, j0: np.ndarray, lp: np.ndarray,
                 lc = np.concatenate((lc, lc0[k:k_new]))
                 ls = np.concatenate((ls, ls0[k:k_new]))
                 k, wk = k_new, w[:k_new]
-            lp, lc = lc, ((2 * j - 1 + m - wk) * lc - (j - 1 + m) * lp) / j
+                if lane_m:
+                    mk = m0[:k_new]
+                grow = float(np.max(np.abs(mk))) + float(np.max(np.abs(wk))) - 1.0
+                low = min(float(np.min(mk)) - 1.0, 0.0)
+                room = -1.0
+            lp, lc = lc, ((2 * j - 1 + mk - wk) * lc - (j - 1 + mk) * lp) / j
+            room = room - math.log1p((2 * j + grow) / (j + low)) - 1e-9 if j + low >= 1.0 else -1.0
+            if room >= 0.0:
+                continue
             a = np.abs(lp) + np.abs(lc)
-            # one min and one max clear the common step; NaN falls through
-            if not (a.max() <= _RENORM_HI and a.min() >= _RENORM_LO):
-                for i in np.flatnonzero(((a > _RENORM_HI) | (a < _RENORM_LO)) & (a > 0.0)).tolist():
-                    lp[i] /= a[i]
-                    lc[i] /= a[i]
-                    ls[i] += math.log(a[i])
+            hi, lo = a.max(), a.min()
+            # NaN fails both tests and falls through
+            if hi <= _RENORM_HI and lo >= _RENORM_LO:
+                # a margin of e for the rounding of the steps and of a
+                room = min(_LOG_HI - math.log(hi), math.log(lo) - _LOG_LO) - 1.0
+                continue
+            for i in np.flatnonzero(((a > _RENORM_HI) | (a < _RENORM_LO)) & (a > 0.0)).tolist():
+                lp[i] /= a[i]
+                lc[i] /= a[i]
+                ls[i] += math.log(a[i])
+            room = -1.0
         idle = np.where(starts[k:] <= target + 1, lc0[k:], lp0[k:])
         out[target] = (np.concatenate((lc, idle))[inverse], np.concatenate((ls, ls0[k:]))[inverse])
         j = max(j, target + 1)
     return out
 
 
-def _laguerre_start(m: int, w):
-    """(j0, lp, lc, ls) starting the recurrence of L^m_n(w) at j0 = 2 from rows 0 and 1."""
+def _laguerre_start(m, w):
+    """(j0, lp, lc, ls) starting the recurrence of L^m_n(w) at j0 = 2 from rows 0 and 1.
+
+    m and w may be numpy lanes; 1.0 + m is exact, so every lane's row 1 is the scalar's.
+    """
     return 2, 1.0, 1.0 + m - w, 0.0
 
 
@@ -478,12 +506,13 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     return result, pref_log + math.log(max(ez * mmax * abs(lnz), smax, tmax, 1e-300))
 
 
-def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
+def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
     """_log_series_float(a[i], m, -w[i]) on numpy lanes, bit for bit; w > 0.
 
-    Each lane's finite M sum is one _cut_m_sum call, and its digamma start
-    is an entry of one _digamma_starts call.  The digamma series runs
-    across the lanes, and a lane leaves it on the iteration where the
+    m is one order (an int) or an int array of per-lane orders.  Each
+    lane's finite M sum is one _cut_m_sum call, and its digamma start is
+    an entry of one _digamma_starts call per order.  The digamma series
+    runs across the lanes, and a lane leaves it on the iteration where the
     scalar loop would break or fail, and ends in the scalar
     _log_series_tail.  Returns one _log_series_float result per lane,
     _SERIES_FAILED included.
@@ -492,18 +521,24 @@ def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
     if a.size == 0:
         return out
     n = a - 1
-    mv, mmax = np.array([_cut_m_sum(ni, m, wi) for ni, wi in zip(n.tolist(), w.tolist())]).T
+    ms = np.broadcast_to(m, a.shape).tolist()
+    mv, mmax = np.array([_cut_m_sum(ni, mi, wi) for ni, mi, wi in zip(n.tolist(), ms, w.tolist())]).T
+    lane_m = isinstance(m, np.ndarray)
     with np.errstate(over="ignore", invalid="ignore"):
         live = np.flatnonzero(np.isfinite(mv))
-        A, z, br = a[live] + m, -w[live], _digamma_starts(m, int(n.max()))[n[live]]
+        mk = m[live] if lane_m else m
+        # entry n of _digamma_starts(mi, ...) starts the lane of order mi at a = n + 1
+        starts = {mi: _digamma_starts(mi, int(n.max())) for mi in set(ms)}
+        br = np.array([starts[ms[i]][n[i]] for i in live.tolist()]) if lane_m else starts[m][n[live]]
+        A, z = a[live] + mk, -w[live]
         s, t, smax = np.zeros(live.size), np.ones(live.size), np.zeros(live.size)
         r = 0
         while live.size:
             contrib = t * br
             s += contrib
             smax = np.fmax(smax, np.abs(contrib))
-            t *= (A + r) * z / ((m + 1 + r) * (r + 1.0))
-            br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (m + 1 + r)
+            t *= (A + r) * z / ((mk + 1 + r) * (r + 1.0))
+            br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (mk + 1 + r)
             r += 1
             done = (r > 4) & (np.abs(t) * (np.abs(br) + 1.0) < 1e-19 * np.maximum(np.abs(s), 1e-280))
             finite = np.isfinite(s)
@@ -512,12 +547,14 @@ def _cut_series_grid(a: np.ndarray, m: int, w: np.ndarray) -> list:
                 for i in np.flatnonzero(done & finite).tolist():
                     lane = live[i]
                     out[lane] = _log_series_tail(
-                        int(a[lane]), m, float(-w[lane]), float(mv[lane]), float(mmax[lane]),
+                        int(a[lane]), ms[lane], float(-w[lane]), float(mv[lane]), float(mmax[lane]),
                         float(s[i]), float(smax[i]),
                     )
                 keep = ~leave
                 live, A, z, br = live[keep], A[keep], z[keep], br[keep]
                 s, t, smax = s[keep], t[keep], smax[keep]
+                if lane_m:
+                    mk = mk[keep]
     return out
 
 
@@ -701,43 +738,61 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
 
 
-def _lag_reu_pairs_grid(m: int, w_lag: np.ndarray, w_reu: np.ndarray, n: int):
+def _lag_reu_pairs_grid(m, w_lag: np.ndarray, w_reu: np.ndarray, n):
     """Laguerre rows n, n+1 on every lane of w_lag and Re U rows n, n+1 on every lane of w_reu > 0.
 
+    m and n are the order and the row of every lane (ints), or int arrays
+    with one entry per Re U lane; the Laguerre lanes then repeat that
+    layout, lane i taking the order and row of Re U lane i mod len(w_reu).
     Returns (lag, reu), bit for bit: lag[i] = (L^m_n, L^m_{n+1}) at w_lag[i]
     as _laguerre_sweep gives them, reu[i] = tuple(_reu_rows(m, w_reu[i], n, 2)).
-    The Re U series rows (direct, or the two anchors of the recurrence) run
-    in one _cut_series_grid call and then settle lane by lane through
-    _reu_settle, which raises the ConvergenceError of a failed mpmath pass.
-    The Laguerre lanes and the Re U recurrence lanes run in one
-    _recurrence_rows_grid call.
+    Each Re U lane takes _reu_rows's series rows (rows n and n+1 up to
+    _DIRECT_N, else the two anchors of the recurrence); they run in one
+    _cut_series_grid call and then settle lane by lane through _reu_settle,
+    which raises the ConvergenceError of a failed mpmath pass.  The Laguerre
+    lanes and the Re U recurrence lanes run in one _recurrence_rows_grid call.
     """
-    ws = w_reu.tolist()
-    direct = n + 1 <= _DIRECT_N
-    first = [n] * len(ws) if direct else [_anchor_row(m, wi, n) for wi in ws]
+    lane_m = isinstance(m, np.ndarray)
+    ms, ns, ws = (np.broadcast_to(v, w_reu.shape).tolist() for v in (m, n, w_reu))
+    first = [ni if ni + 1 <= _DIRECT_N else _anchor_row(mi, wi, ni) for mi, ni, wi in zip(ms, ns, ws)]
     rows = np.array(first, dtype=np.int64) + 1  # the series parameter a is the row + 1
-    pieces = _cut_series_grid(np.concatenate((rows, rows + 1)), m, np.concatenate((w_reu, w_reu)))
+    pieces = _cut_series_grid(
+        np.concatenate((rows, rows + 1)), np.concatenate((m, m)) if lane_m else m, np.concatenate((w_reu, w_reu))
+    )
     reu = [
-        (_reu_settle(j, m, wi, lo), _reu_settle(j + 1, m, wi, hi))
-        for j, wi, lo, hi in zip(first, ws, pieces[:len(ws)], pieces[len(ws):])
+        (_reu_settle(j, mi, wi, lo), _reu_settle(j + 1, mi, wi, hi))
+        for j, mi, wi, lo, hi in zip(first, ms, ws, pieces[:len(ws)], pieces[len(ws):])
     ]
-    lanes, w = [np.broadcast_arrays(*_laguerre_start(m, w_lag))], w_lag
-    if not direct:
-        # the Re U recurrence lanes run after the Laguerre lanes
-        starts = [(j + 2, *_reu_anchor_start(j, m, *pair)) for j, pair in zip(first, reu)]
+    # recurrence lanes: every Laguerre lane, then the Re U lanes above _DIRECT_N
+    rec = [i for i, ni in enumerate(ns) if ni + 1 > _DIRECT_N]
+    if lane_m:
+        copies = w_lag.size // max(w_reu.size, 1)
+        m, n = np.concatenate((np.tile(m, copies), m[rec])), np.concatenate((np.tile(n, copies), n[rec]))
+    lanes = [np.broadcast_arrays(*_laguerre_start(m[:w_lag.size] if lane_m else m, w_lag))]
+    if rec:
+        starts = [(first[i] + 2, *_reu_anchor_start(first[i], ms[i], *reu[i])) for i in rec]
         lanes.append([np.array(col) for col in zip(*starts)])
-        w = np.concatenate((w_lag, w_reu))
     j0, lp, lc, ls = (np.concatenate(col) for col in zip(*lanes))
-    swept = _recurrence_rows_grid(m, w, j0, lp, lc, ls, (n, n + 1))
+    w = np.concatenate((w_lag, w_reu[rec]))
+    row = np.broadcast_to(n, w.shape)
+    swept = _recurrence_rows_grid(m, w, j0, lp, lc, ls, set(row.tolist()) | set((row + 1).tolist()))
 
-    def column(j, part, log_div=0.0):
-        mant, scale = swept[j][0][part].tolist(), swept[j][1][part].tolist()
-        return [_ls_from_sweep(mt, sc, log_div) for mt, sc in zip(mant, scale)]
-
-    head, tail = slice(w_lag.size), slice(w_lag.size, None)
-    lag = list(zip(column(n, head), column(n + 1, head)))
-    if not direct:
-        reu = list(zip(*(column(j, tail, math.lgamma(j + m + 1.0)) for j in (n, n + 1))))
+    # row n and row n + 1 of every lane, as (mantissa list, log scale list)
+    cols = []
+    for off in (0, 1):
+        mant, scale = np.empty(w.size), np.empty(w.size)
+        for t, (mt, sc) in swept.items():
+            sel = row + off == t
+            mant[sel], scale[sel] = mt[sel], sc[sel]
+        cols.append((mant.tolist(), scale.tolist()))
+    lag = [
+        tuple(_ls_from_sweep(mant[i], scale[i]) for mant, scale in cols) for i in range(w_lag.size)
+    ]
+    for lane, i in enumerate(rec, w_lag.size):
+        reu[i] = tuple(
+            _ls_from_sweep(mant[lane], scale[lane], math.lgamma(ns[i] + off + ms[i] + 1.0))
+            for off, (mant, scale) in enumerate(cols)
+        )
     return lag, reu
 
 

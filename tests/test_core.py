@@ -114,6 +114,33 @@ def test_fock_element_at_w_zero():
         fock_element(2, 0, RegionSolution(EXTERIOR, 0.0, a, ONE))
 
 
+def test_fock_element_builds_no_column_with_a_zero_coefficient(monkeypatch):
+    # a regular solution runs no Re U series or recurrence (the Laguerre sweep alone starts
+    # at row 2), an irregular one no Laguerre sweep, and each value is a * J + b * Y
+    n, m, w = 1000, 4, 0.4
+    j_rows, y_rows = core_mod._jy_basis_rows(m, w, n)
+    a, b = LogScaled.from_float(1.7), LogScaled.from_float(-0.3)
+    series, starts = [], []
+    log_series_float, recurrence_rows = specfun._log_series_float, specfun._recurrence_rows
+
+    def spy_series(*args):
+        series.append(args)
+        return log_series_float(*args)
+
+    def spy_rows(m, w, j0, *rest):
+        starts.append(j0)
+        return recurrence_rows(m, w, j0, *rest)
+
+    monkeypatch.setattr(specfun, "_log_series_float", spy_series)
+    monkeypatch.setattr(specfun, "_recurrence_rows", spy_rows)
+    for ca, cb, want_series, want_starts in [(a, ZERO, 0, [2]), (ZERO, b, 2, [16]), (a, b, 2, [2, 16])]:
+        series.clear()
+        starts.clear()
+        got = fock_element(n, m, RegionSolution(INTERIOR, w, ca, cb))
+        assert got == ca * j_rows[0] + cb * y_rows[0]
+        assert (len(series), starts) == (want_series, want_starts)
+
+
 def test_fock_element_negative_m_reduction():
     w = 1.1
     sol = RegionSolution(INTERIOR, w, ONE, ZERO)
@@ -267,14 +294,16 @@ def test_scattering_evaluates_re_u_at_the_exterior_w_only(monkeypatch):
     monkeypatch.setattr(specfun, "_recurrence_rows_grid", count_grid)
     n1000_v6 = WellSpec.from_radius(20.0, 1000, 6.0)
     sweep = [6.5 + 0.7 * i for i in range(12)]  # V is no multiple of the step
-    # (well, energies, lane passes, run): a sweep runs its Laguerre and Re U recurrence lanes in one pass
+    # (well, energies, lane passes, run): a sweep runs its Laguerre and Re U recurrence lanes in one
+    # pass, a cross section in one pass per block; at N = 10, E = 15 the sum reaches wave 37, so it
+    # takes the blocks 0..27, 28..35 and 36..43
     cases = [
         (N10, (6.5, 12.0), 0, lambda spec: [phase_shift(e, spec, m) for e in (6.5, 12.0) for m in (3, -3)]),
         (N1000, (15.0,), 0, lambda spec: phase_shift(15.0, spec, 4)),
         (N10, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, -3)),
         (n1000_v6, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, 4)),
-        (N10, (15.0,), 0, lambda spec: cross_section_total(15.0, spec, 4, include_negative=True)),
-        (N1000, (12.0,), 0, lambda spec: cross_section_differential(12.0, spec, 4, [0.0, 1.0])),
+        (N10, (15.0,), 3, lambda spec: cross_section_total(15.0, spec, 4, include_negative=True)),
+        (N1000, (12.0,), 1, lambda spec: cross_section_differential(12.0, spec, 4, [0.0, 1.0])),
     ]
     for spec, energies, passes, run in cases:
         seen.clear()
@@ -359,14 +388,17 @@ def test_cross_section_limit_agreement_improves_with_n():
 # ---------------------------------------------------------------------------
 
 def test_cross_section_all_deltas_zero(monkeypatch):
-    monkeypatch.setattr(core_mod, "_delta_and_sin2", lambda e, s, m: (0.0, 0.0))
+    # each block hands back (delta, sin^2) per sector
+    monkeypatch.setattr(core_mod, "_sector_waves", lambda e, s, sectors: iter([(0.0, 0.0)] * len(sectors)))
     pt = cross_section_total(12.0, N10, 4)
     assert pt.sigma_total == 0.0
 
 
 def test_cross_section_unitarity_limit_s_wave(monkeypatch):
     monkeypatch.setattr(
-        core_mod, "_delta_and_sin2", lambda e, s, m: (math.pi / 2, 1.0) if m == 0 else (0.0, 0.0)
+        core_mod,
+        "_sector_waves",
+        lambda e, s, sectors: iter([(math.pi / 2, 1.0) if m == 0 else (0.0, 0.0) for m in sectors]),
     )
     e = 12.0
     pt = cross_section_total(e, N10, 4)
@@ -446,8 +478,8 @@ def test_dcs_isotropic_when_only_s_wave(monkeypatch):
     d0 = 0.7
     monkeypatch.setattr(
         core_mod,
-        "_delta_and_sin2",
-        lambda e, s, m: (d0, math.sin(d0) ** 2) if m == 0 else (0.0, 0.0),
+        "_sector_waves",
+        lambda e, s, sectors: iter([(d0, math.sin(d0) ** 2) if m == 0 else (0.0, 0.0) for m in sectors]),
     )
     e = 12.0
     k = math.sqrt(2.0 * (e - N10.v))

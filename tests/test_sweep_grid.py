@@ -46,11 +46,14 @@ def test_runner_with_mixed_start_rows_matches_scalar():
     lp, lc = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size)
     ls = rng.uniform(-30.0, 30.0, size)
     targets = (299, 300)
-    got = _recurrence_rows_grid(5, w, j0, lp, lc, ls, targets)
-    for i in range(size):
-        want = _recurrence_rows(5, w[i].item(), int(j0[i]), lp[i].item(), lc[i].item(), ls[i].item(), targets)
-        assert {t: (got[t][0][i].item(), got[t][1][i].item()) for t in targets} == want
-    assert np.count_nonzero(got[300][1] != ls) > 5
+    # one order for every lane, and an order per lane as in a cross section's block
+    for m in (5, rng.integers(0, 60, size)):
+        ms = np.broadcast_to(m, (size,)).tolist()
+        got = _recurrence_rows_grid(m, w, j0, lp, lc, ls, targets)
+        for i in range(size):
+            want = _recurrence_rows(ms[i], w[i].item(), int(j0[i]), lp[i].item(), lc[i].item(), ls[i].item(), targets)
+            assert {t: (got[t][0][i].item(), got[t][1][i].item()) for t in targets} == want
+        assert np.count_nonzero(got[300][1] != ls) > 5
 
 
 def m_sum_reference(n, m, w):
@@ -72,18 +75,24 @@ def digamma_start_reference(m, count):
     return out
 
 
-@pytest.mark.parametrize("m", [0, 3, 16])
+# an order per lane, as in a cross section's block
+PER_LANE_M = np.array([0, 5, 16, 3, 0, 30, 2, 16, 1, 7, 4, 9, 0, 0])
+
+
+@pytest.mark.parametrize("m", [0, 3, 16, PER_LANE_M])
 def test_cut_series_lanes_match_scalar(m):
     # (2, 1e-9): the digamma series stops on its first allowed iteration, r = 5
     a = np.array([1, 2, 3, 30, 65, 200, 1001, 2000, 3, 40, 1500, 2, 1, 2000])
     w = np.array([0.3, 2.5, 0.01, 9.0, 30.0, 0.05, 0.7, 12.0, 300.0, 25.0, 0.002, 1e-9, 720.0, 700.0])
+    ms = np.broadcast_to(m, a.shape).tolist()
     # the steps both paths share, against the loops they replace (float.hex: the overflow is nan)
-    for ai, wi in zip(a.tolist(), w.tolist()):
-        got_m, want_m = _cut_m_sum(ai - 1, m, wi), m_sum_reference(ai - 1, m, wi)
+    for ai, mi, wi in zip(a.tolist(), ms, w.tolist()):
+        got_m, want_m = _cut_m_sum(ai - 1, mi, wi), m_sum_reference(ai - 1, mi, wi)
         assert [float.hex(v) for v in got_m] == [float.hex(v) for v in want_m]
-    assert _digamma_starts(m, int(a.max()) - 1).tolist() == digamma_start_reference(m, int(a.max()) - 1)
+    for mi in set(ms):
+        assert _digamma_starts(mi, int(a.max()) - 1).tolist() == digamma_start_reference(mi, int(a.max()) - 1)
     got = _cut_series_grid(a, m, w)
-    want = [_log_series_float(ai, m, -wi) for ai, wi in zip(a.tolist(), w.tolist())]
+    want = [_log_series_float(ai, mi, -wi) for ai, mi, wi in zip(a.tolist(), ms, w.tolist())]
     assert got == want
     # (1, 720) overflows in the digamma series, (2000, 700) in the M sum
     assert got[-2:] == [_SERIES_FAILED, _SERIES_FAILED]
@@ -113,6 +122,19 @@ def test_lag_reu_pairs_match_scalar(m, n, w):
         assert list(pair) == _reu_rows(m, wi, n, 2)
     if n == 200:
         assert [_anchor_row(m, wi, n) + 1 == n for wi in w] == [True, True, False, False]
+
+
+def test_lag_reu_pairs_with_an_order_and_row_per_lane_match_scalar():
+    # a cross section's block at N = 64: rows 64 (anchored), 63 and 61 (direct) and 0, one w
+    m = np.array([0, 3, 1, 3, 64, 9])
+    n = np.array([64, 64, 63, 61, 0, 64])
+    w = [0.4] * m.size
+    lag, reu = _lag_reu_pairs_grid(m, np.array([1.3] * m.size + w), np.array(w), n)
+    for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
+        for wi, pair in ((1.3, lag[i]), (0.4, lag[m.size + i])):
+            rows = _laguerre_sweep(mi, wi, {ni, ni + 1})
+            assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (ni, ni + 1))
+        assert list(reu[i]) == _reu_rows(mi, 0.4, ni, 2)
 
 
 SWEEPS = [

@@ -1,0 +1,177 @@
+"""The cross sections' lane passes against the scalar partial-wave loop they replace.
+
+A cross section solves the waves of one energy in blocks, one lane pass
+each (core._sector_waves).  Every sector must equal the scalar
+core._delta_and_sin2 bit for bit (asserted with ==, no tolerance), and a
+failing block must raise what the scalar loop raises, or nothing when the
+loop stops before the failing wave.
+"""
+
+import cmath
+import math
+
+import pytest
+
+import ncwell.core as core_mod
+from ncwell import specfun
+from ncwell.core import WellSpec, cross_section_differential, cross_section_total, partial_wave_sum
+from ncwell.errors import ConvergenceError, SingularSystemError
+from ncwell.specfun import _DIRECT_N, _anchor_row
+
+
+def scalar_sum(energy, spec, m_max, include_negative=False):
+    # the partial-wave loop on the scalar solves, as cross_section_total ran it before the blocks
+    k = math.sqrt(2.0 * (energy - spec.v))
+
+    def waves(m):
+        sectors = (m, -m) if include_negative and 1 <= m <= spec.cap_n else (m,)
+        eps = 1.0 if include_negative or m == 0 else 2.0
+        return [(s, eps, core_mod._delta_and_sin2(energy, spec, s)[1]) for s in sectors]
+
+    return partial_wave_sum(waves, energy, k, spec.radius, m_max)
+
+
+def block_calls(monkeypatch):
+    calls = []
+    real = core_mod._sector_waves
+
+    def spy(energy, spec, sectors):
+        calls.append(list(sectors))
+        return real(energy, spec, sectors)
+
+    monkeypatch.setattr(core_mod, "_sector_waves", spy)
+    return calls
+
+
+BLOCKS = [
+    # (N, V, E, sectors)
+    (10, 6.0, 7.0, list(range(13)) + [-k for k in range(1, 11)]),  # every row direct
+    (62, 10.0, 14.0, list(range(10)) + [-1, -5]),  # rows 62, 63: direct
+    (64, 10.0, 14.0, list(range(10)) + [-1, -5]),  # row 64 anchored, -1 and -5 direct
+    (200, 10.0, 10.5, list(range(16, 25))),  # anchors clipped to n - 1
+    (1000, 10.0, 10.05, list(range(12))),
+    (1000, 10.0, 15.0, list(range(24))),
+    (1000, 10.0, 58.0, list(range(52))),
+    (3, 10.0, 40.0, [0, 1, -1, 2, -2, 3, -3, 4, 5, 6]),  # sector -3 matches at rows 0 and 1
+    (1000, 10.0, 12.0, [0] + [s for m in range(1, 18) for s in (m, -m)]),
+]
+
+
+@pytest.mark.parametrize("cap_n, v, energy, sectors", BLOCKS)
+def test_block_sectors_equal_scalar_waves(cap_n, v, energy, sectors):
+    spec = WellSpec.from_radius(20.0, cap_n, v)
+    got = list(core_mod._sector_waves(energy, spec, sectors))
+    assert got == [core_mod._delta_and_sin2(energy, spec, s) for s in sectors]
+    rows = [core_mod._sector(s, spec) for s in sectors]
+    w = spec.theta * (energy - spec.v)
+    if cap_n in (62, 64):
+        # both sides of _DIRECT_N in one block at N = 64
+        direct = [row + 1 <= _DIRECT_N for _, row in rows]
+        assert all(direct) if cap_n == 62 else (not direct[0] and direct[-1])
+    if cap_n == 200:
+        assert all(_anchor_row(order, w, row) == row - 1 for order, row in rows)
+
+
+@pytest.mark.parametrize("cap_n, v, energy, m_max, include_negative, blocks", [
+    (3, 10.0, 40.0, 2, True, 14),  # the sum reaches wave 145: blocks 0..43, then 13 of 8 waves
+    (1000, 10.0, 12.0, 4, True, 1),
+    (1000, 10.0, 15.0, 4, False, 1),
+    (10, 6.0, 8.0, 4, False, 2),  # the sum reaches wave 18, past the first block's 0..17
+])
+def test_cross_section_equals_the_scalar_loop(monkeypatch, cap_n, v, energy, m_max, include_negative, blocks):
+    spec = WellSpec.from_radius(20.0, cap_n, v)
+    want = scalar_sum(energy, spec, m_max, include_negative)
+    calls = block_calls(monkeypatch)
+    got = cross_section_total(energy, spec, m_max, include_negative=include_negative)
+    assert (got.sigma_total, list(got.contributions)) == want
+    assert len(calls) == blocks
+
+
+def test_dcs_needing_a_second_block_equals_the_scalar_waves(monkeypatch):
+    spec, energy, phis = WellSpec.from_radius(20.0, 10, 6.0), 8.0, [0.0, 1.0, 2.5]
+    calls = block_calls(monkeypatch)
+    got = cross_section_differential(energy, spec, 4, phis)
+    assert len(calls) == 2
+    waves = len(scalar_sum(energy, spec, 4)[1])
+    k = math.sqrt(2.0 * (energy - spec.v))
+    deltas = [core_mod._delta_and_sin2(energy, spec, m)[0] for m in range(waves)]
+    for phi, val in got:
+        f = 0j
+        for m, d in enumerate(deltas):
+            f += (1.0 if m == 0 else 2.0) * math.cos(m * phi) * cmath.exp(1j * d) * math.sin(d)
+        assert val == abs(f * math.sqrt(2.0 / math.pi)) ** 2 / k
+
+
+# N = 1000, E = 15: the sum stops at wave 19, and the first block runs to wave 23
+N1000 = WellSpec.from_radius(20.0, 1000, 10.0)
+E15 = 15.0
+
+
+def fail_reu_at(monkeypatch, order):
+    # the mpmath settle of Re U fails at the exterior w of E15 for one order, in either path
+    real = specfun._reu_settle
+    w_out = N1000.theta * (E15 - N1000.v)
+
+    def failing(n, m, w, pieces):
+        if m == order and w == w_out:
+            raise ConvergenceError(f"cut series failed to stabilize for n={n}, m={m}, w={w}")
+        return real(n, m, w, pieces)
+
+    monkeypatch.setattr(specfun, "_reu_settle", failing)
+
+
+def fail_solve_at(monkeypatch, sector):
+    real = core_mod._solve_matching
+
+    def failing(jin, jout, yout, energy, m):
+        if m == sector:
+            raise SingularSystemError(f"matching rows are degenerate at E={energy}, m={m}")
+        return real(jin, jout, yout, energy, m)
+
+    monkeypatch.setattr(core_mod, "_solve_matching", failing)
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_sum_stops_before_the_padding_waves():
+    assert len(cross_section_total(E15, N1000, 4).contributions) == 20
+    assert core_mod._sum_floor(4, math.sqrt(2.0 * (E15 - N1000.v)), N1000.radius) + core_mod._FIRST_PAD == 23
+
+
+@pytest.mark.parametrize("fail_at, scalar_solves", [
+    # a failed lane pass replays the 20 waves of each sum on the scalar solves
+    (lambda mp: fail_reu_at(mp, 22), 40),
+    # a solve runs only when its wave is read, so wave 21 is never solved
+    (lambda mp: fail_solve_at(mp, 21), 0),
+])
+def test_failure_past_the_stop_point_does_not_surface(monkeypatch, fail_at, scalar_solves):
+    want = cross_section_total(E15, N1000, 4)
+    want_dcs = cross_section_differential(E15, N1000, 4, [0.0, 1.0])
+    fail_at(monkeypatch)
+    calls, solves = block_calls(monkeypatch), []
+    scattering_coeffs = core_mod.scattering_coeffs
+    monkeypatch.setattr(core_mod, "scattering_coeffs", lambda *args: solves.append(args) or scattering_coeffs(*args))
+    assert cross_section_total(E15, N1000, 4) == want
+    assert cross_section_differential(E15, N1000, 4, [0.0, 1.0]) == want_dcs
+    assert ([len(c) for c in calls], len(solves)) == ([24, 24], scalar_solves)
+
+
+def test_failure_at_a_reached_wave_is_the_scalar_loops(monkeypatch):
+    fail_reu_at(monkeypatch, 5)
+    kind, msg = raised(lambda: scalar_sum(E15, N1000, 4))
+    assert kind is ConvergenceError and "m=5" in msg
+    assert raised(lambda: cross_section_total(E15, N1000, 4)) == (kind, msg)
+    assert raised(lambda: cross_section_differential(E15, N1000, 4, [0.0])) == (kind, msg)
+
+
+def test_singular_solve_at_an_earlier_wave_wins(monkeypatch):
+    fail_reu_at(monkeypatch, 5)
+    fail_solve_at(monkeypatch, 3)
+    kind, msg = raised(lambda: scalar_sum(E15, N1000, 4))
+    assert kind is SingularSystemError and "m=3" in msg
+    assert raised(lambda: cross_section_total(E15, N1000, 4)) == (kind, msg)
+    assert raised(lambda: cross_section_differential(E15, N1000, 4, [0.0])) == (kind, msg)
