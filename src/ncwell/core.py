@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import ConvergenceError, DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, ls_exp
@@ -63,8 +63,11 @@ HARD_M_CAP = 1024
 GRID_POINTS = 2000
 EDGE_FRACTION = 1e-9
 ROOT_FRACTION = 5e-13
-# the smallest relative tolerance scipy.optimize.brentq accepts
+# Brent's relative root tolerance: 4 eps, the smallest that scipy's brentq
+# accepts, kept so that every root keeps the bits it had under brentq
 BRENT_RTOL = 4.0 * np.finfo(float).eps
+# Brent's method raises ConvergenceError after this many steps (brentq's default)
+BRENT_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +337,67 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> lis
     ]
 
 
+def _brent(g, a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
+    """(root, g(root)) of g in [a, b] by Brent's method, given ga = g(a) and gb = g(b).
+
+    ga and gb must be nonzero and of opposite signs.  A step-for-step
+    transcription of scipy's brentq.c, so the root and the points g is
+    evaluated at are bit for bit brentq's; g is called only strictly inside
+    the bracket.  The root is within xtol + rtol |root| of a sign change.
+    A NaN value of g, or no convergence within BRENT_MAX_ITER steps, raises
+    ConvergenceError.
+    """
+
+    def checked(e, ge):
+        if math.isnan(ge):
+            raise ConvergenceError(f"matching residual is NaN at E={e} (bracket [{a}, {b}])")
+        return ge
+
+    xpre, xcur = a, b
+    fpre, fcur = checked(a, ga), checked(b, gb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan  # C's inf or nan, which fails the step test and bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = checked(xcur, g(xcur))
+    raise ConvergenceError(f"Brent's method did not converge within {BRENT_MAX_ITER} steps on the bracket [{a}, {b}]")
+
+
 def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
     """Roots of g in [lo, hi] as (root, |g(root)|) pairs, in increasing order.
 
     g_grid(energies) evaluates g on the whole uniform scan grid in one call
     and must equal g point by point.  Each sign change between neighbouring
-    grid values is refined by Brent's method (scipy.optimize.brentq) to
-    within tol + BRENT_RTOL |root|; a grid value that is exactly 0 is itself
-    a root.  Brent takes its two bracket values from the grid, and the
-    residual of a root is the value g had at the point Brent returns, so g
-    is called only strictly inside the brackets and never twice at one
-    point.
+    grid values is refined by _brent to within tol + BRENT_RTOL |root|; a
+    grid value that is exactly 0 is itself a root.  Brent takes its two
+    bracket values from the grid and returns the value g had at its root,
+    so g is called only strictly inside the brackets.
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
@@ -357,23 +410,13 @@ def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
     zero, neg = vals == 0.0, vals < 0.0
     hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
     es, gs = grid.tolist(), vals.tolist()
-    known = {}
-
-    def g_once(e):
-        ge = known.get(e)
-        if ge is None:
-            ge = known[e] = g(e)
-        return ge
-
     roots = []
     for i in hits.tolist():
         if gs[i] == 0.0:
             roots.append((es[i], 0.0))
             continue
-        known[es[i]], known[es[i + 1]] = gs[i], gs[i + 1]
-        # brentq returns a point it evaluated, so its value is in known
-        root = optimize.brentq(g_once, es[i], es[i + 1], xtol=tol, rtol=BRENT_RTOL)
-        roots.append((root, abs(known[root])))
+        root, g_root = _brent(g, es[i], es[i + 1], gs[i], gs[i + 1], tol, BRENT_RTOL)
+        roots.append((root, abs(g_root)))
     return roots
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ConvergenceError, DomainError
 from .logscale import LogScaled, ZERO, ls_exp
@@ -344,6 +344,8 @@ def kummer_u_ratio(a: int, b: int, x: float) -> float:
 
 def _u_anchor_quad(b: int, x: float) -> float:
     """U(1, b, x) = int_0^inf e^{-xt} (1+t)^{b-2} dt by adaptive quadrature."""
+    from scipy import integrate  # deferred: only the selftest and the oracle integrate
+
     last = None
     for eps in (1e-14, 1e-12):
         with warnings.catch_warnings():
@@ -907,6 +909,8 @@ def _hankel_quad(n: int, m: int, kind: str, s: float) -> tuple[float, float]:
     Returns (value_scaled, log_scale): true value = value_scaled * e^{log_scale}.
     Panels are split at the zeros of the oscillatory kinds.
     """
+    from scipy import integrate  # deferred, as in _u_anchor_quad
+
     p = 2 * n + m + 1
     _, fpk, rmax = _integrand_support(p)
     fn = _BESSEL[kind]

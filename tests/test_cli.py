@@ -390,3 +390,29 @@ def test_selftest_passes_and_exits_zero(capsys):
     lines = out.strip().split("\n")
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
+
+
+def test_main_reuses_one_parser_with_the_outputs_of_fresh_ones(capsys, monkeypatch):
+    from ncwell import cli
+
+    calls = [
+        ["bound-states", *WELL10],  # usage error: --m is required
+        ["bound-states", *WELL10, "--m", "0"],
+        ["dcs", *WELL10, "--phi-steps", "x"],  # usage error: not an int
+        ["phase-shifts", "--help"],
+        ["cross-section", *WELL10, "--emax", "8", "--esteps", "2"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._main_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._main_parser.cache_clear()
+    shared = [run_cli(capsys, argv) for argv in calls]
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [64, 0, 64, 0, 0]
+    assert "error: " in fresh[0][2] and "error: " in fresh[2][2]
+    assert "usage: ncwell phase-shifts" in fresh[3][1]
+    assert shared == fresh
