@@ -103,6 +103,124 @@ def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
         _u_cf_grid(1001, 1, x)
 
 
+def assert_cf_grid_exact(a, b, x):
+    got = _u_cf_grid(a, b, np.asarray(x, dtype=float))
+    assert got.tolist() == [_u_cf(a, b, xi) for xi in np.asarray(x, dtype=float).tolist()]
+
+
+def cf_exit_step(a, b, x):
+    """The step j at which the scalar _u_cf returns: the fewest iterations it needs, less one."""
+    lo, hi = 1, 1 << 16
+    with pytest.MonkeyPatch.context() as mp:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mp.setattr(specfun, "_CF_MAX_ITER", mid)
+            try:
+                _u_cf(a, b, x)
+            except ConvergenceError:
+                lo = mid + 1
+            else:
+                hi = mid
+    return lo - 1
+
+
+def first_scalar_failure(a, b, x):
+    """The message of the scalar's ConvergenceError on the first lane of x that raises one."""
+    for xi in x:
+        try:
+            _u_cf(a, b, xi)
+        except ConvergenceError as exc:
+            return str(exc)
+    raise AssertionError("every lane converged")
+
+
+# a = 1, b = 1 lanes by the step at which the scalar exits; no lane can exit
+# at step 0, whose Lentz factor is 1 + 1e300 / (x + 3)
+BLOCK_EDGE_LANES = [1e20, 3.41, 3.26, 3.13, 0.776, 0.0529]
+
+
+def test_cf_grid_exact_at_block_edges():
+    block = specfun._CF_BLOCK
+    steps = [cf_exit_step(1, 1, x) for x in BLOCK_EDGE_LANES]
+    assert steps[:5] == [1, block - 1, block, block + 1, 100] and steps[5] > 30 * block
+    assert_cf_grid_exact(1, 1, BLOCK_EDGE_LANES)
+    # each lane alone, and in reverse order
+    for x in BLOCK_EDGE_LANES:
+        assert_cf_grid_exact(1, 1, [x])
+    assert_cf_grid_exact(1, 1, BLOCK_EDGE_LANES[::-1])
+
+
+def test_cf_grid_exact_when_every_lane_ends_in_the_first_block():
+    x = [3.6, 5.0, 10.0, 100.0, 1e20]
+    assert max(cf_exit_step(1, 1, xi) for xi in x) < specfun._CF_BLOCK
+    assert_cf_grid_exact(1, 1, x)
+
+
+def test_cf_grid_of_no_lanes_is_empty():
+    assert _u_cf_grid(5, 1, np.array([])).shape == (0,)
+
+
+def test_cf_grid_exact_on_a_wavefunction_sized_grid():
+    # as wide as the wavefunction's radial scan: blocks shrink to stay in their buffer
+    x = np.linspace(0.05, 8.0, 1900)
+    assert x.size * specfun._CF_BLOCK > specfun._CF_BLOCK_CELLS
+    assert_cf_grid_exact(92, 0, x)
+
+
+@pytest.mark.parametrize("b", range(1, -8, -1))
+def test_cf_grid_exact_for_every_b(b):
+    a = 40
+    assert_cf_grid_exact(a, b, np.geomspace(4.0 / (a + 2 - b), 10.0, 25))
+
+
+@pytest.mark.parametrize("limit", [5, specfun._CF_BLOCK + 3])
+def test_cf_grid_names_the_first_lane_at_a_limit_off_the_block_grid(monkeypatch, limit):
+    x = [1e20, 3.41, 0.776, 3.0]
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", limit)
+    want = first_scalar_failure(1, 1, x)
+    assert ("x=3.41" in want) == (limit == 5)
+    with pytest.raises(ConvergenceError) as err:
+        _u_cf_grid(1, 1, np.array(x))
+    assert str(err.value) == want
+
+
+def test_cf_grid_redoes_a_block_with_a_zero_denominator(monkeypatch):
+    # x = b - 2a - 2 makes the first denominator x + 2(a+1) - b exactly 0
+    a, b = 1, 1
+    x = [5.0, float(b - 2 * a - 2), 10.0]
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2 * specfun._CF_BLOCK + 3)
+    runs = []
+    block = specfun._u_cf_block
+
+    def spy(aj, bj, f, c, d, fix):
+        runs.append((bj.shape, fix))
+        return block(aj, bj, f, c, d, fix)
+
+    monkeypatch.setattr(specfun, "_u_cf_block", spy)
+    want = first_scalar_failure(a, b, x)
+    assert "x=-3.0" in want
+    with pytest.raises(ConvergenceError) as err:
+        _u_cf_grid(a, b, np.array(x))
+    assert str(err.value) == want
+    # the first block ran without the fix, saw the zero and ran again with it
+    assert runs[:2] == [((specfun._CF_BLOCK, 3), False), ((specfun._CF_BLOCK, 3), True)]
+    # a zero first denominator that still exits: the fixed run gives the scalar's inf
+    runs.clear()
+    assert _u_cf(1, 6, 2.0) == math.inf
+    assert_cf_grid_exact(1, 6, [2.0, 5.0])
+    assert [fix for _, fix in runs[:2]] == [False, True]
+
+
+def test_cf_grid_matches_the_scalar_on_seeded_lanes():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        a = int(rng.choice([rng.integers(1, 40), rng.integers(40, 1002)]))
+        b = int(rng.integers(-7, 2))
+        # from the series/CF seam (a + m + 1) x = 4, m = 1 - b, up to about 10
+        lo = math.log(4.0 / (a + 2 - b))
+        assert_cf_grid_exact(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
+
+
 def test_scan_roots_counts_an_exact_grid_zero_once():
     def g(e):
         return e - 0.5
