@@ -63,11 +63,16 @@ _LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
 _CF_TOL = 5e-15
 _CF_MAX_ITER = 200_000
 
-# _u_cf_grid runs its lanes this many steps at a time, fewer when the lanes
-# times the steps would pass _CF_BLOCK_CELLS: with 64 kB block buffers a
-# bound-spectrum pass peaks within 0.2 MB of the per-step loop, 128 kB added 0.6
+# the lane kernels run their lanes in blocks: _u_cf_grid _CF_BLOCK steps at a
+# time, _recurrence_rows_grid _REC_BLOCK steps and _cut_series_grid's
+# digamma series _SERIES_BLOCK iterations, fewer when the lanes times the
+# steps would pass _BLOCK_CELLS, which also caps a chunk of _cut_m_sum's
+# terms: with 64 kB block buffers a bound-spectrum pass peaks within 0.2 MB
+# of the per-step CF loop, 128 kB added 0.6
 _CF_BLOCK = 32
-_CF_BLOCK_CELLS = 8_192
+_REC_BLOCK = 64
+_SERIES_BLOCK = 32
+_BLOCK_CELLS = 8_192
 
 
 @dataclass(frozen=True)
@@ -121,71 +126,152 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
     return out
 
 
+def _room(a: np.ndarray) -> np.ndarray:
+    """Log of the growth or shrinkage a pair sum a may take and stay in [1e-250, 1e250].
+
+    A margin of 1 covers the rounding of the steps and of a.  A sum of 0 or
+    NaN is never renormalized (the recurrence keeps it 0 or NaN), so its
+    room is inf; a sum outside the range has negative room.
+    """
+    pos = a > 0.0
+    return np.where(pos, min(_LOG_HI, -_LOG_LO) - 1.0 - np.abs(np.log(np.where(pos, a, 1.0))), math.inf)
+
+
 def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
                           ls: np.ndarray, targets):
     """_recurrence_rows on numpy lanes, lane i starting at its own row j0[i].
 
     m is one order for every lane (an int) or an int array of per-lane
-    orders.  A lane sits idle until its start row.  Every running lane does
-    the scalar arithmetic in the same order (2j-1+m and j-1+m are exact
-    integers either way), and its log scale grows by math.log of its own
-    renormalization factor, so each lane's (mantissa, log_scale) equals the
-    scalar runner's bit for bit.  Returns {t: (mantissa array, log_scale
-    array)}; a lane's entry at a target below its j0 - 2 is not its row.
+    orders.  Every running lane does the scalar arithmetic in the same order
+    (2j-1+m and j-1+m are exact integers either way), and its log scale
+    grows by math.log of its own renormalization factor, so each lane's
+    (mantissa, log_scale) equals the scalar runner's bit for bit.  Returns
+    {t: (mantissa array, log_scale array)}; a lane's entry at a target below
+    its j0 - 2 is its row j0 - 2, not its row t.
 
-    The renormalization test runs only when a lane may have left [1e-250,
-    1e250]: a step changes |y_{j-1}| + |y_j| by at most a factor
-    1 + (2j - 1 + |m| + |w|) / min(j, j - 1 + m) either way, so after a test
-    that finds every lane inside, the steps until the product of those
-    factors could reach a bound skip it.
+    The steps run in blocks of up to _REC_BLOCK, fewer when the lanes times
+    the steps would pass _BLOCK_CELLS.  A block fills its coefficient rows
+    2j-1+m-w and j-1+m at once, and writes each step's row into a buffer
+    that holds the block's rows last first, so the two rows a step reads
+    are one slice: a step is one multiply of the stacked coefficients by
+    that slice, one subtract and one divide by j.  Lanes that have not
+    started run the steps on zeros; just before a lane's first step its two
+    start rows are copied into the buffer, so lanes join mid-block.
+
+    The renormalization test runs only on a step where a lane may have left
+    [1e-250, 1e250].  A step j changes |y_{j-1}| + |y_j| by at most a factor
+    1 + (2j - 1 + |m| + |w|) / min(j, j - 1 + m) either way, which does not
+    grow with j, and a lane's room is the log of the change it may take
+    from its start pair or its last test.  A block ends early on the first
+    step where the factor at the block's first step, taken on every step
+    since, could use up the room of a running or joining lane.  That step
+    is tested and renormalized as the scalar does after it, so every lane
+    is renormalized on the scalar's step.
     """
+    targets = sorted(targets)
     order = np.argsort(j0, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
-    starts = j0[order]
-    w, lp0, lc0, ls0 = w[order], lp[order], lc[order], ls[order]
+    starts, w, ls = j0[order], w[order], ls[order]
+    lanes = starts.size
+    # rows j0 - 1 and j0 - 2 of each lane, in the order a step reads them
+    pairs = np.empty((2, lanes))
+    lc0, lp0 = np.take(lc, order, out=pairs[0]), np.take(lp, order, out=pairs[1])
     lane_m = isinstance(m, np.ndarray)
-    m0 = m[order] if lane_m else m
+    if lane_m:
+        m = m[order].astype(float)
     begin = starts.tolist()
-    # lanes [:k] of the start-sorted order are running; lp, lc, ls hold them
-    k = 0
-    lp, lc, ls, wk, mk = lp0[:0], lc0[:0], ls0[:0], w[:0], m
-    # room: log of the growth or shrinkage the lanes may take before the next test
-    room, grow, low = -1.0, 0.0, 0.0
     out = {}
-    j = begin[0] if begin else 0
-    for target in sorted(targets):
-        for j in range(j, target + 1):
-            if k < len(begin) and begin[k] <= j:
-                k_new = bisect.bisect_right(begin, j, k)
-                lp = np.concatenate((lp, lp0[k:k_new]))
-                lc = np.concatenate((lc, lc0[k:k_new]))
-                ls = np.concatenate((ls, ls0[k:k_new]))
-                k, wk = k_new, w[:k_new]
-                if lane_m:
-                    mk = m0[:k_new]
-                grow = float(np.max(np.abs(mk))) + float(np.max(np.abs(wk))) - 1.0
-                low = min(float(np.min(mk)) - 1.0, 0.0)
-                room = -1.0
-            lp, lc = lc, ((2 * j - 1 + mk - wk) * lc - (j - 1 + mk) * lp) / j
-            room = room - math.log1p((2 * j + grow) / (j + low)) - 1e-9 if j + low >= 1.0 else -1.0
-            if room >= 0.0:
-                continue
-            a = np.abs(lp) + np.abs(lc)
-            hi, lo = a.max(), a.min()
-            # NaN fails both tests and falls through
-            if hi <= _RENORM_HI and lo >= _RENORM_LO:
-                # a margin of e for the rounding of the steps and of a
-                room = min(_LOG_HI - math.log(hi), math.log(lo) - _LOG_LO) - 1.0
-                continue
-            for i in np.flatnonzero(((a > _RENORM_HI) | (a < _RENORM_LO)) & (a > 0.0)).tolist():
-                lp[i] /= a[i]
-                lc[i] /= a[i]
-                ls[i] += math.log(a[i])
-            room = -1.0
-        idle = np.where(starts[k:] <= target + 1, lc0[k:], lp0[k:])
-        out[target] = (np.concatenate((lc, idle))[inverse], np.concatenate((ls, ls0[k:]))[inverse])
-        j = max(j, target + 1)
+
+    def emit(t, row):
+        # row holds row t of the lanes started by t; a lane starting at t + 1 is at its
+        # row j0 - 1, one starting later at its row j0 - 2
+        k1, k2 = bisect.bisect_right(begin, t), bisect.bisect_right(begin, t + 1)
+        out[t] = (np.concatenate((row[:k1], lc0[k1:k2], lp0[k2:]))[inverse], ls[inverse])
+
+    first = begin[0] if lanes else math.inf
+    for t in targets:
+        if t < first:
+            emit(t, lp0)
+    if not targets or targets[-1] < first:
+        return out
+    last = targets[-1]
+    grow = float(np.abs(m).max()) + float(np.abs(w).max()) - 1.0
+    low = min(float(m.min() if lane_m else m) - 1.0, 0.0)
+
+    def spend(j):
+        # log of the factor of step j; without a bound (j - 1 + m < 1), more than any room
+        lg = math.log1p((2 * j + grow) / (j + low)) if j + low >= 1.0 else math.inf
+        return lg if lg < 2.0 * _LOG_HI else 2.0 * _LOG_HI
+
+    def due(room, j, lg):
+        # the first step from j on after which a lane with this room may have left the range
+        return j + math.floor(max(room / lg, 0.0)) if room < math.inf else math.inf
+
+    # the lanes starting at row gstart[h] are lanes [gb[h], gb[h + 1]), with room groom[h]
+    gb = [0, *(np.flatnonzero(np.diff(starts)) + 1).tolist(), lanes]
+    gstart = [begin[b] for b in gb[:-1]]
+    groom = np.minimum.reduceat(_room(np.abs(lp0) + np.abs(lc0)), gb[:-1]).tolist()
+
+    steps = max(1, min(_REC_BLOCK, _BLOCK_CELLS // lanes))
+    rows = np.zeros((steps + 2, lanes))
+    coef = np.empty((steps, 2, lanes))
+    prod = np.empty((2, lanes))
+    ti = bisect.bisect_left(targets, first)
+    room, j, g = math.inf, first, 0
+    with np.errstate(all="ignore"):
+        while j <= last:
+            lg = spend(j)
+            end = min(j + steps, last + 1) - 1
+            test = due(room, j, lg)
+            for h in range(g, bisect.bisect_right(gstart, end, g)):
+                test = min(test, due(groom[h], gstart[h], lg))
+            end = min(end, test)
+            size = end - j + 1
+            # exact integers as floats, so no cast runs in the loops
+            if lane_m:
+                np.add(np.arange(2.0 * j - 1.0, 2 * end, 2.0)[:, None], m, out=coef[:size, 0])
+                np.subtract(coef[:size, 0], w, out=coef[:size, 0])
+                np.add(np.arange(j - 1.0, end)[:, None], m, out=coef[:size, 1])
+            else:
+                np.subtract(np.arange(2.0 * j - 1.0 + m, 2 * end + m, 2.0)[:, None], w, out=coef[:size, 0])
+                coef[:size, 1] = np.arange(j - 1.0 + m, end + m)[:, None]
+            # the lanes starting at step s are lanes [a, b) for (a, b) = joins[s]
+            joins = {}
+            room -= size * lg
+            while g < len(gstart) and gstart[g] <= end:
+                joins[gstart[g] - j] = gb[g], gb[g + 1]
+                room = min(room, groom[g] - (end - gstart[g] + 1) * lg)
+                g += 1
+            # rows[size + 1 - s] is row j - 2 + s; the last two rows of the previous block move up
+            if j > first:
+                rows[size:size + 2] = rows[:2]
+            for s in range(size):
+                q = size - 1 - s
+                if s in joins:
+                    a, b = joins[s]
+                    rows[q + 1:q + 3, a:b] = pairs[:, a:b]
+                np.multiply(coef[s], rows[q + 1:q + 3], out=prod)
+                row = rows[q]
+                np.subtract(prod[0], prod[1], out=row)
+                np.divide(row, j + s, out=row)
+            while ti < len(targets) and targets[ti] < end:
+                emit(targets[ti], rows[end - targets[ti]])
+                ti += 1
+            if end == test:
+                k = bisect.bisect_right(begin, end)
+                lp, lc = rows[1, :k], rows[0, :k]
+                a = np.abs(lp) + np.abs(lc)
+                for i in np.flatnonzero(((a > _RENORM_HI) | (a < _RENORM_LO)) & (a > 0.0)).tolist():
+                    lp[i] /= a[i]
+                    lc[i] /= a[i]
+                    ls[i] += math.log(a[i])
+                    a[i] = abs(lp[i]) + abs(lc[i])
+                room = float(_room(a).min(initial=math.inf))
+            if ti < len(targets) and targets[ti] == end:
+                emit(end, rows[0])
+                ti += 1
+            j = end + 1
     return out
 
 
@@ -346,7 +432,7 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray) -> np.ndarray:
                 f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
                 f"iterations for a={a}, b={b}, x={float(xs[0])}"
             )
-        j1 = min(j0 + max(1, min(_CF_BLOCK, _CF_BLOCK_CELLS // xs.size)), _CF_MAX_ITER)
+        j1 = min(j0 + max(1, min(_CF_BLOCK, _BLOCK_CELLS // xs.size)), _CF_MAX_ITER)
         aj = [1.0 if j == 0 else -(a + j) * (a + j + 1.0 - b) for j in range(j0, j1)]
         # the scalar's x + 2(a+j) + 2 - b, left to right; x + 2(a+1) - b at j = 0
         bj = np.add.outer(2.0 * np.arange(a + j0, a + j1), xs)
@@ -448,18 +534,34 @@ def _lost_digits(max_piece_log: float, result: LogScaled) -> float:
 _SERIES_FAILED = (None, math.inf)
 
 
-def _cut_m_sum(n: int, m: int, w: float) -> tuple[float, float]:
-    """(M, largest |t_r| for r >= 1, at least 1) of the cut's finite M sum, w > 0.
+def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, largest |t_r| for r >= 1, at least 1) of the cut's finite M sum on each lane, w > 0.
 
     M = sum_{r=0}^{n} t_r with t_0 = 1, t_{r+1} = t_r (r-n) w / ((m+1+r)(r+1)):
-    Kummer's M(-n, m+1, w).  np.multiply/np.add.accumulate run in the order
-    of a term-by-term loop, so both values are that loop's bit for bit.
+    Kummer's M(-n, m+1, w).  m is one order (an int) or an int array of
+    per-lane orders.  The lanes run sorted by n, in chunks of up to
+    _BLOCK_CELLS terms; a chunk's terms are one np.multiply.accumulate of
+    its ratio rows along axis 1 and its sums one np.add.accumulate, in the
+    order of a term-by-term loop, so both values are that loop's bit for
+    bit.  A lane's ratio at r = n is 0, so its terms past its n in the chunk
+    are 0 (or NaN after an overflow) and leave its largest term as it is.
     Overflow comes back as inf or nan.
     """
-    r = np.arange(n)
+    lane_m = isinstance(m, np.ndarray)
+    order = np.argsort(n, kind="stable")
+    ns = n[order]
+    mv, mmax = np.empty(n.size), np.empty(n.size)
+    chunk = max(1, _BLOCK_CELLS // (int(ns[-1]) + 1)) if n.size else 1
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.multiply.accumulate(np.append(1.0, (r - n) * w / ((m + 1 + r) * (r + 1.0))))
-        return float(np.add.accumulate(t)[-1]), float(np.fmax.reduce(np.abs(t[1:]), initial=1.0))
+        for i in range(0, n.size, chunk):
+            lanes, nc = order[i:i + chunk], ns[i:i + chunk]
+            r = np.arange(nc[-1])
+            t = np.ones((nc.size, r.size + 1))
+            t[:, 1:] = (r - nc[:, None]) * w[lanes, None] / (((m[lanes, None] if lane_m else m) + 1 + r) * (r + 1.0))
+            np.multiply.accumulate(t, axis=1, out=t)
+            mmax[lanes] = np.fmax.reduce(np.abs(t[:, 1:]), axis=1, initial=1.0)
+            mv[lanes] = np.add.accumulate(t, axis=1, out=t)[np.arange(nc.size), nc]
+    return mv, mmax
 
 
 def _digamma_starts(m: int, count: int) -> np.ndarray:
@@ -484,7 +586,7 @@ def _log_series_float(a: int, m: int, z: float):
     """
     A = a + m
     if z < 0.0:
-        mv, mmax = _cut_m_sum(a - 1, m, -z)
+        mv, mmax = (v.item() for v in _cut_m_sum(np.array([a - 1]), m, np.array([-z])))
     else:
         mv, t, mmax, r = 0.0, 1.0, 1.0, 0
         while True:
@@ -556,11 +658,16 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
 def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
     """_log_series_float(a[i], m, -w[i]) on numpy lanes, bit for bit; w > 0.
 
-    m is one order (an int) or an int array of per-lane orders.  Each
-    lane's finite M sum is one _cut_m_sum call, and its digamma start is
-    an entry of one _digamma_starts call per order.  The digamma series
-    runs across the lanes, and a lane leaves it on the iteration where the
-    scalar loop would break or fail, and ends in the scalar
+    m is one order (an int) or an int array of per-lane orders.  The finite
+    M sums are one _cut_m_sum call, and each lane's digamma start is an
+    entry of one _digamma_starts call per order.  The digamma series runs
+    across the lanes in blocks of up to _SERIES_BLOCK iterations, fewer when
+    the lanes times the iterations would pass _BLOCK_CELLS.  A block forms
+    its term ratios and br increments as rows, and t, br, the sum s and
+    its largest term smax are accumulates of those rows along the
+    iterations (each entry one operation on the one before, as in the
+    scalar loop).  A lane leaves on its first iteration that meets the
+    scalar loop's stop or failure rule and ends in the scalar
     _log_series_tail.  Returns one _log_series_float result per lane,
     _SERIES_FAILED included.
     """
@@ -569,7 +676,7 @@ def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
         return out
     n = a - 1
     ms = np.broadcast_to(m, a.shape).tolist()
-    mv, mmax = np.array([_cut_m_sum(ni, mi, wi) for ni, mi, wi in zip(n.tolist(), ms, w.tolist())]).T
+    mv, mmax = _cut_m_sum(n, m, w)
     lane_m = isinstance(m, np.ndarray)
     with np.errstate(over="ignore", invalid="ignore"):
         live = np.flatnonzero(np.isfinite(mv))
@@ -579,29 +686,41 @@ def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
         br = np.array([starts[ms[i]][n[i]] for i in live.tolist()]) if lane_m else starts[m][n[live]]
         A, z = a[live] + mk, -w[live]
         s, t, smax = np.zeros(live.size), np.ones(live.size), np.zeros(live.size)
-        r = 0
+        r0 = 0
         while live.size:
-            contrib = t * br
-            s += contrib
-            smax = np.fmax(smax, np.abs(contrib))
-            t *= (A + r) * z / ((mk + 1 + r) * (r + 1.0))
-            br += 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (mk + 1 + r)
+            size = max(1, min(_SERIES_BLOCK, _BLOCK_CELLS // live.size))
+            r = np.arange(r0, r0 + size)[:, None]
+            # row k holds t, br, s and smax before iteration r0 + k, row k + 1 after it
+            ts, brs, ss, smaxs = (np.empty((size + 1, live.size)) for _ in range(4))
+            ts[0], brs[0], ss[0], smaxs[0] = t, br, s, smax
+            ts[1:] = (A + r) * z / ((mk + 1 + r) * (r + 1.0))
+            brs[1:] = 1.0 / (A + r) - 1.0 / (1 + r) - 1.0 / (mk + 1 + r)
+            np.multiply.accumulate(ts, axis=0, out=ts)
+            np.add.accumulate(brs, axis=0, out=brs)
+            np.multiply(ts[:-1], brs[:-1], out=ss[1:])
+            np.abs(ss[1:], out=smaxs[1:])
+            np.add.accumulate(ss, axis=0, out=ss)
+            np.fmax.accumulate(smaxs, axis=0, out=smaxs)
             r += 1
-            done = (r > 4) & (np.abs(t) * (np.abs(br) + 1.0) < 1e-19 * np.maximum(np.abs(s), 1e-280))
-            finite = np.isfinite(s)
+            done = (r > 4) & (np.abs(ts[1:]) * (np.abs(brs[1:]) + 1.0) < 1e-19 * np.maximum(np.abs(ss[1:]), 1e-280))
+            finite = np.isfinite(ss[1:])
             leave = done | ~finite | (r > 500_000)
-            if leave.any():
-                for i in np.flatnonzero(done & finite).tolist():
-                    lane = live[i]
-                    out[lane] = _log_series_tail(
-                        int(a[lane]), ms[lane], float(-w[lane]), float(mv[lane]), float(mmax[lane]),
-                        float(s[i]), float(smax[i]),
-                    )
-                keep = ~leave
-                live, A, z, br = live[keep], A[keep], z[keep], br[keep]
-                s, t, smax = s[keep], t[keep], smax[keep]
-                if lane_m:
-                    mk = mk[keep]
+            fin = leave.any(axis=0)
+            exits = np.flatnonzero(fin)
+            k = leave[:, exits].argmax(axis=0)
+            ok = (done & finite)[k, exits]
+            for i, ki in zip(exits[ok].tolist(), k[ok].tolist()):
+                lane = live[i]
+                out[lane] = _log_series_tail(
+                    int(a[lane]), ms[lane], float(-w[lane]), float(mv[lane]), float(mmax[lane]),
+                    float(ss[ki + 1, i]), float(smaxs[ki + 1, i]),
+                )
+            keep = ~fin
+            live, A, z = live[keep], A[keep], z[keep]
+            t, br, s, smax = ts[-1, keep], brs[-1, keep], ss[-1, keep], smaxs[-1, keep]
+            if lane_m:
+                mk = mk[keep]
+            r0 += size
     return out
 
 

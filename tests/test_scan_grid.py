@@ -163,7 +163,7 @@ def test_cf_grid_of_no_lanes_is_empty():
 def test_cf_grid_exact_on_a_wavefunction_sized_grid():
     # as wide as the wavefunction's radial scan: blocks shrink to stay in their buffer
     x = np.linspace(0.05, 8.0, 1900)
-    assert x.size * specfun._CF_BLOCK > specfun._CF_BLOCK_CELLS
+    assert x.size * specfun._CF_BLOCK > specfun._BLOCK_CELLS
     assert_cf_grid_exact(92, 0, x)
 
 

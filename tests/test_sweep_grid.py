@@ -5,6 +5,8 @@ no tolerance), so the phase-shifts and compare tables cannot move; a
 failing sweep must raise what the per-point loop raises, at the same energy.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,118 @@ def test_runner_with_mixed_start_rows_matches_scalar():
         assert np.count_nonzero(got[300][1] != ls) > 5
 
 
+def bits(x):
+    # the bytes of a float64: NaN payloads and the sign of zero count
+    return np.float64(x).tobytes()
+
+
+def assert_runner_matches_scalar(m, w, j0, lp, lc, ls, targets):
+    """The lane runner against _recurrence_rows lane by lane, bytes of mantissa and log scale."""
+    got = _recurrence_rows_grid(m, w, j0, lp, lc, ls, targets)
+    assert sorted(got) == sorted(targets)
+    ms = np.broadcast_to(m, w.shape).tolist()
+    for i in range(w.size):
+        args = (ms[i], w[i].item(), int(j0[i]), lp[i].item(), lc[i].item(), ls[i].item())
+        # a target below a lane's row j0 - 2 reads its row j0 - 2
+        want = _recurrence_rows(*args, [t for t in targets if t >= j0[i] - 2])
+        want.update({t: (lp[i].item(), ls[i].item()) for t in targets if t < j0[i] - 2})
+        for t in targets:
+            assert (bits(got[t][0][i]), bits(got[t][1][i])) == (bits(want[t][0]), bits(want[t][1])), (i, t)
+    return got
+
+
+def block_edges():
+    # with one start row 2 and lanes of small room use, blocks of _REC_BLOCK steps begin at 2, 2 + B, ...
+    b = specfun._REC_BLOCK
+    return b, [1 + b, 2 + b, 3 + b, 1 + 2 * b, 2 + 2 * b, 2 + b + b // 2]
+
+
+def test_runner_lanes_join_around_block_boundaries():
+    b, starts = block_edges()
+    rng = np.random.default_rng(11)
+    # two lanes from row 2 set the blocks; the others join at j - 1, j, j + 1 of the second block,
+    # at its last step, at the step after it and mid-block
+    j0 = np.array([2, 2, *starts, *starts])
+    size = j0.size
+    w = rng.uniform(0.05, 2.0, size)
+    lp, lc, ls = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size), rng.uniform(-5.0, 5.0, size)
+    # targets inside blocks, on their edges and below the later lanes' start rows
+    targets = {3, 30, b, 1 + b, 2 + b, 3 + b, 2 * b, 1 + 2 * b, 2 + 2 * b, 3 * b + 7}
+    for m in (3, rng.integers(0, 40, size)):
+        assert_runner_matches_scalar(m, w, j0, lp, lc, ls, targets)
+
+
+@pytest.mark.parametrize("start", [0.0, -0.0, 5e-324, 2.5e-310, 9.9e249, 1e250, 3e250, 1e-250, 3e-260])
+def test_runner_joining_lanes_with_extreme_start_rows(start):
+    b, starts = block_edges()
+    rng = np.random.default_rng(12)
+    j0 = np.array([2, 2, *starts, *starts])
+    size = j0.size
+    w = rng.uniform(0.05, 2.0, size)
+    lp, lc, ls = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size), np.zeros(size)
+    # the joining lanes take the start value as row j0 - 2, then as row j0 - 1, then as both
+    third = len(starts)
+    lp[2:2 + third] = start
+    lc[2 + third:] = start
+    lp[2 + third + third // 2:] = start
+    got = assert_runner_matches_scalar(5, w, j0, lp, lc, ls, {1 + b, 2 + b, 3 + 2 * b})
+    if start != 0.0 and not 1e-250 <= 2 * abs(start) <= 1e250:
+        # the pairs outside the range renormalize on their first step
+        assert np.count_nonzero(got[3 + 2 * b][1] != 0.0) > 0
+
+
+def test_runner_renormalizes_on_the_scalar_step_up_and_down():
+    rng = np.random.default_rng(13)
+    size = 24
+    j0 = rng.integers(2, 150, size)
+    # w far past 4n: the lanes grow through 1e250 on steps inside blocks
+    w = rng.uniform(200.0, 3000.0, size)
+    lp, lc, ls = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size), rng.uniform(-30.0, 30.0, size)
+    # pairs just inside 1e-250 that a step of order 0 takes below it, and pairs past it
+    m = np.full(size, 4)
+    m[:4], lp[:4], lc[:4] = 0, 1.5e-250, 1e-253
+    lp[4:8], lc[4:8] = 1e-255, 1e-256
+    w[:8] = rng.uniform(0.1, 1.0, 8)
+    targets = {150, 151, 400, 401}
+    got = assert_runner_matches_scalar(m, w, j0, lp, lc, ls, targets)
+    assert np.count_nonzero(got[401][1] > ls) >= 6
+    assert np.count_nonzero(got[401][1] < ls) == 8
+
+
+def test_runner_lanes_that_go_inf_or_nan():
+    size = 10
+    j0 = np.array([2, 2, 5, 9, 9, 20, 40, 40, 70, 70])
+    w = np.array([0.5, 1e200, 1e300, 0.7, np.nan, 2.0, np.inf, 1.1, 0.3, 1e250])
+    lp = np.array([1.0, 1.0, 1.0, np.inf, 1.0, np.nan, 1.0, -np.inf, 1.0, 1.0])
+    lc = np.array([0.5, 1.0, 1e10, 1.0, 1.0, 1.0, 1.0, 1.0, np.nan, 1e100])
+    ls = np.zeros(size)
+    got = assert_runner_matches_scalar(np.array([0, 2, 7, 0, 1, 3, 0, 5, 9, 2]), w, j0, lp, lc, ls, {80, 81})
+    # every lane but the first ends NaN or with an infinite log scale
+    assert not np.isfinite(got[81][0][1:] * got[81][1][1:]).any()
+    assert np.isfinite(got[81][0][0])
+
+
+def test_runner_mixed_orders_and_the_cell_cap():
+    rng = np.random.default_rng(14)
+    # wide enough that the cell cap, not _REC_BLOCK, sets the block length
+    size = 300
+    assert size * specfun._REC_BLOCK > specfun._BLOCK_CELLS
+    j0 = rng.integers(2, 60, size)
+    m = rng.integers(0, 3, size) * rng.integers(0, 900, size)  # m = 0 next to large m
+    assert (m == 0).sum() > 50 and m.max() > 500
+    w = rng.uniform(0.01, 40.0, size)
+    lp, lc, ls = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size), rng.uniform(-9.0, 9.0, size)
+    got = assert_runner_matches_scalar(m, w, j0, lp, lc, ls, {10, 59, 60, 61, 333, 334})
+    assert np.count_nonzero(got[334][1] != ls) > 10
+
+
+def test_runner_with_no_lanes_returns_empty_rows():
+    empty = np.array([])
+    got = specfun._recurrence_rows_grid(4, empty, np.array([], dtype=int), empty, empty, empty, {10, 11})
+    assert sorted(got) == [10, 11]
+    assert all(mant.shape == scale.shape == (0,) for mant, scale in got.values())
+
+
 def m_sum_reference(n, m, w):
     # the cut's finite M sum term by term: (sum, largest |t_r| over r >= 1, at least 1)
     mv, t, mmax = 0.0, 1.0, 1.0
@@ -64,6 +178,73 @@ def m_sum_reference(n, m, w):
         t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
         mmax = max(mmax, abs(t))
     return mv + t, mmax
+
+
+def assert_m_sums_match_reference(n, m, w):
+    got = [v.tolist() for v in _cut_m_sum(n, m, w)]
+    for i, (ni, mi, wi) in enumerate(zip(n.tolist(), np.broadcast_to(m, n.shape).tolist(), w.tolist())):
+        assert [float.hex(v[i]) for v in got] == [float.hex(v) for v in m_sum_reference(ni, mi, wi)], i
+    return got
+
+
+def test_m_sums_across_chunks_match_the_term_loop():
+    rng = np.random.default_rng(21)
+    # n = 0 and n = 1 among lanes of mixed n, top n 127: the chunks hold _BLOCK_CELLS // 128 lanes each
+    n = rng.integers(0, 128, 150)
+    n[:6] = (0, 1, 127, 0, 1, 127)
+    assert specfun._BLOCK_CELLS // 128 < n.size
+    w = rng.uniform(1e-6, 60.0, n.size)
+    for m in (2, rng.integers(0, 50, n.size)):
+        assert_m_sums_match_reference(n, m, w)
+    # one lane alone, as _log_series_float calls it, and lanes that overflow next to small ones:
+    # n = 1999 leaves chunks of _BLOCK_CELLS // 2000 lanes
+    assert_m_sums_match_reference(np.array([0]), 3, np.array([0.5]))
+    n = np.array([1999, 3, 0, 1999, 1, 1500, 1999, 40, 2, 1999, 0])
+    w = np.array([700.0, 2.0, 5.0, 0.3, 1e-9, 650.0, 690.0, 30.0, 0.1, 720.0, 1.0])
+    mv, mmax = assert_m_sums_match_reference(n, 0, w)
+    assert not np.isfinite([mv[0], mv[5], mv[6], mv[9]]).any()
+    assert np.isfinite(np.delete(mv, [0, 5, 6, 9])).all()
+
+
+def digamma_exit_reference(a, m, w):
+    # the iteration r at which _log_series_float's digamma-weighted loop on the cut breaks (negative: fails)
+    z, big = -w, a + m
+    br = digamma_start_reference(m, a - 1)[-1]
+    s, t, r = 0.0, 1.0, 0
+    while True:
+        s += t * br
+        t *= (big + r) * z / ((m + 1 + r) * (r + 1.0))
+        br += 1.0 / (big + r) - 1.0 / (1 + r) - 1.0 / (m + 1 + r)
+        r += 1
+        if r > 4 and abs(t) * (abs(br) + 1.0) < 1e-19 * max(abs(s), 1e-280):
+            return r
+        if not math.isfinite(s):
+            return -r
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (0, 0), (0, 7)])
+def test_digamma_blocks_exit_on_the_scalar_iteration(orders):
+    b = specfun._SERIES_BLOCK
+    # lanes of order orders[0] at a = 3 and orders[1] at a = 40 (one int when they agree, else an order
+    # per lane); for each exit iteration 5 (the first allowed), b - 1, b, b + 1, 2b and 2b + 1, the
+    # least w (by bisection: the exit grows with w) whose loop breaks on it
+    a, m, w = [], [], []
+    for ai, mi in zip((3, 40), orders):
+        for r in (5, b - 1, b, b + 1, 2 * b, 2 * b + 1):
+            lo, hi = 1e-12, 80.0
+            for _ in range(80):
+                mid = math.sqrt(lo * hi)
+                lo, hi = (lo, mid) if digamma_exit_reference(ai, mi, mid) >= r else (mid, hi)
+            assert digamma_exit_reference(ai, mi, hi) == r
+            a, m, w = a + [ai], m + [mi], w + [hi]
+    # and lanes whose sum s overflows: (1, 1e30) on iteration 12, in the first block, and (1, 720)
+    # on iteration 617
+    assert [digamma_exit_reference(1, orders[0], wi) for wi in (1e30, 720.0)] == [-12, -617]
+    a, m, w = np.array(a + [1, 1]), np.array(m + [orders[0]] * 2), np.array(w + [1e30, 720.0])
+    assert a.size * b < specfun._BLOCK_CELLS
+    got = _cut_series_grid(a, m if orders[0] != orders[1] else orders[0], w)
+    assert got == [_log_series_float(ai, mi, -wi) for ai, mi, wi in zip(a.tolist(), m.tolist(), w.tolist())]
+    assert got[-2:] == [_SERIES_FAILED, _SERIES_FAILED]
 
 
 def digamma_start_reference(m, count):
@@ -86,9 +267,7 @@ def test_cut_series_lanes_match_scalar(m):
     w = np.array([0.3, 2.5, 0.01, 9.0, 30.0, 0.05, 0.7, 12.0, 300.0, 25.0, 0.002, 1e-9, 720.0, 700.0])
     ms = np.broadcast_to(m, a.shape).tolist()
     # the steps both paths share, against the loops they replace (float.hex: the overflow is nan)
-    for ai, mi, wi in zip(a.tolist(), ms, w.tolist()):
-        got_m, want_m = _cut_m_sum(ai - 1, mi, wi), m_sum_reference(ai - 1, mi, wi)
-        assert [float.hex(v) for v in got_m] == [float.hex(v) for v in want_m]
+    assert_m_sums_match_reference(a - 1, m, w)
     for mi in set(ms):
         assert _digamma_starts(mi, int(a.max()) - 1).tolist() == digamma_start_reference(mi, int(a.max()) - 1)
     got = _cut_series_grid(a, m, w)
