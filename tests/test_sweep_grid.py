@@ -191,11 +191,14 @@ def test_m_sums_across_chunks_match_the_term_loop():
     rng = np.random.default_rng(21)
     # n = 0 and n = 1 among lanes of mixed n, top n 127: the chunks hold _BLOCK_CELLS // 128 lanes each
     n = rng.integers(0, 128, 150)
-    n[:6] = (0, 1, 127, 0, 1, 127)
+    n[:7] = (0, 1, 127, 0, 1, 127, 2)
     assert specfun._BLOCK_CELLS // 128 < n.size
     w = rng.uniform(1e-6, 60.0, n.size)
+    # M is +inf at the lane's own n; its padded terms past n are NaN
+    w[6] = 1e200
     for m in (2, rng.integers(0, 50, n.size)):
-        assert_m_sums_match_reference(n, m, w)
+        mv, _ = assert_m_sums_match_reference(n, m, w)
+        assert mv[6] == math.inf
     # one lane alone, as _log_series_float calls it, and lanes that overflow next to small ones:
     # n = 1999 leaves chunks of _BLOCK_CELLS // 2000 lanes
     assert_m_sums_match_reference(np.array([0]), 3, np.array([0.5]))
