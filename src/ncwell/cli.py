@@ -149,8 +149,12 @@ def _write_rows(columns: list[str], rows: list[list], output: str, fmt: str) -> 
             writer.writerow([_fmt(x) for x in row])
         text = buf.getvalue()
     else:
-        objs = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(objs, indent=2) + "\n"
+        # strict JSON has no inf or nan: a non-finite float is written as the CSV's text
+        objs = [
+            {c: _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x for c, x in zip(columns, row)}
+            for row in rows
+        ]
+        text = json.dumps(objs, indent=2, allow_nan=False) + "\n"
     if output == "-":
         sys.stdout.write(text)
     else:
@@ -185,12 +189,15 @@ def _phase_pairs(spec: core.WellSpec, m: int, energies: list[float]) -> list[tup
 def _with_deviations(rows: list[list]) -> list[list]:
     """Extend rows ending in [nc, comm] by |nc - comm| and |nc - comm| / |comm|.
 
-    Both stay empty when either value is missing.
+    Both stay empty when either value is missing, and both are 0 when the
+    values are equal.
     """
     for row in rows:
         a, b = row[-2:]
         if a is None or b is None:
             row += [None, None]
+        elif a == b:
+            row += [0.0, 0.0]
         else:
             dev = abs(a - b)
             row += [dev, dev / abs(b) if b != 0.0 else math.inf]

@@ -581,16 +581,42 @@ def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
     return _phase_point(energy, m, exterior.coeff_b)
 
 
+def _scattering_lanes(spec: WellSpec, energies, sectors):
+    """The exterior B of lane i = (energies[i], sectors[i]) for each lane, in order, from one lane pass.
+
+    Each lane has passed _check_scattering.  One specfun._lag_reu_pairs_grid
+    call gives every lane its Laguerre rows at the interior and exterior w
+    and its Re U rows at the exterior w (sector -k is a lane of order k at
+    row N - k).  The order is an int when the lanes share one sector, as the
+    lane pass runs faster on one order than on an order per lane.  The
+    returned iterator runs a lane's prefactors and 2x2 solve when it reaches
+    the lane, and raises there the lane's ConvergenceError or the solve's
+    SingularSystemError, so errors come in the scalar loop's order.  Every B
+    equals scattering_coeffs's bit for bit.
+    """
+    orders, rows = zip(*(_sector(s, spec) for s in sectors))
+    order, row = (orders[0], rows[0]) if len(set(sectors)) == 1 else (np.array(orders), np.array(rows))
+    e = np.array(energies, dtype=float)
+    w_in, w_out = spec.theta * e, spec.theta * (e - spec.v)
+    lag_in, lag_out, reu = _lag_reu_pairs_grid(order, row, w_in, w_out)
+
+    def solve(i, wi, wo):
+        if isinstance(reu[i], ConvergenceError):
+            raise reu[i]
+        jin = _j_rows(orders[i], wi, rows[i], lag_in[i])
+        jout, yout = _j_rows(orders[i], wo, rows[i], lag_out[i]), _y_rows(orders[i], wo, rows[i], reu[i])
+        return _solve_matching(jin, jout, yout, energies[i], sectors[i])[1]
+
+    return (solve(i, wi, wo) for i, (wi, wo) in enumerate(zip(w_in.tolist(), w_out.tolist())))
+
+
 def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]:
     """Phase shifts over an energy grid, with a continuity-unwrapped companion.
 
-    The whole axis is one specfun._lag_reu_pairs_grid pass: Laguerre rows at
-    the interior (w = theta E) and exterior (w = theta (E - V)) w of every
-    point, Re U rows at the exterior w only; then each point takes the scalar
-    prefactors and 2x2 solve.  Every point equals phase_shift(e, spec, m) bit
-    for bit, and a failing sweep raises what phase_shift raises at the first
-    energy where it fails: when an mpmath pass fails, the valid energies are
-    replayed through phase_shift in order.
+    The energies up to the first one _check_scattering rejects are the lanes
+    of one _scattering_lanes block.  Every point equals phase_shift(e, spec,
+    m) bit for bit, and a failing sweep raises what phase_shift raises at
+    the first energy where it fails.
     """
     valid, failure = [], None
     for e in energies:
@@ -600,22 +626,8 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
             failure = exc
             break
         valid.append(e)
-    pts = []
-    if valid:
-        order, row = _sector(mi, spec)
-        e_arr = np.array(valid, dtype=float)
-        w_in, w_out = spec.theta * e_arr, spec.theta * (e_arr - spec.v)
-        try:
-            # Laguerre lanes: every interior point, then every exterior point
-            lag, reu = _lag_reu_pairs_grid(order, np.concatenate((w_in, w_out)), w_out, row)
-        except ConvergenceError:
-            for e in valid:
-                phase_shift(e, spec, m)
-            raise
-        for i, (e, wi, wo) in enumerate(zip(valid, w_in.tolist(), w_out.tolist())):
-            jout, yout = _j_rows(order, wo, row, lag[len(valid) + i]), _y_rows(order, wo, row, reu[i])
-            b_out = _solve_matching(_j_rows(order, wi, row, lag[i]), jout, yout, e, mi)[1]
-            pts.append(_phase_point(e, m, b_out))
+    lanes = _scattering_lanes(spec, valid, [mi] * len(valid)) if valid else []
+    pts = [_phase_point(e, m, b) for e, b in zip(valid, lanes)]
     if failure is not None:
         raise failure
     unwrapped = []
@@ -658,32 +670,6 @@ def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float
     return _wave_of_b(energy, m, exterior.coeff_b)
 
 
-def _sector_waves(energy: float, spec: WellSpec, sectors):
-    """(delta, sin^2) of each sector at one energy, in order, from one lane pass.
-
-    One specfun._lag_reu_pairs_grid call gives every sector its Laguerre
-    rows at the interior and exterior w and its Re U rows at the exterior w
-    (sector -k is a lane of order k at row N - k), and raises a
-    ConvergenceError at once.  Each sector's prefactors and 2x2 solve run
-    when the returned iterator reaches it, so a SingularSystemError comes
-    where the scalar loop would raise it.  Every value equals
-    _delta_and_sin2 bit for bit.
-    """
-    order, row = zip(*(_sector(s, spec) for s in sectors))
-    size = len(sectors)
-    w_in, w_out = spec.theta * energy, spec.theta * (energy - spec.v)
-    lag, reu = _lag_reu_pairs_grid(
-        np.array(order), np.repeat([w_in, w_out], size), np.full(size, w_out), np.array(row)
-    )
-
-    def wave(i, m):
-        jin = _j_rows(order[i], w_in, row[i], lag[i])
-        jout, yout = _j_rows(order[i], w_out, row[i], lag[size + i]), _y_rows(order[i], w_out, row[i], reu[i])
-        return _wave_of_b(energy, m, _solve_matching(jin, jout, yout, energy, m)[1])
-
-    return (wave(i, m) for i, m in enumerate(sectors))
-
-
 def _sum_floor(m_max: int, k: float, radius: float) -> int:
     """The last wave partial_wave_sum always reaches: max(m_max, ceil(kR) + 2)."""
     return max(m_max, math.ceil(k * radius) + 2)
@@ -698,13 +684,12 @@ def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, include_ne
     """waves(m) -> [(sector, delta, sin^2)] of wave m, for partial_wave_sum, solved in blocks.
 
     Wave m's sectors are m, and -m for 1 <= m <= N with include_negative.
-    A block is one _sector_waves call: the first covers waves 0 ..
-    _sum_floor + _FIRST_PAD, a later one the next _NEXT_BLOCK waves, each capped at
-    HARD_M_CAP, and a later one is built only when the sum asks for its
-    first wave.  Waves past the sum's stop point are dropped unread.  When
-    a block raises ConvergenceError, wave m and every later one take the
-    scalar _delta_and_sin2 in order, so the sum raises what the scalar loop
-    raises, or nothing if it stops before the failing wave.
+    A block is one _scattering_lanes call at this energy: the first covers
+    waves 0 .. _sum_floor + _FIRST_PAD, a later one the next _NEXT_BLOCK
+    waves, each capped at HARD_M_CAP, and a later one is built only when
+    the sum asks for its first wave.  A wave raises its own lane's error
+    when it is read, so the sum raises what the scalar loop raises, and
+    the waves past its stop point are dropped unread.
     """
     block, top = None, -1
     first_top = _sum_floor(m_max, k, spec.radius) + _FIRST_PAD
@@ -716,14 +701,9 @@ def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, include_ne
         nonlocal block, top
         if m > top:
             top = min(first_top if m == 0 else m + _NEXT_BLOCK - 1, HARD_M_CAP)
-            try:
-                block = _sector_waves(energy, spec, [s for j in range(m, top + 1) for s in sectors(j)])
-            except ConvergenceError:
-                # no block from here on: the scalar solves replay the waves in order
-                block, top = None, math.inf
-        if block is None:
-            return [(s, *_delta_and_sin2(energy, spec, s)) for s in sectors(m)]
-        return [(s, *next(block)) for s in sectors(m)]
+            lanes = [s for j in range(m, top + 1) for s in sectors(j)]
+            block = _scattering_lanes(spec, [energy] * len(lanes), lanes)
+        return [(s, *_wave_of_b(energy, s, next(block))) for s in sectors(m)]
 
     return waves
 

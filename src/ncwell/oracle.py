@@ -63,20 +63,22 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.nd
 
 
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
-    """Bound levels in (0, V); the spectrum depends on |m| only."""
-    m = abs(_check_int(m, "m"))
+    """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only."""
+    label = _check_int(m, "m")
+    m = abs(label)
     return _bound_levels(
         lambda e: float(_log_derivative_mismatch_grid(e, spec, m)),
         lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
-        m,
+        label,
         spec.v,
         grid_points,
     )
 
 
 def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoint:
-    """tan(delta_m) from log-derivative matching of the scattering solution."""
-    m = abs(_check_int(m, "m"))
+    """tan(delta_m) from log-derivative matching, labelled with the m passed; it depends on |m| only."""
+    label = _check_int(m, "m")
+    m = abs(label)
     _check_above_v(energy, spec.v, "scattering")
     r = spec.radius
     k_in = math.sqrt(2.0 * energy)
@@ -98,7 +100,7 @@ def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoi
         delta -= math.pi
     elif delta <= -math.pi / 2:
         delta += math.pi
-    return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta)
+    return PhaseShiftPoint(m=label, energy=energy, tan_delta=tan_delta, delta=delta)
 
 
 def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSectionPoint:

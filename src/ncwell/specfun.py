@@ -904,42 +904,50 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
 
 
-def _lag_reu_pairs_grid(m, w_lag: np.ndarray, w_reu: np.ndarray, n):
-    """Laguerre rows n, n+1 on every lane of w_lag and Re U rows n, n+1 on every lane of w_reu > 0.
+def _reu_settle_pair(n: int, m: int, w: float, lo, hi):
+    """Re U rows n, n+1 settled from their double pass pieces, or the ConvergenceError of the first to fail."""
+    try:
+        return _reu_settle(n, m, w, lo), _reu_settle(n + 1, m, w, hi)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
+    """Laguerre rows n, n+1 at w_in and at w_out, and Re U rows n, n+1 at w_out > 0, on every lane.
 
     m and n are the order and the row of every lane (ints), or int arrays
-    with one entry per Re U lane; the Laguerre lanes then repeat that
-    layout, lane i taking the order and row of Re U lane i mod len(w_reu).
-    Returns (lag, reu), bit for bit: lag[i] = (L^m_n, L^m_{n+1}) at w_lag[i]
-    as _laguerre_sweep gives them, reu[i] = tuple(_reu_rows(m, w_reu[i], n, 2)).
-    Each Re U lane takes _reu_rows's series rows (rows n and n+1 up to
-    _DIRECT_N, else the two anchors of the recurrence); they run in one
-    _cut_series_grid call and then settle lane by lane through _reu_settle,
-    which raises the ConvergenceError of a failed mpmath pass.  The Laguerre
-    lanes and the Re U recurrence lanes run in one _recurrence_rows_grid call.
+    with one entry per lane.  Returns (lag_in, lag_out, reu), bit for bit:
+    lag_in[i] = (L^m_n, L^m_{n+1}) at w_in[i] as _laguerre_sweep gives them,
+    lag_out[i] the same at w_out[i], and reu[i] = tuple(_reu_rows(m, w_out[i], n, 2)),
+    or the ConvergenceError that _reu_rows raises there.  Each Re U lane
+    takes _reu_rows's series rows (rows n and n+1 up to _DIRECT_N, else the
+    two anchors of the recurrence); they run in one _cut_series_grid call
+    and then settle lane by lane through _reu_settle.  A lane whose mpmath
+    pass fails keeps its error and runs no recurrence; the Laguerre lanes
+    and the other Re U recurrence lanes run in one _recurrence_rows_grid call.
     """
     lane_m = isinstance(m, np.ndarray)
-    ms, ns, ws = (np.broadcast_to(v, w_reu.shape).tolist() for v in (m, n, w_reu))
+    ms, ns, ws = (np.broadcast_to(v, w_out.shape).tolist() for v in (m, n, w_out))
     first = [ni if ni + 1 <= _DIRECT_N else _anchor_row(mi, wi, ni) for mi, ni, wi in zip(ms, ns, ws)]
     rows = np.array(first, dtype=np.int64) + 1  # the series parameter a is the row + 1
     pieces = _cut_series_grid(
-        np.concatenate((rows, rows + 1)), np.concatenate((m, m)) if lane_m else m, np.concatenate((w_reu, w_reu))
+        np.concatenate((rows, rows + 1)), np.concatenate((m, m)) if lane_m else m, np.concatenate((w_out, w_out))
     )
     reu = [
-        (_reu_settle(j, mi, wi, lo), _reu_settle(j + 1, mi, wi, hi))
+        _reu_settle_pair(j, mi, wi, lo, hi)
         for j, mi, wi, lo, hi in zip(first, ms, ws, pieces[:len(ws)], pieces[len(ws):])
     ]
-    # recurrence lanes: every Laguerre lane, then the Re U lanes above _DIRECT_N
-    rec = [i for i, ni in enumerate(ns) if ni + 1 > _DIRECT_N]
+    # recurrence lanes: every Laguerre lane at w_in, then at w_out, then the settled Re U lanes above _DIRECT_N
+    rec = [i for i, ni in enumerate(ns) if ni + 1 > _DIRECT_N and not isinstance(reu[i], ConvergenceError)]
+    w = np.concatenate((w_in, w_out, w_out[rec]))
+    lag_lanes = 2 * w_out.size
     if lane_m:
-        copies = w_lag.size // max(w_reu.size, 1)
-        m, n = np.concatenate((np.tile(m, copies), m[rec])), np.concatenate((np.tile(n, copies), n[rec]))
-    lanes = [np.broadcast_arrays(*_laguerre_start(m[:w_lag.size] if lane_m else m, w_lag))]
+        m, n = np.concatenate((m, m, m[rec])), np.concatenate((n, n, n[rec]))
+    lanes = [np.broadcast_arrays(*_laguerre_start(m[:lag_lanes] if lane_m else m, w[:lag_lanes]))]
     if rec:
         starts = [(first[i] + 2, *_reu_anchor_start(first[i], ms[i], *reu[i])) for i in rec]
         lanes.append([np.array(col) for col in zip(*starts)])
     j0, lp, lc, ls = (np.concatenate(col) for col in zip(*lanes))
-    w = np.concatenate((w_lag, w_reu[rec]))
     row = np.broadcast_to(n, w.shape)
     swept = _recurrence_rows_grid(m, w, j0, lp, lc, ls, set(row.tolist()) | set((row + 1).tolist()))
 
@@ -951,15 +959,13 @@ def _lag_reu_pairs_grid(m, w_lag: np.ndarray, w_reu: np.ndarray, n):
             sel = row + off == t
             mant[sel], scale[sel] = mt[sel], sc[sel]
         cols.append((mant.tolist(), scale.tolist()))
-    lag = [
-        tuple(_ls_from_sweep(mant[i], scale[i]) for mant, scale in cols) for i in range(w_lag.size)
-    ]
-    for lane, i in enumerate(rec, w_lag.size):
+    lag = [tuple(_ls_from_sweep(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
+    for lane, i in enumerate(rec, lag_lanes):
         reu[i] = tuple(
             _ls_from_sweep(mant[lane], scale[lane], math.lgamma(ns[i] + off + ms[i] + 1.0))
             for off, (mant, scale) in enumerate(cols)
         )
-    return lag, reu
+    return lag[:w_out.size], lag[w_out.size:], reu
 
 
 def re_u_neg(n: int, m: int, w: float) -> LogScaled:

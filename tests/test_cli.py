@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import ncwell.cli as cli_mod
 from ncwell import specfun
 from ncwell.cli import main, _parse_m_list, _parse_radius_sq
 from ncwell.errors import DomainError
@@ -100,6 +101,35 @@ def test_json_format(capsys):
         "energy", "tan_delta_nc", "delta_nc", "delta_nc_unwrapped",
         "tan_delta_comm", "abs_deviation",
     }
+
+
+def test_json_writes_non_finite_floats_as_the_csv_text(capsys, monkeypatch):
+    def point(e, spec, m_max, include_negative):
+        return cli_mod.core.CrossSectionPoint(e, math.inf if e < 7.5 else math.nan, -math.inf)
+
+    monkeypatch.setattr(cli_mod.core, "cross_section_total", point)
+    argv = ["cross-section", *WELL10, "--emin", "7", "--emax", "8", "--esteps", "2"]
+    _, out, _ = run_cli(capsys, argv)
+    assert out.split("\r\n")[1:3] == ["7,inf,-inf", "8,nan,-inf"]
+    _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rows = json.loads(out, parse_constant=reject)
+    assert rows == [{"energy": 7.0, "k": "inf", "sigma": "-inf"}, {"energy": 8.0, "k": "nan", "sigma": "-inf"}]
+
+
+def test_compare_free_well_has_zero_deviations(capsys):
+    # both tan(delta) are exactly 0, so the relative deviation is 0, not inf
+    code, out, _ = run_cli(
+        capsys,
+        ["compare", "--v", "0", "--capital-n", "10", "--radius", "sqrt20", "--m", "2",
+         "--emin", "1", "--emax", "3", "--esteps", "3"],
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
+    assert [row[1:] for row in rows] == [["-0", "-0", "0", "0"]] * 3
 
 
 def test_cross_section_zero_potential(capsys):

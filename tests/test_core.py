@@ -388,8 +388,8 @@ def test_cross_section_limit_agreement_improves_with_n():
 # ---------------------------------------------------------------------------
 
 def test_cross_section_all_deltas_zero(monkeypatch):
-    # each block hands back (delta, sin^2) per sector
-    monkeypatch.setattr(core_mod, "_sector_waves", lambda e, s, sectors: iter([(0.0, 0.0)] * len(sectors)))
+    # each block hands back the exterior B per lane
+    monkeypatch.setattr(core_mod, "_scattering_lanes", lambda s, energies, sectors: iter([ZERO] * len(sectors)))
     pt = cross_section_total(12.0, N10, 4)
     assert pt.sigma_total == 0.0
 
@@ -397,8 +397,9 @@ def test_cross_section_all_deltas_zero(monkeypatch):
 def test_cross_section_unitarity_limit_s_wave(monkeypatch):
     monkeypatch.setattr(
         core_mod,
-        "_sector_waves",
-        lambda e, s, sectors: iter([(math.pi / 2, 1.0) if m == 0 else (0.0, 0.0) for m in sectors]),
+        "_scattering_lanes",
+        # B = -e^800: tan(delta) = inf, so delta = pi/2 and sin^2 = 1
+        lambda s, energies, sectors: iter([LogScaled.from_log(-1, 800.0) if m == 0 else ZERO for m in sectors]),
     )
     e = 12.0
     pt = cross_section_total(e, N10, 4)
@@ -478,8 +479,8 @@ def test_dcs_isotropic_when_only_s_wave(monkeypatch):
     d0 = 0.7
     monkeypatch.setattr(
         core_mod,
-        "_sector_waves",
-        lambda e, s, sectors: iter([(d0, math.sin(d0) ** 2) if m == 0 else (0.0, 0.0) for m in sectors]),
+        "_scattering_lanes",
+        lambda s, energies, sectors: iter([LogScaled.from_float(-math.tan(d0)) if m == 0 else ZERO for m in sectors]),
     )
     e = 12.0
     k = math.sqrt(2.0 * (e - N10.v))

@@ -36,6 +36,16 @@ def test_spectrum_depends_on_abs_m_only():
         assert [s.energy for s in a] == [s.energy for s in b]
 
 
+def test_results_keep_the_signed_m_of_the_call():
+    # the physics uses |m|, the label is the m passed, as in core.phase_shift and find_bound_states
+    spec = CommWellSpec(SQRT20, 6.0)
+    neg, pos = comm_bound_states(spec, -3), comm_bound_states(spec, 3)
+    assert neg and [s.m for s in neg] == [-3] * len(neg)
+    assert [(s.energy, s.level) for s in neg] == [(s.energy, s.level) for s in pos]
+    p, q = comm_phase_shift(7.5, spec, -3), comm_phase_shift(7.5, spec, 3)
+    assert (p.m, p.tan_delta, p.delta) == (-3, q.tan_delta, q.delta)
+
+
 def test_bound_states_match_dense_scan():
     spec = CommWellSpec(SQRT20, 6.0)
     base = comm_bound_states(spec, 0)

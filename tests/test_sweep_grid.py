@@ -293,11 +293,11 @@ def test_cut_series_lanes_match_scalar(m):
     ],
 )
 def test_lag_reu_pairs_match_scalar(m, n, w):
-    # twice as many Laguerre lanes as Re U lanes, as in a sweep's interior and exterior
-    w_lag = w + [0.5 * wi for wi in w]
-    lag, reu = _lag_reu_pairs_grid(m, np.array(w_lag), np.array(w), n)
-    assert (len(lag), len(reu)) == (len(w_lag), len(w))
-    for wi, pair in zip(w_lag, lag):
+    # an interior w of half the exterior w on each lane, as in a sweep
+    w_in = [0.5 * wi for wi in w]
+    lag_in, lag_out, reu = _lag_reu_pairs_grid(m, n, np.array(w_in), np.array(w))
+    assert (len(lag_in), len(lag_out), len(reu)) == (len(w),) * 3
+    for wi, pair in zip(w_in + w, lag_in + lag_out):
         rows = _laguerre_sweep(m, wi, {n, n + 1})
         assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (n, n + 1))
     for wi, pair in zip(w, reu):
@@ -306,17 +306,46 @@ def test_lag_reu_pairs_match_scalar(m, n, w):
         assert [_anchor_row(m, wi, n) + 1 == n for wi in w] == [True, True, False, False]
 
 
+# a cross section's block at N = 64: rows 64 (anchored), 63 and 61 (direct) and 0, one w
+LANE_M = np.array([0, 3, 1, 3, 64, 9])
+LANE_N = np.array([64, 64, 63, 61, 0, 64])
+
+
 def test_lag_reu_pairs_with_an_order_and_row_per_lane_match_scalar():
-    # a cross section's block at N = 64: rows 64 (anchored), 63 and 61 (direct) and 0, one w
-    m = np.array([0, 3, 1, 3, 64, 9])
-    n = np.array([64, 64, 63, 61, 0, 64])
-    w = [0.4] * m.size
-    lag, reu = _lag_reu_pairs_grid(m, np.array([1.3] * m.size + w), np.array(w), n)
-    for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
-        for wi, pair in ((1.3, lag[i]), (0.4, lag[m.size + i])):
+    w = [0.4] * LANE_M.size
+    lag_in, lag_out, reu = _lag_reu_pairs_grid(LANE_M, LANE_N, np.array([1.3] * LANE_M.size), np.array(w))
+    for i, (mi, ni) in enumerate(zip(LANE_M.tolist(), LANE_N.tolist())):
+        for wi, pair in ((1.3, lag_in[i]), (0.4, lag_out[i])):
             rows = _laguerre_sweep(mi, wi, {ni, ni + 1})
             assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (ni, ni + 1))
         assert list(reu[i]) == _reu_rows(mi, 0.4, ni, 2)
+
+
+@pytest.mark.parametrize("m, n, fail", [
+    (9, 3000, 1),  # an anchored lane: it leaves the recurrence lanes
+    (LANE_M, LANE_N, 0),  # anchored, among direct lanes
+    (LANE_M, LANE_N, 3),  # direct
+], ids=["anchored", "anchored-per-lane", "direct-per-lane"])
+def test_lag_reu_pairs_keep_a_failed_lanes_error(monkeypatch, m, n, fail):
+    w_out = np.array([0.0016, 0.1, 0.45, 1.2, 0.3, 2.5])
+    w_in = 2.0 * w_out
+    want = _lag_reu_pairs_grid(m, n, w_in, w_out)
+    fail_w = w_out[fail].item()
+    real = specfun._reu_settle
+
+    def failing(n, m, w, pieces):
+        if w == fail_w:
+            raise ConvergenceError(f"cut series failed to stabilize for n={n}, m={m}, w={w}")
+        return real(n, m, w, pieces)
+
+    monkeypatch.setattr(specfun, "_reu_settle", failing)
+    lag_in, lag_out, reu = _lag_reu_pairs_grid(m, n, w_in, w_out)
+    # the failed lane holds the error the scalar rows raise; every other lane keeps its bits
+    with pytest.raises(ConvergenceError) as info:
+        _reu_rows(np.broadcast_to(m, 6)[fail].item(), fail_w, np.broadcast_to(n, 6)[fail].item(), 2)
+    assert isinstance(reu[fail], ConvergenceError) and str(reu[fail]) == str(info.value)
+    assert (lag_in, lag_out) == want[:2]
+    assert reu[:fail] + reu[fail + 1:] == want[2][:fail] + want[2][fail + 1:]
 
 
 SWEEPS = [

@@ -1,10 +1,10 @@
 """The cross sections' lane passes against the scalar partial-wave loop they replace.
 
 A cross section solves the waves of one energy in blocks, one lane pass
-each (core._sector_waves).  Every sector must equal the scalar
+each (core._scattering_lanes).  Every sector must equal the scalar
 core._delta_and_sin2 bit for bit (asserted with ==, no tolerance), and a
-failing block must raise what the scalar loop raises, or nothing when the
-loop stops before the failing wave.
+block with a failing lane must raise what the scalar loop raises, or
+nothing when the loop stops before the failing wave.
 """
 
 import cmath
@@ -33,13 +33,13 @@ def scalar_sum(energy, spec, m_max, include_negative=False):
 
 def block_calls(monkeypatch):
     calls = []
-    real = core_mod._sector_waves
+    real = core_mod._scattering_lanes
 
-    def spy(energy, spec, sectors):
+    def spy(spec, energies, sectors):
         calls.append(list(sectors))
-        return real(energy, spec, sectors)
+        return real(spec, energies, sectors)
 
-    monkeypatch.setattr(core_mod, "_sector_waves", spy)
+    monkeypatch.setattr(core_mod, "_scattering_lanes", spy)
     return calls
 
 
@@ -60,8 +60,8 @@ BLOCKS = [
 @pytest.mark.parametrize("cap_n, v, energy, sectors", BLOCKS)
 def test_block_sectors_equal_scalar_waves(cap_n, v, energy, sectors):
     spec = WellSpec.from_radius(20.0, cap_n, v)
-    got = list(core_mod._sector_waves(energy, spec, sectors))
-    assert got == [core_mod._delta_and_sin2(energy, spec, s) for s in sectors]
+    got = list(core_mod._scattering_lanes(spec, [energy] * len(sectors), sectors))
+    assert got == [core_mod.scattering_coeffs(energy, spec, s)[1].coeff_b for s in sectors]
     rows = [core_mod._sector(s, spec) for s in sectors]
     w = spec.theta * (energy - spec.v)
     if cap_n in (62, 64):
@@ -142,13 +142,13 @@ def test_sum_stops_before_the_padding_waves():
     assert core_mod._sum_floor(4, math.sqrt(2.0 * (E15 - N1000.v)), N1000.radius) + core_mod._FIRST_PAD == 23
 
 
-@pytest.mark.parametrize("fail_at, scalar_solves", [
-    # a failed lane pass replays the 20 waves of each sum on the scalar solves
-    (lambda mp: fail_reu_at(mp, 22), 40),
+@pytest.mark.parametrize("fail_at", [
+    # the failed lane of wave 22 keeps its error unread
+    lambda mp: fail_reu_at(mp, 22),
     # a solve runs only when its wave is read, so wave 21 is never solved
-    (lambda mp: fail_solve_at(mp, 21), 0),
-])
-def test_failure_past_the_stop_point_does_not_surface(monkeypatch, fail_at, scalar_solves):
+    lambda mp: fail_solve_at(mp, 21),
+], ids=["reu-at-wave-22", "solve-at-wave-21"])
+def test_failure_past_the_stop_point_does_not_surface(monkeypatch, fail_at):
     want = cross_section_total(E15, N1000, 4)
     want_dcs = cross_section_differential(E15, N1000, 4, [0.0, 1.0])
     fail_at(monkeypatch)
@@ -157,7 +157,8 @@ def test_failure_past_the_stop_point_does_not_surface(monkeypatch, fail_at, scal
     monkeypatch.setattr(core_mod, "scattering_coeffs", lambda *args: solves.append(args) or scattering_coeffs(*args))
     assert cross_section_total(E15, N1000, 4) == want
     assert cross_section_differential(E15, N1000, 4, [0.0, 1.0]) == want_dcs
-    assert ([len(c) for c in calls], len(solves)) == ([24, 24], scalar_solves)
+    # no wave is replayed on the scalar solves
+    assert ([len(c) for c in calls], len(solves)) == ([24, 24], 0)
 
 
 def test_failure_at_a_reached_wave_is_the_scalar_loops(monkeypatch):
