@@ -115,6 +115,8 @@ class WellSpec:
         if not (theta > 0.0 and radius_sq > 0.0 and math.isfinite(radius_sq)):
             raise DomainError("theta and radius_sq must be positive, radius_sq finite")
         n_real = (radius_sq / theta - 1.0) / 2.0
+        if not math.isfinite(n_real):
+            raise DomainError(f"R^2/theta overflows at theta = {theta}, R^2 = {radius_sq}")
         n_int = round(n_real)
         if n_int < 0 or abs(n_real - n_int) > 1e-9 * max(1.0, abs(n_real)):
             raise DomainError(
@@ -808,14 +810,14 @@ def cross_section_differential(
 
     partial_wave_sum(waves, energy, k, spec.radius, m_max)
     pref = math.sqrt(2.0 / math.pi)
-    out = []
-    for phi in phis:
-        f = 0j
-        for (mm, eps, phase, sin_d) in factors:
-            f += eps * math.cos(mm * phi) * phase * sin_d
-        f *= pref
-        out.append((phi, abs(f) ** 2 / k))
-    return out
+    # the waves in the sum's order, each over the whole grid: np.cos is libm's cos and the
+    # complex * and + are CPython's, so every entry is the scalar loop's; the modulus and
+    # the square stay in Python, since numpy's abs(complex) and array ** 2 round otherwise
+    grid = np.array(phis, dtype=float)
+    f = np.zeros(len(phis), dtype=complex)
+    for (mm, eps, phase, sin_d) in factors:
+        f += eps * np.cos(mm * grid) * phase * sin_d
+    return [(phi, abs(fp * pref) ** 2 / k) for phi, fp in zip(phis, f.tolist())]
 
 
 # ---------------------------------------------------------------------------

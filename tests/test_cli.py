@@ -268,6 +268,12 @@ def test_wavefunction_scattering_and_bound(capsys):
     assert out.split("\r\n")[2:4] == ["50000,0,0,exterior", "100000,0,0,exterior"]
 
 
+def test_overflowing_theta_radius_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["dcs", "--theta", "1e-300", "--radius", "1e10", "--v", "6", "--energy", "8"])
+    assert (code, out) == (1, "")
+    assert err == "ncwell: domain error: R^2/theta overflows at theta = 1e-300, R^2 = 1e+20\n"
+
+
 def test_domain_error_names_rule_and_exits_1(capsys):
     code, _, err = run_cli(capsys, ["bound-states", *WELL10, "--m=-11"])
     assert code == 1

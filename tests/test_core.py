@@ -65,6 +65,9 @@ def test_wellspec_validation():
         WellSpec.from_radius(math.inf, 10, 6.0)
     with pytest.raises(DomainError, match="radius_sq finite"):
         WellSpec.from_theta_radius(1.0, math.inf, 6.0)
+    # a finite R^2 over a tiny theta overflows R^2/theta; that is named, not an OverflowError
+    with pytest.raises(DomainError, match=r"R\^2/theta overflows at theta = 1e-300, R\^2 = 1e\+20"):
+        WellSpec.from_theta_radius(1e-300, 1e20, 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ nothing when the loop stops before the failing wave.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import ncwell.core as core_mod
@@ -87,19 +88,54 @@ def test_cross_section_equals_the_scalar_loop(monkeypatch, cap_n, v, energy, m_m
     assert len(calls) == blocks
 
 
+def scalar_dcs(energy, spec, m_max, phis):
+    # the angular sum as a double loop over (phi, wave) on the scalar solves' deltas
+    waves = len(scalar_sum(energy, spec, m_max)[1])
+    k = math.sqrt(2.0 * (energy - spec.v))
+    deltas = [core_mod._delta_and_sin2(energy, spec, m)[0] for m in range(waves)]
+    out = []
+    for phi in phis:
+        f = 0j
+        for m, d in enumerate(deltas):
+            f += (1.0 if m == 0 else 2.0) * math.cos(m * phi) * cmath.exp(1j * d) * math.sin(d)
+        out.append((phi, abs(f * math.sqrt(2.0 / math.pi)) ** 2 / k))
+    return out
+
+
 def test_dcs_needing_a_second_block_equals_the_scalar_waves(monkeypatch):
     spec, energy, phis = WellSpec.from_radius(20.0, 10, 6.0), 8.0, [0.0, 1.0, 2.5]
     calls = block_calls(monkeypatch)
     got = cross_section_differential(energy, spec, 4, phis)
     assert len(calls) == 2
-    waves = len(scalar_sum(energy, spec, 4)[1])
-    k = math.sqrt(2.0 * (energy - spec.v))
-    deltas = [core_mod._delta_and_sin2(energy, spec, m)[0] for m in range(waves)]
-    for phi, val in got:
-        f = 0j
-        for m, d in enumerate(deltas):
-            f += (1.0 if m == 0 else 2.0) * math.cos(m * phi) * cmath.exp(1j * d) * math.sin(d)
-        assert val == abs(f * math.sqrt(2.0 / math.pi)) ** 2 / k
+    assert got == scalar_dcs(energy, spec, 4, phis)
+
+
+@pytest.mark.parametrize("energy, n_phi, waves", [(15.0, 360, 20), (58.0, 720, 52)])
+def test_dcs_grid_sum_equals_the_scalar_double_loop(energy, n_phi, waves):
+    # the README dcs (E = 15, 360 angles) and a 52-wave sum on a 720-angle grid
+    spec = WellSpec.from_radius(20.0, 1000, 10.0)
+    phis = [2.0 * math.pi * i / n_phi for i in range(n_phi)]
+    assert len(scalar_sum(energy, spec, 8)[1]) == waves
+    assert cross_section_differential(energy, spec, 8, phis) == scalar_dcs(energy, spec, 8, phis)
+
+
+@pytest.mark.parametrize("n_phi", [180, 360, 720, 4096])
+def test_numpy_cos_is_libm_cos_on_the_dcs_grids(n_phi):
+    # the dcs grid sum relies on this; a numpy whose float64 cos is not libm's fails here
+    phis = [2.0 * math.pi * i / n_phi for i in range(n_phi)]
+    grid = np.array(phis)
+    for m in range(129):
+        assert np.cos(m * grid).tolist() == [math.cos(m * p) for p in phis], m
+
+
+def test_dcs_rows_keep_the_callers_phi_objects():
+    spec = WellSpec.from_radius(20.0, 1000, 10.0)
+    phis = [0, 3, 1.25, 6, math.nextafter(2.0 * math.pi, 0.0)]
+    got = cross_section_differential(15.0, spec, 8, phis)
+    assert got == scalar_dcs(15.0, spec, 8, phis)
+    assert all(row[0] is phi for row, phi in zip(got, phis))
+    assert [type(row[0]) for row in got] == [int, int, float, int, float]
+    assert cross_section_differential(15.0, spec, 8, []) == []
 
 
 # N = 1000, E = 15: the sum stops at wave 19, and the first block runs to wave 23
