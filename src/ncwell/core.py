@@ -85,7 +85,7 @@ class WellSpec:
 
     def __post_init__(self):
         # cap_n first: from_radius turns a negative cap_n into a negative theta
-        _check_int(self.cap_n, "cap_n")
+        object.__setattr__(self, "cap_n", _check_int(self.cap_n, "cap_n"))
         if self.cap_n < 0:
             raise DomainError(f"cap_n must be >= 0, got {self.cap_n}")
         if not (self.theta > 0.0 and math.isfinite(self.theta)):
@@ -180,14 +180,15 @@ def _laguerre_pair(m: int, w: float, n: int):
     return _ls_from_sweep(*res[n]), _ls_from_sweep(*res[n + 1])
 
 
-def _jy_basis_rows(m: int, w: float, n: int):
+def _jy_basis_rows(m: int, w: float, n: int, lag, reu):
     """Regular/irregular basis columns (J rows, Y rows) at rows n and n+1 for w > 0, m >= 0.
 
+    lag and reu are the rows n, n+1 of L^m(w) and of Re[U(.+1,1-m,-w)].
     Row value of the element is coeff_a * J_row + coeff_b * Y_row with
     J_row = sqrt(n!/(n+m)!) w^{m/2} L^m_n(w) and
     Y_row = -(1/pi) sqrt(n!(n+m)!) e^w w^{-m/2} Re[U(n+1,1-m,-w)].
     """
-    return _j_rows(m, w, n, _laguerre_pair(m, w, n)), _y_rows(m, w, n, _reu_pair(m, w, n))
+    return _j_rows(m, w, n, lag), _y_rows(m, w, n, reu)
 
 
 def _j_rows(m: int, w: float, n: int, lag):
@@ -488,16 +489,8 @@ def _check_scattering(energy: float, spec: WellSpec, m) -> int:
     return m
 
 
-def _matching_rows(energy: float, spec: WellSpec, m: int):
-    """(interior J, exterior J, exterior Y) at the matching rows of sector m; the regular interior has no Y."""
-    order, row = _sector(m, spec)
-    w_in = spec.theta * energy
-    jin = _j_rows(order, w_in, row, _laguerre_pair(order, w_in, row))
-    return jin, *_jy_basis_rows(order, spec.theta * (energy - spec.v), row)
-
-
 def _solve_matching(jin, jout, yout, energy: float, m: int):
-    """(interior amplitude, exterior B, row residuals) of scattering_coeffs from the _matching_rows columns.
+    """(interior amplitude, exterior B, row residuals) from the interior J and the exterior J, Y columns.
 
     The residual of a row is relative to its largest term (0.0 when every
     term vanishes).  Raises SingularSystemError when the 2x2 system is
@@ -558,7 +551,7 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     tan(delta_m) = -B.
     """
     m = _check_scattering(energy, spec, m)
-    a_in, b_out, _ = _solve_matching(*_matching_rows(energy, spec, m), energy, m)
+    a_in, b_out, _ = next(_scattering_lanes(spec, [energy], [m]))
     interior = RegionSolution(INTERIOR, spec.theta * energy, a_in, ZERO)
     exterior = RegionSolution(EXTERIOR, spec.theta * (energy - spec.v), ONE, b_out)
     return interior, exterior
@@ -567,7 +560,7 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
 def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     """Relative residuals of the two matching rows for the solved coefficients."""
     m = _check_scattering(energy, spec, m)
-    return _solve_matching(*_matching_rows(energy, spec, m), energy, m)[2]
+    return next(_scattering_lanes(spec, [energy], [m]))[2]
 
 
 def _phase_point(energy: float, m: int, b_out: LogScaled) -> PhaseShiftPoint:
@@ -580,21 +573,24 @@ def _phase_point(energy: float, m: int, b_out: LogScaled) -> PhaseShiftPoint:
 def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
     """Phase shift of partial wave m at E > V: tan(delta) = -B/A."""
     _, exterior = scattering_coeffs(energy, spec, m)
-    return _phase_point(energy, m, exterior.coeff_b)
+    # scattering_coeffs has checked m, so int(m) is the checked int
+    return _phase_point(energy, int(m), exterior.coeff_b)
 
 
 def _scattering_lanes(spec: WellSpec, energies, sectors):
-    """The exterior B of lane i = (energies[i], sectors[i]) for each lane, in order, from one lane pass.
+    """_solve_matching's (interior amplitude, exterior B, row residuals) of each lane, in order.
 
-    Each lane has passed _check_scattering.  One specfun._lag_reu_pairs_grid
-    call gives every lane its Laguerre rows at the interior and exterior w
-    and its Re U rows at the exterior w (sector -k is a lane of order k at
-    row N - k).  The order is an int when the lanes share one sector, as the
-    lane pass runs faster on one order than on an order per lane.  The
-    returned iterator runs a lane's prefactors and 2x2 solve when it reaches
-    the lane, and raises there the lane's ConvergenceError or the solve's
-    SingularSystemError, so errors come in the scalar loop's order.  Every B
-    equals scattering_coeffs's bit for bit.
+    Lane i is (energies[i], sectors[i]), and each lane has passed
+    _check_scattering.  One specfun._lag_reu_pairs_grid call gives every
+    lane its Laguerre rows at the interior and exterior w and its Re U rows
+    at the exterior w (sector -k is a lane of order k at row N - k).  The
+    order is an int when the lanes share one sector, as the lane pass runs
+    faster on one order than on an order per lane.  The returned iterator
+    runs a lane's prefactors and 2x2 solve when it reaches the lane, and
+    raises there the lane's ConvergenceError or the solve's
+    SingularSystemError, so errors come in the order of a point-by-point
+    loop.  This is the one scattering solve: a single point
+    (scattering_coeffs, phase_shift) is a block of one lane.
     """
     orders, rows = zip(*(_sector(s, spec) for s in sectors))
     order, row = (orders[0], rows[0]) if len(set(sectors)) == 1 else (np.array(orders), np.array(rows))
@@ -606,8 +602,8 @@ def _scattering_lanes(spec: WellSpec, energies, sectors):
         if isinstance(reu[i], ConvergenceError):
             raise reu[i]
         jin = _j_rows(orders[i], wi, rows[i], lag_in[i])
-        jout, yout = _j_rows(orders[i], wo, rows[i], lag_out[i]), _y_rows(orders[i], wo, rows[i], reu[i])
-        return _solve_matching(jin, jout, yout, energies[i], sectors[i])[1]
+        jout, yout = _jy_basis_rows(orders[i], wo, rows[i], lag_out[i], reu[i])
+        return _solve_matching(jin, jout, yout, energies[i], sectors[i])
 
     return (solve(i, wi, wo) for i, (wi, wo) in enumerate(zip(w_in.tolist(), w_out.tolist())))
 
@@ -617,8 +613,8 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
 
     The energies up to the first one _check_scattering rejects are the lanes
     of one _scattering_lanes block.  Every point equals phase_shift(e, spec,
-    m) bit for bit, and a failing sweep raises what phase_shift raises at
-    the first energy where it fails.
+    m), a block of one lane, bit for bit, and a failing sweep raises what
+    phase_shift raises at the first energy where it fails.
     """
     valid, failure = [], None
     for e in energies:
@@ -629,7 +625,7 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
             break
         valid.append(e)
     lanes = _scattering_lanes(spec, valid, [mi] * len(valid)) if valid else []
-    pts = [_phase_point(e, m, b) for e, b in zip(valid, lanes)]
+    pts = [_phase_point(e, mi, b) for e, (_, b, _) in zip(valid, lanes)]
     if failure is not None:
         raise failure
     unwrapped = []
@@ -666,12 +662,6 @@ def _wave_of_b(energy: float, m: int, b: LogScaled) -> tuple[float, float]:
     return delta, t * t / (1.0 + t * t)
 
 
-def _delta_and_sin2(energy: float, spec: WellSpec, m: int) -> tuple[float, float]:
-    """(delta_m, sin^2(delta_m)) from one scalar matching solve."""
-    _, exterior = scattering_coeffs(energy, spec, m)
-    return _wave_of_b(energy, m, exterior.coeff_b)
-
-
 def _sum_floor(m_max: int, k: float, radius: float) -> int:
     """The last wave partial_wave_sum always reaches: max(m_max, ceil(kR) + 2)."""
     return max(m_max, math.ceil(k * radius) + 2)
@@ -705,7 +695,7 @@ def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, include_ne
             top = min(first_top if m == 0 else m + _NEXT_BLOCK - 1, HARD_M_CAP)
             lanes = [s for j in range(m, top + 1) for s in sectors(j)]
             block = _scattering_lanes(spec, [energy] * len(lanes), lanes)
-        return [(s, *_wave_of_b(energy, s, next(block))) for s in sectors(m)]
+        return [(s, *_wave_of_b(energy, s, next(block)[1])) for s in sectors(m)]
 
     return waves
 
@@ -765,7 +755,7 @@ def cross_section_total(
     sin^2(delta) with unit weight instead (exploratory variant; the
     negative side is cut off at N, the positive side runs on).  The waves
     are solved in blocks, one lane pass each (_block_waves); every term
-    equals the scalar _delta_and_sin2 loop's bit for bit.
+    equals a wave-by-wave loop over phase_shift's solves bit for bit.
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))

@@ -92,7 +92,7 @@ class OrderIndex:
 
 
 def _check_int(value, name):
-    if not isinstance(value, (int, np.integer)):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

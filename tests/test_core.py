@@ -3,6 +3,7 @@ import math
 import statistics
 import warnings
 
+import numpy as np
 import pytest
 
 from ncwell.core import (
@@ -27,6 +28,7 @@ from ncwell.errors import DomainError
 from ncwell.logscale import LogScaled, ONE, ZERO
 from ncwell.oracle import CommWellSpec, comm_phase_shift
 from ncwell.specfun import hankel_integral_oracle, laguerre, re_u_neg
+from scalar_reference import scalar_wave
 
 N10 = WellSpec.from_radius(20.0, 10, 6.0)
 N1000 = WellSpec.from_radius(20.0, 1000, 10.0)
@@ -68,6 +70,23 @@ def test_wellspec_validation():
     # a finite R^2 over a tiny theta overflows R^2/theta; that is named, not an OverflowError
     with pytest.raises(DomainError, match=r"R\^2/theta overflows at theta = 1e-300, R\^2 = 1e\+20"):
         WellSpec.from_theta_radius(1e-300, 1e20, 6.0)
+
+
+def test_integer_parameters_reject_bools_and_are_stored_as_int():
+    # a bool is an int to isinstance; it is no integer parameter here
+    with pytest.raises(DomainError, match="cap_n must be an integer, got True"):
+        WellSpec(0.5, True, 6.0)
+    with pytest.raises(DomainError, match="cap_n must be an integer, got False"):
+        WellSpec.from_radius(20.0, False, 6.0)
+    with pytest.raises(DomainError, match="m must be an integer, got True"):
+        phase_shift(8.0, N10, True)
+    with pytest.raises(DomainError, match="m must be an integer, got False"):
+        find_bound_states(N10, False)
+    # a numpy integer is accepted, and points and specs carry the checked int
+    spec = WellSpec(N10.theta, np.int64(10), 6.0)
+    assert type(spec.cap_n) is int and spec == N10
+    for pt in (phase_shift(8.0, N10, np.int64(2)), *phase_shift_sweep([8.0, 9.0], N10, np.int64(2))):
+        assert type(pt.m) is int and pt.m == 2
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +140,7 @@ def test_fock_element_builds_no_column_with_a_zero_coefficient(monkeypatch):
     # a regular solution runs no Re U series or recurrence (the Laguerre sweep alone starts
     # at row 2), an irregular one no Laguerre sweep, and each value is a * J + b * Y
     n, m, w = 1000, 4, 0.4
-    j_rows, y_rows = core_mod._jy_basis_rows(m, w, n)
+    j_rows, y_rows = core_mod._jy_basis_rows(m, w, n, core_mod._laguerre_pair(m, w, n), core_mod._reu_pair(m, w, n))
     a, b = LogScaled.from_float(1.7), LogScaled.from_float(-0.3)
     series, starts = [], []
     log_series_float, recurrence_rows = specfun._log_series_float, specfun._recurrence_rows
@@ -297,12 +316,12 @@ def test_scattering_evaluates_re_u_at_the_exterior_w_only(monkeypatch):
     monkeypatch.setattr(specfun, "_recurrence_rows_grid", count_grid)
     n1000_v6 = WellSpec.from_radius(20.0, 1000, 6.0)
     sweep = [6.5 + 0.7 * i for i in range(12)]  # V is no multiple of the step
-    # (well, energies, lane passes, run): a sweep runs its Laguerre and Re U recurrence lanes in one
-    # pass, a cross section in one pass per block; at N = 10, E = 15 the sum reaches wave 37, so it
-    # takes the blocks 0..27, 28..35 and 36..43
+    # (well, energies, lane passes, run): a single point is a pass of one lane, a sweep runs its
+    # Laguerre and Re U recurrence lanes in one pass, a cross section in one pass per block; at
+    # N = 10, E = 15 the sum reaches wave 37, so it takes the blocks 0..27, 28..35 and 36..43
     cases = [
-        (N10, (6.5, 12.0), 0, lambda spec: [phase_shift(e, spec, m) for e in (6.5, 12.0) for m in (3, -3)]),
-        (N1000, (15.0,), 0, lambda spec: phase_shift(15.0, spec, 4)),
+        (N10, (6.5, 12.0), 4, lambda spec: [phase_shift(e, spec, m) for e in (6.5, 12.0) for m in (3, -3)]),
+        (N1000, (15.0,), 1, lambda spec: phase_shift(15.0, spec, 4)),
         (N10, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, -3)),
         (n1000_v6, sweep, 1, lambda spec: phase_shift_sweep(sweep, spec, 4)),
         (N10, (15.0,), 3, lambda spec: cross_section_total(15.0, spec, 4, include_negative=True)),
@@ -391,10 +410,15 @@ def test_cross_section_limit_agreement_improves_with_n():
 # ---------------------------------------------------------------------------
 
 def test_cross_section_all_deltas_zero(monkeypatch):
-    # each block hands back the exterior B per lane
-    monkeypatch.setattr(core_mod, "_scattering_lanes", lambda s, energies, sectors: iter([ZERO] * len(sectors)))
+    # each block hands back (interior amplitude, exterior B, residuals) per lane
+    monkeypatch.setattr(core_mod, "_scattering_lanes", lambda s, energies, sectors: lanes_of_b([ZERO] * len(sectors)))
     pt = cross_section_total(12.0, N10, 4)
     assert pt.sigma_total == 0.0
+
+
+def lanes_of_b(bs):
+    # a stand-in block: lanes with these exterior B, a unit interior amplitude and zero residuals
+    return iter([(ONE, b, [0.0, 0.0]) for b in bs])
 
 
 def test_cross_section_unitarity_limit_s_wave(monkeypatch):
@@ -402,7 +426,7 @@ def test_cross_section_unitarity_limit_s_wave(monkeypatch):
         core_mod,
         "_scattering_lanes",
         # B = -e^800: tan(delta) = inf, so delta = pi/2 and sin^2 = 1
-        lambda s, energies, sectors: iter([LogScaled.from_log(-1, 800.0) if m == 0 else ZERO for m in sectors]),
+        lambda s, energies, sectors: lanes_of_b([LogScaled.from_log(-1, 800.0) if m == 0 else ZERO for m in sectors]),
     )
     e = 12.0
     pt = cross_section_total(e, N10, 4)
@@ -427,7 +451,7 @@ def test_wave_delta_is_the_phase_shift_delta(spec, energy):
         assert any(abs(phase_shift(energy, spec, m).tan_delta) > 1.0 for m in ms if m < 0)
         assert any(abs(phase_shift(energy, spec, m).tan_delta) > 1.0 for m in ms if m > 0)
     for m in ms:
-        assert core_mod._delta_and_sin2(energy, spec, m)[0] == phase_shift(energy, spec, m).delta
+        assert scalar_wave(energy, spec, m)[0] == phase_shift(energy, spec, m).delta
 
 
 def test_cross_section_tail_extension():
@@ -469,7 +493,7 @@ def test_partial_wave_cap_warns_at_caller(monkeypatch):
         rows = cross_section_differential(e, N1000, 8, phis)
     assert rec[0].filename == __file__
     # the amplitude of waves m = 0..3 alone, in the same arithmetic order
-    deltas = [core_mod._delta_and_sin2(e, N1000, m)[0] for m in range(4)]
+    deltas = [scalar_wave(e, N1000, m)[0] for m in range(4)]
     k = math.sqrt(2.0 * (e - N1000.v))
     for phi, val in rows:
         f = 0j
@@ -483,7 +507,7 @@ def test_dcs_isotropic_when_only_s_wave(monkeypatch):
     monkeypatch.setattr(
         core_mod,
         "_scattering_lanes",
-        lambda s, energies, sectors: iter([LogScaled.from_float(-math.tan(d0)) if m == 0 else ZERO for m in sectors]),
+        lambda s, energies, sectors: lanes_of_b([LogScaled.from_float(-math.tan(d0)) if m == 0 else ZERO for m in sectors]),
     )
     e = 12.0
     k = math.sqrt(2.0 * (e - N10.v))

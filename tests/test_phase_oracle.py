@@ -4,10 +4,14 @@ The oracle builds the interior and exterior basis rows at the matching rows
 N and N+1 (N-k and N-k+1 for m = -k) from mpmath's laguerre and the real
 part of its hyperu, solves the 2x2 system at 50 digits and returns delta.
 phase_shift, phase_shift_sweep and the partial-wave kernel
-core._delta_and_sin2 must each be within a tolerance of it, set per N and
-per energy range from the largest distance measured over 116 log-spaced
-energies from V + 0.01 up: at N = 10, 1.2e-13; at N = 1000, 2.3e-10 below
-V + 1 (m = -4 at E = 10.54) and 3.5e-10 above (m = 30 at E = 28.26).
+(core._wave_of_b on the solved B) must each be within a tolerance of it,
+set per N and per energy range from the largest distance measured over 116
+log-spaced energies from V + 0.01 up: at N = 10, 1.2e-13; at N = 1000,
+2.3e-10 below V + 1 (m = -4 at E = 10.54) and 3.5e-10 above (m = 30 at
+E = 28.26).  The seams N = 0, |m| = N and N = 63, 64 (matching rows on
+either side of specfun._DIRECT_N = 64) have tolerances of about 2x the
+largest distance measured on their energies: 1.24e-14 at N = 0 (m = 1),
+5.6e-15 at |m| = N = 10 and 8.5e-13 at N = 63, 64 (N = 64, m = 5).
 """
 
 import math
@@ -17,13 +21,20 @@ import pytest
 
 from ncwell import core
 
-# (tolerance below V + 1, tolerance from V + 1 up) on |delta - delta_50|
-TOL = {10: (5e-13, 5e-13), 1000: (5e-10, 1e-9)}
-ENERGIES = {
-    10: (6.05, 6.3, 7.0, 8.1, 15.0, 30.0),
-    1000: (10.05, 10.54, 10.76, 11.14, 15.0, 20.63, 28.26, 35.0),
-}
-CASES = [(10, 6.0, m) for m in (-3, 0, 3)] + [(1000, 10.0, m) for m in (4, -4, 30, -30)]
+# (N, V, sectors, (tolerance below V + 1, tolerance from V + 1 up) on |delta - delta_50|)
+GROUPS = [
+    (10, 6.0, (-3, 0, 3), (5e-13, 5e-13)),
+    (1000, 10.0, (4, -4, 30, -30), (5e-10, 1e-9)),
+    (0, 6.0, (0, 1, 3), (2.5e-14, 2.5e-14)),
+    (10, 6.0, (10, -10), (1.1e-14, 1.1e-14)),
+    (63, 10.0, (0, 5, -5), (1.7e-12, 1.7e-12)),
+    (64, 10.0, (0, 5, -5), (1.7e-12, 1.7e-12)),
+]
+CASES = [(cap_n, v, m) for cap_n, v, ms, _ in GROUPS for m in ms]
+TOL = {(cap_n, m): tol for cap_n, _, ms, tol in GROUPS for m in ms}
+E_V6 = (6.05, 6.3, 7.0, 8.1, 15.0, 30.0)
+E_V10 = (10.05, 10.54, 10.76, 11.14, 15.0, 20.63, 28.26, 35.0)
+ENERGIES = {0: E_V6, 10: E_V6, 63: E_V10, 64: E_V10, 1000: E_V10}
 
 
 def _basis_rows(order, w, row):
@@ -59,8 +70,8 @@ def test_phase_shift_matches_50_digit_oracle(cap_n, v, m):
     energies = ENERGIES[cap_n]
     for e, pt in zip(energies, core.phase_shift_sweep(energies, spec, m)):
         ref = delta_50(e, spec, m)
-        tol = TOL[cap_n][e >= v + 1.0]
-        delta, sin2 = core._delta_and_sin2(e, spec, m)
+        tol = TOL[cap_n, m][e >= v + 1.0]
+        delta, sin2 = core._wave_of_b(e, m, core.scattering_coeffs(e, spec, m)[1].coeff_b)
         assert _dist(pt.delta, ref) <= tol
         assert _dist(core.phase_shift(e, spec, m).delta, ref) <= tol
         assert _dist(delta, ref) <= tol

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ncwell import specfun
+from ncwell import core, specfun
 from ncwell.core import WellSpec, phase_shift, phase_shift_sweep
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.specfun import (
@@ -29,6 +29,7 @@ from ncwell.specfun import (
     _recurrence_rows_grid,
     _reu_rows,
 )
+from scalar_reference import scalar_solve
 
 
 def grid(lo, hi, steps):
@@ -365,9 +366,11 @@ SWEEPS = [
 @pytest.mark.parametrize("r2, cap_n, v, m, energies", SWEEPS)
 def test_sweep_equals_pointwise_phase_shift(r2, cap_n, v, m, energies):
     spec = WellSpec.from_radius(r2, cap_n, v)
+    # the sweep, and each point as a block of one lane, against the scalar solve point by point
+    scalar = [core._phase_point(e, m, scalar_solve(e, spec, m)[1]) for e in energies]
     got = [(p.m, p.energy, p.tan_delta, p.delta) for p in phase_shift_sweep(energies, spec, m)]
-    want = [(p.m, p.energy, p.tan_delta, p.delta) for p in (phase_shift(e, spec, m) for e in energies)]
-    assert got == want
+    assert got == [(p.m, p.energy, p.tan_delta, p.delta) for p in scalar]
+    assert [phase_shift(e, spec, m) for e in energies] == scalar
 
 
 def test_empty_sweep_is_empty():

@@ -1,8 +1,8 @@
 """The cross sections' lane passes against the scalar partial-wave loop they replace.
 
 A cross section solves the waves of one energy in blocks, one lane pass
-each (core._scattering_lanes).  Every sector must equal the scalar
-core._delta_and_sin2 bit for bit (asserted with ==, no tolerance), and a
+each (core._scattering_lanes).  Every sector must equal the scalar solve
+of scalar_reference bit for bit (asserted with ==, no tolerance), and a
 block with a failing lane must raise what the scalar loop raises, or
 nothing when the loop stops before the failing wave.
 """
@@ -18,6 +18,7 @@ from ncwell import specfun
 from ncwell.core import WellSpec, cross_section_differential, cross_section_total, partial_wave_sum
 from ncwell.errors import ConvergenceError, SingularSystemError
 from ncwell.specfun import _DIRECT_N, _anchor_row
+from scalar_reference import scalar_solve, scalar_wave
 
 
 def scalar_sum(energy, spec, m_max, include_negative=False):
@@ -27,7 +28,7 @@ def scalar_sum(energy, spec, m_max, include_negative=False):
     def waves(m):
         sectors = (m, -m) if include_negative and 1 <= m <= spec.cap_n else (m,)
         eps = 1.0 if include_negative or m == 0 else 2.0
-        return [(s, eps, core_mod._delta_and_sin2(energy, spec, s)[1]) for s in sectors]
+        return [(s, eps, scalar_wave(energy, spec, s)[1]) for s in sectors]
 
     return partial_wave_sum(waves, energy, k, spec.radius, m_max)
 
@@ -62,7 +63,7 @@ BLOCKS = [
 def test_block_sectors_equal_scalar_waves(cap_n, v, energy, sectors):
     spec = WellSpec.from_radius(20.0, cap_n, v)
     got = list(core_mod._scattering_lanes(spec, [energy] * len(sectors), sectors))
-    assert got == [core_mod.scattering_coeffs(energy, spec, s)[1].coeff_b for s in sectors]
+    assert got == [scalar_solve(energy, spec, s) for s in sectors]
     rows = [core_mod._sector(s, spec) for s in sectors]
     w = spec.theta * (energy - spec.v)
     if cap_n in (62, 64):
@@ -92,7 +93,7 @@ def scalar_dcs(energy, spec, m_max, phis):
     # the angular sum as a double loop over (phi, wave) on the scalar solves' deltas
     waves = len(scalar_sum(energy, spec, m_max)[1])
     k = math.sqrt(2.0 * (energy - spec.v))
-    deltas = [core_mod._delta_and_sin2(energy, spec, m)[0] for m in range(waves)]
+    deltas = [scalar_wave(energy, spec, m)[0] for m in range(waves)]
     out = []
     for phi in phis:
         f = 0j
@@ -135,6 +136,32 @@ def test_dcs_rows_keep_the_callers_phi_objects():
     assert got == scalar_dcs(15.0, spec, 8, phis)
     assert all(row[0] is phi for row, phi in zip(got, phis))
     assert cross_section_differential(15.0, spec, 8, []) == []
+
+
+# a single point is a block of one lane: the seams of test_phase_oracle's 50-digit cases (N = 0,
+# |m| = N, rows on either side of _DIRECT_N) at their energies, and N = 1000 at E = 58, where waves
+# up to m = 52 escalate to mpmath
+E_V6 = (6.05, 6.3, 7.0, 8.1, 15.0, 30.0)
+E_V10 = (10.05, 10.54, 10.76, 11.14, 15.0, 20.63, 28.26, 35.0)
+SINGLE = [
+    (0, 6.0, (0, 1, 3), E_V6),
+    (10, 6.0, (10, -10), E_V6),
+    (63, 10.0, (0, 5, -5), E_V10),
+    (64, 10.0, (0, 5, -5), E_V10),
+    (1000, 10.0, tuple(range(-26, 54)), (58.0,)),
+]
+
+
+@pytest.mark.parametrize("cap_n, v, sectors, energies", SINGLE)
+def test_single_solves_equal_the_scalar_solve(cap_n, v, sectors, energies):
+    spec = WellSpec.from_radius(20.0, cap_n, v)
+    for e in energies:
+        for m in sectors:
+            a, b, residuals = scalar_solve(e, spec, m)
+            interior, exterior = core_mod.scattering_coeffs(e, spec, m)
+            assert (interior.coeff_a, exterior.coeff_b) == (a, b), (e, m)
+            assert core_mod.matching_relative_residuals(e, spec, m) == residuals, (e, m)
+            assert core_mod.phase_shift(e, spec, m).delta == scalar_wave(e, spec, m)[0], (e, m)
 
 
 # N = 1000, E = 15: the sum stops at wave 19, and the first block runs to wave 23
