@@ -182,7 +182,7 @@ def _phase_pairs(spec: core.WellSpec, m: int, energies: list[float]) -> list[tup
     """(nc point, comm point) per energy."""
     comm = oracle.CommWellSpec(spec.radius, spec.v)
     pts = core.phase_shift_sweep(energies, spec, m)
-    cms = [oracle.comm_phase_shift(e, comm, m) for e in energies]
+    cms = oracle.comm_phase_shifts(energies, comm, m)
     return list(zip(pts, cms))
 
 

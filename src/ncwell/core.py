@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, DomainError, SingularSystemError
-from .logscale import LogScaled, ONE, ZERO, ls_exp
+from .logscale import LogScaled, ONE, ZERO, log_add, log_to_float, ls_exp
 from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
     CheckResult,
     OrderIndex,
@@ -42,7 +42,6 @@ from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it he
     _laguerre_sweep,
     _laguerre_sweep_grid,
     _ls_from_sweep,
-    _lower_order,
     _oracle_suites,
     _reu_direct,
     _reu_rows,
@@ -155,6 +154,8 @@ class PhaseShiftPoint:
     tan_delta: float
     delta: float
     delta_unwrapped: float | None = None
+    # the larger relative residual of the two matching rows (None from the commutative oracle)
+    residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -180,35 +181,44 @@ def _laguerre_pair(m: int, w: float, n: int):
     return _ls_from_sweep(*res[n]), _ls_from_sweep(*res[n + 1])
 
 
-def _jy_basis_rows(m: int, w: float, n: int, lag, reu):
+# the zero of a (sign, log magnitude) pair
+_ZERO_PAIR = (0, 0.0)
+_LOG_PI = math.log(math.pi)
+
+
+def _row_consts(m: int, n: int):
+    """Lane constants (jc, yc) of the basis rows of order m at rows n, n+1.
+
+    They are the lgamma halves of the row prefactors: at row j = n + i,
+    jc[i] = (lgamma(j+1) - lgamma(j+m+1))/2 and yc[i] = (lgamma(j+1) + lgamma(j+m+1))/2.
+    """
+    g = [(math.lgamma(j + 1.0), math.lgamma(j + m + 1.0)) for j in (n, n + 1)]
+    return [0.5 * (a - b) for a, b in g], [0.5 * (a + b) for a, b in g]
+
+
+def _jy_basis_rows(m: int, w: float, lag, reu, consts):
     """Regular/irregular basis columns (J rows, Y rows) at rows n and n+1 for w > 0, m >= 0.
 
-    lag and reu are the rows n, n+1 of L^m(w) and of Re[U(.+1,1-m,-w)].
-    Row value of the element is coeff_a * J_row + coeff_b * Y_row with
+    lag and reu are the LogScaled rows n, n+1 of L^m(w) and of
+    Re[U(.+1,1-m,-w)], and consts = _row_consts(m, n).  Row value of the
+    element is coeff_a * J_row + coeff_b * Y_row with
     J_row = sqrt(n!/(n+m)!) w^{m/2} L^m_n(w) and
     Y_row = -(1/pi) sqrt(n!(n+m)!) e^w w^{-m/2} Re[U(n+1,1-m,-w)].
+    Rows are (sign, log magnitude) pairs, (0, 0.0) for a zero row.
     """
-    return _j_rows(m, w, n, lag), _y_rows(m, w, n, reu)
+    return _j_rows(m, w, lag, consts[0]), _y_rows(m, w, reu, consts[1])
 
 
-def _j_rows(m: int, w: float, n: int, lag):
-    """The J rows of _jy_basis_rows from (L^m_n(w), L^m_{n+1}(w))."""
-    lnw = math.log(w)
-    return [
-        lag[i] * ls_exp(0.5 * (math.lgamma(idx + 1.0) - math.lgamma(idx + m + 1.0)) + 0.5 * m * lnw)
-        for i, idx in enumerate((n, n + 1))
-    ]
+def _j_rows(m: int, w: float, lag, jc):
+    """The J rows of _jy_basis_rows from (L^m_n(w), L^m_{n+1}(w)), with jc from _row_consts."""
+    half = 0.5 * m * math.log(w)
+    return [(v.sign, v.logmag + (c + half)) if v.sign else _ZERO_PAIR for v, c in zip(lag, jc)]
 
 
-def _y_rows(m: int, w: float, n: int, reu):
-    """The Y rows of _jy_basis_rows from Re U(j+1, 1-m, -w) at rows j = n, n+1."""
-    lnw = math.log(w)
-    return [
-        reu[i] * ls_exp(
-            0.5 * (math.lgamma(idx + 1.0) + math.lgamma(idx + m + 1.0)) + w - 0.5 * m * lnw, sign=-1
-        ) / math.pi
-        for i, idx in enumerate((n, n + 1))
-    ]
+def _y_rows(m: int, w: float, reu, yc):
+    """The Y rows of _jy_basis_rows from Re U(j+1, 1-m, -w) at rows j = n, n+1, with yc from _row_consts."""
+    half = 0.5 * m * math.log(w)
+    return [(-v.sign, v.logmag + (c + w - half) - _LOG_PI) if v.sign else _ZERO_PAIR for v, c in zip(reu, yc)]
 
 
 def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
@@ -232,8 +242,11 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
         return a if m == 0 else ZERO
     if w > 0.0:
         # a zero coefficient's column is not built: a regular solution runs no Re U
-        value = a * _j_rows(m, w, n, _laguerre_pair(m, w, n))[0] if not a.is_zero() else ZERO
-        return value + b * _y_rows(m, w, n, _reu_pair(m, w, n))[0] if not b.is_zero() else value
+        jc, yc = _row_consts(m, n)
+        value = a * LogScaled.from_log(*_j_rows(m, w, _laguerre_pair(m, w, n), jc)[0]) if not a.is_zero() else ZERO
+        if b.is_zero():
+            return value
+        return value + b * LogScaled.from_log(*_y_rows(m, w, _reu_pair(m, w, n), yc)[0])
     # bound branch: w < 0, x = -w > 0
     x = -w
     lag = laguerre(n, m, w)
@@ -287,22 +300,49 @@ def _sector(m: int, spec: WellSpec) -> tuple[int, int]:
 # bound states
 # ---------------------------------------------------------------------------
 
-def _bound_residual(l_n: LogScaled, l_n1: LogScaled, ratio: float, w: float, spec: WellSpec, m: int) -> float:
-    """G(E) from its factors at one energy.
+def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio) -> list[float]:
+    """G(E) at each lane from its factors, as LogScaled would combine them but on plain floats.
 
-    l_n, l_n1 are L^|m| at rows N-k and N+1-k (k = max(-m, 0)), lowered to
-    order m here; ratio is U(N+2-k,1-|m|,x)/U(N+1-k,1-|m|,x); w = theta E.
+    Lane i has energy energies[i] and w[i] = theta E; (mant_n[i], scale_n[i])
+    and (mant_n1[i], scale_n1[i]) are the sweep rows of L^|m| at rows N-k
+    and N+1-k (k = max(-m, 0)), lowered to order m here by
+    (-w)^k (n-k)!/n!; ratio[i] is U(N+2-k,1-|m|,x)/U(N+1-k,1-|m|,x).  With
+    t1 = L^m_{N+1} and t2 = (N+m+1) ratio L^m_N, G = (t1 - t2) / max(|t1|, |t2|),
+    0.0 when both vanish.  Values are (sign, log magnitude) pairs, and every
+    step calls math in LogScaled's order (logscale.log_add, log_to_float), so
+    G has the bits of the LogScaled combination.  The lgamma terms of the
+    lowering are lane constants.  A non-finite (N+m+1) ratio raises
+    ConvergenceError naming E, m and N.
     """
-    k = max(-m, 0)
+    n, k, c = spec.cap_n, max(-m, 0), spec.cap_n + m + 1
     if k:
-        l_n = _lower_order(l_n, spec.cap_n, k, w)
-        l_n1 = _lower_order(l_n1, spec.cap_n + 1, k, w)
-    t1 = l_n1
-    t2 = l_n * ((spec.cap_n + m + 1) * ratio)
-    scale = max(abs(t1), abs(t2))
-    if scale.is_zero():
-        return 0.0
-    return ((t1 - t2) / scale).to_float()
+        sign_k = (-1) ** k  # (-w)^k is negative only for w > 0 and odd k
+        lg_n = math.lgamma(n - k + 1), math.lgamma(n + 1)
+        lg_n1 = math.lgamma(n + 1 - k + 1), math.lgamma(n + 2)
+    out = []
+    for e, wi, m0, s0, m1, s1, r in zip(energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio):
+        f = c * r
+        if not math.isfinite(f):
+            raise ConvergenceError(f"U ratio (N+m+1) U(N+2)/U(N+1) = {f} is not finite at E={e}, m={m}, N={n}")
+        s_n, l_n = (0, 0.0) if m0 == 0.0 else (1 if m0 > 0 else -1, math.log(abs(m0)) + s0)
+        s_n1, l_n1 = (0, 0.0) if m1 == 0.0 else (1 if m1 > 0 else -1, math.log(abs(m1)) + s1)
+        if k:
+            if wi == 0.0:
+                s_n, l_n, s_n1, l_n1 = 0, 0.0, 0, 0.0
+            else:
+                sign = sign_k if wi > 0 else 1
+                lw = k * math.log(abs(wi))
+                s_n, l_n = s_n * sign, l_n + (lw + lg_n[0] - lg_n[1])
+                s_n1, l_n1 = s_n1 * sign, l_n1 + (lw + lg_n1[0] - lg_n1[1])
+        # t1 = (s_n1, l_n1); t2 = L^m_N * f
+        s2, l2 = (s_n * (1 if f > 0 else -1), l_n + math.log(abs(f))) if s_n and f != 0.0 else (0, 0.0)
+        if not (s_n1 or s2):
+            out.append(0.0)
+            continue
+        scale = l2 if s2 and (not s_n1 or l2 > l_n1) else l_n1
+        sd, ld = log_add(s_n1, l_n1, -s2, l2)
+        out.append(log_to_float(sd, ld - scale))
+    return out
 
 
 def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
@@ -310,7 +350,8 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
 
     G = L^m_{N+1}(theta E) U(N+1,1-m,x) - (N+m+1) L^m_N(theta E) U(N+2,1-m,x)
     with x = theta (V - E), rescaled sign-preservingly by the larger term's
-    magnitude so the return value lies in [-2, 2].
+    magnitude so the return value lies in [-2, 2].  It is the one-lane
+    _bound_residual of the scan grid's factors.
     """
     m = _check_int(m, "m")
     _check_bound_energy(energy, spec)
@@ -318,26 +359,23 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
     order, row = _sector(m, spec)
     w = spec.theta * energy
     x = spec.theta * (spec.v - energy)
-    l_n, l_n1 = _laguerre_pair(order, w, row)
-    return _bound_residual(l_n, l_n1, _u_ratio_1m(row + 1, order, x), w, spec, m)
+    rows = _laguerre_sweep(order, w, {row, row + 1})
+    (m0, s0), (m1, s1) = rows[row], rows[row + 1]
+    return _bound_residual(spec, m, [energy], [w], [m0], [s0], [m1], [s1], [_u_ratio_1m(row + 1, order, x)])[0]
 
 
 def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> list[float]:
     """matching_residual_bound at every energy of a scan grid, bit for bit.
 
     The Laguerre sweep and the U-ratio continued fraction run on numpy
-    lanes, one per energy; only the final LogScaled combination is per lane.
+    lanes, one per energy; _bound_residual combines them lane by lane.
     """
     order, row = _sector(m, spec)
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
     rows = _laguerre_sweep_grid(order, w, (row, row + 1))
     ratio = _u_ratio_1m_grid(row + 1, order, x)
-    cols = [a.tolist() for a in (*rows[row], *rows[row + 1], ratio, w)]
-    return [
-        _bound_residual(_ls_from_sweep(m0, s0), _ls_from_sweep(m1, s1), r, wi, spec, m)
-        for m0, s0, m1, s1, r, wi in zip(*cols)
-    ]
+    return _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[row], *rows[row + 1], ratio)))
 
 
 def _brent(g, a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
@@ -492,13 +530,16 @@ def _check_scattering(energy: float, spec: WellSpec, m) -> int:
 def _solve_matching(jin, jout, yout, energy: float, m: int):
     """(interior amplitude, exterior B, row residuals) from the interior J and the exterior J, Y columns.
 
-    The residual of a row is relative to its largest term (0.0 when every
-    term vanishes).  Raises SingularSystemError when the 2x2 system is
-    degenerate or a row residual exceeds 1e-10.
+    The columns are _jy_basis_rows's (sign, log magnitude) rows, and the
+    amplitudes come back as LogScaled.  Every step calls math in LogScaled's
+    order, so the result has the bits of the LogScaled solve.  The residual
+    of a row is relative to its largest term (0.0 when every term vanishes).
+    Raises SingularSystemError when the 2x2 system is degenerate or a row
+    residual exceeds 1e-10.
     """
     # column scales: the larger log magnitude of each basis column
     c1, c2, c3 = (
-        max(v.logmag if v.sign else -math.inf for v in col) for col in (jin, yout, jout)
+        max(l if s else -math.inf for s, l in col) for col in (jin, yout, jout)
     )
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise SingularSystemError("a basis column vanished identically at both rows")
@@ -506,7 +547,7 @@ def _solve_matching(jin, jout, yout, energy: float, m: int):
         c3 = 0.0
 
     def fl(v, shift):
-        return 0.0 if v.sign == 0 else v.sign * math.exp(v.logmag - shift)
+        return 0.0 if v[0] == 0 else v[0] * math.exp(v[1] - shift)
 
     a11, a21 = fl(jin[0], c1), fl(jin[1], c1)
     a12, a22 = -fl(yout[0], c2), -fl(yout[1], c2)
@@ -523,23 +564,34 @@ def _solve_matching(jin, jout, yout, energy: float, m: int):
     r2 = math.fsum((b2, -a21 * x1, -a22 * x2))
     x1 += (r1 * a22 - a12 * r2) / det
     x2 += (a11 * r2 - r1 * a21) / det
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise SingularSystemError(f"matching solve overflowed at E={energy}, m={m}")
 
-    a_in = LogScaled.from_float(x1) * ls_exp(c3 - c1) if x1 != 0.0 else ZERO
-    b_out = LogScaled.from_float(x2) * ls_exp(c3 - c2) if x2 != 0.0 else ZERO
+    sa, la = (1 if x1 > 0 else -1, math.log(abs(x1)) + (c3 - c1)) if x1 != 0.0 else _ZERO_PAIR
+    sb, lb = (1 if x2 > 0 else -1, math.log(abs(x2)) + (c3 - c2)) if x2 != 0.0 else _ZERO_PAIR
 
-    # residual of both rows, relative to the largest contributing term
+    # residual of both rows, relative to the largest contributing term:
+    # a_in J_in - B Y_out - J_out
     residuals = []
-    for i in (0, 1):
-        terms = (a_in * jin[i], -(b_out * yout[i]), -jout[i])
-        resid = terms[0] + terms[1] + terms[2]
-        scale = max(abs(t) for t in terms)
-        rel = 0.0 if scale.is_zero() else (abs(resid) / scale).to_float()
+    for (sj, lj), (sy, ly), (so, lo) in zip(jin, yout, jout):
+        terms = (
+            (sa * sj, la + lj) if sa and sj else _ZERO_PAIR,
+            (-sb * sy, lb + ly) if sb and sy else _ZERO_PAIR,
+            (-so, lo),
+        )
+        resid = log_add(*log_add(*terms[0], *terms[1]), *terms[2])
+        # the first largest |term|, as max() over LogScaled picks it
+        scale = None
+        for st, lt in terms:
+            if st and (scale is None or lt > scale):
+                scale = lt
+        rel = 0.0 if scale is None else log_to_float(abs(resid[0]), resid[1] - scale)
         if rel > 1e-10:
             raise SingularSystemError(
                 f"matching residual {rel:.2e} exceeds 1e-10 at E={energy}, m={m}"
             )
         residuals.append(rel)
-    return a_in, b_out, residuals
+    return LogScaled.from_log(sa, la), LogScaled.from_log(sb, lb), residuals
 
 
 def scattering_coeffs(energy: float, spec: WellSpec, m: int):
@@ -563,18 +615,18 @@ def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     return next(_scattering_lanes(spec, [energy], [m]))[2]
 
 
-def _phase_point(energy: float, m: int, b_out: LogScaled) -> PhaseShiftPoint:
+def _phase_point(energy: float, m: int, b_out: LogScaled, residual: float | None = None) -> PhaseShiftPoint:
     """tan(delta) = -B/A with the exterior A pinned to 1."""
     tan_delta = -b_out.to_float()
     delta = math.atan(tan_delta) if math.isfinite(tan_delta) else math.pi / 2
-    return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta)
+    return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta, residual=residual)
 
 
 def phase_shift(energy: float, spec: WellSpec, m: int) -> PhaseShiftPoint:
-    """Phase shift of partial wave m at E > V: tan(delta) = -B/A."""
-    _, exterior = scattering_coeffs(energy, spec, m)
-    # scattering_coeffs has checked m, so int(m) is the checked int
-    return _phase_point(energy, int(m), exterior.coeff_b)
+    """Phase shift of partial wave m at E > V: tan(delta) = -B/A, with the larger row residual."""
+    m = _check_scattering(energy, spec, m)
+    _, b_out, residuals = next(_scattering_lanes(spec, [energy], [m]))
+    return _phase_point(energy, m, b_out, max(residuals))
 
 
 def _scattering_lanes(spec: WellSpec, energies, sectors):
@@ -586,7 +638,7 @@ def _scattering_lanes(spec: WellSpec, energies, sectors):
     at the exterior w (sector -k is a lane of order k at row N - k).  The
     order is an int when the lanes share one sector, as the lane pass runs
     faster on one order than on an order per lane.  The returned iterator
-    runs a lane's prefactors and 2x2 solve when it reaches the lane, and
+    runs a lane's basis rows and 2x2 solve when it reaches the lane, and
     raises there the lane's ConvergenceError or the solve's
     SingularSystemError, so errors come in the order of a point-by-point
     loop.  This is the one scattering solve: a single point
@@ -597,12 +649,14 @@ def _scattering_lanes(spec: WellSpec, energies, sectors):
     e = np.array(energies, dtype=float)
     w_in, w_out = spec.theta * e, spec.theta * (e - spec.v)
     lag_in, lag_out, reu = _lag_reu_pairs_grid(order, row, w_in, w_out)
+    consts = {key: _row_consts(*key) for key in set(zip(orders, rows))}
 
     def solve(i, wi, wo):
         if isinstance(reu[i], ConvergenceError):
             raise reu[i]
-        jin = _j_rows(orders[i], wi, rows[i], lag_in[i])
-        jout, yout = _jy_basis_rows(orders[i], wo, rows[i], lag_out[i], reu[i])
+        rc = consts[orders[i], rows[i]]
+        jin = _j_rows(orders[i], wi, lag_in[i], rc[0])
+        jout, yout = _jy_basis_rows(orders[i], wo, lag_out[i], reu[i], rc)
         return _solve_matching(jin, jout, yout, energies[i], sectors[i])
 
     return (solve(i, wi, wo) for i, (wi, wo) in enumerate(zip(w_in.tolist(), w_out.tolist())))
@@ -625,7 +679,7 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
             break
         valid.append(e)
     lanes = _scattering_lanes(spec, valid, [mi] * len(valid)) if valid else []
-    pts = [_phase_point(e, mi, b) for e, (_, b, _) in zip(valid, lanes)]
+    pts = [_phase_point(e, mi, b, max(res)) for e, (_, b, res) in zip(valid, lanes)]
     if failure is not None:
         raise failure
     unwrapped = []
@@ -641,7 +695,7 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
         unwrapped.append(d + offset)
         prev = d + offset
     return [
-        PhaseShiftPoint(p.m, p.energy, p.tan_delta, p.delta, u)
+        PhaseShiftPoint(p.m, p.energy, p.tan_delta, p.delta, u, p.residual)
         for p, u in zip(pts, unwrapped)
     ]
 

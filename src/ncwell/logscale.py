@@ -4,7 +4,10 @@ Matrix elements of the well mix factors like sqrt(n!(n+m)!), e^w and
 w^(+-m/2) with n up to a few thousand; no native float survives that.
 A LogScaled value carries the sign separately from ln|x| so that products
 and quotients are plain additions, while sums fall back to a guarded
-log-sum-exp.  Plain floats are extracted only at final ratios.
+log-sum-exp.  Plain floats are extracted only at final ratios.  Per-lane
+code that would build thousands of these objects carries the same
+(sign, logmag) pairs as plain numbers instead, through log_add and
+log_to_float, which the class's own addition and extraction call.
 """
 
 from __future__ import annotations
@@ -50,13 +53,7 @@ class LogScaled:
     # -- extraction ---------------------------------------------------
     def to_float(self) -> float:
         """Plain float value; +-inf when the magnitude exceeds float range."""
-        if self.sign == 0:
-            return 0.0
-        if self.logmag > _EXP_MAX:
-            return math.inf * self.sign
-        if self.logmag < -745.0:
-            return 0.0
-        return self.sign * math.exp(self.logmag)
+        return log_to_float(self.sign, self.logmag)
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -79,23 +76,8 @@ class LogScaled:
         return LogScaled(self.sign * other.sign, self.logmag - other.logmag)
 
     def __add__(self, other: "LogScaled | float | int") -> "LogScaled":
-        a, b = self, _coerce(other)
-        if a.sign == 0:
-            return b
-        if b.sign == 0:
-            return a
-        # canonical operand order makes addition exactly commutative
-        if (b.logmag, b.sign) > (a.logmag, a.sign):
-            a, b = b, a
-        gap = a.logmag - b.logmag
-        if gap > ADD_CUTOFF:
-            return a
-        if a.sign == b.sign:
-            return LogScaled(a.sign, a.logmag + math.log1p(math.exp(-gap)))
-        if gap == 0.0:
-            return ZERO
-        # 1 - e^{-gap} through expm1: no cancellation for tiny gaps
-        return LogScaled(a.sign, a.logmag + math.log(-math.expm1(-gap)))
+        b = _coerce(other)
+        return LogScaled.from_log(*log_add(self.sign, self.logmag, b.sign, b.logmag))
 
     __radd__ = __add__
 
@@ -146,6 +128,41 @@ def _coerce(x) -> LogScaled:
     if isinstance(x, LogScaled):
         return x
     return LogScaled.from_float(float(x))
+
+
+def log_add(sa: int, la: float, sb: int, lb: float) -> tuple[int, float]:
+    """(sign, logmag) of sa e^la + sb e^lb: LogScaled addition on plain floats.
+
+    Signs are -1, 0 or +1, and a zero is (0, 0.0).  Lane code that carries
+    (sign, logmag) pairs calls this, so its sums keep LogScaled's bits.
+    """
+    if sa == 0:
+        return sb, lb
+    if sb == 0:
+        return sa, la
+    # canonical operand order makes addition exactly commutative
+    if (lb, sb) > (la, sa):
+        sa, la, sb, lb = sb, lb, sa, la
+    gap = la - lb
+    if gap > ADD_CUTOFF:
+        return sa, la
+    if sa == sb:
+        return sa, la + math.log1p(math.exp(-gap))
+    if gap == 0.0:
+        return 0, 0.0
+    # 1 - e^{-gap} through expm1: no cancellation for tiny gaps
+    return sa, la + math.log(-math.expm1(-gap))
+
+
+def log_to_float(sign: int, logmag: float) -> float:
+    """sign * e^logmag as a float: +-inf above float range, 0.0 below it (LogScaled.to_float)."""
+    if sign == 0:
+        return 0.0
+    if logmag > _EXP_MAX:
+        return math.inf * sign
+    if logmag < -745.0:
+        return 0.0
+    return sign * math.exp(logmag)
 
 
 def ls_exp(logx: float, sign: int = 1) -> LogScaled:

@@ -27,7 +27,7 @@ from .core import (
     partial_wave_sum,
 )
 from .errors import DomainError
-from .specfun import _check_int, bessel, bessel_deriv
+from .specfun import _check_int, bessel, bessel_deriv  # noqa: F401  (bench/tracing.py hooks both here)
 
 
 @dataclass(frozen=True)
@@ -75,32 +75,61 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
     )
 
 
+def _phase_fraction_grid(energies, spec: CommWellSpec, m: int):
+    """(num, den) with tan(delta_m) = num / den, from log-derivative matching at r = R.
+
+    num = k_in J'_m(k_in R) J_m(k_out R) - k_out J_m(k_in R) J'_m(k_out R), and
+    den the same with Y_m at k_out R, with C'_m = C_{m-1} - (m/x) C_m.  Takes
+    an array of energies above V or one energy, and makes one scipy call per
+    Bessel column; the scipy ufuncs return the same bits for an array as for
+    scalars, and numpy's sqrt, * and - round as Python's floats do.
+    """
+    r = spec.radius
+    k_in = np.sqrt(2.0 * energies)
+    k_out = np.sqrt(2.0 * (energies - spec.v))
+    x_in, x_out = k_in * r, k_out * r
+    # the smaller argument, as bessel_deriv checks it; it reaches 0 only by underflow
+    if not np.all(x_out > 0.0):
+        raise DomainError("derivative recurrence needs x > 0, got 0.0")
+    ji, jo, yo = special.jv(m, x_in), special.jv(m, x_out), special.yv(m, x_out)
+    jip = special.jv(m - 1, x_in) - (m / x_in) * ji
+    jop = special.jv(m - 1, x_out) - (m / x_out) * jo
+    yop = special.yv(m - 1, x_out) - (m / x_out) * yo
+    return k_in * jip * jo - k_out * ji * jop, k_in * jip * yo - k_out * ji * yop
+
+
+def comm_phase_shifts(energies, spec: CommWellSpec, m: int) -> list[PhaseShiftPoint]:
+    """comm_phase_shift at each energy, from one _phase_fraction_grid call.
+
+    Each energy is checked as comm_phase_shift checks it, in order, before
+    any is solved.  tan(delta) and delta are formed point by point in math:
+    tan = num/den, delta = atan2(num, den) folded into (-pi/2, pi/2].
+    """
+    label = _check_int(m, "m")
+    energies = list(energies)
+    for e in energies:
+        _check_above_v(e, spec.v, "scattering")
+    if not energies:
+        return []
+    num, den = _phase_fraction_grid(np.array(energies, dtype=float), spec, abs(label))
+    out = []
+    for e, n, d in zip(energies, num.tolist(), den.tolist()):
+        if d == 0.0:
+            tan_delta = math.copysign(math.inf, n) if n != 0.0 else 0.0
+        else:
+            tan_delta = n / d
+        delta = math.atan2(n, d)
+        if delta > math.pi / 2:
+            delta -= math.pi
+        elif delta <= -math.pi / 2:
+            delta += math.pi
+        out.append(PhaseShiftPoint(m=label, energy=e, tan_delta=tan_delta, delta=delta))
+    return out
+
+
 def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoint:
     """tan(delta_m) from log-derivative matching, labelled with the m passed; it depends on |m| only."""
-    label = _check_int(m, "m")
-    m = abs(label)
-    _check_above_v(energy, spec.v, "scattering")
-    r = spec.radius
-    k_in = math.sqrt(2.0 * energy)
-    k_out = math.sqrt(2.0 * (energy - spec.v))
-    ji = bessel("J", m, k_in * r)
-    jip = bessel_deriv("J", m, k_in * r)
-    jo = bessel("J", m, k_out * r)
-    jop = bessel_deriv("J", m, k_out * r)
-    yo = bessel("Y", m, k_out * r)
-    yop = bessel_deriv("Y", m, k_out * r)
-    num = k_in * jip * jo - k_out * ji * jop
-    den = k_in * jip * yo - k_out * ji * yop
-    if den == 0.0:
-        tan_delta = math.copysign(math.inf, num) if num != 0.0 else 0.0
-    else:
-        tan_delta = num / den
-    delta = math.atan2(num, den)
-    if delta > math.pi / 2:
-        delta -= math.pi
-    elif delta <= -math.pi / 2:
-        delta += math.pi
-    return PhaseShiftPoint(m=label, energy=energy, tan_delta=tan_delta, delta=delta)
+    return comm_phase_shifts([energy], spec, m)[0]
 
 
 def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSectionPoint:

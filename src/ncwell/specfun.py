@@ -29,6 +29,7 @@ an independent oracle for all of the closed forms above.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -729,6 +730,23 @@ def _reu_pieces_float(n: int, m: int, w: float):
     return _log_series_float(n + 1, m, -w)
 
 
+@functools.lru_cache(maxsize=32)
+def _harmonic_prefix(f: int) -> list:
+    """The prefix sums P(K) = sum_{i <= K} (1 << f) // i at K = 0, 1, ..., as far as _harmonic_fixed has grown them."""
+    return [0]
+
+
+def _harmonic_fixed(f: int, lo: int, hi: int) -> int:
+    """sum_{lo < i <= hi} (1 << f) // i, the same integer as the direct sum, as P(hi) - P(lo)."""
+    table = _harmonic_prefix(f)
+    if len(table) <= hi:
+        one, total = 1 << f, table[-1]
+        for i in range(len(table), hi + 1):
+            total += one // i
+            table.append(total)
+    return table[hi] - table[lo]
+
+
 def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScaled:
     """_log_series_float in arbitrary precision, starting at dps digits.
 
@@ -775,7 +793,7 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
             t = t * (c0 + dc * r) * zm // (((m + 1 + r) * (r + 1)) << zk)
             r += 1
         # digamma-weighted series; same alternation on the cut
-        br = mp.libmp.euler_fixed(f) + sum(one // i for i in range(m + 1, A))
+        br = mp.libmp.euler_fixed(f) + _harmonic_fixed(f, m, A - 1)
         s, t, smax, r = 0, one, 0, 0
         while t:
             contrib = t * br >> f

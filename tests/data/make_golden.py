@@ -36,6 +36,11 @@ WELL1000 = ["--radius", "sqrt20", "--capital-n", "1000", "--v", "10"]
 # golden file -> CLI argv whose stdout it holds
 CLI_GOLDENS = {
     "readme_bound_states_n10.csv": ["bound-states", *WELL10, "--m=-6..6"],
+    # long U-ratio continued fractions, and lowered sectors with odd and even k
+    "bound_states_n1000.csv": [
+        "bound-states", "--radius", "sqrt20", "--capital-n", "1000", "--v", "6", "--m=-2..2",
+        "--grid-points", "300",
+    ],
     "readme_phase_shifts_n1000_m4.csv": [
         "phase-shifts", *WELL1000, "--m", "4", "--emin", "10.05", "--emax", "35", "--esteps", "400",
     ],

@@ -28,6 +28,7 @@ from ncwell.errors import DomainError
 from ncwell.logscale import LogScaled, ONE, ZERO
 from ncwell.oracle import CommWellSpec, comm_phase_shift
 from ncwell.specfun import hankel_integral_oracle, laguerre, re_u_neg
+import scalar_reference
 from scalar_reference import scalar_wave
 
 N10 = WellSpec.from_radius(20.0, 10, 6.0)
@@ -140,7 +141,8 @@ def test_fock_element_builds_no_column_with_a_zero_coefficient(monkeypatch):
     # a regular solution runs no Re U series or recurrence (the Laguerre sweep alone starts
     # at row 2), an irregular one no Laguerre sweep, and each value is a * J + b * Y
     n, m, w = 1000, 4, 0.4
-    j_rows, y_rows = core_mod._jy_basis_rows(m, w, n, core_mod._laguerre_pair(m, w, n), core_mod._reu_pair(m, w, n))
+    j_rows = scalar_reference._j_rows(m, w, n, core_mod._laguerre_pair(m, w, n))
+    y_rows = scalar_reference._y_rows(m, w, n, core_mod._reu_pair(m, w, n))
     a, b = LogScaled.from_float(1.7), LogScaled.from_float(-0.3)
     series, starts = [], []
     log_series_float, recurrence_rows = specfun._log_series_float, specfun._recurrence_rows

@@ -367,9 +367,10 @@ SWEEPS = [
 def test_sweep_equals_pointwise_phase_shift(r2, cap_n, v, m, energies):
     spec = WellSpec.from_radius(r2, cap_n, v)
     # the sweep, and each point as a block of one lane, against the scalar solve point by point
-    scalar = [core._phase_point(e, m, scalar_solve(e, spec, m)[1]) for e in energies]
-    got = [(p.m, p.energy, p.tan_delta, p.delta) for p in phase_shift_sweep(energies, spec, m)]
-    assert got == [(p.m, p.energy, p.tan_delta, p.delta) for p in scalar]
+    # and each point's residual is the larger of the scalar solve's two row residuals
+    scalar = [core._phase_point(e, m, b, max(res)) for e in energies for _, b, res in [scalar_solve(e, spec, m)]]
+    got = [(p.m, p.energy, p.tan_delta, p.delta, p.residual) for p in phase_shift_sweep(energies, spec, m)]
+    assert got == [(p.m, p.energy, p.tan_delta, p.delta, p.residual) for p in scalar]
     assert [phase_shift(e, spec, m) for e in energies] == scalar
 
 

@@ -18,6 +18,7 @@ from ncwell import specfun
 from ncwell.core import WellSpec, cross_section_differential, cross_section_total, partial_wave_sum
 from ncwell.errors import ConvergenceError, SingularSystemError
 from ncwell.specfun import _DIRECT_N, _anchor_row
+import scalar_reference
 from scalar_reference import scalar_solve, scalar_wave
 
 
@@ -183,14 +184,16 @@ def fail_reu_at(monkeypatch, order):
 
 
 def fail_solve_at(monkeypatch, sector):
-    real = core_mod._solve_matching
+    # the lane block's solve and the scalar reference's fail alike
+    for mod in (core_mod, scalar_reference):
+        real = mod._solve_matching
 
-    def failing(jin, jout, yout, energy, m):
-        if m == sector:
-            raise SingularSystemError(f"matching rows are degenerate at E={energy}, m={m}")
-        return real(jin, jout, yout, energy, m)
+        def failing(jin, jout, yout, energy, m, real=real):
+            if m == sector:
+                raise SingularSystemError(f"matching rows are degenerate at E={energy}, m={m}")
+            return real(jin, jout, yout, energy, m)
 
-    monkeypatch.setattr(core_mod, "_solve_matching", failing)
+        monkeypatch.setattr(mod, "_solve_matching", failing)
 
 
 def raised(fn):
