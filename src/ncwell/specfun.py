@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -730,20 +731,20 @@ def _reu_pieces_float(n: int, m: int, w: float):
     return _log_series_float(n + 1, m, -w)
 
 
-@functools.lru_cache(maxsize=32)
-def _harmonic_prefix(f: int) -> list:
-    """The prefix sums P(K) = sum_{i <= K} (1 << f) // i at K = 0, 1, ..., as far as _harmonic_fixed has grown them."""
-    return [0]
+@functools.lru_cache(maxsize=16)
+def _harmonic_prefix(f: int, size: int) -> tuple:
+    """The prefix sums P(K) = sum_{0 < i <= K} (1 << f) // i for 0 <= K < size."""
+    one = 1 << f
+    return (0, *itertools.accumulate(one // i for i in range(1, size)))
 
 
 def _harmonic_fixed(f: int, lo: int, hi: int) -> int:
-    """sum_{lo < i <= hi} (1 << f) // i, the same integer as the direct sum, as P(hi) - P(lo)."""
-    table = _harmonic_prefix(f)
-    if len(table) <= hi:
-        one, total = 1 << f, table[-1]
-        for i in range(len(table), hi + 1):
-            total += one // i
-            table.append(total)
+    """sum_{lo < i <= hi} (1 << f) // i as P(hi) - P(lo): the same integer as the direct sum.
+
+    The tables are cached per f at power-of-two sizes, so the escalations
+    of one precision share one table.
+    """
+    table = _harmonic_prefix(f, 1 << hi.bit_length())
     return table[hi] - table[lo]
 
 

@@ -143,3 +143,15 @@ def test_positive_axis_mp_pass_matches_hyperu(a, m, x):
     # the pass kummer_u escalates to, from a fixed 30-digit start instead of
     # the 24 digits above the float pass's loss that _mp_start picks
     assert_matches(specfun._log_series_mp(a, m, x, 30, "positive-axis series"), a, m, x)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (130, 3, 1030),  # a README escalation: rows past 1000, m = 3
+    (130, 46, 1047),  # the same precision, a larger table
+    (151, 0, 0), (151, 0, 1), (151, 5, 5),  # empty sums and a single term
+    (200, 511, 1023), (200, 511, 1024),  # either side of a table size
+    (4000, 17, 64),
+])
+def test_harmonic_start_from_the_prefix_table_is_the_direct_sum(f, lo, hi):
+    one = 1 << f
+    assert specfun._harmonic_fixed(f, lo, hi) == sum(one // i for i in range(lo + 1, hi + 1))
