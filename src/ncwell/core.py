@@ -42,6 +42,7 @@ from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it he
     _laguerre_sweep,
     _laguerre_sweep_grid,
     _ls_from_sweep,
+    _sweep_pair,
     _oracle_suites,
     _reu_direct,
     _reu_rows,
@@ -199,12 +200,13 @@ def _row_consts(m: int, n: int):
 def _jy_basis_rows(m: int, w: float, lag, reu, consts):
     """Regular/irregular basis columns (J rows, Y rows) at rows n and n+1 for w > 0, m >= 0.
 
-    lag and reu are the LogScaled rows n, n+1 of L^m(w) and of
-    Re[U(.+1,1-m,-w)], and consts = _row_consts(m, n).  Row value of the
+    lag and reu are the rows n, n+1 of L^m(w) and of Re[U(.+1,1-m,-w)],
+    and consts = _row_consts(m, n).  Row value of the
     element is coeff_a * J_row + coeff_b * Y_row with
     J_row = sqrt(n!/(n+m)!) w^{m/2} L^m_n(w) and
     Y_row = -(1/pi) sqrt(n!(n+m)!) e^w w^{-m/2} Re[U(n+1,1-m,-w)].
-    Rows are (sign, log magnitude) pairs, (0, 0.0) for a zero row.
+    Rows, given and returned, are (sign, log magnitude) pairs, (0, 0.0)
+    for a zero row.
     """
     return _j_rows(m, w, lag, consts[0]), _y_rows(m, w, reu, consts[1])
 
@@ -212,13 +214,13 @@ def _jy_basis_rows(m: int, w: float, lag, reu, consts):
 def _j_rows(m: int, w: float, lag, jc):
     """The J rows of _jy_basis_rows from (L^m_n(w), L^m_{n+1}(w)), with jc from _row_consts."""
     half = 0.5 * m * math.log(w)
-    return [(v.sign, v.logmag + (c + half)) if v.sign else _ZERO_PAIR for v, c in zip(lag, jc)]
+    return [(s, l + (c + half)) if s else _ZERO_PAIR for (s, l), c in zip(lag, jc)]
 
 
 def _y_rows(m: int, w: float, reu, yc):
     """The Y rows of _jy_basis_rows from Re U(j+1, 1-m, -w) at rows j = n, n+1, with yc from _row_consts."""
     half = 0.5 * m * math.log(w)
-    return [(-v.sign, v.logmag + (c + w - half) - _LOG_PI) if v.sign else _ZERO_PAIR for v, c in zip(reu, yc)]
+    return [(-s, l + (c + w - half) - _LOG_PI) if s else _ZERO_PAIR for (s, l), c in zip(reu, yc)]
 
 
 def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
@@ -243,10 +245,15 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     if w > 0.0:
         # a zero coefficient's column is not built: a regular solution runs no Re U
         jc, yc = _row_consts(m, n)
-        value = a * LogScaled.from_log(*_j_rows(m, w, _laguerre_pair(m, w, n), jc)[0]) if not a.is_zero() else ZERO
+        if a.is_zero():
+            value = ZERO
+        else:
+            lag = [(v.sign, v.logmag) for v in _laguerre_pair(m, w, n)]
+            value = a * LogScaled.from_log(*_j_rows(m, w, lag, jc)[0])
         if b.is_zero():
             return value
-        return value + b * LogScaled.from_log(*_y_rows(m, w, _reu_pair(m, w, n), yc)[0])
+        reu = [(v.sign, v.logmag) for v in _reu_pair(m, w, n)]
+        return value + b * LogScaled.from_log(*_y_rows(m, w, reu, yc)[0])
     # bound branch: w < 0, x = -w > 0
     x = -w
     lag = laguerre(n, m, w)
@@ -324,8 +331,8 @@ def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n
         f = c * r
         if not math.isfinite(f):
             raise ConvergenceError(f"U ratio (N+m+1) U(N+2)/U(N+1) = {f} is not finite at E={e}, m={m}, N={n}")
-        s_n, l_n = (0, 0.0) if m0 == 0.0 else (1 if m0 > 0 else -1, math.log(abs(m0)) + s0)
-        s_n1, l_n1 = (0, 0.0) if m1 == 0.0 else (1 if m1 > 0 else -1, math.log(abs(m1)) + s1)
+        s_n, l_n = _sweep_pair(m0, s0)
+        s_n1, l_n1 = _sweep_pair(m1, s1)
         if k:
             if wi == 0.0:
                 s_n, l_n, s_n1, l_n1 = 0, 0.0, 0, 0.0
@@ -531,8 +538,8 @@ def _solve_matching(jin, jout, yout, energy: float, m: int):
     """(interior amplitude, exterior B, row residuals) from the interior J and the exterior J, Y columns.
 
     The columns are _jy_basis_rows's (sign, log magnitude) rows, and the
-    amplitudes come back as LogScaled.  Every step calls math in LogScaled's
-    order, so the result has the bits of the LogScaled solve.  The residual
+    amplitudes come back as such pairs.  Every step calls math in
+    LogScaled's order, so the result has the bits of the LogScaled solve.  The residual
     of a row is relative to its largest term (0.0 when every term vanishes).
     Raises SingularSystemError when the 2x2 system is degenerate or a row
     residual exceeds 1e-10.
@@ -591,7 +598,7 @@ def _solve_matching(jin, jout, yout, energy: float, m: int):
                 f"matching residual {rel:.2e} exceeds 1e-10 at E={energy}, m={m}"
             )
         residuals.append(rel)
-    return LogScaled.from_log(sa, la), LogScaled.from_log(sb, lb), residuals
+    return (sa, la), (sb, lb), residuals
 
 
 def scattering_coeffs(energy: float, spec: WellSpec, m: int):
@@ -604,8 +611,8 @@ def scattering_coeffs(energy: float, spec: WellSpec, m: int):
     """
     m = _check_scattering(energy, spec, m)
     a_in, b_out, _ = next(_scattering_lanes(spec, [energy], [m]))
-    interior = RegionSolution(INTERIOR, spec.theta * energy, a_in, ZERO)
-    exterior = RegionSolution(EXTERIOR, spec.theta * (energy - spec.v), ONE, b_out)
+    interior = RegionSolution(INTERIOR, spec.theta * energy, LogScaled.from_log(*a_in), ZERO)
+    exterior = RegionSolution(EXTERIOR, spec.theta * (energy - spec.v), ONE, LogScaled.from_log(*b_out))
     return interior, exterior
 
 
@@ -615,9 +622,9 @@ def matching_relative_residuals(energy: float, spec: WellSpec, m: int):
     return next(_scattering_lanes(spec, [energy], [m]))[2]
 
 
-def _phase_point(energy: float, m: int, b_out: LogScaled, residual: float | None = None) -> PhaseShiftPoint:
-    """tan(delta) = -B/A with the exterior A pinned to 1."""
-    tan_delta = -b_out.to_float()
+def _phase_point(energy: float, m: int, b_out, residual: float | None = None) -> PhaseShiftPoint:
+    """tan(delta) = -B/A with the exterior A pinned to 1; b_out is B as a (sign, log magnitude) pair."""
+    tan_delta = -log_to_float(*b_out)
     delta = math.atan(tan_delta) if math.isfinite(tan_delta) else math.pi / 2
     return PhaseShiftPoint(m=m, energy=energy, tan_delta=tan_delta, delta=delta, residual=residual)
 
@@ -700,19 +707,20 @@ def phase_shift_sweep(energies, spec: WellSpec, m: int) -> list[PhaseShiftPoint]
     ]
 
 
-def _wave_of_b(energy: float, m: int, b: LogScaled) -> tuple[float, float]:
-    """(delta_m, sin^2(delta_m)) from the exterior B of a matching solve.
+def _wave_of_b(energy: float, m: int, b) -> tuple[float, float]:
+    """(delta_m, sin^2(delta_m)) from the exterior B of a matching solve, a (sign, log magnitude) pair.
 
     With the exterior A pinned to 1, sin^2 is B^2/(1+B^2), computed as
     1/(1+B^-2) where |B| > 1, robust where |tan(delta)| blows up.
     """
-    if b.is_zero():
+    sign, logmag = b
+    if sign == 0:
         return 0.0, 0.0
     delta = _phase_point(energy, m, b).delta
-    if b.logmag > 0.0:
-        t = (ONE / b).to_float()
+    if logmag > 0.0:
+        t = log_to_float(sign, 0.0 - logmag)  # 1/B
         return delta, 1.0 / (1.0 + t * t)
-    t = b.to_float()
+    t = log_to_float(sign, logmag)
     return delta, t * t / (1.0 + t * t)
 
 

@@ -298,11 +298,16 @@ def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
     return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets)
 
 
+def _sweep_pair(mant: float, scale: float, log_div: float = 0.0) -> tuple[int, float]:
+    """(sign, log magnitude) of a sweep row stored as (mantissa, log scale), over e^log_div; (0, 0.0) if zero."""
+    if mant == 0.0:
+        return 0, 0.0
+    return 1 if mant > 0 else -1, math.log(abs(mant)) + scale - log_div
+
+
 def _ls_from_sweep(mant: float, scale: float, log_div: float = 0.0) -> LogScaled:
     """LogScaled value of a sweep row stored as (mantissa, log scale), over e^log_div."""
-    if mant == 0.0:
-        return ZERO
-    return LogScaled.from_log(1 if mant > 0 else -1, math.log(abs(mant)) + scale - log_div)
+    return LogScaled.from_log(*_sweep_pair(mant, scale, log_div))
 
 
 def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
@@ -935,10 +940,11 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
     """Laguerre rows n, n+1 at w_in and at w_out, and Re U rows n, n+1 at w_out > 0, on every lane.
 
     m and n are the order and the row of every lane (ints), or int arrays
-    with one entry per lane.  Returns (lag_in, lag_out, reu), bit for bit:
-    lag_in[i] = (L^m_n, L^m_{n+1}) at w_in[i] as _laguerre_sweep gives them,
-    lag_out[i] the same at w_out[i], and reu[i] = tuple(_reu_rows(m, w_out[i], n, 2)),
-    or the ConvergenceError that _reu_rows raises there.  Each Re U lane
+    with one entry per lane.  Returns (lag_in, lag_out, reu), bit for bit,
+    each row as a (sign, log magnitude) pair: lag_in[i] = (L^m_n, L^m_{n+1})
+    at w_in[i] as _laguerre_sweep gives them, lag_out[i] the same at
+    w_out[i], and reu[i] = the rows of _reu_rows(m, w_out[i], n, 2), or the
+    ConvergenceError that _reu_rows raises there.  Each Re U lane
     takes _reu_rows's series rows (rows n and n+1 up to _DIRECT_N, else the
     two anchors of the recurrence); they run in one _cut_series_grid call
     and then settle lane by lane through _reu_settle.  A lane whose mpmath
@@ -978,10 +984,13 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
             sel = row + off == t
             mant[sel], scale[sel] = mt[sel], sc[sel]
         cols.append((mant.tolist(), scale.tolist()))
-    lag = [tuple(_ls_from_sweep(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
+    lag = [tuple(_sweep_pair(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
+    for i, rows_i in enumerate(reu):
+        if not isinstance(rows_i, ConvergenceError):
+            reu[i] = tuple((v.sign, v.logmag) for v in rows_i)
     for lane, i in enumerate(rec, lag_lanes):
         reu[i] = tuple(
-            _ls_from_sweep(mant[lane], scale[lane], math.lgamma(ns[i] + off + ms[i] + 1.0))
+            _sweep_pair(mant[lane], scale[lane], math.lgamma(ns[i] + off + ms[i] + 1.0))
             for off, (mant, scale) in enumerate(cols)
         )
     return lag[:w_out.size], lag[w_out.size:], reu

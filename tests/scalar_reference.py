@@ -124,6 +124,12 @@ def scalar_solve(energy, spec, m):
     return _solve_matching(jin, _j_rows(order, w_out, row, lag), _y_rows(order, w_out, row, reu), energy, m)
 
 
+def scalar_lane(energy, spec, m):
+    """scalar_solve as a lane of core._scattering_lanes gives it: the amplitudes as (sign, log magnitude) pairs."""
+    a, b, residuals = scalar_solve(energy, spec, m)
+    return (a.sign, a.logmag), (b.sign, b.logmag), residuals
+
+
 def scalar_wave(energy, spec, m):
     """(delta_m, sin^2(delta_m)) of the scalar solve."""
-    return core._wave_of_b(energy, m, scalar_solve(energy, spec, m)[1])
+    return core._wave_of_b(energy, m, scalar_lane(energy, spec, m)[1])

@@ -420,7 +420,7 @@ def test_cross_section_all_deltas_zero(monkeypatch):
 
 def lanes_of_b(bs):
     # a stand-in block: lanes with these exterior B, a unit interior amplitude and zero residuals
-    return iter([(ONE, b, [0.0, 0.0]) for b in bs])
+    return iter([((1, 0.0), (b.sign, b.logmag), [0.0, 0.0]) for b in bs])
 
 
 def test_cross_section_unitarity_limit_s_wave(monkeypatch):

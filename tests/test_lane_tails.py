@@ -17,7 +17,7 @@ import pytest
 import ncwell.core as core_mod
 from ncwell import cli, oracle
 from ncwell.core import WellSpec, _matching_residual_grid, matching_residual_bound
-from ncwell.errors import ConvergenceError, SingularSystemError
+from ncwell.errors import ConvergenceError, DomainError, SingularSystemError
 from ncwell.logscale import ADD_CUTOFF, ZERO, LogScaled, log_add, log_to_float
 from ncwell.specfun import _laguerre_sweep_grid, _ls_from_sweep, _u_ratio_1m_grid, bessel, bessel_deriv
 import scalar_reference as ref
@@ -182,7 +182,8 @@ ROWS = [
 
 @pytest.mark.parametrize("order, row, w, lag, reu", ROWS)
 def test_basis_rows_equal_logscaled(order, row, w, lag, reu):
-    got_j, got_y = core_mod._jy_basis_rows(order, w, lag, reu, core_mod._row_consts(order, row))
+    consts = core_mod._row_consts(order, row)
+    got_j, got_y = core_mod._jy_basis_rows(order, w, [pair(v) for v in lag], [pair(v) for v in reu], consts)
     assert got_j == [pair(v) for v in ref._j_rows(order, w, row, lag)]
     assert got_y == [pair(v) for v in ref._y_rows(order, w, row, reu)]
 
@@ -194,6 +195,8 @@ def ls(p):
 def solve_both(jin, jout, yout):
     got = outcome(lambda: core_mod._solve_matching(jin, jout, yout, 12.5, -3))
     want = outcome(lambda: ref._solve_matching(*([ls(p) for p in col] for col in (jin, jout, yout)), 12.5, -3))
+    if not isinstance(want[0], type):
+        want = (pair(want[0]), pair(want[1]), want[2])
     return got, want
 
 
@@ -227,7 +230,7 @@ def test_synthetic_solve_branches_are_reached():
     assert out["degenerate rows"] == (SingularSystemError, "matching rows are degenerate at E=12.5, m=-3")
     assert out["row residual above 1e-10"][0] is SingularSystemError
     assert "exceeds 1e-10 at E=12.5, m=-3" in out["row residual above 1e-10"][1]
-    assert out["vanished exterior J column"] == (ZERO, ZERO, [0.0, 0.0])
+    assert out["vanished exterior J column"] == ((0, 0.0), (0, 0.0), [0.0, 0.0])
     assert 0.0 < max(out["subnormal residual"][2]) < 1e-300
     assert out["residual below the float range"][2] == [0.0, 0.0]
 
@@ -287,11 +290,10 @@ def test_comm_phase_shifts_equal_the_pointwise_bessel_route(v):
 def test_comm_phase_shifts_check_every_energy_first():
     spec = oracle.CommWellSpec(math.sqrt(20.0), 10.0)
     assert oracle.comm_phase_shifts([], spec, 2) == []
-    with pytest.raises(Exception) as info:
+    with pytest.raises(DomainError, match=re.escape("scattering needs E > V, got E=9.5, V=10.0")):
         oracle.comm_phase_shifts([12.0, 9.5, math.inf], spec, 2)
-    assert str(info.value) == "scattering needs E > V, got E=9.5, V=10.0"
+    # an argument k_out R that underflows to 0 fails as the Bessel wrappers fail
     tiny = oracle.CommWellSpec(1e-170, 0.0)
-    with pytest.raises(Exception, match="derivative recurrence needs x > 0, got 0.0") as info:
-        oracle.comm_phase_shift(1e-320, tiny, 0)
-    with pytest.raises(type(info.value), match="derivative recurrence needs x > 0, got 0.0"):
-        comm_phase_reference(1e-320, tiny, 0)
+    for solve in (oracle.comm_phase_shift, comm_phase_reference):
+        with pytest.raises(DomainError, match="derivative recurrence needs x > 0, got 0.0"):
+            solve(1e-320, tiny, 0)

@@ -71,7 +71,8 @@ def test_phase_shift_matches_50_digit_oracle(cap_n, v, m):
     for e, pt in zip(energies, core.phase_shift_sweep(energies, spec, m)):
         ref = delta_50(e, spec, m)
         tol = TOL[cap_n, m][e >= v + 1.0]
-        delta, sin2 = core._wave_of_b(e, m, core.scattering_coeffs(e, spec, m)[1].coeff_b)
+        b = core.scattering_coeffs(e, spec, m)[1].coeff_b
+        delta, sin2 = core._wave_of_b(e, m, (b.sign, b.logmag))
         assert _dist(pt.delta, ref) <= tol
         assert _dist(core.phase_shift(e, spec, m).delta, ref) <= tol
         assert _dist(delta, ref) <= tol

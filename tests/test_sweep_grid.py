@@ -29,7 +29,7 @@ from ncwell.specfun import (
     _recurrence_rows_grid,
     _reu_rows,
 )
-from scalar_reference import scalar_solve
+from scalar_reference import scalar_lane
 
 
 def grid(lo, hi, steps):
@@ -300,9 +300,9 @@ def test_lag_reu_pairs_match_scalar(m, n, w):
     assert (len(lag_in), len(lag_out), len(reu)) == (len(w),) * 3
     for wi, pair in zip(w_in + w, lag_in + lag_out):
         rows = _laguerre_sweep(m, wi, {n, n + 1})
-        assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (n, n + 1))
+        assert pair == tuple(specfun._sweep_pair(*rows[j]) for j in (n, n + 1))
     for wi, pair in zip(w, reu):
-        assert list(pair) == _reu_rows(m, wi, n, 2)
+        assert list(pair) == [(v.sign, v.logmag) for v in _reu_rows(m, wi, n, 2)]
     if n == 200:
         assert [_anchor_row(m, wi, n) + 1 == n for wi in w] == [True, True, False, False]
 
@@ -318,8 +318,8 @@ def test_lag_reu_pairs_with_an_order_and_row_per_lane_match_scalar():
     for i, (mi, ni) in enumerate(zip(LANE_M.tolist(), LANE_N.tolist())):
         for wi, pair in ((1.3, lag_in[i]), (0.4, lag_out[i])):
             rows = _laguerre_sweep(mi, wi, {ni, ni + 1})
-            assert pair == tuple(specfun._ls_from_sweep(*rows[j]) for j in (ni, ni + 1))
-        assert list(reu[i]) == _reu_rows(mi, 0.4, ni, 2)
+            assert pair == tuple(specfun._sweep_pair(*rows[j]) for j in (ni, ni + 1))
+        assert list(reu[i]) == [(v.sign, v.logmag) for v in _reu_rows(mi, 0.4, ni, 2)]
 
 
 @pytest.mark.parametrize("m, n, fail", [
@@ -368,7 +368,7 @@ def test_sweep_equals_pointwise_phase_shift(r2, cap_n, v, m, energies):
     spec = WellSpec.from_radius(r2, cap_n, v)
     # the sweep, and each point as a block of one lane, against the scalar solve point by point
     # and each point's residual is the larger of the scalar solve's two row residuals
-    scalar = [core._phase_point(e, m, b, max(res)) for e in energies for _, b, res in [scalar_solve(e, spec, m)]]
+    scalar = [core._phase_point(e, m, b, max(res)) for e in energies for _, b, res in [scalar_lane(e, spec, m)]]
     got = [(p.m, p.energy, p.tan_delta, p.delta, p.residual) for p in phase_shift_sweep(energies, spec, m)]
     assert got == [(p.m, p.energy, p.tan_delta, p.delta, p.residual) for p in scalar]
     assert [phase_shift(e, spec, m) for e in energies] == scalar

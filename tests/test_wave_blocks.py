@@ -19,7 +19,7 @@ from ncwell.core import WellSpec, cross_section_differential, cross_section_tota
 from ncwell.errors import ConvergenceError, SingularSystemError
 from ncwell.specfun import _DIRECT_N, _anchor_row
 import scalar_reference
-from scalar_reference import scalar_solve, scalar_wave
+from scalar_reference import scalar_lane, scalar_solve, scalar_wave
 
 
 def scalar_sum(energy, spec, m_max, include_negative=False):
@@ -64,7 +64,7 @@ BLOCKS = [
 def test_block_sectors_equal_scalar_waves(cap_n, v, energy, sectors):
     spec = WellSpec.from_radius(20.0, cap_n, v)
     got = list(core_mod._scattering_lanes(spec, [energy] * len(sectors), sectors))
-    assert got == [scalar_solve(energy, spec, s) for s in sectors]
+    assert got == [scalar_lane(energy, spec, s) for s in sectors]
     rows = [core_mod._sector(s, spec) for s in sectors]
     w = spec.theta * (energy - spec.v)
     if cap_n in (62, 64):
