@@ -736,21 +736,33 @@ def _reu_pieces_float(n: int, m: int, w: float):
     return _log_series_float(n + 1, m, -w)
 
 
+# the harmonic prefix sums are kept at every _HARMONIC_STRIDE-th index
+_HARMONIC_STRIDE = 32
+
+
 @functools.lru_cache(maxsize=16)
-def _harmonic_prefix(f: int, size: int) -> tuple:
-    """The prefix sums P(K) = sum_{0 < i <= K} (1 << f) // i for 0 <= K < size."""
+def _harmonic_checkpoints(f: int, size: int) -> tuple:
+    """P(K) = sum_{0 < i <= K} (1 << f) // i at K = 0, _HARMONIC_STRIDE, 2 _HARMONIC_STRIDE, ... below size."""
     one = 1 << f
-    return (0, *itertools.accumulate(one // i for i in range(1, size)))
+    prefix = itertools.accumulate((one // i for i in range(1, size)), initial=0)
+    return tuple(itertools.islice(prefix, 0, None, _HARMONIC_STRIDE))
 
 
 def _harmonic_fixed(f: int, lo: int, hi: int) -> int:
     """sum_{lo < i <= hi} (1 << f) // i as P(hi) - P(lo): the same integer as the direct sum.
 
-    The tables are cached per f at power-of-two sizes, so the escalations
-    of one precision share one table.
+    P(K) is read from the checkpoint below K, cached per f at power-of-two
+    sizes so that the escalations of one precision share it, plus fewer
+    than _HARMONIC_STRIDE terms.
     """
-    table = _harmonic_prefix(f, 1 << hi.bit_length())
-    return table[hi] - table[lo]
+    one = 1 << f
+    table = _harmonic_checkpoints(f, 1 << hi.bit_length())
+
+    def prefix(k):
+        base = k - k % _HARMONIC_STRIDE
+        return table[base // _HARMONIC_STRIDE] + sum(one // i for i in range(base + 1, k + 1))
+
+    return prefix(hi) - prefix(lo)
 
 
 def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScaled:
@@ -985,6 +997,7 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
             mant[sel], scale[sel] = mt[sel], sc[sel]
         cols.append((mant.tolist(), scale.tolist()))
     lag = [tuple(_sweep_pair(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
+    # the settled series rows as pairs; a recurrence lane's are its anchors, replaced below
     for i, rows_i in enumerate(reu):
         if not isinstance(rows_i, ConvergenceError):
             reu[i] = tuple((v.sign, v.logmag) for v in rows_i)

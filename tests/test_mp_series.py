@@ -150,6 +150,7 @@ def test_positive_axis_mp_pass_matches_hyperu(a, m, x):
     (130, 46, 1047),  # the same precision, a larger table
     (151, 0, 0), (151, 0, 1), (151, 5, 5),  # empty sums and a single term
     (200, 511, 1023), (200, 511, 1024),  # either side of a table size
+    (151, 32, 96), (151, 31, 97),  # on and beside the checkpoints
     (4000, 17, 64),
 ])
 def test_harmonic_start_from_the_prefix_table_is_the_direct_sum(f, lo, hi):
