@@ -26,6 +26,8 @@ import pathlib
 import sys
 from collections import Counter
 
+import numpy as np
+
 from ncwell import core, oracle, specfun
 from ncwell.cli import main
 
@@ -117,6 +119,29 @@ def kernel_values() -> dict:
     for m, w in ((0, 0.7), (4, 0.02), (3, 35.0), (0, -0.5), (6, -3.0), (2, -40.0)):
         targets = (0, 1, 2, 50, 999, 1000)
         out[f"_laguerre_sweep({m}, {w!r}, {targets})"] = _rows(specfun._laguerre_sweep(m, w, set(targets)))
+    # three lanes of the lane runner: a target below every start row, a lane that joins late and
+    # one at w far past 4n that renormalizes
+    w3, j3 = np.array([0.7, 35.0, 3000.0]), np.array([2, 40, 5])
+    rows3 = specfun._recurrence_rows_grid(
+        3, w3, j3, np.array([1.0, -0.25, 0.5]), np.array([1.5, 2.0, -1e-3]), np.array([0.0, 7.5, -3.0]),
+        (1, 3, 100, 1000, 1001),
+    )
+    out["_recurrence_rows_grid(3, 3 lanes)"] = {
+        str(t): [[float.hex(v) for v in mant.tolist()], [float.hex(v) for v in scale.tolist()]]
+        for t, (mant, scale) in sorted(rows3.items())
+    }
+    # U-ratio continued fractions from a few steps to tens of thousands; at x = 1e-4, b = 1 the
+    # fractions of a = 11 and a = 10001 reach _CF_MAX_ITER and raise
+    for a in (11, 1001, 10001):
+        for b in (1, -5):
+            for x in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0):
+                if not (x == 1e-4 and b == 1 and a != 1001):
+                    out[f"_u_cf({a}, {b}, {x!r})"] = float.hex(specfun._u_cf(a, b, x))
+    # the continued-fraction side of the scan grid of the N = 1000, m = 0 well, V = 6: the lanes
+    # near the series seam run longest, down to a few live lanes
+    spec_v6 = core.WellSpec.from_radius(20.0, 1000, 6.0)
+    x300 = spec_v6.theta * (spec_v6.v - np.linspace(6e-9, 5.5, 300))
+    out["_u_cf_grid(1001, 1, 300 lanes)"] = [float.hex(v) for v in specfun._u_cf_grid(1001, 1, x300).tolist()]
     # positive-axis series on both sides of (a+m+1)x = 4; x >= 10 escalates to mpmath,
     # in two passes for (20, 3, 12.0) and three for (60, 5, 10.0)
     for a, m, x in ((1, 0, 0.5), (5, 2, 0.5), (5, 2, 0.6), (1001, 0, 0.0039), (1001, 0, 0.0041),
