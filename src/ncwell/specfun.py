@@ -74,6 +74,17 @@ _CF_MAX_ITER = 200_000
 _CF_BLOCK = 32
 _REC_BLOCK = 64
 _SERIES_BLOCK = 32
+# below these lane counts the scalar steps cost less than the lane steps
+# (Python 3.11, numpy 2.4, 2-core host): a Lentz step costs 0.29 us per lane
+# on _u_cf_from and about 4 us on the lanes at any count up to 32, so once
+# _CF_TAIL_LANES or fewer are live after the first block they finish scalar
+# (the 50 CF grid calls of a seed-0 bound-spectrum pass took the same time
+# at 12 to 24 and 1.1-1.3x that at 0 or 32); a _recurrence_rows_grid call
+# of _REC_SCALAR_LANES or fewer runs each lane on _recurrence_rows (a
+# Laguerre sweep of 6 lanes took 0.92-0.98x the lane time at N = 10^3 and
+# 10^4, of 8 lanes 1.26-1.30x)
+_CF_TAIL_LANES = 16
+_REC_SCALAR_LANES = 6
 _BLOCK_CELLS = 8_192
 
 
@@ -149,16 +160,21 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     grows by math.log of its own renormalization factor, so each lane's
     (mantissa, log_scale) equals the scalar runner's bit for bit.  Returns
     {t: (mantissa array, log_scale array)}; a lane's entry at a target below
-    its j0 - 2 is its row j0 - 2, not its row t.
+    its j0 - 2 is its row j0 - 2, not its row t.  A call of _REC_SCALAR_LANES
+    lanes or fewer runs each lane on _recurrence_rows, which keeps that
+    contract too.
 
     The steps run in blocks of up to _REC_BLOCK, fewer when the lanes times
     the steps would pass _BLOCK_CELLS.  A block fills its coefficient rows
     2j-1+m-w and j-1+m at once, and writes each step's row into a buffer
     that holds the block's rows last first, so the two rows a step reads
     are one slice: a step is one multiply of the stacked coefficients by
-    that slice, one subtract and one divide by j.  Lanes that have not
-    started run the steps on zeros; just before a lane's first step its two
-    start rows are copied into the buffer, so lanes join mid-block.
+    that slice, one subtract and one divide by j (as a float).  The views
+    of every step are built once per call, a short block filling the last
+    of the coefficient rows and running the last of the steps.  Lanes that
+    have not started run the steps on zeros; just before a lane's first
+    step its two start rows are copied into the buffer, so lanes join
+    mid-block.
 
     The renormalization test runs only on a step where a lane may have left
     [1e-250, 1e250].  A step j changes |y_{j-1}| + |y_j| by at most a factor
@@ -171,6 +187,13 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     is renormalized on the scalar's step.
     """
     targets = sorted(targets)
+    if w.size <= _REC_SCALAR_LANES:
+        runs = [
+            _recurrence_rows(*lane, targets)
+            for lane in zip(np.broadcast_to(m, w.shape).tolist(), w.tolist(), j0.tolist(), lp.tolist(),
+                            lc.tolist(), ls.tolist())
+        ]
+        return {t: (np.array([r[t][0] for r in runs]), np.array([r[t][1] for r in runs])) for t in targets}
     order = np.argsort(j0, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
@@ -219,6 +242,10 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     rows = np.zeros((steps + 2, lanes))
     coef = np.empty((steps, 2, lanes))
     prod = np.empty((2, lanes))
+    prod0, prod1 = prod
+    # step s of a full block: its coefficient rows, the two rows it reads and the row it writes;
+    # a block of size steps fills the last size coefficient rows and runs the last size views
+    views = [(coef[s], rows[steps - s:steps - s + 2], rows[steps - 1 - s]) for s in range(steps)]
     ti = bisect.bisect_left(targets, first)
     room, j, g = math.inf, first, 0
     with np.errstate(all="ignore"):
@@ -231,13 +258,14 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             end = min(end, test)
             size = end - j + 1
             # exact integers as floats, so no cast runs in the loops
+            block = coef[steps - size:]
             if lane_m:
-                np.add(np.arange(2.0 * j - 1.0, 2 * end, 2.0)[:, None], m, out=coef[:size, 0])
-                np.subtract(coef[:size, 0], w, out=coef[:size, 0])
-                np.add(np.arange(j - 1.0, end)[:, None], m, out=coef[:size, 1])
+                np.add(np.arange(2.0 * j - 1.0, 2 * end, 2.0)[:, None], m, out=block[:, 0])
+                np.subtract(block[:, 0], w, out=block[:, 0])
+                np.add(np.arange(j - 1.0, end)[:, None], m, out=block[:, 1])
             else:
-                np.subtract(np.arange(2.0 * j - 1.0 + m, 2 * end + m, 2.0)[:, None], w, out=coef[:size, 0])
-                coef[:size, 1] = np.arange(j - 1.0 + m, end + m)[:, None]
+                np.subtract(np.arange(2.0 * j - 1.0 + m, 2 * end + m, 2.0)[:, None], w, out=block[:, 0])
+                block[:, 1] = np.arange(j - 1.0 + m, end + m)[:, None]
             # the lanes starting at step s are lanes [a, b) for (a, b) = joins[s]
             joins = {}
             room -= size * lg
@@ -248,15 +276,21 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             # rows[size + 1 - s] is row j - 2 + s; the last two rows of the previous block move up
             if j > first:
                 rows[size:size + 2] = rows[:2]
-            for s in range(size):
-                q = size - 1 - s
-                if s in joins:
-                    a, b = joins[s]
-                    rows[q + 1:q + 3, a:b] = pairs[:, a:b]
-                np.multiply(coef[s], rows[q + 1:q + 3], out=prod)
-                row = rows[q]
-                np.subtract(prod[0], prod[1], out=row)
-                np.divide(row, j + s, out=row)
+            # the divisors j, j + 1, ... as exact floats
+            steps_run = zip(views[steps - size:], np.arange(float(j), end + 1.0).tolist())
+            if joins:
+                for s, ((cf, read, row), div) in enumerate(steps_run):
+                    if s in joins:
+                        a, b = joins[s]
+                        read[:, a:b] = pairs[:, a:b]
+                    np.multiply(cf, read, prod)
+                    np.subtract(prod0, prod1, row)
+                    np.divide(row, div, row)
+            else:
+                for (cf, read, row), div in steps_run:
+                    np.multiply(cf, read, prod)
+                    np.subtract(prod0, prod1, row)
+                    np.divide(row, div, row)
             while ti < len(targets) and targets[ti] < end:
                 emit(targets[ti], rows[end - targets[ti]])
                 ti += 1
@@ -346,24 +380,54 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
 # Tricomi U, positive argument, integer b <= 1
 # ---------------------------------------------------------------------------
 
+def _check_cf_counter(a: int, b: int):
+    """Raise DomainError unless every a + j the continued fraction may reach is an exact float."""
+    if a + _CF_MAX_ITER >= 1 << 53:
+        raise DomainError(
+            f"U-ratio continued fraction needs a + {_CF_MAX_ITER} < 2**53 to count its steps "
+            f"exactly in floats, got a={a}, b={b}"
+        )
+
+
 def _u_cf(a: int, b: int, x: float) -> float:
     """U(a+1,b,x)/U(a,b,x) by the continued fraction of the a-recurrence.
 
     U is the minimal solution of
     U(a-1) = (x + 2a - b) U(a) - a (a - b + 1) U(a+1)
     for increasing a, so the Pincherle continued fraction converges to the
-    ratio.  Modified Lentz evaluation.
+    ratio.  Modified Lentz evaluation: step 0 (a_0 = 1, b_0 = x + 2(a+1) - b)
+    here, the others in _u_cf_from.
     """
+    _check_cf_counter(a, b)
     tiny = 1e-300
-    f = tiny
-    c = tiny
-    d = 0.0
-    for j in range(_CF_MAX_ITER):
-        if j == 0:
-            aj, bj = 1.0, x + 2.0 * (a + 1) - b
-        else:
-            aj = -(a + j) * (a + j + 1.0 - b)
-            bj = x + 2.0 * (a + j) + 2.0 - b
+    bj = x + 2.0 * (a + 1) - b
+    # step 0 from f = c = tiny, d = 0: a_0 d = 0.0 and a_0 / c = 1 / tiny
+    d = bj + 0.0
+    if d == 0.0:
+        d = tiny
+    c = bj + 1.0 / tiny
+    if c == 0.0:
+        c = tiny
+    d = 1.0 / d
+    delta = c * d
+    f = tiny * delta
+    if abs(delta - 1.0) < _CF_TOL:
+        return f
+    return _u_cf_from(a, b, x, 1, f, c, d)
+
+
+def _u_cf_from(a: int, b: int, x: float, j: int, f: float, c: float, d: float) -> float:
+    """_u_cf's Lentz steps j >= 1 on, from f, c and d after step j - 1 (Python floats).
+
+    p = a + j is carried as a float, exact while it stays below 2**53
+    (_check_cf_counter), so a_j = -p (p + 1 - b) and b_j = x + 2p + 2 - b
+    are the IEEE operations of the integer forms, in the same order.
+    """
+    tiny, tol, bf = 1e-300, _CF_TOL, float(b)
+    p = float(a + j)
+    for _ in range(j, _CF_MAX_ITER):
+        aj = -p * (p + 1.0 - bf)
+        bj = x + 2.0 * p + 2.0 - bf
         d = bj + aj * d
         if d == 0.0:
             d = tiny
@@ -373,8 +437,9 @@ def _u_cf(a: int, b: int, x: float) -> float:
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < _CF_TOL:
+        if -tol < delta - 1.0 < tol:
             return f
+        p += 1.0
     raise ConvergenceError(
         f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
         f"iterations for a={a}, b={b}, x={x}"
@@ -394,17 +459,17 @@ def _u_cf_block(aj: list, bj: np.ndarray, f: np.ndarray, c: np.ndarray, d: np.nd
     fs = np.empty((len(aj) + 1, f.size))
     fs[0] = f
     with np.errstate(all="ignore"):
-        for k, ak in enumerate(aj):
-            np.multiply(d, ak, out=d)
-            np.add(d, bj[k], out=d)
+        for ak, bk, fk in zip(aj, bj, fs[1:]):
+            np.multiply(d, ak, d)
+            np.add(d, bk, d)
             if fix:
                 d[d == 0.0] = 1e-300
-            np.divide(ak, c, out=c)
-            np.add(c, bj[k], out=c)
+            np.divide(ak, c, c)
+            np.add(c, bk, c)
             if fix:
                 c[c == 0.0] = 1e-300
-            np.divide(1.0, d, out=d)
-            np.multiply(c, d, out=fs[k + 1])
+            np.divide(1.0, d, d)
+            np.multiply(c, d, fk)
         gap = np.subtract(fs[1:], 1.0)
         done = np.abs(gap, out=gap) < _CF_TOL
         np.multiply.accumulate(fs, axis=0, out=fs)
@@ -424,8 +489,11 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray) -> np.ndarray:
     infinite or NaN and a zero c makes it 0 or NaN, and either carries
     through the rest of the product, so a block whose last f is 0 or not
     finite is redone from its saved c and d with the fix.  When no
-    denominator is zero the fix does nothing and both runs agree.
+    denominator is zero the fix does nothing and both runs agree.  From the
+    second block on, once no more than _CF_TAIL_LANES lanes are live, each
+    finishes on the scalar steps of _u_cf_from from its own f, c and d.
     """
+    _check_cf_counter(a, b)
     out = np.empty_like(x)
     live = np.arange(x.size)
     xs = x
@@ -434,6 +502,10 @@ def _u_cf_grid(a: int, b: int, x: np.ndarray) -> np.ndarray:
     d = np.zeros_like(x)
     j0 = 0
     while live.size:
+        if j0 and live.size <= _CF_TAIL_LANES:
+            for i, xi, fi, ci, di in zip(live.tolist(), xs.tolist(), f.tolist(), c.tolist(), d.tolist()):
+                out[i] = _u_cf_from(a, b, xi, j0, fi, ci, di)
+            break
         if j0 >= _CF_MAX_ITER:
             raise ConvergenceError(
                 f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "

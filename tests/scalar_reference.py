@@ -1,4 +1,4 @@
-"""LogScaled references for the library's plain-float lane tails and its lane block.
+"""Reference versions of library kernels that were rewritten for speed, kept as they were.
 
 The library combines each lane's factors on (sign, log magnitude) pairs
 of plain floats: the bound-scan residual core._bound_residual, the basis
@@ -6,6 +6,13 @@ rows core._j_rows/_y_rows and the 2x2 solve core._solve_matching.  This
 module keeps the LogScaled versions those replaced, unchanged
 (_bound_residual, _j_rows, _y_rows, _solve_matching), so the tests can hold
 every lane to them with == without calling the code under test.
+
+It keeps the U-ratio continued fraction as it was written before its
+steps were cut down (_u_cf: one loop, integer step counter, the first step
+inside the loop), so the tests hold specfun._u_cf and specfun._u_cf_grid
+to it with == and to its ConvergenceError text.  It reads _CF_MAX_ITER and
+_CF_TOL from specfun at call time, so a test that patches the cap patches
+the reference too.
 
 It also solves one scattering point from the scalar kernels instead of a
 lane of core._scattering_lanes: the Laguerre rows of one forward sweep
@@ -18,8 +25,8 @@ _solve_matching here) patches the reference too.
 
 import math
 
-from ncwell import core
-from ncwell.errors import SingularSystemError
+from ncwell import core, specfun
+from ncwell.errors import ConvergenceError, SingularSystemError
 from ncwell.logscale import ZERO, LogScaled, ls_exp
 from ncwell.specfun import _lower_order
 
@@ -40,6 +47,41 @@ def _bound_residual(l_n: LogScaled, l_n1: LogScaled, ratio: float, w: float, spe
     if scale.is_zero():
         return 0.0
     return ((t1 - t2) / scale).to_float()
+
+
+def _u_cf(a: int, b: int, x: float) -> float:
+    """U(a+1,b,x)/U(a,b,x) by the continued fraction of the a-recurrence.
+
+    U is the minimal solution of
+    U(a-1) = (x + 2a - b) U(a) - a (a - b + 1) U(a+1)
+    for increasing a, so the Pincherle continued fraction converges to the
+    ratio.  Modified Lentz evaluation.
+    """
+    tiny = 1e-300
+    f = tiny
+    c = tiny
+    d = 0.0
+    for j in range(specfun._CF_MAX_ITER):
+        if j == 0:
+            aj, bj = 1.0, x + 2.0 * (a + 1) - b
+        else:
+            aj = -(a + j) * (a + j + 1.0 - b)
+            bj = x + 2.0 * (a + j) + 2.0 - b
+        d = bj + aj * d
+        if d == 0.0:
+            d = tiny
+        c = bj + aj / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < specfun._CF_TOL:
+            return f
+    raise ConvergenceError(
+        f"U-ratio continued fraction did not converge within {specfun._CF_MAX_ITER} "
+        f"iterations for a={a}, b={b}, x={x}"
+    )
 
 
 def _j_rows(m: int, w: float, n: int, lag):

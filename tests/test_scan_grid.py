@@ -2,7 +2,8 @@
 
 The grid path must reproduce the scalar value bit for bit at every lane
 (asserted with ==, no tolerance), so the scan brackets, the refined roots
-and the CLI tables cannot move.
+and the CLI tables cannot move.  The U-ratio continued fraction, scalar and
+grid, is held to the reference loop in scalar_reference, not to itself.
 """
 
 import math
@@ -21,6 +22,7 @@ from ncwell.core import (
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
 from ncwell.specfun import _laguerre_sweep_grid, _u_cf, _u_cf_grid, bessel, bessel_deriv
+from scalar_reference import _u_cf as cf_reference
 
 
 def scan_grid(v, points):
@@ -97,7 +99,7 @@ def test_comm_grid_exact(m):
 
 def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
     x = np.array([0.004, 0.03, 0.5, 7.0])
-    assert _u_cf_grid(1001, 1, x).tolist() == [_u_cf(1001, 1, xi) for xi in x.tolist()]
+    assert _u_cf_grid(1001, 1, x).tolist() == [cf_reference(1001, 1, xi) for xi in x.tolist()]
     monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
     with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004"):
         _u_cf_grid(1001, 1, x)
@@ -105,18 +107,18 @@ def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
 
 def assert_cf_grid_exact(a, b, x):
     got = _u_cf_grid(a, b, np.asarray(x, dtype=float))
-    assert got.tolist() == [_u_cf(a, b, xi) for xi in np.asarray(x, dtype=float).tolist()]
+    assert got.tolist() == [cf_reference(a, b, xi) for xi in np.asarray(x, dtype=float).tolist()]
 
 
 def cf_exit_step(a, b, x):
-    """The step j at which the scalar _u_cf returns: the fewest iterations it needs, less one."""
+    """The step j at which the reference continued fraction returns: the fewest iterations it needs, less one."""
     lo, hi = 1, 1 << 16
     with pytest.MonkeyPatch.context() as mp:
         while lo < hi:
             mid = (lo + hi) // 2
             mp.setattr(specfun, "_CF_MAX_ITER", mid)
             try:
-                _u_cf(a, b, x)
+                cf_reference(a, b, x)
             except ConvergenceError:
                 lo = mid + 1
             else:
@@ -125,10 +127,10 @@ def cf_exit_step(a, b, x):
 
 
 def first_scalar_failure(a, b, x):
-    """The message of the scalar's ConvergenceError on the first lane of x that raises one."""
+    """The message of the reference's ConvergenceError on the first lane of x that raises one."""
     for xi in x:
         try:
-            _u_cf(a, b, xi)
+            cf_reference(a, b, xi)
         except ConvergenceError as exc:
             return str(exc)
     raise AssertionError("every lane converged")
@@ -206,7 +208,7 @@ def test_cf_grid_redoes_a_block_with_a_zero_denominator(monkeypatch):
     assert runs[:2] == [((specfun._CF_BLOCK, 3), False), ((specfun._CF_BLOCK, 3), True)]
     # a zero first denominator that still exits: the fixed run gives the scalar's inf
     runs.clear()
-    assert _u_cf(1, 6, 2.0) == math.inf
+    assert cf_reference(1, 6, 2.0) == _u_cf(1, 6, 2.0) == math.inf
     assert_cf_grid_exact(1, 6, [2.0, 5.0])
     assert [fix for _, fix in runs[:2]] == [False, True]
 
@@ -219,6 +221,114 @@ def test_cf_grid_matches_the_scalar_on_seeded_lanes():
         # from the series/CF seam (a + m + 1) x = 4, m = 1 - b, up to about 10
         lo = math.log(4.0 / (a + 2 - b))
         assert_cf_grid_exact(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
+
+
+def cf_outcome(fn, a, b, x):
+    """float.hex of fn's value (NaN and the sign of zero count), or the type and text of its ConvergenceError."""
+    try:
+        value = fn(a, b, x)
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+    return [float.hex(v) for v in value.tolist()] if isinstance(value, np.ndarray) else float.hex(value)
+
+
+def assert_cf_matches_reference(a, b, x):
+    """The scalar on every lane of x and the grid on all of them against the reference, values and errors."""
+    want = [cf_outcome(cf_reference, a, b, xi) for xi in x]
+    assert [cf_outcome(_u_cf, a, b, xi) for xi in x] == want
+    failures = [w for w in want if isinstance(w, tuple)]
+    assert cf_outcome(_u_cf_grid, a, b, np.array(x, dtype=float)) == (failures[0] if failures else want)
+    return want
+
+
+def test_cf_matches_the_reference_on_seeded_arguments():
+    rng = np.random.default_rng(23)
+    outcomes = []
+    for _ in range(60):
+        a = int(rng.choice([rng.integers(1, 40), rng.integers(40, 3001)]))
+        b = int(rng.integers(-40, 2))
+        # x log-uniform over [1e-4, 10], off the series/CF seam as well as on the CF side of it
+        outcomes += assert_cf_matches_reference(a, b, np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 3)).tolist())
+    assert sum(isinstance(o, str) for o in outcomes) > 150
+
+
+def test_cf_matches_the_reference_at_a_zero_first_denominator(monkeypatch):
+    # x = b - 2a - 2 makes x + 2(a+1) - b exactly 0: both forms take the first d as tiny; at
+    # b <= 1 that x is negative and no lane converges, so a lower cap keeps the test short
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 3000)
+    for a, b in ((1, 1), (1, 6), (5, -3), (40, 0), (300, -12)):
+        x = float(b - 2 * a - 2)
+        assert_cf_matches_reference(a, b, [x])
+        assert_cf_matches_reference(a, b, [5.0, x, 0.5])
+
+
+def tail_runs(monkeypatch):
+    """The step j of every lane the grid hands to the scalar steps, in the order it hands them."""
+    runs = []
+    cf_from = specfun._u_cf_from
+
+    def spy(a, b, x, j, f, c, d):
+        runs.append(j)
+        return cf_from(a, b, x, j, f, c, d)
+
+    monkeypatch.setattr(specfun, "_u_cf_from", spy)
+    return runs
+
+
+def test_cf_grid_tail_lanes_exit_before_at_and_after_the_crossover_block(monkeypatch):
+    block, tail = specfun._CF_BLOCK, specfun._CF_TAIL_LANES
+    runs = tail_runs(monkeypatch)
+    # a = 1, b = 1: 1e20 and 3.41 exit in the first block (steps 1 and block - 1), 3.26 on the first
+    # step after it and 3.13 on the second; the fillers and 0.776 (step 100) run past the second block
+    edge = [1e20, 3.41, 3.26, 3.13, 0.776]
+    assert [cf_exit_step(1, 1, x) for x in edge] == [1, block - 1, block, block + 1, 100]
+    for live in (tail - 1, tail, tail + 1, tail + 2):
+        x = edge + np.geomspace(0.05, 0.7, live - 3).tolist()
+        assert min(cf_exit_step(1, 1, xi) for xi in x[5:]) > 2 * block
+        for lanes in (x, x[::-1]):
+            assert_cf_matches_reference(1, 1, lanes)
+            runs.clear()
+            _u_cf_grid(1, 1, np.array(lanes))
+            # at most tail lanes live after the first block finish scalar from there; one or two
+            # more run the second block on the lanes, where 3.26 and 3.13 exit
+            assert runs == ([block] * live if live <= tail else [2 * block] * (live - 2))
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 15, 16, 17, 18, 40])
+def test_cf_grid_lane_counts_on_both_sides_of_the_crossover(lanes):
+    rng = np.random.default_rng(lanes)
+    for a, b in ((1, 1), (92, 0), (1001, 1), (2500, -33)):
+        lo = math.log(4.0 / (a + 2 - b))
+        assert_cf_matches_reference(a, b, np.exp(rng.uniform(lo, math.log(10.0), lanes)).tolist())
+
+
+@pytest.mark.parametrize("lanes", [3, 30])
+@pytest.mark.parametrize("cap", [1, 5, 40, 3 * 32 + 3])
+def test_cf_cap_raises_the_reference_error_on_both_paths(monkeypatch, lanes, cap):
+    # 3 lanes reach the cap on the scalar steps, 30 on the lane steps (a cap below 32 cuts the
+    # first block short); lane 0 exits at step 1, so past a cap of 1 the error names a later lane
+    assert specfun._CF_BLOCK == 32 and 3 <= specfun._CF_TAIL_LANES < 30
+    runs = tail_runs(monkeypatch)
+    x = [1e20, *np.geomspace(0.02, 0.5, lanes - 1).tolist()]
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", cap)
+    want = assert_cf_matches_reference(1, 1, x)
+    assert isinstance(want[1], tuple) and want[1][0] is ConvergenceError
+    runs.clear()
+    with pytest.raises(ConvergenceError):
+        _u_cf_grid(1, 1, np.array(x))
+    assert (len(runs) > 0) == (lanes == 3)
+
+
+def test_cf_step_counter_must_stay_an_exact_float(monkeypatch):
+    # p = a + j is counted in floats, exact below 2**53: a + _CF_MAX_ITER may not reach it
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
+    for fn, x in ((_u_cf, 1.0), (_u_cf_grid, np.array([1.0, 2.0]))):
+        with pytest.raises(DomainError, match=rf"a={2**53 - 5}, b=-3"):
+            fn(2**53 - 5, -3, x)
+        try:
+            fn(2**53 - 6, -3, x)
+        except ConvergenceError:
+            pass
 
 
 def test_scan_roots_counts_an_exact_grid_zero_once():

@@ -164,6 +164,38 @@ def test_runner_mixed_orders_and_the_cell_cap():
     assert np.count_nonzero(got[334][1] != ls) > 10
 
 
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+def test_runner_lane_counts_around_the_scalar_crossover(monkeypatch, offset):
+    # a call of _REC_SCALAR_LANES lanes or fewer runs each lane on _recurrence_rows, a wider one
+    # the blocks; either way with lanes that join inside a block, a short last block and lanes
+    # far past 4n that renormalize
+    lanes = specfun._REC_SCALAR_LANES + offset
+    b = specfun._REC_BLOCK
+    rng = np.random.default_rng(40 + offset)
+    j0 = np.array([2, b + b // 2, 5, 2 * b + 3, 40, 7, 3 * b - 1, 2, 11][:lanes])
+    w = rng.uniform(0.05, 2.0, lanes)
+    w[::2] = rng.uniform(1500.0, 3000.0, w[::2].size)
+    lp, lc, ls = rng.uniform(-1.0, 1.0, lanes), rng.uniform(-1.0, 1.0, lanes), rng.uniform(-5.0, 5.0, lanes)
+    # the last target ends a short block; 1 and 3 lie below most start rows
+    targets = {1, 3, b + 1, 2 * b, 3 * b + 7, 4 * b + b // 3}
+    scalar_calls = []
+    rows = specfun._recurrence_rows
+
+    def spy(*args):
+        scalar_calls.append(args[2])
+        return rows(*args)
+
+    for m in (3, rng.integers(0, 40, lanes)):
+        monkeypatch.setattr(specfun, "_recurrence_rows", spy)
+        got = _recurrence_rows_grid(m, w, j0, lp, lc, ls, targets)
+        monkeypatch.undo()
+        assert scalar_calls == (j0.tolist() if offset <= 0 else [])
+        scalar_calls.clear()
+        want = assert_runner_matches_scalar(m, w, j0, lp, lc, ls, targets)
+        assert all(np.array_equal(got[t][k], want[t][k]) for t in targets for k in (0, 1))
+        assert np.count_nonzero(got[max(targets)][1] > ls) >= 2
+
+
 def test_runner_with_no_lanes_returns_empty_rows():
     empty = np.array([])
     got = specfun._recurrence_rows_grid(4, empty, np.array([], dtype=int), empty, empty, empty, {10, 11})
