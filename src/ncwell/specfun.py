@@ -74,15 +74,15 @@ _CF_MAX_ITER = 200_000
 _CF_BLOCK = 32
 _REC_BLOCK = 64
 _SERIES_BLOCK = 32
-# below these lane counts the scalar steps cost less than the lane steps
-# (Python 3.11, numpy 2.4, 2-core host): a Lentz step costs 0.29 us per lane
-# on _u_cf_from and about 4 us on the lanes at any count up to 32, so once
-# _CF_TAIL_LANES or fewer are live after the first block they finish scalar
-# (the 50 CF grid calls of a seed-0 bound-spectrum pass took the same time
-# at 12 to 24 and 1.1-1.3x that at 0 or 32); a _recurrence_rows_grid call
-# of _REC_SCALAR_LANES or fewer runs each lane on _recurrence_rows (a
-# Laguerre sweep of 6 lanes took 0.92-0.98x the lane time at N = 10^3 and
-# 10^4, of 8 lanes 1.26-1.30x)
+# at or below these lane counts the scalar steps cost less than the lane
+# steps (Python 3.11, numpy 2.4, 2-core host): a Lentz step costs 0.24-0.29
+# us per lane on _u_cf_from and about 4 us on the lanes at any count up to
+# 32, so once _CF_TAIL_LANES or fewer are live after the first block they
+# finish scalar (the 50 CF grid calls of a seed-0 bound-spectrum pass took
+# 0.20-0.22 s with a tail of 12 to 24 lanes, 0.26-0.28 s with none); a
+# _recurrence_rows_grid call of _REC_SCALAR_LANES or fewer runs each lane on
+# _recurrence_rows (a Laguerre sweep of 6 lanes took 0.92-0.98x the lane
+# time at N = 10^3 and 10^4, of 8 lanes 1.26-1.30x)
 _CF_TAIL_LANES = 16
 _REC_SCALAR_LANES = 6
 _BLOCK_CELLS = 8_192

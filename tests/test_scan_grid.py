@@ -105,9 +105,23 @@ def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
         _u_cf_grid(1001, 1, x)
 
 
-def assert_cf_grid_exact(a, b, x):
-    got = _u_cf_grid(a, b, np.asarray(x, dtype=float))
-    assert got.tolist() == [cf_reference(a, b, xi) for xi in np.asarray(x, dtype=float).tolist()]
+def cf_outcome(fn, a, b, x):
+    """float.hex of fn's value (NaN and the sign of zero count), or the type and text of its ConvergenceError."""
+    try:
+        value = fn(a, b, x)
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+    return [float.hex(v) for v in value.tolist()] if isinstance(value, np.ndarray) else float.hex(value)
+
+
+def assert_cf_matches_reference(a, b, x):
+    """The scalar on every lane of x and the grid on all of them against the reference, values and errors."""
+    x = np.asarray(x, dtype=float).tolist()
+    want = [cf_outcome(cf_reference, a, b, xi) for xi in x]
+    assert [cf_outcome(_u_cf, a, b, xi) for xi in x] == want
+    failures = [w for w in want if isinstance(w, tuple)]
+    assert cf_outcome(_u_cf_grid, a, b, np.array(x, dtype=float)) == (failures[0] if failures else want)
+    return want
 
 
 def cf_exit_step(a, b, x):
@@ -145,17 +159,17 @@ def test_cf_grid_exact_at_block_edges():
     block = specfun._CF_BLOCK
     steps = [cf_exit_step(1, 1, x) for x in BLOCK_EDGE_LANES]
     assert steps[:5] == [1, block - 1, block, block + 1, 100] and steps[5] > 30 * block
-    assert_cf_grid_exact(1, 1, BLOCK_EDGE_LANES)
+    assert_cf_matches_reference(1, 1, BLOCK_EDGE_LANES)
     # each lane alone, and in reverse order
     for x in BLOCK_EDGE_LANES:
-        assert_cf_grid_exact(1, 1, [x])
-    assert_cf_grid_exact(1, 1, BLOCK_EDGE_LANES[::-1])
+        assert_cf_matches_reference(1, 1, [x])
+    assert_cf_matches_reference(1, 1, BLOCK_EDGE_LANES[::-1])
 
 
 def test_cf_grid_exact_when_every_lane_ends_in_the_first_block():
     x = [3.6, 5.0, 10.0, 100.0, 1e20]
     assert max(cf_exit_step(1, 1, xi) for xi in x) < specfun._CF_BLOCK
-    assert_cf_grid_exact(1, 1, x)
+    assert_cf_matches_reference(1, 1, x)
 
 
 def test_cf_grid_of_no_lanes_is_empty():
@@ -166,13 +180,13 @@ def test_cf_grid_exact_on_a_wavefunction_sized_grid():
     # as wide as the wavefunction's radial scan: blocks shrink to stay in their buffer
     x = np.linspace(0.05, 8.0, 1900)
     assert x.size * specfun._CF_BLOCK > specfun._BLOCK_CELLS
-    assert_cf_grid_exact(92, 0, x)
+    assert_cf_matches_reference(92, 0, x)
 
 
 @pytest.mark.parametrize("b", range(1, -8, -1))
 def test_cf_grid_exact_for_every_b(b):
     a = 40
-    assert_cf_grid_exact(a, b, np.geomspace(4.0 / (a + 2 - b), 10.0, 25))
+    assert_cf_matches_reference(a, b, np.geomspace(4.0 / (a + 2 - b), 10.0, 25))
 
 
 @pytest.mark.parametrize("limit", [5, specfun._CF_BLOCK + 3])
@@ -209,7 +223,7 @@ def test_cf_grid_redoes_a_block_with_a_zero_denominator(monkeypatch):
     # a zero first denominator that still exits: the fixed run gives the scalar's inf
     runs.clear()
     assert cf_reference(1, 6, 2.0) == _u_cf(1, 6, 2.0) == math.inf
-    assert_cf_grid_exact(1, 6, [2.0, 5.0])
+    assert_cf_matches_reference(1, 6, [2.0, 5.0])
     assert [fix for _, fix in runs[:2]] == [False, True]
 
 
@@ -220,25 +234,7 @@ def test_cf_grid_matches_the_scalar_on_seeded_lanes():
         b = int(rng.integers(-7, 2))
         # from the series/CF seam (a + m + 1) x = 4, m = 1 - b, up to about 10
         lo = math.log(4.0 / (a + 2 - b))
-        assert_cf_grid_exact(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
-
-
-def cf_outcome(fn, a, b, x):
-    """float.hex of fn's value (NaN and the sign of zero count), or the type and text of its ConvergenceError."""
-    try:
-        value = fn(a, b, x)
-    except ConvergenceError as exc:
-        return type(exc), str(exc)
-    return [float.hex(v) for v in value.tolist()] if isinstance(value, np.ndarray) else float.hex(value)
-
-
-def assert_cf_matches_reference(a, b, x):
-    """The scalar on every lane of x and the grid on all of them against the reference, values and errors."""
-    want = [cf_outcome(cf_reference, a, b, xi) for xi in x]
-    assert [cf_outcome(_u_cf, a, b, xi) for xi in x] == want
-    failures = [w for w in want if isinstance(w, tuple)]
-    assert cf_outcome(_u_cf_grid, a, b, np.array(x, dtype=float)) == (failures[0] if failures else want)
-    return want
+        assert_cf_matches_reference(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
 
 
 def test_cf_matches_the_reference_on_seeded_arguments():
