@@ -8,7 +8,7 @@ as "sqrt20" so quantized setups are expressible exactly.  Numeric output is
 are emitted in sweep order.
 
 Exit status: 0 success, 1 domain error, 2 numerical non-convergence,
-64 usage error.
+64 usage error, 74 an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,8 +29,13 @@ from .errors import ConvergenceError, DomainError
 USAGE_EXIT = 64
 DOMAIN_EXIT = 1
 CONVERGENCE_EXIT = 2
+IO_EXIT = 74  # EX_IOERR, from sysexits as USAGE_EXIT is
 
 _SQRT_RE = re.compile(r"^sqrt\(?([0-9eE.+-]+)\)?$")
+
+
+class _WriteError(Exception):
+    """An --output path that cannot be written, as "<path>: <reason>"."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,8 +163,11 @@ def _write_rows(columns: list[str], rows: list[list], output: str, fmt: str) -> 
     if output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _WriteError(f"{output}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +438,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"ncwell: numerical non-convergence: {exc}", file=sys.stderr)
         return CONVERGENCE_EXIT
+    except _WriteError as exc:
+        print(f"ncwell: cannot write {exc}", file=sys.stderr)
+        return IO_EXIT
 
 
 if __name__ == "__main__":

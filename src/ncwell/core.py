@@ -64,8 +64,9 @@ GRID_POINTS = 2000
 EDGE_FRACTION = 1e-9
 ROOT_FRACTION = 5e-13
 # Brent's relative root tolerance: 4 eps, the smallest that scipy's brentq
-# accepts, kept so that every root keeps the bits it had under brentq
-BRENT_RTOL = 4.0 * np.finfo(float).eps
+# accepts, kept so that every root keeps the bits it had under brentq; a
+# Python float, so that no numpy scalar enters Brent's steps
+BRENT_RTOL = 4.0 * math.ulp(1.0)
 # Brent's method raises ConvergenceError after this many steps (brentq's default)
 BRENT_MAX_ITER = 100
 
@@ -298,6 +299,12 @@ def _check_cross_section_args(energy: float, v: float, m_max) -> int:
     return m_max
 
 
+def _check_bound_x(x: float, energy: float, spec: WellSpec) -> None:
+    """The bound scan's U argument x = theta (V - E) must not underflow to 0, as it can at a subnormal theta."""
+    if x == 0.0:
+        raise DomainError(f"x = theta (V - E) underflows to 0 at theta={spec.theta}, V={spec.v}, E={energy}")
+
+
 def _sector(m: int, spec: WellSpec) -> tuple[int, int]:
     """(order, row): sector m matches at rows row, row + 1 of order |m|; negative m sits -m rows lower."""
     return abs(m), spec.cap_n - max(-m, 0)
@@ -366,6 +373,7 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
     order, row = _sector(m, spec)
     w = spec.theta * energy
     x = spec.theta * (spec.v - energy)
+    _check_bound_x(x, energy, spec)
     rows = _laguerre_sweep(order, w, {row, row + 1})
     (m0, s0), (m1, s1) = rows[row], rows[row + 1]
     return _bound_residual(spec, m, [energy], [w], [m0], [s0], [m1], [s1], [_u_ratio_1m(row + 1, order, x)])[0]
@@ -380,6 +388,8 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> lis
     order, row = _sector(m, spec)
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
+    low = int(x.argmin())
+    _check_bound_x(float(x[low]), float(energies[low]), spec)
     rows = _laguerre_sweep_grid(order, w, (row, row + 1))
     ratio = _u_ratio_1m_grid(row + 1, order, x)
     return _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[row], *rows[row + 1], ratio)))
@@ -734,59 +744,71 @@ _FIRST_PAD = 6
 _NEXT_BLOCK = 8
 
 
-def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, include_negative: bool):
-    """waves(m) -> [(sector, delta, sin^2)] of wave m, for partial_wave_sum, solved in blocks.
+def _wave_sectors(m: int, negative_cap: int | None = None):
+    """Wave m of the partial-wave sum as ((sector, eps), ...), the one rule for both.
 
-    Wave m's sectors are m, and -m for 1 <= m <= N with include_negative.
-    A block is one _scattering_lanes call at this energy: the first covers
-    waves 0 .. _sum_floor + _FIRST_PAD, a later one the next _NEXT_BLOCK
-    waves, each capped at HARD_M_CAP, and a later one is built only when
-    the sum asks for its first wave.  A wave raises its own lane's error
+    By default sector m alone, eps_0 = 1 and eps_{m>=1} = 2; with
+    negative_cap = N (include_negative) sectors m and -m for 1 <= m <= N,
+    each with eps = 1.
+    """
+    if negative_cap is None:
+        return ((m, 1.0 if m == 0 else 2.0),)
+    return ((m, 1.0), (-m, 1.0)) if 1 <= m <= negative_cap else ((m, 1.0),)
+
+
+def _block_waves(energy: float, spec: WellSpec, m_max: int, k: float, negative_cap: int | None):
+    """waves(sector) -> (delta, sin^2) for partial_wave_sum, solved in blocks.
+
+    A block is one _scattering_lanes call at this energy over the sectors
+    _wave_sectors gives its waves: the first covers waves 0 .. _sum_floor +
+    _FIRST_PAD, a later one the next _NEXT_BLOCK waves, each capped at
+    HARD_M_CAP, and a later one is built only when the sum asks for the
+    first sector of its first wave.  A wave raises its own lane's error
     when it is read, so the sum raises what the scalar loop raises, and
     the waves past its stop point are dropped unread.
     """
     block, top = None, -1
     first_top = _sum_floor(m_max, k, spec.radius) + _FIRST_PAD
 
-    def sectors(m):
-        return (m, -m) if include_negative and 1 <= m <= spec.cap_n else (m,)
-
-    def waves(m):
+    def waves(sector):
         nonlocal block, top
+        m = abs(sector)
         if m > top:
             top = min(first_top if m == 0 else m + _NEXT_BLOCK - 1, HARD_M_CAP)
-            lanes = [s for j in range(m, top + 1) for s in sectors(j)]
+            lanes = [s for j in range(m, top + 1) for s, _ in _wave_sectors(j, negative_cap)]
             block = _scattering_lanes(spec, [energy] * len(lanes), lanes)
-        return [(s, *_wave_of_b(energy, s, next(block)[1])) for s in sectors(m)]
+        return _wave_of_b(energy, sector, next(block)[1])
 
     return waves
 
 
-def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
-    """Sum the partial waves m = 0, 1, ... as (sigma, contributions).
+def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int, negative_cap: int | None = None):
+    """Sum the partial waves m = 0, 1, ... as (sigma, table).
 
-    waves(m) returns wave m's sectors as (label, eps, sin^2(delta)); each
-    adds the term (4/k) eps sin^2(delta), listed in contributions as
-    (label, term), and the largest term of a wave is what the tail rule
-    sees.  Partial waves carry weight up to the impact-parameter cutoff
-    m ~ kR, so the sum runs at least to max(m_max, ceil(kR) + 2)
-    (sin^2(delta) can dip through zero at isolated m well before the tail
-    truly decays); past that it stops once two waves in a row fall below
-    TAIL_REL of the running total.  At m = HARD_M_CAP it stops with a
-    warning aimed at the caller's caller.
+    Wave m's sectors and weights are _wave_sectors(m, negative_cap), and
+    waves(sector) returns (delta, sin^2(delta)) of each, asked in that
+    order.  A sector adds the term (4/k) eps sin^2(delta), listed in table
+    as (sector, eps, delta, term), and the largest term of a wave is what
+    the tail rule sees.  Partial waves carry weight up to the
+    impact-parameter cutoff m ~ kR, so the sum runs at least to
+    max(m_max, ceil(kR) + 2) (sin^2(delta) can dip through zero at
+    isolated m well before the tail truly decays); past that it stops once
+    two waves in a row fall below TAIL_REL of the running total.  At
+    m = HARD_M_CAP it stops with a warning aimed at the caller's caller.
     """
     min_extend = _sum_floor(m_max, k, radius)
     sigma = 0.0
-    contributions = []
+    table = []
     below = 0
     m = 0
     while True:
-        terms = [(label, (4.0 / k) * eps * sin2) for label, eps, sin2 in waves(m)]
-        for entry in terms:
-            contributions.append(entry)
-            sigma += entry[1]
-        term = max(t for _, t in terms)
-        if term <= TAIL_REL * sigma:
+        first = len(table)
+        for sector, eps in _wave_sectors(m, negative_cap):
+            delta, sin2 = waves(sector)
+            term = (4.0 / k) * eps * sin2
+            table.append((sector, eps, delta, term))
+            sigma += term
+        if max(row[3] for row in table[first:]) <= TAIL_REL * sigma:
             below += 1
         else:
             below = 0
@@ -800,7 +822,7 @@ def partial_wave_sum(waves, energy: float, k: float, radius: float, m_max: int):
             )
             break
         m += 1
-    return sigma, contributions
+    return sigma, table
 
 
 def cross_section_total(
@@ -809,28 +831,19 @@ def cross_section_total(
     m_max: int,
     include_negative: bool = False,
 ) -> CrossSectionPoint:
-    """Total cross section sigma = (4/k) sum_m eps_m sin^2(delta_m).
+    """Total cross section sigma = (4/k) sum_m eps_m sin^2(delta_m), by partial_wave_sum.
 
-    eps_0 = 1, eps_{m>=1} = 2; the sum extends beyond m_max until the last
-    contribution falls below TAIL_REL of the running total.  With
-    include_negative=True each sector m and -m contributes its own
-    sin^2(delta) with unit weight instead (exploratory variant; the
-    negative side is cut off at N, the positive side runs on).  The waves
-    are solved in blocks, one lane pass each (_block_waves); every term
-    equals a wave-by-wave loop over phase_shift's solves bit for bit.
+    include_negative=True sums each sector m and -m with unit weight instead
+    (_wave_sectors; exploratory variant, the negative side cut off at N).
+    The waves are solved in blocks, one lane pass each (_block_waves);
+    every term equals a wave-by-wave loop over phase_shift's solves bit for
+    bit.
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
-    solved = _block_waves(energy, spec, m_max, k, include_negative)
-
-    def waves(m):
-        eps = 1.0 if include_negative or m == 0 else 2.0
-        return [(s, eps, sin2) for s, _, sin2 in solved(m)]
-
-    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
-    return CrossSectionPoint(
-        energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions)
-    )
+    cap = spec.cap_n if include_negative else None
+    sigma, table = partial_wave_sum(_block_waves(energy, spec, m_max, k, cap), energy, k, spec.radius, m_max, cap)
+    return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple((s, t) for s, _, _, t in table))
 
 
 def cross_section_differential(
@@ -842,7 +855,7 @@ def cross_section_differential(
     """d(sigma)/d(phi) = |f(phi)|^2 / k on the supplied angular grid.
 
     f(phi) = sqrt(2/pi) sum_m eps_m cos(m phi) e^{i delta_m} sin(delta_m),
-    over the waves of cross_section_total's sum, solved in the same blocks.
+    over the table of cross_section_total's sum, solved in the same blocks.
     """
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     phis = list(phi_grid)
@@ -850,25 +863,15 @@ def cross_section_differential(
         if not (0.0 <= p < 2.0 * math.pi):
             raise DomainError(f"phi values must lie in [0, 2 pi), got {p}")
     k = math.sqrt(2.0 * (energy - spec.v))
-    # (m, eps_m, e^{i delta_m}, sin(delta_m)) per wave, with the same tail rule as the summed form
-    factors = []
-    solved = _block_waves(energy, spec, m_max, k, False)
-
-    def waves(m):
-        eps = 1.0 if m == 0 else 2.0
-        [(_, delta, sin2)] = solved(m)
-        factors.append((m, eps, cmath.exp(1j * delta), math.sin(delta)))
-        return [(m, eps, sin2)]
-
-    partial_wave_sum(waves, energy, k, spec.radius, m_max)
+    _, table = partial_wave_sum(_block_waves(energy, spec, m_max, k, None), energy, k, spec.radius, m_max)
     pref = math.sqrt(2.0 / math.pi)
     # the waves in the sum's order, each over the whole grid: np.cos is libm's cos and the
     # complex * and + are CPython's, so every entry is the scalar loop's; the modulus and
     # the square stay in Python, since numpy's abs(complex) and array ** 2 round otherwise
     grid = np.array(phis, dtype=float)
     f = np.zeros(len(phis), dtype=complex)
-    for (mm, eps, phase, sin_d) in factors:
-        f += eps * np.cos(mm * grid) * phase * sin_d
+    for m, eps, delta, _ in table:
+        f += eps * np.cos(m * grid) * cmath.exp(1j * delta) * math.sin(delta)
     return [(phi, abs(fp * pref) ** 2 / k) for phi, fp in zip(phis, f.tolist())]
 
 
@@ -953,7 +956,7 @@ def selftest() -> list[CheckResult]:
 
     cs = cross_section_total(12.0, spec1000, 4)
     bound_ok = all(
-        -1e-15 <= contrib <= (4.0 / cs.k) * (1.0 if m == 0 else 2.0) * (1.0 + 1e-12)
+        -1e-15 <= contrib <= (4.0 / cs.k) * _wave_sectors(m)[0][1] * (1.0 + 1e-12)
         for (m, contrib) in cs.contributions
     )
     sum_ok = abs(cs.sigma_total - sum(c for _, c in cs.contributions)) <= 1e-12 * cs.sigma_total

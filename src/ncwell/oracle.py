@@ -50,15 +50,23 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.nd
     k J'_m(kR) K_m(kappa R) - kappa K'_m(kappa R) J_m(kR), pole-free in E,
     with C'_m = C_{m-1} - (m/x) C_m (K'_m = -K_{m-1} - (m/x) K_m).  Takes
     an array of energies or one energy; the scipy ufuncs return the same
-    bits for an array as for scalars.
+    bits for an array as for scalars.  scipy's K underflows to 0 from
+    kappa R ~ 697.9 on, which would make each such energy an exact zero;
+    there both K columns are kve = e^{kappa R} K, which keeps the sign and
+    the zeros.
     """
     r = spec.radius
     k = np.sqrt(2.0 * energies)
     kappa = np.sqrt(2.0 * (spec.v - energies))
     kr, kappar = k * r, kappa * r
-    j_m, k_m = special.jv(m, kr), special.kv(m, kappar)
+    k_m, k_m1 = special.kv(m, kappar), special.kv(m - 1, kappar)
+    low = (k_m == 0.0) | (k_m1 == 0.0)
+    if low.any():
+        k_m = np.where(low, special.kve(m, kappar), k_m)
+        k_m1 = np.where(low, special.kve(m - 1, kappar), k_m1)
+    j_m = special.jv(m, kr)
     dj = special.jv(m - 1, kr) - (m / kr) * j_m
-    dk = -special.kv(m - 1, kappar) - (m / kappar) * k_m
+    dk = -k_m1 - (m / kappar) * k_m
     return k * dj * k_m - kappa * dk * j_m
 
 
@@ -133,13 +141,14 @@ def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoi
 
 
 def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSectionPoint:
-    """sigma = (4/k) sum_m eps_m sin^2(delta_m), same tail rule as the core."""
+    """sigma = (4/k) sum_m eps_m sin^2(delta_m), by the core's partial-wave sum and weights."""
     m_max = _check_cross_section_args(energy, spec.v, m_max)
     k = math.sqrt(2.0 * (energy - spec.v))
 
     def waves(m):
-        s = math.sin(comm_phase_shift(energy, spec, m).delta)
-        return [(m, 1.0 if m == 0 else 2.0, s * s)]
+        delta = comm_phase_shift(energy, spec, m).delta
+        s = math.sin(delta)
+        return delta, s * s
 
-    sigma, contributions = partial_wave_sum(waves, energy, k, spec.radius, m_max)
-    return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple(contributions))
+    sigma, table = partial_wave_sum(waves, energy, k, spec.radius, m_max)
+    return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple((m, t) for m, _, _, t in table))

@@ -43,6 +43,12 @@ CLI_GOLDENS = {
         "bound-states", "--radius", "sqrt20", "--capital-n", "1000", "--v", "6", "--m=-2..2",
         "--grid-points", "300",
     ],
+    # a deep well: scipy's K underflows to 0 below E ~ 7820, where the commutative scan
+    # switches to the scaled kve and finds no level at a grid energy
+    "bound_states_n10_v20000.csv": [
+        "bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "20000", "--m=0..1",
+        "--grid-points", "300",
+    ],
     "readme_phase_shifts_n1000_m4.csv": [
         "phase-shifts", *WELL1000, "--m", "4", "--emin", "10.05", "--emax", "35", "--esteps", "400",
     ],

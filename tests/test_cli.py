@@ -338,6 +338,27 @@ def test_usage_error_exits_64(capsys):
     assert main([]) == 64
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "full-device"])
+def test_unwritable_output_exits_74_naming_the_path(capsys, tmp_path, where):
+    if where == "missing-directory":
+        path, reason = str(tmp_path / "missing" / "x.csv"), "No such file or directory"
+    else:
+        if not pathlib.Path("/dev/full").exists():
+            pytest.skip("no /dev/full on this platform")
+        path, reason = "/dev/full", "No space left on device"
+    code, out, err = run_cli(capsys, ["bound-states", *WELL10, "--m", "0", "-o", path])
+    assert (code, out) == (74, "")
+    assert err == f"ncwell: cannot write {path}: {reason}\n"
+
+
+def test_subnormal_theta_exits_1_naming_theta_v_and_e(capsys):
+    # theta (V - E) underflows to 0 at the top of the scan grid
+    argv = ["bound-states", "--theta", "1e-320", "--capital-n", "10", "--v", "6", "--m", "0", "--grid-points", "10"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "ncwell: domain error: x = theta (V - E) underflows to 0 at theta=1e-320, V=6.0, E=5.999999994\n"
+
+
 def test_phase_shift_rows_equal_pointwise_values_in_order(capsys):
     from ncwell import core, oracle
 

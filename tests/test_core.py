@@ -228,6 +228,16 @@ def test_matching_residual_domain_errors():
         matching_residual_bound(1.0, N10, -11)
 
 
+def test_subnormal_theta_names_theta_v_and_e():
+    # x = theta (V - E) underflows to 0 near V; the U ratio would take log(0) there
+    spec = WellSpec(1e-320, 10, 6.0)
+    assert math.isfinite(matching_residual_bound(3.0, spec, 0))
+    with pytest.raises(DomainError, match=r"underflows to 0 at theta=1e-320, V=6.0, E=5.9999999999"):
+        matching_residual_bound(5.9999999999, spec, 0)
+    with pytest.raises(DomainError, match=r"underflows to 0 at theta=1e-320, V=6.0, E=5.999999994$"):
+        find_bound_states(spec, 0, grid_points=10)
+
+
 def test_find_bound_states_matches_dense_grid_oracle():
     got = find_bound_states(N10, 1, grid_points=2000)
     dense = find_bound_states(N10, 1, grid_points=20000)

@@ -55,6 +55,46 @@ def test_bound_states_match_dense_scan():
         assert a.energy == pytest.approx(b.energy, abs=1e-9 * spec.v)
 
 
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_deep_well_levels_are_the_scaled_k_scan(m):
+    # scipy's K_m underflows to 0 from kappa R ~ 697.9 on; the matching function must not be an
+    # exact zero at those grid energies, and its levels are those of the e^{kappa R}-scaled form
+    import warnings
+
+    import numpy as np
+    from scipy.optimize import brentq
+
+    from ncwell.core import BRENT_RTOL, EDGE_FRACTION, GRID_POINTS, ROOT_FRACTION
+
+    spec = CommWellSpec(SQRT20, 20000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels = [s.energy for s in comm_bound_states(spec, m)]
+        eps = EDGE_FRACTION * spec.v
+        lo, hi = eps, spec.v - eps
+        grid = (lo + np.arange(GRID_POINTS) * ((hi - lo) / (GRID_POINTS - 1))).tolist()
+
+        def scaled(e):
+            k, kappa = math.sqrt(2.0 * e), math.sqrt(2.0 * (spec.v - e))
+            kr, kappar = k * spec.radius, kappa * spec.radius
+            j_m, k_m = special.jv(m, kr), special.kve(m, kappar)
+            dj = special.jv(m - 1, kr) - (m / kr) * j_m
+            dk = -special.kve(m - 1, kappar) - (m / kappar) * k_m
+            return k * dj * k_m - kappa * dk * j_m
+
+        vals = [scaled(e) for e in grid]
+        want = [
+            brentq(scaled, a, b, xtol=ROOT_FRACTION * spec.v, rtol=BRENT_RTOL)
+            for a, b, ga, gb in zip(grid, grid[1:], vals, vals[1:])
+            if (ga < 0.0) != (gb < 0.0)
+        ]
+    assert 0.0 not in vals
+    assert not set(levels) & set(grid)
+    assert len(levels) == len(want) > 200
+    for got, ref in zip(levels, want):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_no_potential_no_phase_shift():
     spec = CommWellSpec(SQRT20, 0.0)
     for m in (0, 2, 6):

@@ -23,15 +23,17 @@ from scalar_reference import scalar_lane, scalar_solve, scalar_wave
 
 
 def scalar_sum(energy, spec, m_max, include_negative=False):
-    # the partial-wave loop on the scalar solves, as cross_section_total ran it before the blocks
+    # the partial-wave loop on the scalar solves, as cross_section_total ran it before the blocks;
+    # the sectors and weights of the sum's table are held to this test's own rule, not the core's
     k = math.sqrt(2.0 * (energy - spec.v))
-
-    def waves(m):
+    cap = spec.cap_n if include_negative else None
+    sigma, table = partial_wave_sum(lambda s: scalar_wave(energy, spec, s), energy, k, spec.radius, m_max, cap)
+    rule = []
+    for m in range(abs(table[-1][0]) + 1):
         sectors = (m, -m) if include_negative and 1 <= m <= spec.cap_n else (m,)
-        eps = 1.0 if include_negative or m == 0 else 2.0
-        return [(s, eps, scalar_wave(energy, spec, s)[1]) for s in sectors]
-
-    return partial_wave_sum(waves, energy, k, spec.radius, m_max)
+        rule += [(s, 1.0 if include_negative or m == 0 else 2.0) for s in sectors]
+    assert [(s, eps) for s, eps, _, _ in table] == rule
+    return sigma, [(s, term) for s, _, _, term in table]
 
 
 def block_calls(monkeypatch):
@@ -88,6 +90,38 @@ def test_cross_section_equals_the_scalar_loop(monkeypatch, cap_n, v, energy, m_m
     got = cross_section_total(energy, spec, m_max, include_negative=include_negative)
     assert (got.sigma_total, list(got.contributions)) == want
     assert len(calls) == blocks
+
+
+def test_every_cross_section_reads_its_sectors_and_weights_from_one_rule(monkeypatch):
+    # another rule in core._wave_sectors alone: unit weights, with sectors -1..-3 added
+    def rule(m, negative_cap=None):
+        return ((m, 1.0), (-m, 1.0)) if 1 <= m <= 3 else ((m, 1.0),)
+
+    monkeypatch.setattr(core_mod, "_wave_sectors", rule)
+    spec, energy, phis = WellSpec.from_radius(20.0, 10, 6.0), 8.0, [0.0, 1.0, 2.5, 4.0]
+    k = math.sqrt(2.0 * (energy - spec.v))
+    calls = block_calls(monkeypatch)
+    got = cross_section_total(energy, spec, 4)
+    sectors = [s for s, _ in got.contributions]
+    waves = sectors[-1] + 1
+    assert sectors == [s for m in range(waves) for s, _ in rule(m)]
+    assert sectors[:7] == [0, 1, -1, 2, -2, 3, -3]
+    # the lanes of every block are the rule's sectors of its waves, in the sum's order
+    lanes = [s for c in calls for s in c]
+    assert len(calls) == 2 and lanes == [s for m in range(abs(lanes[-1]) + 1) for s, _ in rule(m)]
+    assert got.contributions == tuple((s, (4.0 / k) * 1.0 * scalar_wave(energy, spec, s)[1]) for s in sectors)
+    total = 0.0
+    for _, term in got.contributions:
+        total += term
+    assert got.sigma_total == total
+    want = []
+    for phi in phis:
+        f = 0j
+        for s in sectors:
+            d = scalar_wave(energy, spec, s)[0]
+            f += 1.0 * math.cos(s * phi) * cmath.exp(1j * d) * math.sin(d)
+        want.append((phi, abs(f * math.sqrt(2.0 / math.pi)) ** 2 / k))
+    assert cross_section_differential(energy, spec, 4, phis) == want
 
 
 def scalar_dcs(energy, spec, m_max, phis):
