@@ -196,6 +196,7 @@ def test_oracle_never_reads_theta():
         oracle_mod.comm_cross_section,
         oracle_mod._log_derivative_mismatch_grid,
         core_mod.partial_wave_sum,
+        core_mod._wave_sectors,
     ]
     for fn in fns:
         src = inspect.getsource(fn)
