@@ -30,6 +30,7 @@ import numpy as np
 
 from ncwell import core, oracle, specfun
 from ncwell.cli import main
+from ncwell.logscale import LogScaled
 
 DATA = pathlib.Path(__file__).resolve().parent
 WELL10 = ["--radius", "sqrt20", "--capital-n", "10", "--v", "6"]
@@ -84,8 +85,11 @@ CLI_GOLDENS = {
 }
 
 KERNEL_GOLDEN = "kernel_golden.json"
-# kernel families whose values are LogScaled [sign, float.hex(log magnitude)]
-LOG_FAMILIES = {"re_u_neg", "core._reu_pair", "_u_pos_direct", "_reu_direct_mp", "_reu_direct", "_log_series_mp"}
+# kernel families whose values are [sign, float.hex(log magnitude)]
+LOG_FAMILIES = {
+    "re_u_neg", "core._reu_pair", "_u_pos_direct", "_reu_direct_mp", "_reu_direct", "_log_series_mp", "laguerre",
+    "fock_element", "bound_solutions",
+}
 
 
 def cli_stdout(argv) -> bytes:
@@ -98,7 +102,9 @@ def cli_stdout(argv) -> bytes:
 
 
 def _ls(v) -> list:
-    return [v.sign, float.hex(v.logmag)]
+    """[sign, float.hex(log magnitude)] of a LogScaled value or a (sign, log magnitude) pair."""
+    sign, logmag = (v.sign, v.logmag) if isinstance(v, LogScaled) else v
+    return [sign, float.hex(logmag)]
 
 
 def _rows(rows: dict) -> dict:
@@ -175,8 +181,24 @@ def kernel_values() -> dict:
     # cut series: float kept, and float lost so mpmath takes over
     for n, m, w in ((3, 2, 0.4), (60, 0, 30.0), (20, 6, 25.0), (64, 8, 9.0), (40, 30, 12.0)):
         out[f"_reu_direct({n}, {m}, {w!r})"] = _ls(specfun._reu_direct(n, m, w))
+    # U ratios on both sides of (a+m+1)x = 4: the series quotient at or below it, the CF above
+    for a, m, x in ((5, 2, 0.5), (5, 2, 0.6), (1001, 0, 0.0039), (1001, 0, 0.0041), (30, 9, 0.1), (3, 4, 0.5)):
+        out[f"_u_ratio_1m({a}, {m}, {x!r})"] = float.hex(specfun._u_ratio_1m(a, m, x))
+    # negative superscripts lowered from L^k_{n-k}, on both signs of w
+    for n, m, w in ((10, -3, 2.5), (10, -3, -2.5), (10, -2, 0.7), (1000, -4, 0.7), (1000, -5, -3.0)):
+        out[f"laguerre({n}, {m}, {w!r})"] = _ls(specfun.laguerre(n, m, w))
+    # both branches of fock_element, with each coefficient zero in turn; n = 70 reaches Re U by recurrence
+    coeffs = ((1.7, -0.3), (0.0, -0.3), (1.7, 0.0))
+    for n, m, w in ((10, 3, 2.5), (70, 2, 0.4), (10, -2, 2.5), (10, 2, -0.8), (1000, 3, -0.05)):
+        for a, b in coeffs:
+            sol = core.RegionSolution(core.EXTERIOR, w, LogScaled.from_float(a), LogScaled.from_float(b))
+            out[f"fock_element({n}, {m}, w={w!r}, a={a!r}, b={b!r})"] = _ls(core.fock_element(n, m, sol))
     spec10 = core.WellSpec.from_radius(20.0, 10, 6.0)
     spec1000 = core.WellSpec.from_radius(20.0, 1000, 10.0)
+    # the interior coeff_a and the exterior coeff_b of a bound level's solutions
+    for spec, e, m in ((spec10, 0.3, 1), (spec10, 2.0, 0), (spec10, 5.5, 4), (spec1000, 9.0, 3)):
+        interior, exterior = core.bound_solutions(e, spec, m)
+        out[f"bound_solutions(N={spec.cap_n}, {e!r}, {m})"] = [_ls(interior.coeff_a), _ls(exterior.coeff_b)]
     out["cross_section_total(N=10, 6.5)"] = _cross_section(core.cross_section_total(6.5, spec10, 4))
     out["cross_section_total(N=1000, 12.0)"] = _cross_section(core.cross_section_total(12.0, spec1000, 4))
     out["cross_section_total(N=10, 7.0, include_negative)"] = _cross_section(
