@@ -41,8 +41,8 @@ from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it he
     _lag_reu_pairs_grid,
     _laguerre_sweep,
     _laguerre_sweep_grid,
-    _ls_from_sweep,
     _sweep_pair,
+    _ZERO_PAIR,
     _oracle_suites,
     _reu_direct,
     _reu_rows,
@@ -173,18 +173,16 @@ class CrossSectionPoint:
 # ---------------------------------------------------------------------------
 
 def _reu_pair(m: int, w: float, n: int):
-    """(ReU at rows n and n+1) sharing one recurrence pass."""
+    """(ReU at rows n and n+1) sharing one recurrence pass, as (sign, log magnitude) pairs."""
     return tuple(_reu_rows(m, w, n, 2))
 
 
 def _laguerre_pair(m: int, w: float, n: int):
-    """(L^m_n(w), L^m_{n+1}(w)) for m >= 0 from one forward sweep."""
+    """(L^m_n(w), L^m_{n+1}(w)) for m >= 0 from one forward sweep, as (sign, log magnitude) pairs."""
     res = _laguerre_sweep(m, w, {n, n + 1})
-    return _ls_from_sweep(*res[n]), _ls_from_sweep(*res[n + 1])
+    return _sweep_pair(*res[n]), _sweep_pair(*res[n + 1])
 
 
-# the zero of a (sign, log magnitude) pair
-_ZERO_PAIR = (0, 0.0)
 _LOG_PI = math.log(math.pi)
 
 
@@ -246,15 +244,10 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     if w > 0.0:
         # a zero coefficient's column is not built: a regular solution runs no Re U
         jc, yc = _row_consts(m, n)
-        if a.is_zero():
-            value = ZERO
-        else:
-            lag = [(v.sign, v.logmag) for v in _laguerre_pair(m, w, n)]
-            value = a * LogScaled.from_log(*_j_rows(m, w, lag, jc)[0])
+        value = ZERO if a.is_zero() else a * LogScaled.from_log(*_j_rows(m, w, _laguerre_pair(m, w, n), jc)[0])
         if b.is_zero():
             return value
-        reu = [(v.sign, v.logmag) for v in _reu_pair(m, w, n)]
-        return value + b * LogScaled.from_log(*_y_rows(m, w, reu, yc)[0])
+        return value + b * LogScaled.from_log(*_y_rows(m, w, _reu_pair(m, w, n), yc)[0])
     # bound branch: w < 0, x = -w > 0
     x = -w
     lag = laguerre(n, m, w)

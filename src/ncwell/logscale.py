@@ -4,9 +4,9 @@ Matrix elements of the well mix factors like sqrt(n!(n+m)!), e^w and
 w^(+-m/2) with n up to a few thousand; no native float survives that.
 A LogScaled value carries the sign separately from ln|x| so that products
 and quotients are plain additions, while sums fall back to a guarded
-log-sum-exp.  Plain floats are extracted only at final ratios.  Per-lane
-code that would build thousands of these objects carries the same
-(sign, logmag) pairs as plain numbers instead, through log_add and
+log-sum-exp.  Plain floats are extracted only at final ratios.  LogScaled
+is what the public functions return; the private kernels below them carry
+the same (sign, logmag) pairs as plain numbers, through log_add and
 log_to_float, which the class's own addition and extraction call.
 """
 

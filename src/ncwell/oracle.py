@@ -11,12 +11,14 @@ derivative continuity at r = R fixes the spectrum and tan(delta) = -B/A.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .core import (
+    EDGE_FRACTION,
     GRID_POINTS,
     BoundState,
     CrossSectionPoint,
@@ -71,16 +73,34 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.nd
 
 
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
-    """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only."""
+    """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only.
+
+    The sector holds one level per zero of J_{|m|-1} in (0, kR) at the top
+    of the scan, k = sqrt(2V(1 - EDGE_FRACTION)), and m = 0 one more (J_1
+    vanishes at 0).  A scan that finds another count, as when two levels
+    share a grid cell, warns (RuntimeWarning) naming m and both counts.
+    """
     label = _check_int(m, "m")
     m = abs(label)
-    return _bound_levels(
+    levels = _bound_levels(
         lambda e: float(_log_derivative_mismatch_grid(e, spec, m)),
         lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
         label,
         spec.v,
         grid_points,
     )
+    top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
+    # j_{n,k} > (k - 1/4) pi, so the zeros below top are among the first top / pi + 2
+    zeros = special.jn_zeros(abs(m - 1), int(top / math.pi) + 2)
+    expected = int((zeros < top).sum()) + (m == 0 and top > 0.0)
+    if len(levels) != expected:
+        warnings.warn(
+            f"commutative bound scan found {len(levels)} levels for m = {label}, expected {expected}; "
+            f"levels that share a cell of the {grid_points}-point grid are missed",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return levels
 
 
 def _phase_fraction_grid(energies, spec: CommWellSpec, m: int):

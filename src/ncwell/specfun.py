@@ -40,9 +40,12 @@ import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, DomainError
-from .logscale import LogScaled, ZERO, ls_exp
+from .logscale import LogScaled, ZERO, log_to_float, ls_exp
 
 EULER_GAMMA = 0.5772156649015328606
+
+# the zero of a (sign, log magnitude) pair, the value format below the public functions
+_ZERO_PAIR = (0, 0.0)
 
 # direct-series evaluation is used up to this index; beyond it the value is
 # anchored low and carried up by recurrence
@@ -335,23 +338,18 @@ def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
 def _sweep_pair(mant: float, scale: float, log_div: float = 0.0) -> tuple[int, float]:
     """(sign, log magnitude) of a sweep row stored as (mantissa, log scale), over e^log_div; (0, 0.0) if zero."""
     if mant == 0.0:
-        return 0, 0.0
+        return _ZERO_PAIR
     return 1 if mant > 0 else -1, math.log(abs(mant)) + scale - log_div
 
 
-def _ls_from_sweep(mant: float, scale: float, log_div: float = 0.0) -> LogScaled:
-    """LogScaled value of a sweep row stored as (mantissa, log scale), over e^log_div."""
-    return LogScaled.from_log(*_sweep_pair(mant, scale, log_div))
-
-
-def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
-    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base."""
-    if w == 0.0 or base.is_zero():
-        return ZERO
+def _lower_order(base: tuple[int, float], n: int, k: int, w: float) -> tuple[int, float]:
+    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base, as (sign, log magnitude) pairs."""
+    if w == 0.0 or base[0] == 0:
+        return _ZERO_PAIR
     # (-w)^k is negative only for w > 0 and odd k
     sign = (-1) ** k if w > 0 else 1
     lg = k * math.log(abs(w)) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
-    return base * LogScaled.from_log(sign, lg)
+    return base[0] * sign, base[1] + lg
 
 
 def laguerre(n: int, m: int, w: float) -> LogScaled:
@@ -366,14 +364,13 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
         raise DomainError(f"degree n must be >= 0, got {n}")
     if not math.isfinite(w):
         raise DomainError("argument w must be finite")
-    if m < 0:
-        k = -m
-        if n < k:
-            raise DomainError(
-                f"L^m_n with m < 0 needs n >= -m, got n={n}, m={m}"
-            )
-        return _lower_order(laguerre(n - k, k, w), n, k, w)
-    return _ls_from_sweep(*_laguerre_sweep(m, w, {n})[n])
+    k = max(-m, 0)
+    if n < k:
+        raise DomainError(
+            f"L^m_n with m < 0 needs n >= -m, got n={n}, m={m}"
+        )
+    val = _sweep_pair(*_laguerre_sweep(abs(m), w, {n - k})[n - k])
+    return LogScaled.from_log(*(_lower_order(val, n, k, w) if k else val))
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +572,13 @@ def _u_anchor_quad(b: int, x: float) -> float:
     raise ConvergenceError(f"anchor quadrature failed for b={b}, x={x}: {last}")
 
 
-def _u_abs_anchor_product(a: int, b: int, x: float) -> LogScaled:
-    """|U(a,b,x)| from the a=1 anchor times CF ratios; the selftest's independent route at b = 1+m."""
+def _u_abs_anchor_product(a: int, b: int, x: float) -> tuple[int, float]:
+    """|U(a,b,x)| from the a=1 anchor times CF ratios, as (1, log); the selftest's independent route at b = 1+m."""
     anchor = _u_anchor_quad(b, x)
     logmag = math.log(anchor)
     for j in range(1, a):
         logmag += math.log(_u_cf(j, b, x))
-    return LogScaled.from_log(1, logmag)
+    return 1, logmag
 
 
 def kummer_u(a: int, b: int, x: float) -> LogScaled:
@@ -592,22 +589,23 @@ def kummer_u(a: int, b: int, x: float) -> LogScaled:
     cancels (_u_pos_direct).
     """
     a, b = _check_u_args(a, b, x, "kummer_u")
-    val = _u_pos_direct(a, 1 - b, x)
-    if val.sign <= 0:
+    sign, logmag = _u_pos_direct(a, 1 - b, x)
+    if sign <= 0:
         raise ConvergenceError(
             f"U({a},{b},{x}) evaluated non-positive; arguments out of the stable range"
         )
-    return val
+    return LogScaled.from_log(sign, logmag)
 
 
 # ---------------------------------------------------------------------------
 # integer-b logarithmic series (shared by the cut and the positive axis)
 # ---------------------------------------------------------------------------
 
-def _lost_digits(max_piece_log: float, result: LogScaled) -> float:
-    if result.is_zero():
+def _lost_digits(max_piece_log: float, result: tuple[int, float]) -> float:
+    """Decimal digits a series pass lost: its largest piece over its (sign, log magnitude) result."""
+    if result[0] == 0:
         return math.inf
-    return (max_piece_log - result.logmag) / math.log(10.0)
+    return (max_piece_log - result[1]) / math.log(10.0)
 
 
 _SERIES_FAILED = (None, math.inf)
@@ -661,7 +659,8 @@ def _log_series_float(a: int, m: int, z: float):
     e^z M(1-a, m+1, -z) on the cut) and the signs of the prefactor and of
     the tail terms; the digamma-weighted series and the combination
     (_log_series_tail, a float sum over the pieces' shared prefactor) are
-    shared.  Returns (value, max_piece_log), or (None, inf) on overflow.
+    shared.  Returns (value, max_piece_log), the value a (sign, log
+    magnitude) pair, or (None, inf) on overflow.
     """
     A = a + m
     if z < 0.0:
@@ -730,7 +729,7 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     q = sgn * (ez * mv * lnz + s) + tail
     if not math.isfinite(q):
         return _SERIES_FAILED
-    result = LogScaled.from_log(1 if q > 0 else -1, pref_log + math.log(abs(q))) if q else ZERO
+    result = (1 if q > 0 else -1, pref_log + math.log(abs(q))) if q else _ZERO_PAIR
     return result, pref_log + math.log(max(ez * mmax * abs(lnz), smax, tmax, 1e-300))
 
 
@@ -837,8 +836,8 @@ def _harmonic_fixed(f: int, lo: int, hi: int) -> int:
     return prefix(hi) - prefix(lo)
 
 
-def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScaled:
-    """_log_series_float in arbitrary precision, starting at dps digits.
+def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> tuple[int, float]:
+    """_log_series_float's value in arbitrary precision, starting at dps digits, as (sign, log magnitude).
 
     A pass is _log_series_tail's combination in fixed point: M, the
     digamma-weighted sum S and the tail T are integers in units of 2^-F,
@@ -919,18 +918,19 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> LogScale
             # q = 0 reads a loss of more than dps digits, so it is never kept
             with mp.workdps(dps):
                 logmag = m * lnz - mp.loggamma(m + 1) - mp.loggamma(a) + mp.log(mp.mpf((abs(q), -f)))
-                return LogScaled.from_log(1 if q > 0 else -1, float(logmag))
+                return 1 if q > 0 else -1, float(logmag)
         dps = max(int(lost) + 26, 2 * dps, _growth_start(A, z)) if lost > dps - 10 else int(lost) + 26
     raise ConvergenceError(failure)
 
 
-def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> LogScaled:
-    """Re[U(n+1,1-m,-w)] by the cut series in arbitrary precision."""
+def _reu_direct_mp(n: int, m: int, w: float, dps: int) -> tuple[int, float]:
+    """Re[U(n+1,1-m,-w)] by the cut series in arbitrary precision, as (sign, log magnitude)."""
     failure = f"cut series failed to stabilize for n={n}, m={m}, w={w}"
     return _log_series_mp(n + 1, m, -w, dps, failure)
 
 
-def _reu_direct(n: int, m: int, w: float) -> LogScaled:
+def _reu_direct(n: int, m: int, w: float) -> tuple[int, float]:
+    """Re[U(n+1,1-m,-w)] by the cut series, as (sign, log magnitude): the double pass, escalated if it lost."""
     return _reu_settle(n, m, w, _reu_pieces_float(n, m, w))
 
 
@@ -955,12 +955,12 @@ def _mp_start(pieces, big: int, z: float):
     lost = _lost_digits(max_piece_log, val) if val is not None else math.inf
     if lost <= _MAX_LOST_DIGITS:
         return None
-    if val is None or val.is_zero():
+    if val is None or val[0] == 0:
         return _growth_start(big, z)
     return 24 + int(min(lost, 20000.0))
 
 
-def _reu_settle(n: int, m: int, w: float, pieces) -> LogScaled:
+def _reu_settle(n: int, m: int, w: float, pieces) -> tuple[int, float]:
     """Re[U(n+1,1-m,-w)] from its double pass pieces (_reu_pieces_float), or from mpmath at _mp_start."""
     dps = _mp_start(pieces, n + m + 1, -w)
     return pieces[0] if dps is None else _reu_direct_mp(n, m, w, dps)
@@ -984,20 +984,21 @@ def _anchor_row(m: int, w: float, n: int) -> int:
     return min(n - 1, max(0, _anchor_index(m, w)))
 
 
-def _reu_anchor_start(n_anchor: int, m: int, v0: LogScaled, v1: LogScaled):
-    """(lp, lc, ls) for _recurrence_rows from Re U at rows n_anchor and n_anchor + 1.
+def _reu_anchor_start(n_anchor: int, m: int, v0: tuple[int, float], v1: tuple[int, float]):
+    """(lp, lc, ls) for _recurrence_rows from Re U at rows n_anchor and n_anchor + 1, (sign, log) pairs.
 
     The rows are rescaled to W_j = (j+m)! Re[U(j+1,1-m,-w)] and stored as
     mantissas at the larger of their two log magnitudes.
     """
-    l0 = v0.logmag + math.lgamma(n_anchor + m + 1.0) if not v0.is_zero() else -math.inf
-    l1 = v1.logmag + math.lgamma(n_anchor + m + 2.0) if not v1.is_zero() else -math.inf
+    (s0, l0), (s1, l1) = v0, v1
+    l0 = l0 + math.lgamma(n_anchor + m + 1.0) if s0 else -math.inf
+    l1 = l1 + math.lgamma(n_anchor + m + 2.0) if s1 else -math.inf
     ls = max(l0, l1)
-    return v0.sign * math.exp(l0 - ls), v1.sign * math.exp(l1 - ls), ls
+    return s0 * math.exp(l0 - ls), s1 * math.exp(l1 - ls), ls
 
 
-def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
-    """Re[U(j+1, 1-m, -w)] at rows j = n .. n+count-1, from one pass.
+def _reu_rows(m: int, w: float, n: int, count: int) -> list[tuple[int, float]]:
+    """Re[U(j+1, 1-m, -w)] at rows j = n .. n+count-1, from one pass, as (sign, log magnitude) pairs.
 
     Rows up to _DIRECT_N come from the series.  Higher rows anchor the
     series at two rows past the recurrence turning points and carry
@@ -1009,7 +1010,7 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[LogScaled]:
     n_anchor = _anchor_row(m, w, n)
     start = _reu_anchor_start(n_anchor, m, _reu_direct(n_anchor, m, w), _reu_direct(n_anchor + 1, m, w))
     rows = _recurrence_rows(m, w, n_anchor + 2, *start, range(n, top + 1))
-    return [_ls_from_sweep(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
+    return [_sweep_pair(*rows[j], math.lgamma(j + m + 1.0)) for j in range(n, top + 1)]
 
 
 def _reu_settle_pair(n: int, m: int, w: float, lo, hi):
@@ -1069,10 +1070,7 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
             mant[sel], scale[sel] = mt[sel], sc[sel]
         cols.append((mant.tolist(), scale.tolist()))
     lag = [tuple(_sweep_pair(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
-    # the settled series rows as pairs; a recurrence lane's are its anchors, replaced below
-    for i, rows_i in enumerate(reu):
-        if not isinstance(rows_i, ConvergenceError):
-            reu[i] = tuple((v.sign, v.logmag) for v in rows_i)
+    # a recurrence lane's settled series rows are its anchors; its rows n, n + 1 replace them
     for lane, i in enumerate(rec, lag_lanes):
         reu[i] = tuple(
             _sweep_pair(mant[lane], scale[lane], math.lgamma(ns[i] + off + ms[i] + 1.0))
@@ -1094,11 +1092,11 @@ def re_u_neg(n: int, m: int, w: float) -> LogScaled:
         raise DomainError(f"re_u_neg needs n >= 0 and m >= 0, got n={n}, m={m}")
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"re_u_neg needs w > 0, got {w}")
-    return _reu_rows(m, w, n, 1)[0]
+    return LogScaled.from_log(*_reu_rows(m, w, n, 1)[0])
 
 
-def _u_pos_direct(a: int, m: int, x: float) -> LogScaled:
-    """U(a, 1-m, x) for x > 0 by the integer-b logarithmic series, at any a and x.
+def _u_pos_direct(a: int, m: int, x: float) -> tuple[int, float]:
+    """U(a, 1-m, x) for x > 0 by the integer-b logarithmic series, at any a and x, as (sign, log magnitude).
 
     A double pass that cancels or overflows is redone in mpmath through the
     same series, starting at the precision _mp_start sets.
@@ -1118,7 +1116,8 @@ def _u_ratio_1m(a: int, m: int, x: float) -> float:
     through the series.
     """
     if (a + m + 1) * x <= 4.0:
-        return (_u_pos_direct(a + 1, m, x) / _u_pos_direct(a, m, x)).to_float()
+        (s1, l1), (s0, l0) = _u_pos_direct(a + 1, m, x), _u_pos_direct(a, m, x)
+        return log_to_float(s1 * s0, l1 - l0)
     return _u_cf(a, 1 - m, x)
 
 
@@ -1385,7 +1384,7 @@ def _oracle_suites() -> list[CheckResult]:
     # Kummer transform: U(a,1-m,x) == x^m U(a+m,1+m,x); right side evaluated
     # independently through the anchor/continued-fraction route at b = 1+m
     def kummer_transform(a, m, x):
-        right = ls_exp(m * math.log(x)) * _u_abs_anchor_product(a + m, 1 + m, x)
+        right = ls_exp(m * math.log(x) + _u_abs_anchor_product(a + m, 1 + m, x)[1])
         return _rel_diff_ls(kummer_u(a, 1 - m, x), right)
 
     run(
@@ -1397,7 +1396,8 @@ def _oracle_suites() -> list[CheckResult]:
 
     # ratio consistency: CF against series across the dispatch boundary
     def ratio_cf_vs_series(a, m, x):
-        ser = (_u_pos_direct(a + 1, m, x) / _u_pos_direct(a, m, x)).to_float()
+        (s1, l1), (s0, l0) = _u_pos_direct(a + 1, m, x), _u_pos_direct(a, m, x)
+        ser = log_to_float(s1 * s0, l1 - l0)
         return abs(_u_cf(a, 1 - m, x) - ser) / abs(ser)
 
     run(

@@ -17,7 +17,8 @@ the reference too.
 It also solves one scattering point from the scalar kernels instead of a
 lane of core._scattering_lanes: the Laguerre rows of one forward sweep
 (core._laguerre_pair), the Re U rows of one series or recurrence pass
-(core._reu_pair), the basis rows and the 2x2 solve above, and the wave's
+(core._reu_pair), both read into LogScaled from their (sign, log
+magnitude) pairs, the basis rows and the 2x2 solve above, and the wave's
 (delta, sin^2) (core._wave_of_b).  The kernels are looked up on their
 module at call time, so a test that patches one (a failing Re U settle, or
 _solve_matching here) patches the reference too.
@@ -28,7 +29,16 @@ import math
 from ncwell import core, specfun
 from ncwell.errors import ConvergenceError, SingularSystemError
 from ncwell.logscale import ZERO, LogScaled, ls_exp
-from ncwell.specfun import _lower_order
+
+
+def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
+    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base."""
+    if w == 0.0 or base.is_zero():
+        return ZERO
+    # (-w)^k is negative only for w > 0 and odd k
+    sign = (-1) ** k if w > 0 else 1
+    lg = k * math.log(abs(w)) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
+    return base * LogScaled.from_log(sign, lg)
 
 
 def _bound_residual(l_n: LogScaled, l_n1: LogScaled, ratio: float, w: float, spec, m: int) -> float:
@@ -157,12 +167,17 @@ def _solve_matching(jin, jout, yout, energy: float, m: int):
     return a_in, b_out, residuals
 
 
+def ls_rows(pairs):
+    """LogScaled values of (sign, log magnitude) rows."""
+    return [LogScaled.from_log(*p) for p in pairs]
+
+
 def scalar_solve(energy, spec, m):
     """(interior amplitude, exterior B, row residuals) of sector m at E, from the scalar kernels."""
     order, row = core._sector(m, spec)
     w_in, w_out = spec.theta * energy, spec.theta * (energy - spec.v)
-    jin = _j_rows(order, w_in, row, core._laguerre_pair(order, w_in, row))
-    lag, reu = core._laguerre_pair(order, w_out, row), core._reu_pair(order, w_out, row)
+    jin = _j_rows(order, w_in, row, ls_rows(core._laguerre_pair(order, w_in, row)))
+    lag, reu = ls_rows(core._laguerre_pair(order, w_out, row)), ls_rows(core._reu_pair(order, w_out, row))
     return _solve_matching(jin, _j_rows(order, w_out, row, lag), _y_rows(order, w_out, row, reu), energy, m)
 
 

@@ -359,6 +359,54 @@ def test_subnormal_theta_exits_1_naming_theta_v_and_e(capsys):
     assert err == "ncwell: domain error: x = theta (V - E) underflows to 0 at theta=1e-320, V=6.0, E=5.999999994\n"
 
 
+# one case per DomainError raise of cli.py that no other test reaches: (argv, message)
+CLI_DOMAIN_ERRORS = {
+    "non-positive plain radius": (
+        ["bound-states", "--radius", "-2", "--capital-n", "10", "--v", "6", "--m", "0"], "radius must be positive, got -2.0",
+    ),
+    "m range to phase-shifts": (
+        ["phase-shifts", *WELL10, "--m=0..2", "--emax", "12"], "phase-shifts takes a single m, not a range",
+    ),
+    "missing --v": (["bound-states", "--radius", "sqrt20", "--capital-n", "10", "--m", "0"], "--v is required"),
+    "missing --emax": (["cross-section", *WELL10], "--emax is required"),
+    "dcs without --energy": (["dcs", *WELL10], "--energy is required for dcs"),
+    "one phi step": (["dcs", *WELL10, "--energy", "8", "--phi-steps", "1"], "--phi-steps must be >= 2, got 1"),
+    "wavefunction without --energy": (["wavefunction", *WELL10, "--m", "1"], "--energy is required for wavefunction"),
+    "one point": (["wavefunction", *WELL10, "--m", "1", "--energy", "8", "--points", "1"], "--points must be >= 2, got 1"),
+    "bound wavefunction with m < 0": (
+        ["wavefunction", *WELL10, "--m=-1", "--energy", "0.3"], "bound wavefunction output supports m >= 0",
+    ),
+    "sector with no bound level": (
+        ["wavefunction", *WELL10, "--m", "30", "--energy", "1.0"], "no bound state exists for m=30",
+    ),
+    "wavefunction energy equal to V": (
+        ["wavefunction", *WELL10, "--m", "1", "--energy", "6"], "energy must lie in (0, V) or above V, got 6.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", CLI_DOMAIN_ERRORS.values(), ids=CLI_DOMAIN_ERRORS.keys())
+def test_domain_error_paths_exit_1_with_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"ncwell: domain error: {message}\n"
+
+
+def test_deep_well_bound_states_warn_and_keep_stdout(capsys):
+    # the commutative scan misses levels that share a grid cell and warns (pytest records the
+    # warning, which the interpreter would print on stderr); the table is the pinned one
+    argv = make_golden.CLI_GOLDENS["bound_states_n10_v20000.csv"]
+    with pytest.warns(RuntimeWarning) as rec:
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.encode() == (make_golden.DATA / "bound_states_n10_v20000.csv").read_bytes()
+    assert [str(w.message) for w in rec] == [
+        f"commutative bound scan found {found} levels for m = {m}, expected {expected}; "
+        "levels that share a cell of the 300-point grid are missed"
+        for m, found, expected in ((0, 193, 285), (1, 190, 284))
+    ]
+
+
 def test_phase_shift_rows_equal_pointwise_values_in_order(capsys):
     from ncwell import core, oracle
 

@@ -141,8 +141,8 @@ def test_fock_element_builds_no_column_with_a_zero_coefficient(monkeypatch):
     # a regular solution runs no Re U series or recurrence (the Laguerre sweep alone starts
     # at row 2), an irregular one no Laguerre sweep, and each value is a * J + b * Y
     n, m, w = 1000, 4, 0.4
-    j_rows = scalar_reference._j_rows(m, w, n, core_mod._laguerre_pair(m, w, n))
-    y_rows = scalar_reference._y_rows(m, w, n, core_mod._reu_pair(m, w, n))
+    j_rows = scalar_reference._j_rows(m, w, n, scalar_reference.ls_rows(core_mod._laguerre_pair(m, w, n)))
+    y_rows = scalar_reference._y_rows(m, w, n, scalar_reference.ls_rows(core_mod._reu_pair(m, w, n)))
     a, b = LogScaled.from_float(1.7), LogScaled.from_float(-0.3)
     series, starts = [], []
     log_series_float, recurrence_rows = specfun._log_series_float, specfun._recurrence_rows
@@ -603,3 +603,18 @@ def test_wavefunction_satisfies_helmholtz_with_h2_decay():
     solb = RegionSolution(EXTERIOR, -0.6, ZERO, ONE)
     errs = [_laplacian_error(solb, 1, 1.1, 0.4, h) for h in (0.02, 0.01, 0.005)]
     assert errs[0] / errs[1] > 3.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cross_section_total(12.0, N1000, 0), "m_max must be a positive integer, got 0"),
+    (lambda: cross_section_differential(12.0, N1000, 0, [0.0]), "m_max must be a positive integer, got 0"),
+    (lambda: core_mod.bound_solutions(0.3, N10, -1), "bound solutions support m >= 0, got m=-1"),
+    (
+        lambda: wavefunction_eval(RegionSolution(EXTERIOR, -0.6, ZERO, ONE), -1, [(1.0, 0.0)]),
+        "bound-branch position evaluation supports m >= 0; negative m reduces to the shifted positive-order sector",
+    ),
+], ids=["cross_section_total", "cross_section_differential", "bound_solutions", "wavefunction_eval"])
+def test_library_domain_errors_name_their_rule(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -19,12 +19,16 @@ from ncwell import cli, oracle
 from ncwell.core import WellSpec, _matching_residual_grid, matching_residual_bound
 from ncwell.errors import ConvergenceError, DomainError, SingularSystemError
 from ncwell.logscale import ADD_CUTOFF, ZERO, LogScaled, log_add, log_to_float
-from ncwell.specfun import _laguerre_sweep_grid, _ls_from_sweep, _u_ratio_1m_grid, bessel, bessel_deriv
+from ncwell.specfun import _laguerre_sweep_grid, _sweep_pair, _u_ratio_1m_grid, bessel, bessel_deriv
 import scalar_reference as ref
 
 
 def pair(v: LogScaled):
     return v.sign, v.logmag
+
+
+def ls(p):
+    return LogScaled.from_log(*p)
 
 
 def outcome(fn):
@@ -52,7 +56,7 @@ def reference_grid(energies, spec, m):
     ratio = _u_ratio_1m_grid(row + 1, order, spec.theta * (spec.v - energies))
     cols = [a.tolist() for a in (*rows[row], *rows[row + 1], ratio, w)]
     return [
-        ref._bound_residual(_ls_from_sweep(m0, s0), _ls_from_sweep(m1, s1), r, wi, spec, m)
+        ref._bound_residual(ls(_sweep_pair(m0, s0)), ls(_sweep_pair(m1, s1)), r, wi, spec, m)
         for m0, s0, m1, s1, r, wi in zip(*cols)
     ]
 
@@ -71,7 +75,7 @@ def test_scan_grid_residual_equals_logscaled(cap_n, m):
     for e in (0.37 * spec.v, 0.81 * spec.v):
         order, row = core_mod._sector(m, spec)
         w = spec.theta * e
-        l_n, l_n1 = core_mod._laguerre_pair(order, w, row)
+        l_n, l_n1 = ref.ls_rows(core_mod._laguerre_pair(order, w, row))
         ratio = core_mod._u_ratio_1m(row + 1, order, spec.theta * (spec.v - e))
         assert matching_residual_bound(e, spec, m) == ref._bound_residual(l_n, l_n1, ratio, w, spec, m)
 
@@ -98,7 +102,7 @@ SYNTHETIC_BOUND = {
 def test_synthetic_bound_lanes_equal_logscaled(lane):
     m, w, m0, s0, m1, s1, r = lane
     got = core_mod._bound_residual(N3, m, [w / N3.theta], [w], [m0], [s0], [m1], [s1], [r])
-    want = ref._bound_residual(_ls_from_sweep(m0, s0), _ls_from_sweep(m1, s1), r, w, N3, m)
+    want = ref._bound_residual(ls(_sweep_pair(m0, s0)), ls(_sweep_pair(m1, s1)), r, w, N3, m)
     assert got == [want]
 
 
@@ -186,10 +190,6 @@ def test_basis_rows_equal_logscaled(order, row, w, lag, reu):
     got_j, got_y = core_mod._jy_basis_rows(order, w, [pair(v) for v in lag], [pair(v) for v in reu], consts)
     assert got_j == [pair(v) for v in ref._j_rows(order, w, row, lag)]
     assert got_y == [pair(v) for v in ref._y_rows(order, w, row, reu)]
-
-
-def ls(p):
-    return LogScaled.from_log(*p)
 
 
 def solve_both(jin, jout, yout):

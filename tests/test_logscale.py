@@ -93,3 +93,11 @@ def test_overflow_to_float_is_inf():
     assert ls(1, 1000.0).to_float() == math.inf
     assert ls(-1, 1000.0).to_float() == -math.inf
     assert ls(1, -1000.0).to_float() == 0.0
+
+
+def test_constructors_refuse_what_they_cannot_represent():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="cannot represent non-finite value"):
+            LogScaled.from_float(x)
+    with pytest.raises(ValueError, match=r"sign must be -1, 0 or \+1"):
+        LogScaled.from_log(2, 0.0)

@@ -27,7 +27,8 @@ def reference(a: int, m: int, z: float) -> tuple:
 
 
 def assert_matches(got, a, m, z):
-    assert (got.sign, got.logmag) == reference(a, m, z)
+    """got is a (sign, log magnitude) pair of a private kernel or a LogScaled of kummer_u."""
+    assert (tuple(got) if isinstance(got, tuple) else (got.sign, got.logmag)) == reference(a, m, z)
 
 
 # (n, m, w, dps) as the cross-section and phase-shift sweeps escalate them
@@ -89,8 +90,8 @@ def test_kept_float_pass_matches_hyperu(a, m, z):
     val, max_piece_log = specfun._log_series_float(a, m, z)
     assert specfun._lost_digits(max_piece_log, val) <= specfun._MAX_LOST_DIGITS
     sign, logmag = reference(a, m, z)
-    assert val.sign == sign
-    assert abs(val.logmag - logmag) <= 2e-11
+    assert val[0] == sign
+    assert abs(val[1] - logmag) <= 2e-11
 
 
 @pytest.mark.parametrize("n, m, w, dps", CUT_CASES)

@@ -55,10 +55,17 @@ def test_bound_states_match_dense_scan():
         assert a.energy == pytest.approx(b.energy, abs=1e-9 * spec.v)
 
 
-@pytest.mark.parametrize("m", [0, 1, 7])
+# m -> (levels the default scan finds, levels the well has) at V = 20000; a 400001-point grid
+# shows the second count of sign changes
+DEEP_WELL_COUNTS = {0: (271, 285), 1: (270, 284), 7: (271, 281)}
+
+
+@pytest.mark.parametrize("m", sorted(DEEP_WELL_COUNTS))
 def test_deep_well_levels_are_the_scaled_k_scan(m):
     # scipy's K_m underflows to 0 from kappa R ~ 697.9 on; the matching function must not be an
-    # exact zero at those grid energies, and its levels are those of the e^{kappa R}-scaled form
+    # exact zero at those grid energies, and its levels are those of the e^{kappa R}-scaled form.
+    # The grid step (10) is wider than the spacing of the lowest levels, so the scan misses some
+    # and warns; any other warning is an error.
     import warnings
 
     import numpy as np
@@ -67,9 +74,15 @@ def test_deep_well_levels_are_the_scaled_k_scan(m):
     from ncwell.core import BRENT_RTOL, EDGE_FRACTION, GRID_POINTS, ROOT_FRACTION
 
     spec = CommWellSpec(SQRT20, 20000.0)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("error")
+        warnings.filterwarnings("always", "commutative bound scan found", RuntimeWarning)
         levels = [s.energy for s in comm_bound_states(spec, m)]
+        found, expected = DEEP_WELL_COUNTS[m]
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, (
+            f"commutative bound scan found {found} levels for m = {m}, expected {expected}; "
+            "levels that share a cell of the 2000-point grid are missed"
+        ))]
         eps = EDGE_FRACTION * spec.v
         lo, hi = eps, spec.v - eps
         grid = (lo + np.arange(GRID_POINTS) * ((hi - lo) / (GRID_POINTS - 1))).tolist()
@@ -204,3 +217,26 @@ def test_oracle_never_reads_theta():
         assert "cap_n" not in src
     assert not hasattr(CommWellSpec(1.0, 1.0), "theta")
     assert not hasattr(CommWellSpec(1.0, 1.0), "cap_n")
+
+
+def test_comm_cross_section_needs_a_positive_m_max():
+    with pytest.raises(DomainError, match="^m_max must be a positive integer, got 0$"):
+        comm_cross_section(12.0, CommWellSpec(SQRT20, 10.0), 0)
+
+
+@pytest.mark.parametrize("r2, v, counts", [
+    # levels of m = 0 .. 8: the zeros of J_{|m|-1} below sqrt(2V) R, and one more for m = 0
+    (20.0, 6.0, [5, 5, 4, 4, 3, 3, 2, 2, 2]),
+    (20.0, 10.0, [7, 6, 6, 5, 5, 4, 4, 3, 3]),
+    (3.0, 6.0, [2, 2, 1, 1, 0, 0, 0, 0, 0]),
+    (50.0, 6.0, [8, 8, 7, 7, 6, 6, 5, 5, 4]),
+    (20.0, 0.0, [0] * 9),
+])
+def test_scan_finds_every_commutative_level_without_a_warning(r2, v, counts):
+    import warnings
+
+    spec = CommWellSpec(math.sqrt(r2), v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [len(comm_bound_states(spec, m)) for m in range(9)] == counts
+        assert [len(comm_bound_states(spec, -m)) for m in range(9)] == counts
