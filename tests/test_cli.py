@@ -362,7 +362,8 @@ def test_subnormal_theta_exits_1_naming_theta_v_and_e(capsys):
 # one case per DomainError raise of cli.py that no other test reaches: (argv, message)
 CLI_DOMAIN_ERRORS = {
     "non-positive plain radius": (
-        ["bound-states", "--radius", "-2", "--capital-n", "10", "--v", "6", "--m", "0"], "radius must be positive, got -2.0",
+        ["bound-states", "--radius", "-2", "--capital-n", "10", "--v", "6", "--m", "0"],
+        "radius must be positive, got -2.0",
     ),
     "m range to phase-shifts": (
         ["phase-shifts", *WELL10, "--m=0..2", "--emax", "12"], "phase-shifts takes a single m, not a range",
@@ -372,7 +373,9 @@ CLI_DOMAIN_ERRORS = {
     "dcs without --energy": (["dcs", *WELL10], "--energy is required for dcs"),
     "one phi step": (["dcs", *WELL10, "--energy", "8", "--phi-steps", "1"], "--phi-steps must be >= 2, got 1"),
     "wavefunction without --energy": (["wavefunction", *WELL10, "--m", "1"], "--energy is required for wavefunction"),
-    "one point": (["wavefunction", *WELL10, "--m", "1", "--energy", "8", "--points", "1"], "--points must be >= 2, got 1"),
+    "one point": (
+        ["wavefunction", *WELL10, "--m", "1", "--energy", "8", "--points", "1"], "--points must be >= 2, got 1",
+    ),
     "bound wavefunction with m < 0": (
         ["wavefunction", *WELL10, "--m=-1", "--energy", "0.3"], "bound wavefunction output supports m >= 0",
     ),
