@@ -93,7 +93,8 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
     # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
     # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
     n = abs(m - 1)
-    signs = np.sign(special.jv(n, np.append(np.arange(top, max(n, 1.0), -3.0), max(n, 1.0))))
+    lo = max(n, 1.0)
+    signs = np.sign(special.jv(n, np.append(np.arange(top, lo, -3.0), lo)))
     signs = signs[signs != 0.0]
     expected = int(np.count_nonzero(signs[1:] != signs[:-1])) + (m == 0 and top > 0.0)
     if len(levels) != expected:
