@@ -41,6 +41,7 @@ from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it he
     _lag_reu_pairs_grid,
     _laguerre_sweep,
     _laguerre_sweep_grid,
+    _lowering_log,
     _sweep_pair,
     _ZERO_PAIR,
     _oracle_suites,
@@ -317,15 +318,15 @@ def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n
     t1 = L^m_{N+1} and t2 = (N+m+1) ratio L^m_N, G = (t1 - t2) / max(|t1|, |t2|),
     0.0 when both vanish.  Values are (sign, log magnitude) pairs, and every
     step calls math in LogScaled's order (logscale.log_add, log_to_float), so
-    G has the bits of the LogScaled combination.  The lgamma terms of the
-    lowering are lane constants.  A non-finite (N+m+1) ratio raises
+    G has the bits of the LogScaled combination.  The lowering constants
+    log((n-k)!/n!) are lane constants, taken as -log of the exact integer
+    n!/(n-k)! (specfun._lowering_log).  A non-finite (N+m+1) ratio raises
     ConvergenceError naming E, m and N.
     """
     n, k, c = spec.cap_n, max(-m, 0), spec.cap_n + m + 1
     if k:
         sign_k = (-1) ** k  # (-w)^k is negative only for w > 0 and odd k
-        lg_n = math.lgamma(n - k + 1), math.lgamma(n + 1)
-        lg_n1 = math.lgamma(n + 1 - k + 1), math.lgamma(n + 2)
+        lg_n, lg_n1 = _lowering_log(n, k), _lowering_log(n + 1, k)
     out = []
     for e, wi, m0, s0, m1, s1, r in zip(energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio):
         f = c * r
@@ -339,8 +340,8 @@ def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n
             else:
                 sign = sign_k if wi > 0 else 1
                 lw = k * math.log(abs(wi))
-                s_n, l_n = s_n * sign, l_n + (lw + lg_n[0] - lg_n[1])
-                s_n1, l_n1 = s_n1 * sign, l_n1 + (lw + lg_n1[0] - lg_n1[1])
+                s_n, l_n = s_n * sign, l_n + (lw + lg_n)
+                s_n1, l_n1 = s_n1 * sign, l_n1 + (lw + lg_n1)
         # t1 = (s_n1, l_n1); t2 = L^m_N * f
         s2, l2 = (s_n * (1 if f > 0 else -1), l_n + math.log(abs(f))) if s_n and f != 0.0 else (0, 0.0)
         if not (s_n1 or s2):
@@ -375,8 +376,8 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
 def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> list[float]:
     """matching_residual_bound at every energy of a scan grid, bit for bit.
 
-    The Laguerre sweep and the U-ratio continued fraction run on numpy
-    lanes, one per energy; _bound_residual combines them lane by lane.
+    The Laguerre sweep and the U-ratio quadrature run on numpy lanes, one
+    per energy; _bound_residual combines them lane by lane.
     """
     order, row = _sector(m, spec)
     w = spec.theta * energies

@@ -7,8 +7,8 @@ The radial matrix elements mix three ingredient families:
   the arguments of interest sit in the oscillatory range w < 4n, and the
   renormalization keeps intermediates in float range for n ~ 2000),
 * the Tricomi function U(a, b, x) for positive argument and integer b <= 1,
-  via the integer-b logarithmic series for |U| and a series/continued-
-  fraction seam for first-parameter ratios,
+  via the integer-b logarithmic series for |U| and a series/quadrature seam
+  for first-parameter ratios,
 * Re[U(n+1, 1-m, -w)], the real part across the branch cut on the negative
   axis, via the integer-b logarithmic series with ln(-w) -> ln(w).  The
   series is exact but cancels catastrophically when (n+m+1)*w is large, so
@@ -63,30 +63,19 @@ _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
 _LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
 
-# the U-ratio continued fraction stops once a Lentz factor is this close to 1,
-# and raises ConvergenceError after this many iterations
-_CF_TOL = 5e-15
-_CF_MAX_ITER = 200_000
-
-# the lane kernels run their lanes in blocks: _u_cf_grid _CF_BLOCK steps at a
-# time, _recurrence_rows_grid _REC_BLOCK steps and _cut_series_grid's
-# digamma series _SERIES_BLOCK iterations, fewer when the lanes times the
-# steps would pass _BLOCK_CELLS, which also caps a chunk of _cut_m_sum's
-# terms: with 64 kB block buffers a bound-spectrum pass peaks within 0.2 MB
-# of the per-step CF loop, 128 kB added 0.6
-_CF_BLOCK = 32
+# the lane kernels run their lanes in blocks: _recurrence_rows_grid
+# _REC_BLOCK steps at a time and _cut_series_grid's digamma series
+# _SERIES_BLOCK iterations, fewer when the lanes times the steps would pass
+# _BLOCK_CELLS, which also caps a chunk of _cut_m_sum's terms and of
+# _u_ratio_1m_grid's quadrature lanes times nodes: with 64 kB block buffers
+# a bound-spectrum pass peaks within 0.2 MB of an unblocked pass, with 128 kB
+# 0.6 MB above it
 _REC_BLOCK = 64
 _SERIES_BLOCK = 32
-# at or below these lane counts the scalar steps cost less than the lane
-# steps (Python 3.11, numpy 2.4, 2-core host): a Lentz step costs 0.24-0.29
-# us per lane on _u_cf_from and about 4 us on the lanes at any count up to
-# 32, so once _CF_TAIL_LANES or fewer are live after the first block they
-# finish scalar (the 50 CF grid calls of a seed-0 bound-spectrum pass took
-# 0.20-0.22 s with a tail of 12 to 24 lanes, 0.26-0.28 s with none); a
-# _recurrence_rows_grid call of _REC_SCALAR_LANES or fewer runs each lane on
-# _recurrence_rows (a Laguerre sweep of 6 lanes took 0.92-0.98x the lane
-# time at N = 10^3 and 10^4, of 8 lanes 1.26-1.30x)
-_CF_TAIL_LANES = 16
+# a _recurrence_rows_grid call of _REC_SCALAR_LANES or fewer runs each lane on
+# _recurrence_rows (Python 3.11, numpy 2.4, 2-core host: a Laguerre sweep of 6
+# lanes took 0.92-0.98x the lane time at N = 10^3 and 10^4, of 8 lanes
+# 1.26-1.30x)
 _REC_SCALAR_LANES = 6
 _BLOCK_CELLS = 8_192
 
@@ -342,13 +331,18 @@ def _sweep_pair(mant: float, scale: float, log_div: float = 0.0) -> tuple[int, f
     return 1 if mant > 0 else -1, math.log(abs(mant)) + scale - log_div
 
 
+def _lowering_log(n: int, k: int) -> float:
+    """log((n-k)!/n!) as -log of the exact integer n!/(n-k)!, rounded once; lgamma's ulp near n = 1000 is 9e-13."""
+    return -math.log(math.perm(n, k))
+
+
 def _lower_order(base: tuple[int, float], n: int, k: int, w: float) -> tuple[int, float]:
     """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base, as (sign, log magnitude) pairs."""
     if w == 0.0 or base[0] == 0:
         return _ZERO_PAIR
     # (-w)^k is negative only for w > 0 and odd k
     sign = (-1) ** k if w > 0 else 1
-    lg = k * math.log(abs(w)) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
+    lg = k * math.log(abs(w)) + _lowering_log(n, k)
     return base[0] * sign, base[1] + lg
 
 
@@ -377,157 +371,95 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
 # Tricomi U, positive argument, integer b <= 1
 # ---------------------------------------------------------------------------
 
-def _check_cf_counter(a: int, b: int):
-    """Raise DomainError unless every a + j the continued fraction may reach is an exact float."""
-    if a + _CF_MAX_ITER >= 1 << 53:
-        raise DomainError(
-            f"U-ratio continued fraction needs a + {_CF_MAX_ITER} < 2**53 to count its steps "
-            f"exactly in floats, got a={a}, b={b}"
+def _u_quad_nodes(step: float, left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid nodes of _u_quad: (u / sigma, log cosh v) at v = step i, i = -left .. right.
+
+    u = _UQ_SCALE sigma sinh(v); du/dv is sigma _UQ_SCALE cosh(v), whose
+    constant factor cancels in the ratio.
+    """
+    v = step * np.arange(-left, right + 1, dtype=float)
+    return _UQ_SCALE * np.sinh(v), np.log(np.cosh(v))
+
+
+# _u_quad's map scale and node table: 127 nodes, v in [-4.2, 3.36].  Toward
+# t = 0 the integrand falls only like e^{a u}, and at a = 1 sigma can be 0.76
+# (b = 5, in the selftest's Kummer transform), so the table reaches further
+# left than right.  Against 50-digit mpmath ratios at a = 1 .. 1e5, b = 1 ..
+# -30 and (a+2-b) x = 1 .. 5e5, and the selftest's b = 2 .. 5 ratios, every
+# ratio is within 5.9e-16 relative (4.1e-16 from (a+2-b) x = 4 up).  On 3300
+# random (a, b, x) with a up to 2e5, b down to -59 and (a+2-b) x from 1 to
+# 1e6, the rule on every other node is within 2.8e-9 and each end node's
+# weight below 4.4e-29 of the weight sum; _UQ_HALF_TOL and _UQ_END_TOL are
+# the guard's bounds on those two.  Below (a+2-b) x = 0.1 the rule loses
+# digits (1.6e-11 at 0.01) before the guard sees it, hence the series seam
+_UQ_SCALE = 2.0
+_UQ_NODES = _u_quad_nodes(0.06, 70, 56)
+_UQ_HALF_TOL = 1e-7
+_UQ_END_TOL = 1e-17
+
+# _u_ratio_1m takes the series quotient at (a+m+1) x <= _U_SERIES_SEAM and the
+# quadrature above: from 1 to 4 the quotient is off by up to 1.2e-12 at
+# a = 1001 and 3.7e-10 at a = 100001 (each U's log carries the rounding of
+# lgamma(a)), the quadrature by at most 5.9e-16
+_U_SERIES_SEAM = 1.0
+
+
+def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """U(a+1,b,x)/U(a,b,x) on numpy lanes x > 0, by the trapezoid rule on U's integral.
+
+    Gamma(a) U(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt (DLMF
+    13.4.4), and the same integral with t/(1+t) in it is a Gamma(a) U(a+1,b,x),
+    so the ratio is (1/a) sum_i w_i t_i/(1+t_i) / sum_i w_i over one set of
+    nodes: both sums are of positive terms and nothing cancels.  t = t* e^u
+    puts the peak of the integrand (in u) at u = 0: t* is the positive root
+    of x t^2 + (x+1-b) t - a = 0, and sigma^-2 = x t* + (a+1-b) t*/(1+t*)^2
+    is minus the second derivative of its log in u there.  u = sigma s_i with (s_i, log cosh v_i)
+    from _UQ_NODES, so the rule is the trapezoid on v, which converges
+    geometrically for an analytic integrand (Trefethen & Weideman, SIAM Rev.
+    56, 2014).  The log weights are taken relative to the peak, with
+    t - t* = t* expm1(u) and log((1+t)/(1+t*)) = log1p((t-t*)/(1+t*)), so
+    no term loses the digits of log t.
+
+    The lanes are rows of (lanes, nodes) arrays and every sum runs along a
+    row, so a lane's value does not depend on the other lanes: one lane
+    (_u_cf) and many give the same bits.  The guard raises ConvergenceError
+    naming a, b and the lane's x when the rule on every other node is off by
+    more than _UQ_HALF_TOL relative, or an end node carries more than
+    _UQ_END_TOL of the weight sum, or the sums are not finite.
+    """
+    s, logj = _UQ_NODES
+    p = x + (1.0 - b)
+    ts = 2.0 * a / (p + np.sqrt(p * p + 4.0 * a * x))
+    sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / ((1.0 + ts) * (1.0 + ts)))
+    with np.errstate(all="ignore"):
+        u = np.multiply.outer(sigma, s)
+        d = np.expm1(u) * ts[:, None]
+        logw = np.log1p(d / (1.0 + ts)[:, None]) * (b - a - 1.0) - x[:, None] * d + a * u + logj
+        w = np.exp(logw)
+        t = d + ts[:, None]
+        wf = w * (t / (1.0 + t))
+        total = w.sum(axis=1)
+        ratio = wf.sum(axis=1) / total / a
+        half = wf[:, ::2].sum(axis=1) / w[:, ::2].sum(axis=1) / a
+        end = np.maximum(w[:, 0], w[:, -1])
+        ok = (np.abs(half - ratio) <= _UQ_HALF_TOL * ratio) & (end <= _UQ_END_TOL * total)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ConvergenceError(
+            f"U-ratio quadrature missed its bounds (half-node rule off by {abs(half[i] / ratio[i] - 1.0):.1e}, "
+            f"end-node weight {end[i] / total[i]:.1e} of the sum) for a={a}, b={b}, x={float(x[i])}"
         )
+    return ratio
 
 
 def _u_cf(a: int, b: int, x: float) -> float:
-    """U(a+1,b,x)/U(a,b,x) by the continued fraction of the a-recurrence.
+    """U(a+1,b,x)/U(a,b,x) at one x: _u_quad on one lane, so bit for bit a lane of the grid.
 
-    U is the minimal solution of
-    U(a-1) = (x + 2a - b) U(a) - a (a - b + 1) U(a+1)
-    for increasing a, so the Pincherle continued fraction converges to the
-    ratio.  Modified Lentz evaluation: step 0 (a_0 = 1, b_0 = x + 2(a+1) - b)
-    here, the others in _u_cf_from.
+    This is the scalar form the Brent steps and _u_abs_anchor_product call.
+    It keeps the name of the continued fraction it replaced because
+    bench/tracing.py times the scalar U ratio under that name.
     """
-    _check_cf_counter(a, b)
-    tiny = 1e-300
-    bj = x + 2.0 * (a + 1) - b
-    # step 0 from f = c = tiny, d = 0: a_0 d = 0.0 and a_0 / c = 1 / tiny
-    d = bj + 0.0
-    if d == 0.0:
-        d = tiny
-    c = bj + 1.0 / tiny
-    if c == 0.0:
-        c = tiny
-    d = 1.0 / d
-    delta = c * d
-    f = tiny * delta
-    if abs(delta - 1.0) < _CF_TOL:
-        return f
-    return _u_cf_from(a, b, x, 1, f, c, d)
-
-
-def _u_cf_from(a: int, b: int, x: float, j: int, f: float, c: float, d: float) -> float:
-    """_u_cf's Lentz steps j >= 1 on, from f, c and d after step j - 1 (Python floats).
-
-    p = a + j is carried as a float, exact while it stays below 2**53
-    (_check_cf_counter), so a_j = -p (p + 1 - b) and b_j = x + 2p + 2 - b
-    are the IEEE operations of the integer forms, in the same order.
-    """
-    tiny, tol, bf = 1e-300, _CF_TOL, float(b)
-    p = float(a + j)
-    for _ in range(j, _CF_MAX_ITER):
-        aj = -p * (p + 1.0 - bf)
-        bj = x + 2.0 * p + 2.0 - bf
-        d = bj + aj * d
-        if d == 0.0:
-            d = tiny
-        c = bj + aj / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if -tol < delta - 1.0 < tol:
-            return f
-        p += 1.0
-    raise ConvergenceError(
-        f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
-        f"iterations for a={a}, b={b}, x={x}"
-    )
-
-
-def _u_cf_block(aj: list, bj: np.ndarray, f: np.ndarray, c: np.ndarray, d: np.ndarray,
-                fix: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One block of _u_cf's Lentz steps on every lane, c and d updated in place.
-
-    Step k uses aj[k] and the row bj[k].  Returns the exit mask (step k of a
-    lane is within _CF_TOL of 1) and the running f, row 0 being f on entry
-    and row k+1 f after step k.  With fix, an exactly-zero denominator
-    becomes tiny as in _u_cf; without, it spoils the running f (see
-    _u_cf_grid).
-    """
-    fs = np.empty((len(aj) + 1, f.size))
-    fs[0] = f
-    with np.errstate(all="ignore"):
-        for ak, bk, fk in zip(aj, bj, fs[1:]):
-            np.multiply(d, ak, d)
-            np.add(d, bk, d)
-            if fix:
-                d[d == 0.0] = 1e-300
-            np.divide(ak, c, c)
-            np.add(c, bk, c)
-            if fix:
-                c[c == 0.0] = 1e-300
-            np.divide(1.0, d, d)
-            np.multiply(c, d, fk)
-        gap = np.subtract(fs[1:], 1.0)
-        done = np.abs(gap, out=gap) < _CF_TOL
-        np.multiply.accumulate(fs, axis=0, out=fs)
-    return done, fs
-
-
-def _u_cf_grid(a: int, b: int, x: np.ndarray) -> np.ndarray:
-    """_u_cf on an array of x, one lane per x, bit-identical to the scalar.
-
-    The modified-Lentz steps run on all live lanes at once, in blocks of up
-    to _CF_BLOCK steps.  Each step updates only c and d and stores its
-    delta; after the block the running f of every step is one cumulative
-    product (each entry one multiplication, as the scalar's f *= delta), a
-    lane's exit step is its first delta within _CF_TOL of 1, and the lanes
-    that exited are written out and dropped.  The block first runs without
-    the scalar's zero-denominator fix: a zero d makes that step's delta
-    infinite or NaN and a zero c makes it 0 or NaN, and either carries
-    through the rest of the product, so a block whose last f is 0 or not
-    finite is redone from its saved c and d with the fix.  When no
-    denominator is zero the fix does nothing and both runs agree.  From the
-    second block on, once no more than _CF_TAIL_LANES lanes are live, each
-    finishes on the scalar steps of _u_cf_from from its own f, c and d.
-    """
-    _check_cf_counter(a, b)
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    xs = x
-    f = np.full_like(x, 1e-300)
-    c = f.copy()
-    d = np.zeros_like(x)
-    j0 = 0
-    while live.size:
-        if j0 and live.size <= _CF_TAIL_LANES:
-            for i, xi, fi, ci, di in zip(live.tolist(), xs.tolist(), f.tolist(), c.tolist(), d.tolist()):
-                out[i] = _u_cf_from(a, b, xi, j0, fi, ci, di)
-            break
-        if j0 >= _CF_MAX_ITER:
-            raise ConvergenceError(
-                f"U-ratio continued fraction did not converge within {_CF_MAX_ITER} "
-                f"iterations for a={a}, b={b}, x={float(xs[0])}"
-            )
-        j1 = min(j0 + max(1, min(_CF_BLOCK, _BLOCK_CELLS // xs.size)), _CF_MAX_ITER)
-        aj = [1.0 if j == 0 else -(a + j) * (a + j + 1.0 - b) for j in range(j0, j1)]
-        # the scalar's x + 2(a+j) + 2 - b, left to right; x + 2(a+1) - b at j = 0
-        bj = np.add.outer(2.0 * np.arange(a + j0, a + j1), xs)
-        bj += 2.0
-        bj -= b
-        if j0 == 0:
-            bj[0] = xs + 2.0 * (a + 1) - b
-        saved = c.copy(), d.copy()
-        done, fs = _u_cf_block(aj, bj, f, c, d, fix=False)
-        if not (np.isfinite(fs[-1]).all() and fs[-1].all()):
-            c, d = saved
-            done, fs = _u_cf_block(aj, bj, f, c, d, fix=True)
-        fin = done.any(axis=0)
-        exit_row = done[:, fin].argmax(axis=0)
-        out[live[fin]] = fs[exit_row + 1, np.flatnonzero(fin)]
-        keep = ~fin
-        live, xs, f, c, d = live[keep], xs[keep], fs[-1, keep], c[keep], d[keep]
-        j0 = j1
-    return out
+    return float(_u_quad(a, b, np.array([x], dtype=float))[0])
 
 
 def _check_u_args(a, b, x, what: str) -> tuple[int, int]:
@@ -573,7 +505,7 @@ def _u_anchor_quad(b: int, x: float) -> float:
 
 
 def _u_abs_anchor_product(a: int, b: int, x: float) -> tuple[int, float]:
-    """|U(a,b,x)| from the a=1 anchor times CF ratios, as (1, log); the selftest's independent route at b = 1+m."""
+    """|U(a,b,x)| from the a=1 anchor times quadrature ratios, as (1, log); the selftest's independent route at b = 1+m."""
     anchor = _u_anchor_quad(b, x)
     logmag = math.log(anchor)
     for j in range(1, a):
@@ -1109,26 +1041,31 @@ def _u_pos_direct(a: int, m: int, x: float) -> tuple[int, float]:
 
 
 def _u_ratio_1m(a: int, m: int, x: float) -> float:
-    """U(a+1,1-m,x)/U(a,1-m,x) with a series/continued-fraction dispatch.
+    """U(a+1,1-m,x)/U(a,1-m,x) with a series/quadrature dispatch at _U_SERIES_SEAM.
 
-    The continued fraction converges slowly as x -> 0, precisely where the
-    logarithmic series is cheap and cancellation-free, so small a*x routes
-    through the series.
+    As x -> 0 the peak of U's integrand runs off to t = inf and the
+    quadrature's map loses digits, while the logarithmic series is cheap
+    and cancellation-free, so small (a+m+1)x routes through the series.
     """
-    if (a + m + 1) * x <= 4.0:
+    if (a + m + 1) * x <= _U_SERIES_SEAM:
         (s1, l1), (s0, l0) = _u_pos_direct(a + 1, m, x), _u_pos_direct(a, m, x)
         return log_to_float(s1 * s0, l1 - l0)
     return _u_cf(a, 1 - m, x)
 
 
 def _u_ratio_1m_grid(a: int, m: int, x: np.ndarray) -> np.ndarray:
-    """_u_ratio_1m on an array of x with the same series/CF dispatch per lane.
+    """_u_ratio_1m on an array of x with the same series/quadrature dispatch per lane.
 
-    Series lanes stay scalar; the continued-fraction lanes run batched.
+    Series lanes stay scalar; the quadrature lanes run through _u_quad in
+    chunks of at most _BLOCK_CELLS nodes in all.
     """
-    series = (a + m + 1) * x <= 4.0
+    series = (a + m + 1) * x <= _U_SERIES_SEAM
     out = np.empty_like(x)
-    out[~series] = _u_cf_grid(a, 1 - m, x[~series])
+    quad = np.flatnonzero(~series)
+    chunk = max(1, _BLOCK_CELLS // _UQ_NODES[0].size)
+    for i in range(0, quad.size, chunk):
+        lanes = quad[i:i + chunk]
+        out[lanes] = _u_quad(a, 1 - m, x[lanes])
     for i in np.flatnonzero(series):
         out[i] = _u_ratio_1m(a, m, float(x[i]))
     return out
@@ -1382,7 +1319,7 @@ def _oracle_suites() -> list[CheckResult]:
     )
 
     # Kummer transform: U(a,1-m,x) == x^m U(a+m,1+m,x); right side evaluated
-    # independently through the anchor/continued-fraction route at b = 1+m
+    # independently through the anchor/quadrature-ratio route at b = 1+m
     def kummer_transform(a, m, x):
         right = ls_exp(m * math.log(x) + _u_abs_anchor_product(a + m, 1 + m, x)[1])
         return _rel_diff_ls(kummer_u(a, 1 - m, x), right)
@@ -1394,16 +1331,16 @@ def _oracle_suites() -> list[CheckResult]:
         1e-10,
     )
 
-    # ratio consistency: CF against series across the dispatch boundary
-    def ratio_cf_vs_series(a, m, x):
+    # ratio consistency: quadrature against series at the dispatch boundary
+    def ratio_quad_vs_series(a, m, x):
         (s1, l1), (s0, l0) = _u_pos_direct(a + 1, m, x), _u_pos_direct(a, m, x)
         ser = log_to_float(s1 * s0, l1 - l0)
         return abs(_u_cf(a, 1 - m, x) - ser) / abs(ser)
 
     run(
-        "U-ratio series vs continued fraction",
-        [(10, 0, 0.2), (10, 2, 0.3), (50, 1, 0.06), (30, 4, 0.1)],
-        ratio_cf_vs_series,
+        "U-ratio series vs quadrature",
+        [(10, 0, 0.09), (10, 2, 0.08), (50, 1, 0.02), (30, 4, 0.03), (1, 0, 0.5), (1000, 3, 0.001)],
+        ratio_quad_vs_series,
         1e-11,
     )
 

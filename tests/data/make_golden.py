@@ -39,7 +39,8 @@ WELL1000 = ["--radius", "sqrt20", "--capital-n", "1000", "--v", "10"]
 # golden file -> CLI argv whose stdout it holds
 CLI_GOLDENS = {
     "readme_bound_states_n10.csv": ["bound-states", *WELL10, "--m=-6..6"],
-    # long U-ratio continued fractions, and lowered sectors with odd and even k
+    # long Laguerre sweeps, U ratios at a = 1001 on both sides of the series seam, and lowered
+    # sectors with odd and even k
     "bound_states_n1000.csv": [
         "bound-states", "--radius", "sqrt20", "--capital-n", "1000", "--v", "6", "--m=-2..2",
         "--grid-points", "300",
@@ -142,18 +143,20 @@ def kernel_values() -> dict:
         str(t): [[float.hex(v) for v in mant.tolist()], [float.hex(v) for v in scale.tolist()]]
         for t, (mant, scale) in sorted(rows3.items())
     }
-    # U-ratio continued fractions from a few steps to tens of thousands; at x = 1e-4, b = 1 the
-    # fractions of a = 11 and a = 10001 reach _CF_MAX_ITER and raise
-    for a in (11, 1001, 10001):
+    # U-ratio quadrature lanes from just past the series seam to (a+1-b)x = 4.7e5, the deep
+    # golden well's largest, at a up to 100001, where the continued fraction it replaced raised
+    for a in (1, 11, 1001, 10001, 100001):
         for b in (1, -5):
-            for x in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0):
-                if not (x == 1e-4 and b == 1 and a != 1001):
-                    out[f"_u_cf({a}, {b}, {x!r})"] = float.hex(specfun._u_cf(a, b, x))
-    # the continued-fraction side of the scan grid of the N = 1000, m = 0 well, V = 6: the lanes
-    # near the series seam run longest, down to a few live lanes
+            x = np.array([1.01, 4.5, 100.0, 1e4, 4.7e5]) / (a + 2 - b)
+            out[f"_u_quad({a}, {b}, 5 lanes)"] = [float.hex(v) for v in specfun._u_quad(a, b, x).tolist()]
+    out["_u_cf(100001, 1, 4.5e-05)"] = float.hex(specfun._u_cf(100001, 1, 4.5e-5))
+    # the U-ratio grid of the scan of the N = 1000, m = 0 well, V = 6: series lanes near V, and
+    # quadrature lanes in several chunks
     spec_v6 = core.WellSpec.from_radius(20.0, 1000, 6.0)
-    x300 = spec_v6.theta * (spec_v6.v - np.linspace(6e-9, 5.5, 300))
-    out["_u_cf_grid(1001, 1, 300 lanes)"] = [float.hex(v) for v in specfun._u_cf_grid(1001, 1, x300).tolist()]
+    x300 = spec_v6.theta * (spec_v6.v - np.linspace(6e-9, 6.0 - 6e-9, 300))
+    out["_u_ratio_1m_grid(1001, 0, 300 lanes)"] = [
+        float.hex(v) for v in specfun._u_ratio_1m_grid(1001, 0, x300).tolist()
+    ]
     # positive-axis series on both sides of (a+m+1)x = 4; x >= 10 escalates to mpmath,
     # in two passes for (20, 3, 12.0) and three for (60, 5, 10.0)
     for a, m, x in ((1, 0, 0.5), (5, 2, 0.5), (5, 2, 0.6), (1001, 0, 0.0039), (1001, 0, 0.0041),
@@ -181,8 +184,8 @@ def kernel_values() -> dict:
     # cut series: float kept, and float lost so mpmath takes over
     for n, m, w in ((3, 2, 0.4), (60, 0, 30.0), (20, 6, 25.0), (64, 8, 9.0), (40, 30, 12.0)):
         out[f"_reu_direct({n}, {m}, {w!r})"] = _ls(specfun._reu_direct(n, m, w))
-    # U ratios on both sides of (a+m+1)x = 4: the series quotient at or below it, the CF above
-    for a, m, x in ((5, 2, 0.5), (5, 2, 0.6), (1001, 0, 0.0039), (1001, 0, 0.0041), (30, 9, 0.1), (3, 4, 0.5)):
+    # U ratios on both sides of (a+m+1)x = 1: the series quotient at or below it, the quadrature above
+    for a, m, x in ((5, 2, 0.125), (5, 2, 0.13), (1001, 0, 0.000998), (1001, 0, 0.001), (30, 9, 0.025), (3, 4, 0.125)):
         out[f"_u_ratio_1m({a}, {m}, {x!r})"] = float.hex(specfun._u_ratio_1m(a, m, x))
     # negative superscripts lowered from L^k_{n-k}, on both signs of w
     for n, m, w in ((10, -3, 2.5), (10, -3, -2.5), (10, -2, 0.7), (1000, -4, 0.7), (1000, -5, -3.0)):

@@ -304,8 +304,8 @@ def test_domain_error_names_rule_and_exits_1(capsys):
 
 
 def test_convergence_error_names_a_b_x_and_exits_2(capsys, monkeypatch):
-    # a one-step cap stops the scan's first U-ratio continued fraction
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 1)
+    # a one-node table fails the guard of the scan's first U-ratio quadrature
+    monkeypatch.setattr(specfun, "_UQ_NODES", specfun._u_quad_nodes(0.06, 0, 0))
     code = main(["bound-states", "--radius", "sqrt20", "--capital-n", "1000", "--v", "10", "--m", "0"])
     assert code == 2
     err = capsys.readouterr().err

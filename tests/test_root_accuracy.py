@@ -51,9 +51,9 @@ def comm_matching(spec, m):
     return g
 
 
-def assert_within_tol_of_50_digit_roots(levels, g, v):
+def assert_within_tol_of_50_digit_roots(levels, g, v, tol=None):
     assert levels
-    tol = ROOT_FRACTION * v
+    tol = ROOT_FRACTION * v if tol is None else tol
     with mp.workdps(50):
         for b in levels:
             e = mp.mpf(b.energy)
@@ -74,6 +74,17 @@ def test_comm_levels_of_readme_well_within_tol(m):
 def test_nc_ground_level_at_n1000_within_tol():
     spec = WellSpec.from_radius(20.0, 1000, 10.0)
     assert_within_tol_of_50_digit_roots(find_bound_states(spec, 0)[:1], nc_matching(spec, 0), spec.v)
+
+
+@pytest.mark.parametrize("m", range(-2, 3))
+def test_nc_levels_of_n1000_golden_well_within_1e_11(m):
+    # every level of tests/data/bound_states_n1000.csv (300-point grid); the farthest is 3.5e-12
+    # from its root, against 1.7e-10 when the U ratio came from a continued fraction and the
+    # lowering constants of m < 0 from lgamma
+    spec = WellSpec.from_radius(20.0, 1000, 6.0)
+    levels = find_bound_states(spec, m, grid_points=300)
+    assert len(levels) == (4 if abs(m) == 2 else 5)
+    assert_within_tol_of_50_digit_roots(levels, nc_matching(spec, m), spec.v, tol=1e-11)
 
 
 def test_criterion_3_pair_stays_put():

@@ -2,12 +2,13 @@
 
 The grid path must reproduce the scalar value bit for bit at every lane
 (asserted with ==, no tolerance), so the scan brackets, the refined roots
-and the CLI tables cannot move.  The U-ratio continued fraction, scalar and
-grid, is held to the reference loop in scalar_reference, not to itself.
+and the CLI tables cannot move.  The U-ratio quadrature lanes are held to
+the one-lane scalar bit for bit and to 30-digit mpmath ratios.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,8 +22,15 @@ from ncwell.core import (
 )
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
-from ncwell.specfun import _laguerre_sweep_grid, _u_cf, _u_cf_grid, bessel, bessel_deriv
-from scalar_reference import _u_cf as cf_reference
+from ncwell.specfun import (
+    _laguerre_sweep_grid,
+    _u_cf,
+    _u_quad,
+    _u_ratio_1m,
+    _u_ratio_1m_grid,
+    bessel,
+    bessel_deriv,
+)
 
 
 def scan_grid(v, points):
@@ -68,11 +76,11 @@ def test_nc_grid_exact_across_series_cf_seam():
     spec = WellSpec.from_radius(20.0, 10, 6.0)
     m = 1
     a = spec.cap_n + 1
-    # (a + m + 1) x = 4 with x = theta (V - E)
-    e_seam = spec.v - 4.0 / ((a + m + 1) * spec.theta)
-    energies = e_seam + np.linspace(-0.05, 0.05, 41)
+    # (a + m + 1) x = _U_SERIES_SEAM with x = theta (V - E)
+    e_seam = spec.v - specfun._U_SERIES_SEAM / ((a + m + 1) * spec.theta)
+    energies = e_seam + np.linspace(-0.01, 0.01, 41)
     x = spec.theta * (spec.v - energies)
-    series = (a + m + 1) * x <= 4.0
+    series = (a + m + 1) * x <= specfun._U_SERIES_SEAM
     assert series.any() and not series.all()
     assert_nc_grid_exact(energies, spec, m)
 
@@ -97,15 +105,10 @@ def test_comm_grid_exact(m):
     assert [float(_log_derivative_mismatch_grid(e, spec, m)) for e in energies] == want
 
 
-def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
-    x = np.array([0.004, 0.03, 0.5, 7.0])
-    assert _u_cf_grid(1001, 1, x).tolist() == [cf_reference(1001, 1, xi) for xi in x.tolist()]
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
-    with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004"):
-        _u_cf_grid(1001, 1, x)
+# The test_cf_* tests below hold the U-ratio lanes, now the quadrature _u_quad,
+# under the names they had when the continued fraction ran them.
 
-
-def cf_outcome(fn, a, b, x):
+def ratio_outcome(fn, a, b, x):
     """float.hex of fn's value (NaN and the sign of zero count), or the type and text of its ConvergenceError."""
     try:
         value = fn(a, b, x)
@@ -114,117 +117,70 @@ def cf_outcome(fn, a, b, x):
     return [float.hex(v) for v in value.tolist()] if isinstance(value, np.ndarray) else float.hex(value)
 
 
-def assert_cf_matches_reference(a, b, x):
-    """The scalar on every lane of x and the grid on all of them against the reference, values and errors."""
-    x = np.asarray(x, dtype=float).tolist()
-    want = [cf_outcome(cf_reference, a, b, xi) for xi in x]
-    assert [cf_outcome(_u_cf, a, b, xi) for xi in x] == want
+def assert_grid_matches_scalar(a, b, x):
+    """_u_ratio_1m_grid on all lanes of x against _u_ratio_1m on each, values and errors, bit for bit."""
+    m, x = 1 - b, np.asarray(x, dtype=float).tolist()
+    want = [ratio_outcome(_u_ratio_1m, a, m, xi) for xi in x]
     failures = [w for w in want if isinstance(w, tuple)]
-    assert cf_outcome(_u_cf_grid, a, b, np.array(x, dtype=float)) == (failures[0] if failures else want)
+    assert ratio_outcome(_u_ratio_1m_grid, a, m, np.array(x, dtype=float)) == (failures[0] if failures else want)
     return want
 
 
-def cf_exit_step(a, b, x):
-    """The step j at which the reference continued fraction returns: the fewest iterations it needs, less one."""
-    lo, hi = 1, 1 << 16
-    with pytest.MonkeyPatch.context() as mp:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            mp.setattr(specfun, "_CF_MAX_ITER", mid)
-            try:
-                cf_reference(a, b, x)
-            except ConvergenceError:
-                lo = mid + 1
-            else:
-                hi = mid
-    return lo - 1
+def assert_near_mpmath(a, b, x, rel=1e-15):
+    with mp.workdps(30):
+        for xi in np.asarray(x, dtype=float).tolist():
+            want = mp.hyperu(a + 1, b, xi) / mp.hyperu(a, b, xi)
+            assert abs(_u_cf(a, b, xi) - want) <= rel * want, (a, b, xi)
 
 
-def first_scalar_failure(a, b, x):
-    """The message of the reference's ConvergenceError on the first lane of x that raises one."""
-    for xi in x:
-        try:
-            cf_reference(a, b, xi)
-        except ConvergenceError as exc:
-            return str(exc)
-    raise AssertionError("every lane converged")
+def coarse_nodes(monkeypatch, count):
+    """Replace the quadrature's node table by count nodes at the same step: too few to meet the guard."""
+    monkeypatch.setattr(specfun, "_UQ_NODES", specfun._u_quad_nodes(0.06, count // 2, (count - 1) // 2))
 
 
-# a = 1, b = 1 lanes by the step at which the scalar exits; no lane can exit
-# at step 0, whose Lentz factor is 1 + 1e300 / (x + 3)
-BLOCK_EDGE_LANES = [1e20, 3.41, 3.26, 3.13, 0.776, 0.0529]
+def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
+    x = np.array([0.004, 0.03, 0.5, 7.0])
+    assert _u_quad(1001, 1, x).tolist() == [_u_cf(1001, 1, xi) for xi in x.tolist()]
+    coarse_nodes(monkeypatch, 41)
+    with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004$"):
+        _u_quad(1001, 1, x)
 
 
 def test_cf_grid_exact_at_block_edges():
-    block = specfun._CF_BLOCK
-    steps = [cf_exit_step(1, 1, x) for x in BLOCK_EDGE_LANES]
-    assert steps[:5] == [1, block - 1, block, block + 1, 100] and steps[5] > 30 * block
-    assert_cf_matches_reference(1, 1, BLOCK_EDGE_LANES)
-    # each lane alone, and in reverse order
-    for x in BLOCK_EDGE_LANES:
-        assert_cf_matches_reference(1, 1, [x])
-    assert_cf_matches_reference(1, 1, BLOCK_EDGE_LANES[::-1])
+    # quadrature lanes run in chunks of _BLOCK_CELLS // nodes lanes; every lane here is past the seam
+    chunk = specfun._BLOCK_CELLS // specfun._UQ_NODES[0].size
+    assert chunk > 30
+    for lanes in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        x = np.geomspace(1.01 / 1002, 10.0, lanes)
+        assert_grid_matches_scalar(1001, 1, x)
+        assert_grid_matches_scalar(1001, 1, x[::-1])
 
 
 def test_cf_grid_exact_when_every_lane_ends_in_the_first_block():
-    x = [3.6, 5.0, 10.0, 100.0, 1e20]
-    assert max(cf_exit_step(1, 1, xi) for xi in x) < specfun._CF_BLOCK
-    assert_cf_matches_reference(1, 1, x)
+    # a = 1 lanes from just past the seam to 1e20, where U(2,1,x)/U(1,1,x) is about 1/x
+    x = [0.5000001, 2.0, 3.6, 5.0, 10.0, 100.0, 1e20]
+    assert_grid_matches_scalar(1, 1, x)
+    assert_near_mpmath(1, 1, x)
 
 
 def test_cf_grid_of_no_lanes_is_empty():
-    assert _u_cf_grid(5, 1, np.array([])).shape == (0,)
+    assert _u_quad(5, 1, np.array([])).shape == (0,)
+    assert _u_ratio_1m_grid(5, 0, np.array([])).shape == (0,)
 
 
 def test_cf_grid_exact_on_a_wavefunction_sized_grid():
-    # as wide as the wavefunction's radial scan: blocks shrink to stay in their buffer
+    # as wide as the wavefunction's radial scan: the lanes run in many chunks
     x = np.linspace(0.05, 8.0, 1900)
-    assert x.size * specfun._CF_BLOCK > specfun._BLOCK_CELLS
-    assert_cf_matches_reference(92, 0, x)
+    assert x.size * specfun._UQ_NODES[0].size > 10 * specfun._BLOCK_CELLS
+    assert_grid_matches_scalar(92, 0, x)
 
 
 @pytest.mark.parametrize("b", range(1, -8, -1))
 def test_cf_grid_exact_for_every_b(b):
     a = 40
-    assert_cf_matches_reference(a, b, np.geomspace(4.0 / (a + 2 - b), 10.0, 25))
-
-
-@pytest.mark.parametrize("limit", [5, specfun._CF_BLOCK + 3])
-def test_cf_grid_names_the_first_lane_at_a_limit_off_the_block_grid(monkeypatch, limit):
-    x = [1e20, 3.41, 0.776, 3.0]
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", limit)
-    want = first_scalar_failure(1, 1, x)
-    assert ("x=3.41" in want) == (limit == 5)
-    with pytest.raises(ConvergenceError) as err:
-        _u_cf_grid(1, 1, np.array(x))
-    assert str(err.value) == want
-
-
-def test_cf_grid_redoes_a_block_with_a_zero_denominator(monkeypatch):
-    # x = b - 2a - 2 makes the first denominator x + 2(a+1) - b exactly 0
-    a, b = 1, 1
-    x = [5.0, float(b - 2 * a - 2), 10.0]
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2 * specfun._CF_BLOCK + 3)
-    runs = []
-    block = specfun._u_cf_block
-
-    def spy(aj, bj, f, c, d, fix):
-        runs.append((bj.shape, fix))
-        return block(aj, bj, f, c, d, fix)
-
-    monkeypatch.setattr(specfun, "_u_cf_block", spy)
-    want = first_scalar_failure(a, b, x)
-    assert "x=-3.0" in want
-    with pytest.raises(ConvergenceError) as err:
-        _u_cf_grid(a, b, np.array(x))
-    assert str(err.value) == want
-    # the first block ran without the fix, saw the zero and ran again with it
-    assert runs[:2] == [((specfun._CF_BLOCK, 3), False), ((specfun._CF_BLOCK, 3), True)]
-    # a zero first denominator that still exits: the fixed run gives the scalar's inf
-    runs.clear()
-    assert cf_reference(1, 6, 2.0) == _u_cf(1, 6, 2.0) == math.inf
-    assert_cf_matches_reference(1, 6, [2.0, 5.0])
-    assert [fix for _, fix in runs[:2]] == [False, True]
+    x = np.geomspace(1.0 / (a + 2 - b), 10.0, 25)
+    assert_grid_matches_scalar(a, b, x)
+    assert_near_mpmath(a, b, x[::6])
 
 
 def test_cf_grid_matches_the_scalar_on_seeded_lanes():
@@ -232,99 +188,46 @@ def test_cf_grid_matches_the_scalar_on_seeded_lanes():
     for _ in range(40):
         a = int(rng.choice([rng.integers(1, 40), rng.integers(40, 1002)]))
         b = int(rng.integers(-7, 2))
-        # from the series/CF seam (a + m + 1) x = 4, m = 1 - b, up to about 10
-        lo = math.log(4.0 / (a + 2 - b))
-        assert_cf_matches_reference(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
+        # from the series/quadrature seam (a + m + 1) x = 1, m = 1 - b, up to about 10
+        lo = math.log(1.0 / (a + 2 - b))
+        assert_grid_matches_scalar(a, b, np.exp(rng.uniform(lo, math.log(10.0), int(rng.integers(1, 12)))))
 
 
 def test_cf_matches_the_reference_on_seeded_arguments():
+    # the reference is now mpmath's ratio; x log-uniform over [1e-4, 10], on both sides of the seam
     rng = np.random.default_rng(23)
-    outcomes = []
+    quad = 0
     for _ in range(60):
         a = int(rng.choice([rng.integers(1, 40), rng.integers(40, 3001)]))
         b = int(rng.integers(-40, 2))
-        # x log-uniform over [1e-4, 10], off the series/CF seam as well as on the CF side of it
-        outcomes += assert_cf_matches_reference(a, b, np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 3)).tolist())
-    assert sum(isinstance(o, str) for o in outcomes) > 150
-
-
-def test_cf_matches_the_reference_at_a_zero_first_denominator(monkeypatch):
-    # x = b - 2a - 2 makes x + 2(a+1) - b exactly 0: both forms take the first d as tiny; at
-    # b <= 1 that x is negative and no lane converges, so a lower cap keeps the test short
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 3000)
-    for a, b in ((1, 1), (1, 6), (5, -3), (40, 0), (300, -12)):
-        x = float(b - 2 * a - 2)
-        assert_cf_matches_reference(a, b, [x])
-        assert_cf_matches_reference(a, b, [5.0, x, 0.5])
-
-
-def tail_runs(monkeypatch):
-    """The step j of every lane the grid hands to the scalar steps, in the order it hands them."""
-    runs = []
-    cf_from = specfun._u_cf_from
-
-    def spy(a, b, x, j, f, c, d):
-        runs.append(j)
-        return cf_from(a, b, x, j, f, c, d)
-
-    monkeypatch.setattr(specfun, "_u_cf_from", spy)
-    return runs
-
-
-def test_cf_grid_tail_lanes_exit_before_at_and_after_the_crossover_block(monkeypatch):
-    block, tail = specfun._CF_BLOCK, specfun._CF_TAIL_LANES
-    runs = tail_runs(monkeypatch)
-    # a = 1, b = 1: 1e20 and 3.41 exit in the first block (steps 1 and block - 1), 3.26 on the first
-    # step after it and 3.13 on the second; the fillers and 0.776 (step 100) run past the second block
-    edge = [1e20, 3.41, 3.26, 3.13, 0.776]
-    assert [cf_exit_step(1, 1, x) for x in edge] == [1, block - 1, block, block + 1, 100]
-    for live in (tail - 1, tail, tail + 1, tail + 2):
-        x = edge + np.geomspace(0.05, 0.7, live - 3).tolist()
-        assert min(cf_exit_step(1, 1, xi) for xi in x[5:]) > 2 * block
-        for lanes in (x, x[::-1]):
-            assert_cf_matches_reference(1, 1, lanes)
-            runs.clear()
-            _u_cf_grid(1, 1, np.array(lanes))
-            # at most tail lanes live after the first block finish scalar from there; one or two
-            # more run the second block on the lanes, where 3.26 and 3.13 exit
-            assert runs == ([block] * live if live <= tail else [2 * block] * (live - 2))
+        x = np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 3))
+        assert_grid_matches_scalar(a, b, x)
+        on = x[(a + 2 - b) * x > specfun._U_SERIES_SEAM]
+        quad += on.size
+        assert_near_mpmath(a, b, on)
+    assert quad > 80
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 15, 16, 17, 18, 40])
-def test_cf_grid_lane_counts_on_both_sides_of_the_crossover(lanes):
+def test_cf_grid_lane_counts_on_both_sides_of_the_crossover(monkeypatch, lanes):
+    # chunks of 16 lanes: 15 to 18 lanes end on either side of the first chunk's edge
+    monkeypatch.setattr(specfun, "_BLOCK_CELLS", 16 * specfun._UQ_NODES[0].size)
     rng = np.random.default_rng(lanes)
     for a, b in ((1, 1), (92, 0), (1001, 1), (2500, -33)):
-        lo = math.log(4.0 / (a + 2 - b))
-        assert_cf_matches_reference(a, b, np.exp(rng.uniform(lo, math.log(10.0), lanes)).tolist())
+        lo = math.log(1.0 / (a + 2 - b))
+        assert_grid_matches_scalar(a, b, np.exp(rng.uniform(lo, math.log(10.0), lanes)).tolist())
 
 
 @pytest.mark.parametrize("lanes", [3, 30])
-@pytest.mark.parametrize("cap", [1, 5, 40, 3 * 32 + 3])
-def test_cf_cap_raises_the_reference_error_on_both_paths(monkeypatch, lanes, cap):
-    # 3 lanes reach the cap on the scalar steps, 30 on the lane steps (a cap below 32 cuts the
-    # first block short); lane 0 exits at step 1, so past a cap of 1 the error names a later lane
-    assert specfun._CF_BLOCK == 32 and 3 <= specfun._CF_TAIL_LANES < 30
-    runs = tail_runs(monkeypatch)
-    x = [1e20, *np.geomspace(0.02, 0.5, lanes - 1).tolist()]
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", cap)
-    want = assert_cf_matches_reference(1, 1, x)
-    assert isinstance(want[1], tuple) and want[1][0] is ConvergenceError
-    runs.clear()
-    with pytest.raises(ConvergenceError):
-        _u_cf_grid(1, 1, np.array(x))
-    assert (len(runs) > 0) == (lanes == 3)
-
-
-def test_cf_step_counter_must_stay_an_exact_float(monkeypatch):
-    # p = a + j is counted in floats, exact below 2**53: a + _CF_MAX_ITER may not reach it
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
-    for fn, x in ((_u_cf, 1.0), (_u_cf_grid, np.array([1.0, 2.0]))):
-        with pytest.raises(DomainError, match=rf"a={2**53 - 5}, b=-3"):
-            fn(2**53 - 5, -3, x)
-        try:
-            fn(2**53 - 6, -3, x)
-        except ConvergenceError:
-            pass
+@pytest.mark.parametrize("nodes", [1, 5, 40, 99])
+def test_cf_cap_raises_the_reference_error_on_both_paths(monkeypatch, lanes, nodes):
+    # a node table cut to nodes nodes leaves weight at its ends on every a = 1 lane, so both
+    # paths raise, and the grid names the lane the scalar raises on first
+    x = [1e20, *np.geomspace(0.52, 50.0, lanes - 1).tolist()]
+    coarse_nodes(monkeypatch, nodes)
+    want = assert_grid_matches_scalar(1, 1, x)
+    assert all(isinstance(w, tuple) and w[0] is ConvergenceError for w in want)
+    assert want[0][1].endswith("for a=1, b=1, x=1e+20")
 
 
 def test_scan_roots_counts_an_exact_grid_zero_once():

@@ -161,18 +161,60 @@ def test_kummer_ratio_times_value_is_next_value(a, b, x):
 
 
 def test_kummer_ratio_extreme_order_stable_under_cap_doubling(monkeypatch):
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 200_000)
+    # the quadrature's step halved (twice the nodes over the same range) moves the ratio by roundoff only
     r1 = kummer_u_ratio(1001, -3, 0.05)
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 400_000)
+    monkeypatch.setattr(specfun, "_UQ_NODES", specfun._u_quad_nodes(0.03, 140, 112))
     r2 = kummer_u_ratio(1001, -3, 0.05)
     assert math.isfinite(r1) and r1 > 0.0
-    assert r1 == pytest.approx(r2, rel=1e-10)
+    assert r1 == pytest.approx(r2, rel=1e-15)
 
 
 def test_kummer_ratio_cap_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 10)
-    with pytest.raises(ConvergenceError):
+    # ten nodes cover too little of the integrand: the guard raises rather than return a bad ratio
+    monkeypatch.setattr(specfun, "_UQ_NODES", specfun._u_quad_nodes(0.06, 5, 4))
+    with pytest.raises(ConvergenceError, match=r"for a=1001, b=-3, x=0\.05$"):
         kummer_u_ratio(1001, -3, 0.05)
+
+
+def _u_ratio_50(a, b, x):
+    """U(a+1,b,x)/U(a,b,x) at 50 digits.
+
+    mp.hyperu below x = 1.  From x = 1 on, where hypercomb can take seconds
+    to tens of seconds per value, the continued fraction of the a-recurrence
+    converges in a few thousand terms: it runs backward at 60 digits from
+    doubling depths until two depths agree to 1e-55.
+    """
+    if x < 1.0:
+        with mp.workdps(50):
+            return mp.hyperu(a + 1, b, x) / mp.hyperu(a, b, x)
+    with mp.workdps(60):
+        x, depth, old = mp.mpf(x), 64, None
+        while True:
+            r = mp.mpf(0)
+            # U(j-1) = (2j - b + x) U(j) - j (j - b + 1) U(j+1), so r_{j-1} = 1 / (2j - b + x - j (j - b + 1) r_j)
+            for j in range(a + depth, a, -1):
+                r = 1 / ((2 * j - b + x) - j * (j - b + 1) * r)
+            if old is not None and abs(r - old) < mp.mpf(10) ** -55 * r:
+                return r
+            old, depth = r, 2 * depth
+
+
+def test_u_ratio_quadrature_within_1e_15_of_50_digits():
+    # ratios past the series seam (a+m+1) x = 1, m = 1 - b, to 3e5, and to 5e5 up to a = 11, past
+    # the 4.7e5 that the V = 20000 golden well reaches at a = 11; the worst measured is 5.9e-16, at
+    # a = 1 next to the seam
+    worst = 0.0
+    for a in (1, 2, 11, 1001, 10001, 100001):
+        for b in (1, -1, -4, -30):
+            for ax in (1.01, 4.5, 60.0, 3000.0, 3e5, *((5e5,) if a <= 11 else ())):
+                x = ax / (a + 2 - b)
+                want = _u_ratio_50(a, b, x)
+                got = _u_cf(a, b, x)
+                assert kummer_u_ratio(a, b, x) == got
+                worst = max(worst, float(abs(got - want) / want))
+    # the continued fraction that the quadrature replaced raised ConvergenceError here
+    worst = max(worst, float(abs(kummer_u_ratio(100001, 1, 4.5e-5) / _u_ratio_50(100001, 1, 4.5e-5) - 1)))
+    assert worst <= 1e-15
 
 
 def test_kummer_u_bound_exterior_matches_k_bessel_quadrature():
@@ -208,10 +250,11 @@ def test_kummer_transform_consistency():
 
 
 def test_u_ratio_series_and_cf_agree_at_dispatch_boundary():
-    for (a, m, x) in [(10, 0, 0.2), (10, 2, 0.3), (50, 1, 0.06), (30, 4, 0.1)]:
-        cf = _u_cf(a, 1 - m, x)
+    # the quadrature (the ratio's route above the seam) against the series quotient on both sides of it
+    for (a, m, x) in [(10, 0, 0.09), (10, 2, 0.08), (50, 1, 0.02), (30, 4, 0.03), (1, 0, 0.5), (1000, 3, 0.001)]:
+        quad = _u_cf(a, 1 - m, x)
         ser = (LogScaled.from_log(*_u_pos_direct(a + 1, m, x)) / LogScaled.from_log(*_u_pos_direct(a, m, x))).to_float()
-        assert cf == pytest.approx(ser, rel=1e-11)
+        assert quad == pytest.approx(ser, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

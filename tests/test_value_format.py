@@ -68,10 +68,10 @@ def test_kernels_that_read_values_take_pairs():
     l0, l1 = -2.0 + math.lgamma(74.0), -3.5 + math.lgamma(75.0)
     assert specfun._reu_anchor_start(70, 3, (1, -2.0), (-1, -3.5)) == (math.exp(l0 - l1), -1.0, l1)
     assert specfun._reu_anchor_start(70, 3, (0, 0.0), (-1, -3.5)) == (0.0, -1.0, l1)
-    # the series side of the U ratio is the quotient of two pairs, on the other side the CF
-    (s1, l1), (s0, l0) = specfun._u_pos_direct(6, 2, 0.5), specfun._u_pos_direct(5, 2, 0.5)
-    assert specfun._u_ratio_1m(5, 2, 0.5) == s1 * s0 * math.exp(l1 - l0)
-    assert specfun._u_ratio_1m(5, 2, 0.6) == specfun._u_cf(5, -1, 0.6)
+    # the series side of the U ratio is the quotient of two pairs, on the other side the quadrature
+    (s1, l1), (s0, l0) = specfun._u_pos_direct(6, 2, 0.125), specfun._u_pos_direct(5, 2, 0.125)
+    assert specfun._u_ratio_1m(5, 2, 0.125) == s1 * s0 * math.exp(l1 - l0)
+    assert specfun._u_ratio_1m(5, 2, 0.15) == specfun._u_cf(5, -1, 0.15)
 
 
 def test_no_sweep_row_is_read_into_logscaled_below_the_public_functions():
