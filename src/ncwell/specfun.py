@@ -425,13 +425,14 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
     (_u_cf) and many give the same bits.  The guard raises ConvergenceError
     naming a, b and the lane's x when the rule on every other node is off by
     more than _UQ_HALF_TOL relative, or an end node carries more than
-    _UQ_END_TOL of the weight sum, or the sums are not finite.
+    _UQ_END_TOL of the weight sum, or the sums are not finite, as they are
+    once (x+1-b)^2 overflows, from x of about 1e154 on.
     """
     s, logj = _UQ_NODES
-    p = x + (1.0 - b)
-    ts = 2.0 * a / (p + np.sqrt(p * p + 4.0 * a * x))
-    sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / ((1.0 + ts) * (1.0 + ts)))
     with np.errstate(all="ignore"):
+        p = x + (1.0 - b)
+        ts = 2.0 * a / (p + np.sqrt(p * p + 4.0 * a * x))
+        sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / ((1.0 + ts) * (1.0 + ts)))
         u = np.multiply.outer(sigma, s)
         d = np.expm1(u) * ts[:, None]
         logw = np.log1p(d / (1.0 + ts)[:, None]) * (b - a - 1.0) - x[:, None] * d + a * u + logj

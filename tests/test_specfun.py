@@ -176,6 +176,16 @@ def test_kummer_ratio_cap_exhaustion_raises(monkeypatch):
         kummer_u_ratio(1001, -3, 0.05)
 
 
+def test_kummer_ratio_at_huge_x_is_one_over_x_or_raises():
+    # U(a+1,b,x)/U(a,b,x) = (1/x)(1 + O(a/x)); from x of about 1e154 on (x+1-b)^2 overflows, and
+    # the guard raises where the continued fraction returned 2e-300 at x = 1e300
+    for a, b in ((5, 1), (1001, -30)):
+        for x in (1e20, 1e100, 1e150):
+            assert kummer_u_ratio(a, b, x) * x == pytest.approx(1.0, rel=5e-16)
+        with pytest.raises(ConvergenceError, match=rf"for a={a}, b={b}, x=1e\+300$"):
+            kummer_u_ratio(a, b, 1e300)
+
+
 def _u_ratio_50(a, b, x):
     """U(a+1,b,x)/U(a,b,x) at 50 digits.
 
