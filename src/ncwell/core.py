@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, log_add, log_to_float, ls_exp
@@ -883,6 +882,8 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
     A = sqrt(m!) wt^{-m/2} c1 and B = 2 c2 e^{wt} wt^{m/2} / sqrt(m!)
     with wt = |w|.
     """
+    from scipy import special  # deferred: only this and the oracle call a cylinder function
+
     m = _check_int(m, "m")
     if sol.w >= 0.0:
         regular, irregular = special.jv, special.yv

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     EDGE_FRACTION,
@@ -57,6 +56,8 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.nd
     there both K columns are kve = e^{kappa R} K, which keeps the sign and
     the zeros.
     """
+    from scipy import special  # deferred: the noncommutative commands never load it
+
     r = spec.radius
     k = np.sqrt(2.0 * energies)
     kappa = np.sqrt(2.0 * (spec.v - energies))
@@ -89,6 +90,8 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
         spec.v,
         grid_points,
     )
+    from scipy import special
+
     top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
     # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
     # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
@@ -116,6 +119,8 @@ def _phase_fraction_grid(energies, spec: CommWellSpec, m: int):
     Bessel column; the scipy ufuncs return the same bits for an array as for
     scalars, and numpy's sqrt, * and - round as Python's floats do.
     """
+    from scipy import special
+
     r = spec.radius
     k_in = np.sqrt(2.0 * energies)
     k_out = np.sqrt(2.0 * (energies - spec.v))

@@ -35,9 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError
 from .logscale import LogScaled, ZERO, log_to_float, ls_exp
@@ -390,12 +388,15 @@ def _u_quad_nodes(step: float, left: int, right: int) -> tuple[np.ndarray, np.nd
 # random (a, b, x) with a up to 2e5, b down to -59 and (a+2-b) x from 1 to
 # 1e6, the rule on every other node is within 2.8e-9 and each end node's
 # weight below 4.4e-29 of the weight sum; _UQ_HALF_TOL and _UQ_END_TOL are
-# the guard's bounds on those two.  Below (a+2-b) x = 0.1 the rule loses
-# digits (1.6e-11 at 0.01) before the guard sees it, hence the series seam
+# the guard's bounds on those two.  At b <= 1 the rule loses digits as
+# (a+2-b) x falls (6.7e-16 off at 0.5, 5.4e-14 at 0.1, 1.6e-11 at 0.01) while
+# both bounds still hold, so the guard also refuses (a+2-b) x < _UQ_MIN_ARG
+# there; _u_ratio_1m's series seam keeps its lanes above 1
 _UQ_SCALE = 2.0
 _UQ_NODES = _u_quad_nodes(0.06, 70, 56)
 _UQ_HALF_TOL = 1e-7
 _UQ_END_TOL = 1e-17
+_UQ_MIN_ARG = 0.5
 
 # _u_ratio_1m takes the series quotient at (a+m+1) x <= _U_SERIES_SEAM and the
 # quadrature above: from 1 to 4 the quotient is off by up to 1.2e-12 at
@@ -426,7 +427,8 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
     naming a, b and the lane's x when the rule on every other node is off by
     more than _UQ_HALF_TOL relative, or an end node carries more than
     _UQ_END_TOL of the weight sum, or the sums are not finite, as they are
-    once (x+1-b)^2 overflows, from x of about 1e154 on.
+    once (x+1-b)^2 overflows, from x of about 1e154 on, or b <= 1 and
+    (a+2-b) x < _UQ_MIN_ARG.
     """
     s, logj = _UQ_NODES
     with np.errstate(all="ignore"):
@@ -443,12 +445,18 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
         ratio = wf.sum(axis=1) / total / a
         half = wf[:, ::2].sum(axis=1) / w[:, ::2].sum(axis=1) / a
         end = np.maximum(w[:, 0], w[:, -1])
-        ok = (np.abs(half - ratio) <= _UQ_HALF_TOL * ratio) & (end <= _UQ_END_TOL * total)
+        arg = (a + 2.0 - b) * x
+        ok = (
+            (np.abs(half - ratio) <= _UQ_HALF_TOL * ratio)
+            & (end <= _UQ_END_TOL * total)
+            & ((arg >= _UQ_MIN_ARG) | (b > 1))
+        )
     if not ok.all():
         i = int(np.argmin(ok))
         raise ConvergenceError(
             f"U-ratio quadrature missed its bounds (half-node rule off by {abs(half[i] / ratio[i] - 1.0):.1e}, "
-            f"end-node weight {end[i] / total[i]:.1e} of the sum) for a={a}, b={b}, x={float(x[i])}"
+            f"end-node weight {end[i] / total[i]:.1e} of the sum, (a+2-b)x = {arg[i]:.2g} against "
+            f"a floor of {_UQ_MIN_ARG} at b <= 1) for a={a}, b={b}, x={float(x[i])}"
         )
     return ratio
 
@@ -792,6 +800,8 @@ def _log_series_mp(a: int, m: int, z: float, dps: int, failure: str) -> tuple[in
     starts no lower than _growth_start.  Raises ConvergenceError(failure)
     after five passes.
     """
+    import mpmath as mp  # deferred: only the escalations and the selftest load it
+
     cut = z < 0.0
     A = a + m
     nbits = (a - 1).bit_length()
@@ -1076,7 +1086,9 @@ def _u_ratio_1m_grid(a: int, m: int, x: np.ndarray) -> np.ndarray:
 # cylinder functions
 # ---------------------------------------------------------------------------
 
-_BESSEL = {"J": special.jv, "Y": special.yv, "I": special.iv, "K": special.kv}
+# scipy.special's ufunc of each kind, by name: the import is deferred to the
+# callers, since the CLI's noncommutative commands never call one
+_BESSEL = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv"}
 
 
 def bessel(kind: str, m: int, x: float) -> float:
@@ -1091,7 +1103,9 @@ def bessel(kind: str, m: int, x: float) -> float:
             raise DomainError(f"{kind}_m needs x > 0, got {x}")
     elif x < 0.0:
         raise DomainError(f"{kind}_m needs x >= 0, got {x}")
-    return float(_BESSEL[kind](m, x))
+    from scipy import special
+
+    return float(getattr(special, _BESSEL[kind])(m, x))
 
 
 def bessel_deriv(kind: str, m: int, x: float) -> float:
@@ -1104,7 +1118,9 @@ def bessel_deriv(kind: str, m: int, x: float) -> float:
     m = _check_int(m, "m")
     if not (x > 0.0):
         raise DomainError(f"derivative recurrence needs x > 0, got {x}")
-    fn = _BESSEL[kind]
+    from scipy import special
+
+    fn = getattr(special, _BESSEL[kind])
     lead = -fn(m - 1, x) if kind == "K" else fn(m - 1, x)
     return float(lead - (m / x) * fn(m, x))
 
@@ -1129,11 +1145,11 @@ def _hankel_quad(n: int, m: int, kind: str, s: float) -> tuple[float, float]:
     Returns (value_scaled, log_scale): true value = value_scaled * e^{log_scale}.
     Panels are split at the zeros of the oscillatory kinds.
     """
-    from scipy import integrate  # deferred, as in _u_anchor_quad
+    from scipy import integrate, special  # deferred, as in _u_anchor_quad
 
     p = 2 * n + m + 1
     _, fpk, rmax = _integrand_support(p)
-    fn = _BESSEL[kind]
+    fn = getattr(special, _BESSEL[kind])
 
     def f(r):
         if r <= 0.0:

@@ -7,6 +7,7 @@ the one-lane scalar bit for bit and to 30-digit mpmath ratios.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -144,6 +145,14 @@ def test_cf_grid_exact_and_raises_naming_the_lane(monkeypatch):
     coarse_nodes(monkeypatch, 41)
     with pytest.raises(ConvergenceError, match=r"a=1001, b=1, x=0\.004$"):
         _u_quad(1001, 1, x)
+
+
+def test_cf_grid_raises_below_its_floor_naming_the_lane():
+    # (a+2-b) x = 0.1 on the middle lane: the rule is 5.4e-14 off there while both node bounds hold
+    x = np.array([0.03, 0.1 / 1002, 7.0])
+    with pytest.raises(ConvergenceError, match=re.escape(f"a=1001, b=1, x={x[1]}") + "$"):
+        _u_quad(1001, 1, x)
+    assert _u_quad(1001, 1, x[[0, 2]]).tolist() == [_u_cf(1001, 1, 0.03), _u_cf(1001, 1, 7.0)]
 
 
 def test_cf_grid_exact_at_block_edges():
