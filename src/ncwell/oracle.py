@@ -81,6 +81,8 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
     vanishes at 0).  A scan that finds another count, as when two levels
     share a grid cell, warns (RuntimeWarning) naming m and both counts.
     """
+    from scipy import special
+
     label = _check_int(m, "m")
     m = abs(label)
     levels = _bound_levels(
@@ -90,8 +92,6 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
         spec.v,
         grid_points,
     )
-    from scipy import special
-
     top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
     # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
     # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
