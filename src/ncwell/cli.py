@@ -177,10 +177,12 @@ def _write_rows(columns: list[str], rows: list[list], output: str, fmt: str) -> 
 def _level_rows(spec: core.WellSpec, m_list: list[int], grid_points: int) -> list[list]:
     """[m, level, E_nc, E_comm] per level; a level only one solver finds leaves the other empty."""
     comm = oracle.CommWellSpec(spec.radius, spec.v)
+    # each solver scans every sector at once; zip reads them sector by sector, the noncommutative
+    # levels first, so errors and warnings come as from a loop over the sectors
+    sectors = zip(m_list, core._bound_sectors(spec, m_list, grid_points),
+                  oracle._comm_sectors(comm, m_list, grid_points))
     rows = []
-    for m in m_list:
-        nc = core.find_bound_states(spec, m, grid_points=grid_points)
-        cm = oracle.comm_bound_states(comm, m, grid_points=grid_points)
+    for m, nc, cm in sectors:
         for level, (a, b) in enumerate(itertools.zip_longest(nc, cm)):
             rows.append([m, level, a.energy if a else None, b.energy if b else None])
     return rows

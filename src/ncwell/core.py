@@ -25,21 +25,23 @@ cutoff comes from.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularSystemError
+from .errors import ConvergenceError, DomainError, NCWellError, SingularSystemError
 from .logscale import LogScaled, ONE, ZERO, log_add, log_to_float, ls_exp
-from .specfun import (  # noqa: F401  (_reu_direct: bench/tracing.py hooks it here)
+from .specfun import (  # noqa: F401  (_reu_direct, _u_ratio_1m: bench/tracing.py hooks them here)
     CheckResult,
     OrderIndex,
     _check_int,
     _lag_reu_pairs_grid,
     _laguerre_sweep,
     _laguerre_sweep_grid,
+    _lane_rows,
     _lowering_log,
     _sweep_pair,
     _ZERO_PAIR,
@@ -307,10 +309,11 @@ def _sector(m: int, spec: WellSpec) -> tuple[int, int]:
 # bound states
 # ---------------------------------------------------------------------------
 
-def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio) -> list[float]:
+def _bound_residual(spec: WellSpec, m, energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio) -> list[float]:
     """G(E) at each lane from its factors, as LogScaled would combine them but on plain floats.
 
-    Lane i has energy energies[i] and w[i] = theta E; (mant_n[i], scale_n[i])
+    Lane i has energy energies[i], w[i] = theta E and sector m (an int), or
+    m[i] (a list of ints, one per lane); (mant_n[i], scale_n[i])
     and (mant_n1[i], scale_n1[i]) are the sweep rows of L^|m| at rows N-k
     and N+1-k (k = max(-m, 0)), lowered to order m here by
     (-w)^k (n-k)!/n!; ratio[i] is U(N+2-k,1-|m|,x)/U(N+1-k,1-|m|,x).  With
@@ -318,19 +321,24 @@ def _bound_residual(spec: WellSpec, m: int, energies, w, mant_n, scale_n, mant_n
     0.0 when both vanish.  Values are (sign, log magnitude) pairs, and every
     step calls math in LogScaled's order (logscale.log_add, log_to_float), so
     G has the bits of the LogScaled combination.  The lowering constants
-    log((n-k)!/n!) are lane constants, taken as -log of the exact integer
+    log((n-k)!/n!) are sector constants, taken as -log of the exact integer
     n!/(n-k)! (specfun._lowering_log).  A non-finite (N+m+1) ratio raises
     ConvergenceError naming E, m and N.
     """
-    n, k, c = spec.cap_n, max(-m, 0), spec.cap_n + m + 1
-    if k:
-        sign_k = (-1) ** k  # (-w)^k is negative only for w > 0 and odd k
-        lg_n, lg_n1 = _lowering_log(n, k), _lowering_log(n + 1, k)
+    n = spec.cap_n
+    ms = [m] * len(energies) if isinstance(m, int) else m
+    # per sector: k, N + m + 1, the sign of (-w)^k at w > 0 (negative only for odd k) and the
+    # lowering constants of rows N and N + 1
+    consts = {}
+    for mi in set(ms):
+        k = max(-mi, 0)
+        consts[mi] = k, n + mi + 1, (-1) ** k, _lowering_log(n, k), _lowering_log(n + 1, k)
     out = []
-    for e, wi, m0, s0, m1, s1, r in zip(energies, w, mant_n, scale_n, mant_n1, scale_n1, ratio):
+    for e, mi, wi, m0, s0, m1, s1, r in zip(energies, ms, w, mant_n, scale_n, mant_n1, scale_n1, ratio):
+        k, c, sign_k, lg_n, lg_n1 = consts[mi]
         f = c * r
         if not math.isfinite(f):
-            raise ConvergenceError(f"U ratio (N+m+1) U(N+2)/U(N+1) = {f} is not finite at E={e}, m={m}, N={n}")
+            raise ConvergenceError(f"U ratio (N+m+1) U(N+2)/U(N+1) = {f} is not finite at E={e}, m={mi}, N={n}")
         s_n, l_n = _sweep_pair(m0, s0)
         s_n1, l_n1 = _sweep_pair(m1, s1)
         if k:
@@ -357,46 +365,49 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
 
     G = L^m_{N+1}(theta E) U(N+1,1-m,x) - (N+m+1) L^m_N(theta E) U(N+2,1-m,x)
     with x = theta (V - E), rescaled sign-preservingly by the larger term's
-    magnitude so the return value lies in [-2, 2].  It is the one-lane
-    _bound_residual of the scan grid's factors.
+    magnitude so the return value lies in [-2, 2].  It is one lane of the
+    scan's lane residual, _matching_residual_grid.
     """
     m = _check_int(m, "m")
     _check_bound_energy(energy, spec)
     _check_negative_cutoff(m, spec)
-    order, row = _sector(m, spec)
-    w = spec.theta * energy
-    x = spec.theta * (spec.v - energy)
-    _check_bound_x(x, energy, spec)
-    rows = _laguerre_sweep(order, w, {row, row + 1})
-    (m0, s0), (m1, s1) = rows[row], rows[row + 1]
-    return _bound_residual(spec, m, [energy], [w], [m0], [s0], [m1], [s1], [_u_ratio_1m(row + 1, order, x)])[0]
+    return _matching_residual_grid(np.array([energy], dtype=float), spec, m)[0]
 
 
-def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m: int) -> list[float]:
-    """matching_residual_bound at every energy of a scan grid, bit for bit.
+def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m) -> list[float]:
+    """G at every energy, lane i in sector m (an int) or m[i] (an int array), each lane bit for bit a lane alone.
 
     The Laguerre sweep and the U-ratio quadrature run on numpy lanes, one
-    per energy; _bound_residual combines them lane by lane.
+    per energy, on one order when the lanes share a sector and an order per
+    lane otherwise; _bound_residual combines them lane by lane.
     """
-    order, row = _sector(m, spec)
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
     low = int(x.argmin())
     _check_bound_x(float(x[low]), float(energies[low]), spec)
-    rows = _laguerre_sweep_grid(order, w, (row, row + 1))
+    if isinstance(m, np.ndarray):
+        order, row = np.abs(m), spec.cap_n - np.maximum(-m, 0)
+        swept = _laguerre_sweep_grid(order, w, set(row.tolist()) | set((row + 1).tolist()))
+        rows = [_lane_rows(swept, row), _lane_rows(swept, row + 1)]
+        m = m.tolist()
+    else:
+        order, row = _sector(m, spec)
+        swept = _laguerre_sweep_grid(order, w, (row, row + 1))
+        rows = [swept[row], swept[row + 1]]
     ratio = _u_ratio_1m_grid(row + 1, order, x)
-    return _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[row], *rows[row + 1], ratio)))
+    return _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[0], *rows[1], ratio)))
 
 
-def _brent(g, a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
-    """(root, g(root)) of g in [a, b] by Brent's method, given ga = g(a) and gb = g(b).
+def _brent(a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
+    """Brent's method on [a, b] as a stepper, given ga = g(a) and gb = g(b).
 
-    ga and gb must be nonzero and of opposite signs.  A step-for-step
-    transcription of scipy's brentq.c, so the root and the points g is
-    evaluated at are bit for bit brentq's; g is called only strictly inside
-    the bracket.  The root is within xtol + rtol |root| of a sign change.
-    A NaN value of g, or no convergence within BRENT_MAX_ITER steps, raises
-    ConvergenceError.
+    A generator: it yields each point where it needs g and is sent g there,
+    and it returns (root, g(root)).  ga and gb must be nonzero and of
+    opposite signs.  A step-for-step transcription of scipy's brentq.c, so
+    the root and the points it yields are bit for bit brentq's; every point
+    lies strictly inside the bracket.  The root is within xtol + rtol |root|
+    of a sign change.  A NaN value of g, or no convergence within
+    BRENT_MAX_ITER steps, raises ConvergenceError.
     """
 
     def checked(e, ge):
@@ -436,63 +447,141 @@ def _brent(g, a: float, b: float, ga: float, gb: float, xtol: float, rtol: float
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, g(xcur))
+        fcur = checked(xcur, (yield xcur))
     raise ConvergenceError(f"Brent's method did not converge within {BRENT_MAX_ITER} steps on the bracket [{a}, {b}]")
 
 
-def scan_roots(g, g_grid, lo: float, hi: float, grid_points: int, tol: float):
-    """Roots of g in [lo, hi] as (root, |g(root)|) pairs, in increasing order.
+def _lane_values(g, energies: list, sectors: list) -> list:
+    """g at each (energy, sector) lane as floats, in one lane pass on one sector (an int) or an int array.
 
-    g_grid(energies) evaluates g on the whole uniform scan grid in one call
-    and must equal g point by point.  Each sign change between neighbouring
-    grid values is refined by _brent to within tol + BRENT_RTOL |root|; a
-    grid value that is exactly 0 is itself a root.  Brent takes its two
-    bracket values from the grid and returns the value g had at its root,
-    so g is called only strictly inside the brackets.
+    When the pass raises a package error, each lane is rerun alone, and a
+    lane that raises one gives it in place of its value; lanes equal their
+    one-lane calls bit for bit, so the rerun changes no value.
+    """
+    key = sectors[0] if len(set(sectors)) == 1 else np.array(sectors)
+    try:
+        return np.asarray(g(np.array(energies), key), dtype=float).tolist()
+    except NCWellError:
+        out = []
+        for e, s in zip(energies, sectors):
+            try:
+                out.append(float(np.asarray(g(np.array([e]), s), dtype=float)[0]))
+            except NCWellError as exc:
+                out.append(exc)
+        return out
+
+
+def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol: float) -> list:
+    """Roots of g(., s) in [lo, hi] for each sector s, as (root, |g(root)|) pairs in increasing order.
+
+    g(energies, s) evaluates lane i at energies[i] in sector s, or in
+    sector s[i] when s is an int array, and must equal g at each lane alone.
+    Each sector's uniform scan grid is one call, in sector order; each
+    sign change between neighbouring grid values starts a _brent stepper,
+    refined to within tol + BRENT_RTOL |root|, and a grid value that is
+    exactly 0 is itself a root.  Then every round sends the pending points
+    of all live steppers through one call (_lane_values), so g is called
+    only strictly inside the brackets.  Returns, per sector, its roots or
+    the error a loop over the sectors, refining one bracket after another,
+    would raise there: that of its grid call, else of its first failing
+    bracket.
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
+    found = [[] for _ in sectors]
     if hi <= lo:
-        return []
+        return found
     step = (hi - lo) / (grid_points - 1)
     grid = lo + np.arange(grid_points) * step
-    vals = np.asarray(g_grid(grid), dtype=float)
-    zero, neg = vals == 0.0, vals < 0.0
-    hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
-    es, gs = grid.tolist(), vals.tolist()
-    roots = []
-    for i in hits.tolist():
-        if gs[i] == 0.0:
-            roots.append((es[i], 0.0))
+    es = grid.tolist()
+    live = []  # [sector index, slot in its roots, stepper, pending point]
+    for j, s in enumerate(sectors):
+        try:
+            vals = np.asarray(g(grid, s), dtype=float)
+        except NCWellError as exc:  # raised when the sector is reached
+            found[j] = exc
             continue
-        root, g_root = _brent(g, es[i], es[i + 1], gs[i], gs[i + 1], tol, BRENT_RTOL)
-        roots.append((root, abs(g_root)))
+        zero, neg = vals == 0.0, vals < 0.0
+        hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
+        gs = vals.tolist()
+        for i in hits.tolist():
+            if gs[i] != 0.0:  # a bracket, whose slot its stepper fills
+                live.append([j, len(found[j]), _brent(es[i], es[i + 1], gs[i], gs[i + 1], tol, BRENT_RTOL), None])
+            found[j].append((es[i], 0.0))
+
+    def advance(lane, value) -> bool:
+        # send the lane's stepper its value (None starts it); whether it asks for another point
+        j, slot, stepper = lane[:3]
+        if isinstance(value, Exception):
+            found[j][slot] = value
+            return False
+        try:
+            lane[3] = stepper.send(value)
+            return True
+        except StopIteration as stop:
+            root, g_root = stop.value
+            found[j][slot] = (root, abs(g_root))
+        except ConvergenceError as exc:
+            found[j][slot] = exc
+        return False
+
+    live = [lane for lane in live if advance(lane, None)]
+    while live:
+        values = _lane_values(g, [lane[3] for lane in live], [sectors[lane[0]] for lane in live])
+        live = [lane for lane, value in zip(live, values) if advance(lane, value)]
+    # a sector's first failing bracket is the one a loop over the brackets meets first
+    return [f if isinstance(f, Exception) else next((r for r in f if isinstance(r, Exception)), f) for f in found]
+
+
+def scan_roots(g, lo: float, hi: float, grid_points: int, tol: float):
+    """Roots of g in [lo, hi] as (root, |g(root)|) pairs, in increasing order: _scan_sectors on one sector.
+
+    g(energies) evaluates g on an array of energies in one call, the scan
+    grid or a round of Brent points, and must equal g point by point.
+    """
+    (roots,) = _scan_sectors(lambda e, _: g(e), [0], lo, hi, grid_points, tol)
+    if isinstance(roots, Exception):
+        raise roots
     return roots
 
 
-def _bound_levels(g, g_grid, m: int, v: float, grid_points: int) -> list[BoundState]:
-    """Bound levels of sector m: the roots of g in (0, V), by scan_roots.
+def _bound_levels(g, sectors: list, v: float, grid_points: int) -> list:
+    """Per sector, the roots of g(., sector) in (0, V) by _scan_sectors, or the sector's error.
 
     The scan stays EDGE_FRACTION V clear of both ends and refines each sign
     change to within ROOT_FRACTION V.
     """
     eps = EDGE_FRACTION * v
-    roots = scan_roots(g, g_grid, eps, v - eps, grid_points, ROOT_FRACTION * v)
-    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(roots)]
+    return _scan_sectors(g, sectors, eps, v - eps, grid_points, ROOT_FRACTION * v)
+
+
+def _levels(m: int, found) -> list[BoundState]:
+    """A sector's roots from _bound_levels as BoundStates labelled m; its error is raised."""
+    if isinstance(found, Exception):
+        raise found
+    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(found)]
+
+
+def _bound_sectors(spec: WellSpec, ms: list, grid_points: int):
+    """find_bound_states(spec, m, grid_points) for each m of ms, in order, from one scan.
+
+    The scan covers the sectors up to the first one cut off (m < -N),
+    where a loop over find_bound_states stops.  The iterator raises a
+    sector's error when it reaches the sector, so the errors come in the
+    loop's order.
+    """
+    scanned = list(itertools.takewhile(lambda m: m >= -spec.cap_n, ms))
+    if scanned:
+        found = _bound_levels(lambda e, s: _matching_residual_grid(e, spec, s), scanned, spec.v, grid_points)
+    for j, m in enumerate(ms):
+        _check_negative_cutoff(m, spec)
+        yield _levels(m, found[j])
 
 
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Scan (0, V) for sign changes of the matching function and refine them."""
-    m = _check_int(m, "m")
-    _check_negative_cutoff(m, spec)
-    return _bound_levels(
-        lambda e: matching_residual_bound(e, spec, m),
-        lambda grid: _matching_residual_grid(grid, spec, m),
-        m,
-        spec.v,
-        grid_points,
-    )
+    return next(_bound_sectors(spec, [_check_int(m, "m")], grid_points))
 
 
 def bound_solutions(energy: float, spec: WellSpec, m: int):

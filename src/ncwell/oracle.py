@@ -25,6 +25,7 @@ from .core import (
     _bound_levels,
     _check_above_v,
     _check_cross_section_args,
+    _levels,
     partial_wave_sum,
 )
 from .errors import DomainError
@@ -45,12 +46,13 @@ class CommWellSpec:
             raise DomainError(f"v must be >= 0, got {self.v}")
 
 
-def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.ndarray:
+def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m) -> np.ndarray:
     """Cross-multiplied continuity condition; zeros are the bound levels.
 
     k J'_m(kR) K_m(kappa R) - kappa K'_m(kappa R) J_m(kR), pole-free in E,
     with C'_m = C_{m-1} - (m/x) C_m (K'_m = -K_{m-1} - (m/x) K_m).  Takes
-    an array of energies or one energy; the scipy ufuncs return the same
+    an array of energies or one energy, and one order m or an int array of
+    per-lane orders; the scipy ufuncs broadcast them and return the same
     bits for an array as for scalars.  scipy's K underflows to 0 from
     kappa R ~ 697.9 on, which would make each such energy an exact zero;
     there both K columns are kve = e^{kappa R} K, which keeps the sign and
@@ -73,6 +75,43 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m: int) -> np.nd
     return k * dj * k_m - kappa * dk * j_m
 
 
+def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel: int = 2):
+    """comm_bound_states(spec, m, grid_points) for each m of labels, in order.
+
+    The spectrum depends on |m| only, so one scan (core._bound_levels) runs
+    each |m| once, and its levels are labelled for every m with that |m|.
+    The iterator raises a sector's error, and warns of a count that differs
+    from the expected one, when it reaches each m, as a loop over
+    comm_bound_states would; the warning names the frame stacklevel - 1
+    above the one that advances the iterator.
+    """
+    from scipy import special
+
+    orders = list(dict.fromkeys(abs(m) for m in labels))
+    found = dict(zip(orders, _bound_levels(
+        lambda e, m: _log_derivative_mismatch_grid(e, spec, m), orders, spec.v, grid_points
+    )))
+    top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
+    for label in labels:
+        m = abs(label)
+        levels = _levels(label, found[m])
+        # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
+        # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
+        n = abs(m - 1)
+        lo = max(n, 1.0)
+        signs = np.sign(special.jv(n, np.append(np.arange(top, lo, -3.0), lo)))
+        signs = signs[signs != 0.0]
+        expected = int(np.count_nonzero(signs[1:] != signs[:-1])) + (m == 0 and top > 0.0)
+        if len(levels) != expected:
+            warnings.warn(
+                f"commutative bound scan found {len(levels)} levels for m = {label}, expected {expected}; "
+                f"levels that share a cell of the {grid_points}-point grid are missed",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+        yield levels
+
+
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only.
 
@@ -81,33 +120,7 @@ def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS
     vanishes at 0).  A scan that finds another count, as when two levels
     share a grid cell, warns (RuntimeWarning) naming m and both counts.
     """
-    from scipy import special
-
-    label = _check_int(m, "m")
-    m = abs(label)
-    levels = _bound_levels(
-        lambda e: float(_log_derivative_mismatch_grid(e, spec, m)),
-        lambda grid: _log_derivative_mismatch_grid(grid, spec, m),
-        label,
-        spec.v,
-        grid_points,
-    )
-    top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
-    # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
-    # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
-    n = abs(m - 1)
-    lo = max(n, 1.0)
-    signs = np.sign(special.jv(n, np.append(np.arange(top, lo, -3.0), lo)))
-    signs = signs[signs != 0.0]
-    expected = int(np.count_nonzero(signs[1:] != signs[:-1])) + (m == 0 and top > 0.0)
-    if len(levels) != expected:
-        warnings.warn(
-            f"commutative bound scan found {len(levels)} levels for m = {label}, expected {expected}; "
-            f"levels that share a cell of the {grid_points}-point grid are missed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return levels
+    return next(_comm_sectors(spec, [_check_int(m, "m")], grid_points, stacklevel=3))
 
 
 def _phase_fraction_grid(energies, spec: CommWellSpec, m: int):

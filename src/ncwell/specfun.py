@@ -301,6 +301,15 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     return out
 
 
+def _lane_rows(swept, row: np.ndarray):
+    """(mantissa array, log scale array) of row[i] at each lane i, from _recurrence_rows_grid's {row: ...}."""
+    mant, scale = np.empty(row.size), np.empty(row.size)
+    for t, (mt, sc) in swept.items():
+        sel = row == t
+        mant[sel], scale[sel] = mt[sel], sc[sel]
+    return mant, scale
+
+
 def _laguerre_start(m, w):
     """(j0, lp, lc, ls) starting the recurrence of L^m_n(w) at j0 = 2 from rows 0 and 1.
 
@@ -314,10 +323,11 @@ def _laguerre_sweep(m: int, w: float, targets):
     return _recurrence_rows(m, w, *_laguerre_start(m, w), targets)
 
 
-def _laguerre_sweep_grid(m: int, w: np.ndarray, targets):
+def _laguerre_sweep_grid(m, w: np.ndarray, targets):
     """_laguerre_sweep on an array of arguments, one lane per w, bit for bit.
 
-    Returns {n: (mantissa array, log_scale array)}.
+    m is one order (an int) or an int array of per-lane orders.  Returns
+    {n: (mantissa array, log_scale array)}.
     """
     return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets)
 
@@ -405,8 +415,12 @@ _UQ_MIN_ARG = 0.5
 _U_SERIES_SEAM = 1.0
 
 
-def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
+def _u_quad(a, b, x: np.ndarray) -> np.ndarray:
     """U(a+1,b,x)/U(a,b,x) on numpy lanes x > 0, by the trapezoid rule on U's integral.
+
+    a and b are ints shared by every lane, or int arrays with one entry per
+    lane; both give each lane the same float arithmetic, so a lane equals a
+    call with its own (a, b) bit for bit.
 
     Gamma(a) U(a,b,x) = int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt (DLMF
     13.4.4), and the same integral with t/(1+t) in it is a Gamma(a) U(a+1,b,x),
@@ -424,20 +438,22 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
     The lanes are rows of (lanes, nodes) arrays and every sum runs along a
     row, so a lane's value does not depend on the other lanes: one lane
     (_u_cf) and many give the same bits.  The guard raises ConvergenceError
-    naming a, b and the lane's x when the rule on every other node is off by
-    more than _UQ_HALF_TOL relative, or an end node carries more than
-    _UQ_END_TOL of the weight sum, or the sums are not finite, as they are
-    once (x+1-b)^2 overflows, from x of about 1e154 on, or b <= 1 and
-    (a+2-b) x < _UQ_MIN_ARG.
+    naming the first failing lane's a, b and x when the rule on every other
+    node is off by more than _UQ_HALF_TOL relative, or an end node carries
+    more than _UQ_END_TOL of the weight sum, or the sums are not finite, as
+    they are once (x+1-b)^2 overflows, from x of about 1e154 on, or b <= 1
+    and (a+2-b) x < _UQ_MIN_ARG.
     """
     s, logj = _UQ_NODES
+    # a per-lane a or b enters the (lanes, nodes) arrays as a column
+    ac, bc = (v[:, None] if isinstance(v, np.ndarray) else v for v in (a, b))
     with np.errstate(all="ignore"):
         p = x + (1.0 - b)
         ts = 2.0 * a / (p + np.sqrt(p * p + 4.0 * a * x))
         sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / ((1.0 + ts) * (1.0 + ts)))
         u = np.multiply.outer(sigma, s)
         d = np.expm1(u) * ts[:, None]
-        logw = np.log1p(d / (1.0 + ts)[:, None]) * (b - a - 1.0) - x[:, None] * d + a * u + logj
+        logw = np.log1p(d / (1.0 + ts)[:, None]) * (bc - ac - 1.0) - x[:, None] * d + ac * u + logj
         w = np.exp(logw)
         t = d + ts[:, None]
         wf = w * (t / (1.0 + t))
@@ -453,10 +469,11 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
         )
     if not ok.all():
         i = int(np.argmin(ok))
+        ai, bi = (int(np.broadcast_to(v, x.shape)[i]) for v in (a, b))
         raise ConvergenceError(
             f"U-ratio quadrature missed its bounds (half-node rule off by {abs(half[i] / ratio[i] - 1.0):.1e}, "
             f"end-node weight {end[i] / total[i]:.1e} of the sum, (a+2-b)x = {arg[i]:.2g} against "
-            f"a floor of {_UQ_MIN_ARG} at b <= 1) for a={a}, b={b}, x={float(x[i])}"
+            f"a floor of {_UQ_MIN_ARG} at b <= 1) for a={ai}, b={bi}, x={float(x[i])}"
         )
     return ratio
 
@@ -464,7 +481,7 @@ def _u_quad(a: int, b: int, x: np.ndarray) -> np.ndarray:
 def _u_cf(a: int, b: int, x: float) -> float:
     """U(a+1,b,x)/U(a,b,x) at one x: _u_quad on one lane, so bit for bit a lane of the grid.
 
-    This is the scalar form the Brent steps and _u_abs_anchor_product call.
+    This is the scalar form _u_ratio_1m and _u_abs_anchor_product call.
     It keeps the name of the continued fraction it replaced because
     bench/tracing.py times the scalar U ratio under that name.
     """
@@ -1005,13 +1022,7 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
     swept = _recurrence_rows_grid(m, w, j0, lp, lc, ls, set(row.tolist()) | set((row + 1).tolist()))
 
     # row n and row n + 1 of every lane, as (mantissa list, log scale list)
-    cols = []
-    for off in (0, 1):
-        mant, scale = np.empty(w.size), np.empty(w.size)
-        for t, (mt, sc) in swept.items():
-            sel = row + off == t
-            mant[sel], scale[sel] = mt[sel], sc[sel]
-        cols.append((mant.tolist(), scale.tolist()))
+    cols = [tuple(a.tolist() for a in _lane_rows(swept, row + off)) for off in (0, 1)]
     lag = [tuple(_sweep_pair(mant[i], scale[i]) for mant, scale in cols) for i in range(lag_lanes)]
     # a recurrence lane's settled series rows are its anchors; its rows n, n + 1 replace them
     for lane, i in enumerate(rec, lag_lanes):
@@ -1064,21 +1075,24 @@ def _u_ratio_1m(a: int, m: int, x: float) -> float:
     return _u_cf(a, 1 - m, x)
 
 
-def _u_ratio_1m_grid(a: int, m: int, x: np.ndarray) -> np.ndarray:
+def _u_ratio_1m_grid(a, m, x: np.ndarray) -> np.ndarray:
     """_u_ratio_1m on an array of x with the same series/quadrature dispatch per lane.
 
-    Series lanes stay scalar; the quadrature lanes run through _u_quad in
-    chunks of at most _BLOCK_CELLS nodes in all.
+    a and m are ints shared by every lane, or int arrays with one entry per
+    lane.  Series lanes stay scalar; the quadrature lanes run through _u_quad
+    in chunks of at most _BLOCK_CELLS nodes in all.
     """
     series = (a + m + 1) * x <= _U_SERIES_SEAM
     out = np.empty_like(x)
     quad = np.flatnonzero(~series)
     chunk = max(1, _BLOCK_CELLS // _UQ_NODES[0].size)
+    lane_am = isinstance(a, np.ndarray)
     for i in range(0, quad.size, chunk):
         lanes = quad[i:i + chunk]
-        out[lanes] = _u_quad(a, 1 - m, x[lanes])
-    for i in np.flatnonzero(series):
-        out[i] = _u_ratio_1m(a, m, float(x[i]))
+        out[lanes] = _u_quad(a[lanes], 1 - m[lanes], x[lanes]) if lane_am else _u_quad(a, 1 - m, x[lanes])
+    a, m = np.broadcast_to(a, x.shape), np.broadcast_to(m, x.shape)
+    for i in np.flatnonzero(series).tolist():
+        out[i] = _u_ratio_1m(int(a[i]), int(m[i]), float(x[i]))
     return out
 
 

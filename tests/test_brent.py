@@ -3,8 +3,10 @@
 Every bound level must keep the bits it had when the scan refined its
 brackets with brentq, so the port is pinned on the brackets of real scans
 and on synthetic ones: the same root, bit for bit, and the same points
-evaluated in the same order, none of them a grid point.  scipy.optimize is
-imported here only; the package does not import it.
+evaluated in the same order, none of them a grid point.  _brent is a
+stepper that yields the points it needs; drive() here sends it the scalar
+function's values one by one, as brentq calls the function.
+scipy.optimize is imported here only; the package does not import it.
 """
 
 import inspect
@@ -16,16 +18,27 @@ import pytest
 from scipy import optimize
 
 from ncwell import cli, core
-from ncwell.core import BRENT_RTOL, WellSpec, _brent, find_bound_states, scan_roots
+from ncwell.core import BRENT_RTOL, WellSpec, _brent, find_bound_states, matching_residual_bound, scan_roots
 from ncwell.errors import ConvergenceError
-from ncwell.oracle import CommWellSpec, comm_bound_states
+from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
 
 _SRC, _FIRST = inspect.getsourcelines(_brent)
 _ZERO_DIV_LINE = _FIRST + next(i for i, line in enumerate(_SRC) if "except ZeroDivisionError" in line)
 
 
+def drive(g, a, b, ga, gb, xtol, rtol):
+    """(root, g(root)) of a _brent stepper on [a, b], sent g at each point it yields, one by one."""
+    stepper = _brent(a, b, ga, gb, xtol, rtol)
+    try:
+        point = next(stepper)
+        while True:
+            point = stepper.send(g(point))
+    except StopIteration as stop:
+        return stop.value
+
+
 def assert_same_as_brentq(g, a, b, ga, gb, xtol, rtol):
-    """_brent and brentq on one bracket: same root bits, same evaluation points."""
+    """The _brent stepper and brentq on one bracket: same root bits, same evaluation points."""
 
     def recorded(calls):
         def f(e):
@@ -36,7 +49,7 @@ def assert_same_as_brentq(g, a, b, ga, gb, xtol, rtol):
 
     want_calls, got_calls = [], []
     want = optimize.brentq(recorded(want_calls), a, b, xtol=xtol, rtol=rtol)
-    root, g_root = _brent(recorded(got_calls), a, b, ga, gb, xtol, rtol)
+    root, g_root = drive(recorded(got_calls), a, b, ga, gb, xtol, rtol)
     assert want_calls[:2] == [a, b] and [g(a), g(b)] == [ga, gb]
     assert got_calls == want_calls[2:]
     assert root.hex() == want.hex()
@@ -45,13 +58,13 @@ def assert_same_as_brentq(g, a, b, ga, gb, xtol, rtol):
     assert all(a < e < b for e in got_calls)
 
 
-def scan_brackets(monkeypatch, run):
-    """The arguments of every _brent call that run() makes."""
+def scan_brackets(monkeypatch, g, run):
+    """(g, *arguments) of every _brent stepper that run() starts, g being the scalar function of its scan."""
     calls = []
     real = core._brent
 
     def spy(*args):
-        calls.append(args)
+        calls.append((g, *args))
         return real(*args)
 
     monkeypatch.setattr(core, "_brent", spy)
@@ -61,7 +74,7 @@ def scan_brackets(monkeypatch, run):
 
 
 def takes_zero_denominator(brackets) -> bool:
-    """Whether _brent meets a zero interpolation denominator on any of the brackets."""
+    """Whether the _brent stepper meets a zero interpolation denominator on any of the brackets."""
     hits = []
 
     def local(frame, event, arg):
@@ -72,23 +85,26 @@ def takes_zero_denominator(brackets) -> bool:
     sys.settrace(lambda frame, event, arg: local if frame.f_code is _brent.__code__ else None)
     try:
         for args in brackets:
-            _brent(*args)
+            drive(*args)
     finally:
         sys.settrace(None)
     return bool(hits)
 
 
+def comm_scalar(spec, m):
+    """The commutative matching function at one energy, as the scalar Brent refinement called it."""
+    return lambda e: float(_log_derivative_mismatch_grid(e, spec, m))
+
+
 def test_readme_well_brackets_match_brentq(monkeypatch):
     # ncwell bound-states --radius sqrt20 --capital-n 10 --v 6 --m=-6..6, both solvers
     spec, comm = WellSpec.from_radius(20.0, 10, 6.0), CommWellSpec(math.sqrt(20.0), 6.0)
-    levels = []
-
-    def run():
-        for m in range(-6, 7):
-            levels.extend(find_bound_states(spec, m))
-            levels.extend(comm_bound_states(comm, m))
-
-    calls = scan_brackets(monkeypatch, run)
+    levels, calls = [], []
+    for m in range(-6, 7):
+        calls += scan_brackets(monkeypatch, lambda e, m=m: matching_residual_bound(e, spec, m),
+                               lambda: levels.extend(find_bound_states(spec, m)))
+        calls += scan_brackets(monkeypatch, comm_scalar(comm, abs(m)),
+                               lambda: levels.extend(comm_bound_states(comm, m)))
     assert len(calls) == len(levels) > 40
     for args in calls:
         assert_same_as_brentq(*args)
@@ -97,12 +113,11 @@ def test_readme_well_brackets_match_brentq(monkeypatch):
 def test_deep_well_brackets_match_brentq_through_the_zero_denominator(monkeypatch):
     # the V = 1e4 and 1e5 wells of test_infinite_depth_limit_reaches_hard_wall_levels;
     # at 1e5 the residual is near 1e-195 and the extrapolation's denominator underflows to 0
-    def run():
-        for m in (0, 1, 3):
-            comm_bound_states(CommWellSpec(1.0, 1e4), m)
-            comm_bound_states(CommWellSpec(1.0, 1e5), m, grid_points=40000)
-
-    calls = scan_brackets(monkeypatch, run)
+    calls = []
+    for m in (0, 1, 3):
+        for spec, points in ((CommWellSpec(1.0, 1e4), core.GRID_POINTS), (CommWellSpec(1.0, 1e5), 40000)):
+            calls += scan_brackets(monkeypatch, comm_scalar(spec, m),
+                                   lambda: comm_bound_states(spec, m, grid_points=points))
     assert takes_zero_denominator(calls)
     assert len(calls) >= 6
     for args in calls:
@@ -147,7 +162,7 @@ def test_iteration_cap_raises_naming_the_bracket(monkeypatch):
         optimize.brentq(g, 0.0, 1.0, xtol=1e-14, maxiter=3)
     monkeypatch.setattr(core, "BRENT_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match=r"within 3 steps on the bracket \[0\.0, 1\.0\]"):
-        _brent(g, 0.0, 1.0, g(0.0), g(1.0), 1e-14, BRENT_RTOL)
+        drive(g, 0.0, 1.0, g(0.0), g(1.0), 1e-14, BRENT_RTOL)
 
 
 def test_nan_residual_raises_naming_the_energy():
@@ -158,15 +173,17 @@ def test_nan_residual_raises_naming_the_energy():
     with pytest.raises(ValueError, match=r"x=0\.7 is NaN"):
         optimize.brentq(g, 0.0, 1.0)
     with pytest.raises(ConvergenceError, match=r"NaN at E=0\.7 "):
-        _brent(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12, BRENT_RTOL)
+        drive(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12, BRENT_RTOL)
     # a NaN bracket value from the scan grid, next to a negative one
     with pytest.raises(ConvergenceError, match=r"NaN at E=1\.0 "):
-        scan_roots(g, lambda grid: [-0.7, math.nan], 0.0, 1.0, 2, 1e-12)
+        scan_roots(lambda grid: [-0.7, math.nan], 0.0, 1.0, 2, 1e-12)
 
 
 def test_cli_maps_a_nan_residual_to_the_convergence_exit(monkeypatch, capsys):
-    # the grid is untouched, so its brackets stand and the first refinement step meets the NaN
-    monkeypatch.setattr(core, "matching_residual_bound", lambda e, spec, m: math.nan)
+    # the grid is untouched, so its brackets stand and the first refinement round meets the NaN
+    real = core._matching_residual_grid
+    monkeypatch.setattr(core, "_matching_residual_grid",
+                        lambda e, spec, m: real(e, spec, m) if e.size == core.GRID_POINTS else [math.nan] * e.size)
     argv = ["bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "6", "--m", "0"]
     assert cli.main(argv) == cli.CONVERGENCE_EXIT
     assert "numerical non-convergence: matching residual is NaN at E=" in capsys.readouterr().err

@@ -164,9 +164,9 @@ def test_cli_maps_a_non_finite_ratio_to_the_convergence_exit(monkeypatch, capsys
     monkeypatch.setattr(core_mod, "_u_ratio_1m_grid", lambda a, m, x: np.full(x.shape, bad))
     code, err = run_bound_states(capsys, ["--m", "0"])
     assert code == cli.CONVERGENCE_EXIT and "is not finite at E=" in err and "m=0, N=10" in err
-    # on a Brent step only: the grid is sound, so the scan brackets a level first
-    monkeypatch.setattr(core_mod, "_u_ratio_1m_grid", real_grid)
-    monkeypatch.setattr(core_mod, "_u_ratio_1m", lambda a, m, x: bad)
+    # on a Brent round only: the grid is sound, so the scan brackets a level first
+    monkeypatch.setattr(core_mod, "_u_ratio_1m_grid",
+                        lambda a, m, x: real_grid(a, m, x) if x.size == core_mod.GRID_POINTS else np.full(x.shape, bad))
     code, err = run_bound_states(capsys, ["--m", "0"])
     assert code == cli.CONVERGENCE_EXIT and "is not finite at E=" in err and "m=0, N=10" in err
 

@@ -155,6 +155,31 @@ def test_cf_grid_raises_below_its_floor_naming_the_lane():
     assert _u_quad(1001, 1, x[[0, 2]]).tolist() == [_u_cf(1001, 1, 0.03), _u_cf(1001, 1, 7.0)]
 
 
+def mixed_sector_lanes():
+    # per-lane (a, b, x): b from 1 down to -30, a from 1 to 1001, x from (a+2-b) x = 1 up to 10
+    rng = np.random.default_rng(5)
+    a = np.array([1, 1001, 40, 7, 1001, 300, 1, 12, 999, 2])
+    b = np.array([1, -30, 0, -3, 1, -17, -30, 1, -9, -1])
+    x = np.exp(rng.uniform(np.log(1.0 / (a + 2 - b)), np.log(10.0)))
+    # rolled by one lane, so that the first lane meets the guard of an 81-node table and the third does not
+    return np.roll(a, -1), np.roll(b, -1), np.roll(x, -1)
+
+
+def test_cf_grid_with_a_sector_per_lane_equals_each_lanes_own_call(monkeypatch):
+    a, b, x = mixed_sector_lanes()
+    lanes = list(zip(a.tolist(), b.tolist(), x.tolist()))
+    assert _u_quad(a, b, x).tolist() == [_u_cf(ai, bi, xi) for ai, bi, xi in lanes]
+    assert _u_ratio_1m_grid(a, 1 - b, x).tolist() == [_u_ratio_1m(ai, 1 - bi, xi) for ai, bi, xi in lanes]
+    # too few nodes: the guard names the first lane that fails on its own, which is not the first lane
+    coarse_nodes(monkeypatch, 81)
+    fails = [isinstance(ratio_outcome(_u_cf, *lane), tuple) for lane in lanes]
+    first = fails.index(True)
+    assert 0 < first < len(lanes) - 1 and not all(fails[first:])
+    ai, bi, xi = lanes[first]
+    with pytest.raises(ConvergenceError, match=re.escape(f"for a={ai}, b={bi}, x={xi}") + "$"):
+        _u_quad(a, b, x)
+
+
 def test_cf_grid_exact_at_block_edges():
     # quadrature lanes run in chunks of _BLOCK_CELLS // nodes lanes; every lane here is past the seam
     chunk = specfun._BLOCK_CELLS // specfun._UQ_NODES[0].size
@@ -240,12 +265,9 @@ def test_cf_cap_raises_the_reference_error_on_both_paths(monkeypatch, lanes, nod
 
 
 def test_scan_roots_counts_an_exact_grid_zero_once():
-    def g(e):
-        return e - 0.5
-
-    roots = scan_roots(g, lambda grid: grid - 0.5, 0.0, 1.0, 5, 1e-12)
+    roots = scan_roots(lambda es: es - 0.5, 0.0, 1.0, 5, 1e-12)
     assert roots == [(0.5, 0.0)]
-    roots = scan_roots(g, lambda grid: grid - 0.5, 0.0, 1.0, 4, 1e-12)
+    roots = scan_roots(lambda es: es - 0.5, 0.0, 1.0, 4, 1e-12)
     assert len(roots) == 1 and abs(roots[0][0] - 0.5) <= 1e-12
 
 
@@ -257,23 +279,28 @@ def test_scan_roots_counts_an_exact_grid_zero_once():
     ],
 )
 def test_scan_roots_refines_inside_brackets_and_reuses_every_value(g, lo, hi, points, want):
-    calls = []
+    passes = []
 
-    def counted(e):
-        calls.append((e, g(e)))
-        return calls[-1][1]
+    def lanes(es):
+        passes.append(es.tolist())
+        return [g(e) for e in passes[-1]]
 
-    grid = lo + np.arange(points) * ((hi - lo) / (points - 1))
+    grid = (lo + np.arange(points) * ((hi - lo) / (points - 1))).tolist()
     tol = 1e-12
-    roots = scan_roots(counted, lambda es: [g(e) for e in es.tolist()], lo, hi, points, tol)
+    roots = scan_roots(lanes, lo, hi, points, tol)
     assert [r for r, _ in roots] == pytest.approx(want, rel=0, abs=tol)
-    # the grid supplies the bracket values: g is called only between grid points
-    called = dict(calls)
-    assert not set(called) & set(grid.tolist())
-    assert len(calls) == len(called) <= 10 * len(roots)
+    # the first pass is the grid, which supplies the bracket values; each later one is a round
+    # with at most one point per bracket, strictly inside it, so never at a grid point
+    assert passes[0] == grid
+    brackets = [(a, b) for a, b in zip(grid, grid[1:]) if (g(a) < 0.0) != (g(b) < 0.0)]
+    assert len(brackets) == len(roots)
+    called = [e for points_ in passes[1:] for e in points_]
+    assert all(len(points_) <= len(brackets) for points_ in passes[1:])
+    assert all(sum(a < e < b for a, b in brackets) == 1 for e in called)
+    assert len(called) == len(set(called)) <= 10 * len(roots)
     # each residual is |g| at a point g was called at, the root itself
     for root, residual in roots:
-        assert residual == abs(called[root])
+        assert root in called and residual == abs(g(root))
 
 
 def test_scan_roots_validates_grid_points_for_both_solvers():
