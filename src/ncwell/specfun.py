@@ -64,10 +64,10 @@ _LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
 # the lane kernels run their lanes in blocks: _recurrence_rows_grid
 # _REC_BLOCK steps at a time and _cut_series_grid's digamma series
 # _SERIES_BLOCK iterations, fewer when the lanes times the steps would pass
-# _BLOCK_CELLS, which also caps a chunk of _cut_m_sum's terms and of
-# _u_ratio_1m_grid's quadrature lanes times nodes: with 64 kB block buffers
-# a bound-spectrum pass peaks within 0.2 MB of an unblocked pass, with 128 kB
-# 0.6 MB above it
+# _BLOCK_CELLS, which also caps a block of _cut_m_sum's lanes times terms
+# (up to _REC_BLOCK terms) and _u_ratio_1m_grid's quadrature lanes times
+# nodes: with 64 kB block buffers a bound-spectrum pass peaks within 0.2 MB
+# of an unblocked pass, with 128 kB 0.6 MB above it
 _REC_BLOCK = 64
 _SERIES_BLOCK = 32
 # a _recurrence_rows_grid call of _REC_SCALAR_LANES or fewer runs each lane on
@@ -574,28 +574,49 @@ def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     M = sum_{r=0}^{n} t_r with t_0 = 1, t_{r+1} = t_r (r-n) w / ((m+1+r)(r+1)):
     Kummer's M(-n, m+1, w).  m is one order (an int) or an int array of
-    per-lane orders.  The lanes run sorted by n, in chunks of up to
-    _BLOCK_CELLS terms; a chunk's terms are one np.multiply.accumulate of
-    its ratio rows along axis 1 and its sums one np.add.accumulate, in the
-    order of a term-by-term loop, so both values are that loop's bit for
-    bit.  A lane's ratio at r = n is 0, so its terms past its n in the chunk
+    per-lane orders.  The lanes run sorted by n, in chunks of
+    _BLOCK_CELLS // min(top n + 1, _REC_BLOCK) lanes, and a chunk's terms in
+    blocks of up to _REC_BLOCK.  A block's terms are one
+    np.multiply.accumulate of its ratio rows along axis 1 and its sums one
+    np.add.accumulate, each row started from the term and sum the block
+    before it ended on, in the order of a term-by-term loop, so both values
+    are that loop's bit for bit.  Each lane's sum is read in the block that
+    holds its own n.  A lane's ratio at r = n is 0, so its terms past its n
     are 0 (or NaN after an overflow) and leave its largest term as it is.
-    Overflow comes back as inf or nan.
+    A chunk stops once every lane not yet read has a running term of 0.0:
+    its later terms are all 0.0 too, and they change neither its sum nor
+    its largest term.  Overflow comes back as inf or nan.
     """
     lane_m = isinstance(m, np.ndarray)
     order = np.argsort(n, kind="stable")
     ns = n[order]
-    mv, mmax = np.empty(n.size), np.empty(n.size)
-    chunk = max(1, _BLOCK_CELLS // (int(ns[-1]) + 1)) if n.size else 1
+    mv, mmax = np.ones(n.size), np.empty(n.size)
+    chunk = max(1, _BLOCK_CELLS // min(int(ns[-1]) + 1, _REC_BLOCK)) if n.size else 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, n.size, chunk):
             lanes, nc = order[i:i + chunk], ns[i:i + chunk]
-            r = np.arange(nc[-1])
-            t = np.ones((nc.size, r.size + 1))
-            t[:, 1:] = (r - nc[:, None]) * w[lanes, None] / (((m[lanes, None] if lane_m else m) + 1 + r) * (r + 1.0))
-            np.multiply.accumulate(t, axis=1, out=t)
-            mmax[lanes] = np.fmax.reduce(np.abs(t[:, 1:]), axis=1, initial=1.0)
-            mv[lanes] = np.add.accumulate(t, axis=1, out=t)[np.arange(nc.size), nc]
+            wc, mc = w[lanes, None], (m[lanes, None] if lane_m else m)
+            t_run, s_run, t_max = np.ones(nc.size), np.ones(nc.size), np.ones(nc.size)
+            # lanes[read:] are those whose n lies past the blocks run so far; n = 0 needs no block
+            j0, top, read = 0, int(nc[-1]), int(np.searchsorted(nc, 0, side="right"))
+            while j0 < top and t_run[read:].any():
+                size = min(_REC_BLOCK, top - j0)
+                r = np.arange(j0, j0 + size)
+                # column k holds term j0 + k; column 0 is the term the block before ended on
+                t = np.empty((nc.size, size + 1))
+                t[:, 0] = t_run
+                t[:, 1:] = (r - nc[:, None]) * wc / ((mc + 1 + r) * (r + 1.0))
+                np.multiply.accumulate(t, axis=1, out=t)
+                np.fmax(t_max, np.fmax.reduce(np.abs(t[:, 1:]), axis=1), out=t_max)
+                t_run = t[:, -1].copy()
+                t[:, 0] = s_run
+                np.add.accumulate(t, axis=1, out=t)
+                s_run = t[:, -1].copy()
+                end = int(np.searchsorted(nc, j0 + size, side="right"))
+                mv[lanes[read:end]] = t[np.arange(read, end), nc[read:end] - j0]
+                j0, read = j0 + size, end
+            mv[lanes[read:]] = s_run[read:]
+            mmax[lanes] = t_max
     return mv, mmax
 
 
@@ -767,9 +788,13 @@ def _reu_pieces_float(n: int, m: int, w: float):
 
 # the harmonic prefix sums are kept at every _HARMONIC_STRIDE-th index
 _HARMONIC_STRIDE = 32
+# one (f, size) table per escalation precision and size: a seed-0 bench
+# cross-section pass uses 23 keys and the README cross-section command 30,
+# about 1,000 ints in all, so one command's tables all stay cached
+_HARMONIC_TABLES = 64
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_HARMONIC_TABLES)
 def _harmonic_checkpoints(f: int, size: int) -> tuple:
     """P(K) = sum_{0 < i <= K} (1 << f) // i at K = 0, _HARMONIC_STRIDE, 2 _HARMONIC_STRIDE, ... below size."""
     one = 1 << f

@@ -303,6 +303,13 @@ def test_domain_error_names_rule_and_exits_1(capsys):
     assert err == "ncwell: domain error: --mmax must be a positive integer, got 0\n"
 
 
+def test_grid_points_error_names_the_flag_and_the_value(capsys):
+    for points in ("1", "0", "-4"):
+        code, out, err = run_cli(capsys, ["bound-states", *WELL10, "--m", "0", "--grid-points", points])
+        assert (code, out) == (1, "")
+        assert err == f"ncwell: domain error: --grid-points must be >= 2, got {points}\n"
+
+
 def test_convergence_error_names_a_b_x_and_exits_2(capsys, monkeypatch):
     # a one-node table fails the guard of the scan's first U-ratio quadrature
     monkeypatch.setattr(specfun, "_UQ_NODES", specfun._u_quad_nodes(0.06, 0, 0))

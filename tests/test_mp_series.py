@@ -157,3 +157,31 @@ def test_positive_axis_mp_pass_matches_hyperu(a, m, x):
 def test_harmonic_start_from_the_prefix_table_is_the_direct_sum(f, lo, hi):
     one = 1 << f
     assert specfun._harmonic_fixed(f, lo, hi) == sum(one // i for i in range(lo + 1, hi + 1))
+
+
+# (n, m, w, dps): the first escalation of a seed-0 bench cross-section pass to read each
+# harmonic table, 23 distinct (f, size) keys in all
+TABLE_ESCALATIONS = [
+    (397, 17, 0.20507746126936532, 27), (495, 19, 0.20507746126936532, 28),
+    (549, 20, 0.20507746126936532, 28), (725, 23, 0.20507746126936532, 29),
+    (998, 27, 0.20507746126936532, 30), (999, 28, 0.20507746126936532, 29),
+    (999, 30, 0.20507746126936532, 28), (152, 16, 0.4842778610694653, 27),
+    (191, 18, 0.4842778610694653, 28), (257, 21, 0.4842778610694653, 28),
+    (283, 22, 0.4842778610694653, 29), (393, 26, 0.4842778610694653, 30),
+    (489, 29, 0.4842778610694653, 30), (523, 30, 0.4842778610694653, 31),
+    (671, 34, 0.4842778610694653, 32), (794, 37, 0.4842778610694653, 33),
+    (929, 40, 0.4842778610694653, 34), (999, 42, 0.4842778610694653, 33),
+    (999, 44, 0.4842778610694653, 32), (999, 46, 0.4842778610694653, 31),
+    (999, 53, 0.4842778610694653, 27), (661, 27, 0.31007496251874067, 30),
+    (950, 17, 0.08538730634682658, 27),
+]
+
+
+def test_repeated_escalations_rebuild_no_harmonic_table():
+    tables = specfun._harmonic_checkpoints
+    tables.cache_clear()
+    first = [specfun._reu_direct_mp(*case) for case in TABLE_ESCALATIONS]
+    built = tables.cache_info()
+    assert built.misses == built.currsize == len(TABLE_ESCALATIONS)
+    assert [specfun._reu_direct_mp(*case) for case in TABLE_ESCALATIONS] == first
+    assert tables.cache_info().misses == built.misses

@@ -242,6 +242,63 @@ def test_m_sums_across_chunks_match_the_term_loop():
     assert np.isfinite(np.delete(mv, [0, 5, 6, 9])).all()
 
 
+def first_zero_term(n, m, w):
+    # the first r <= n at which the term loop's t_r is 0.0, or None
+    t = 1.0
+    for r in range(n):
+        t *= (r - n) * w / ((m + 1 + r) * (r + 1.0))
+        if t == 0.0:
+            return r + 1
+    return None
+
+
+def test_m_sums_at_block_edges_match_the_term_loop():
+    # each n on, before and after a block edge, with terms live to the end: w large enough that
+    # none underflows, one order and per-lane orders
+    b = specfun._REC_BLOCK
+    edges = [b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1]
+    n = np.array(edges * 3)
+    w = np.repeat([0.5, 7.0, 40.0], len(edges))
+    for m in (0, 9, np.arange(n.size) % 13):
+        assert_m_sums_match_reference(n, m, w)
+        assert all(first_zero_term(ni, mi, wi) is None
+                   for ni, mi, wi in zip(n.tolist(), np.broadcast_to(m, n.shape).tolist(), w.tolist()))
+    # one lane at each edge, as _log_series_float calls it
+    for ni in edges:
+        assert_m_sums_match_reference(np.array([ni]), 4, np.array([3.0]))
+
+
+def test_m_sums_of_lanes_that_underflow_mid_block_match_the_term_loop():
+    # small w underflows long before n; the lanes share a chunk with a lane whose terms stay
+    # live to its n, and with lanes whose n a block reads before the others underflow
+    n = np.array([2000, 1500, 700, 2000, 2000, 130, 64, 1999, 0, 1])
+    w = np.array([1e-3, 0.05, 1e-6, 30.0, 1e-12, 2.0, 0.7, 2e-3, 1.0, 4.0])
+    assert n.size < specfun._BLOCK_CELLS // specfun._REC_BLOCK
+    for m in (0, 3, np.array([0, 5, 2, 9, 40, 1, 0, 7, 3, 2])):
+        ms = np.broadcast_to(m, n.shape).tolist()
+        zeros = [first_zero_term(ni, mi, wi) for ni, mi, wi in zip(n.tolist(), ms, w.tolist())]
+        # terms first reach 0.0 away from a block edge, from r = 29 to r = 885, while the lane
+        # of n = 130 stays live into its third block
+        assert any(z is not None and z % specfun._REC_BLOCK for z in zeros)
+        assert zeros[5] is None and 2 * specfun._REC_BLOCK < n[5]
+        assert_m_sums_match_reference(n, m, w)
+        for ni, mi, wi in zip(n.tolist(), ms, w.tolist()):
+            assert_m_sums_match_reference(np.array([ni]), mi, np.array([wi]))
+
+
+def test_m_sums_of_overflowing_lanes_match_the_term_loop():
+    # lanes that overflow next to lanes that underflow and lanes that stay finite, under one
+    # order and per-lane orders; past an overflowing lane's n its terms are NaN
+    n = np.array([1999, 3000, 64, 129, 1999, 500, 2500, 65])
+    w = np.array([700.0, 1e-4, 1e200, 1e150, 0.01, 900.0, 5.0, 1e-300])
+    for m in (0, np.array([0, 3, 1, 12, 0, 2, 40, 0])):
+        mv, mmax = assert_m_sums_match_reference(n, m, w)
+        assert not np.isfinite(np.take(mv, [0, 2, 3, 5])).any()
+        assert np.isfinite(np.take(mv, [1, 4, 6, 7])).all()
+        for i in range(n.size):
+            assert_m_sums_match_reference(n[i:i + 1], m if np.ndim(m) == 0 else m[i:i + 1], w[i:i + 1])
+
+
 def digamma_exit_reference(a, m, w):
     # the iteration r at which _log_series_float's digamma-weighted loop on the cut breaks (negative: fails)
     z, big = -w, a + m
