@@ -314,14 +314,15 @@ def _cmd_wavefunction(args) -> int:
         interior, exterior = core.bound_solutions(energy, spec, m)
     else:
         raise DomainError(f"energy must lie in (0, V) or above V, got {energy}")
-    # radial cut at phi = 0: z = r, coherent-state radius r = rho / sqrt(2 theta)
+    # radial cut at phi = 0: z = r, coherent-state radius r = rho / sqrt(2 theta); rho grows
+    # with i, so the first k points lie in the interior and the rest in the exterior
+    rhos = [r_max * i / (n - 1) for i in range(n)]
+    k = sum(rho <= spec.radius for rho in rhos)
     rows = []
-    for i in range(n):
-        rho = r_max * i / (n - 1)
-        r_coh = rho / math.sqrt(2.0 * spec.theta)
-        sol = interior if rho <= spec.radius else exterior
-        val = core.wavefunction_eval(sol, m, [(r_coh, 0.0)])[0]
-        rows.append([rho, val.real, val.imag, sol.region])
+    for sol, part in ((interior, rhos[:k]), (exterior, rhos[k:])):
+        if part:
+            vals = core.wavefunction_eval(sol, m, [(rho / math.sqrt(2.0 * spec.theta), 0.0) for rho in part])
+            rows += [[rho, val.real, val.imag, sol.region] for rho, val in zip(part, vals)]
     _write_rows(["r", "psi_re", "psi_im", "region"], rows, args.output, args.format)
     return 0
 

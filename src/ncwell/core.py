@@ -285,13 +285,13 @@ def _check_above_v(energy: float, v: float, what: str) -> None:
         raise DomainError(f"{what} needs a finite energy, got E={energy}")
 
 
-def _check_cross_section_args(energy: float, v: float, m_max) -> int:
-    """m_max as an int; it must be positive, and the energy finite and above V."""
+def _check_cross_section_args(energy: float, v: float, m_max) -> tuple[int, float]:
+    """(m_max as an int, k = sqrt(2 (E - V))); m_max must be positive, and the energy finite and above V."""
     m_max = _check_int(m_max, "m_max")
     if m_max < 1:
         raise DomainError(f"m_max must be a positive integer, got {m_max}")
     _check_above_v(energy, v, "cross section")
-    return m_max
+    return m_max, math.sqrt(2.0 * (energy - v))
 
 
 def _check_bound_x(x: float, energy: float, spec: WellSpec) -> None:
@@ -921,8 +921,7 @@ def cross_section_total(
     every term equals a wave-by-wave loop over phase_shift's solves bit for
     bit.
     """
-    m_max = _check_cross_section_args(energy, spec.v, m_max)
-    k = math.sqrt(2.0 * (energy - spec.v))
+    m_max, k = _check_cross_section_args(energy, spec.v, m_max)
     cap = spec.cap_n if include_negative else None
     sigma, table = partial_wave_sum(_block_waves(energy, spec, m_max, k, cap), energy, k, spec.radius, m_max, cap)
     return CrossSectionPoint(energy=energy, k=k, sigma_total=sigma, contributions=tuple((s, t) for s, _, _, t in table))
@@ -939,12 +938,11 @@ def cross_section_differential(
     f(phi) = sqrt(2/pi) sum_m eps_m cos(m phi) e^{i delta_m} sin(delta_m),
     over the table of cross_section_total's sum, solved in the same blocks.
     """
-    m_max = _check_cross_section_args(energy, spec.v, m_max)
+    m_max, k = _check_cross_section_args(energy, spec.v, m_max)
     phis = list(phi_grid)
     for p in phis:
         if not (0.0 <= p < 2.0 * math.pi):
             raise DomainError(f"phi values must lie in [0, 2 pi), got {p}")
-    k = math.sqrt(2.0 * (energy - spec.v))
     _, table = partial_wave_sum(_block_waves(energy, spec, m_max, k, None), energy, k, spec.radius, m_max)
     pref = math.sqrt(2.0 / math.pi)
     # the waves in the sum's order, each over the whole grid: np.cos is libm's cos and the
@@ -969,7 +967,7 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
     position-space pair there.  Bound exteriors (w < 0) evaluate I_m/K_m,
     mapping the stored branch weights (c1, c2) to position amplitudes via
     A = sqrt(m!) wt^{-m/2} c1 and B = 2 c2 e^{wt} wt^{m/2} / sqrt(m!)
-    with wt = |w|.
+    with wt = |w|; the radial argument 2 sqrt(|w|) r must be finite.
     """
     from scipy import special  # deferred: only this and the oracle call a cylinder function
 
@@ -996,6 +994,9 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
     out = []
     for (x, y) in points:
         r = math.hypot(x, y)
+        cr = c * r
+        if not math.isfinite(cr):
+            raise DomainError(f"wavefunction points need a finite radial argument 2 sqrt(|w|) r, got ({x}, {y})")
         if r == 0.0:
             if b != 0.0:
                 raise DomainError(
@@ -1006,9 +1007,9 @@ def wavefunction_eval(sol: RegionSolution, m: int, points) -> list[complex]:
             continue
         phi = math.atan2(y, x)
         # a zero regular term is skipped: I_m(c r) overflows far out in a bound exterior
-        radial = a * float(regular(m, c * r)) if a != 0.0 else 0.0
+        radial = a * float(regular(m, cr)) if a != 0.0 else 0.0
         if b != 0.0:
-            radial += b * float(irregular(m, c * r))
+            radial += b * float(irregular(m, cr))
         out.append(radial * cmath.exp(1j * m * phi))
     return out
 

@@ -184,8 +184,7 @@ def comm_phase_shift(energy: float, spec: CommWellSpec, m: int) -> PhaseShiftPoi
 
 def comm_cross_section(energy: float, spec: CommWellSpec, m_max: int) -> CrossSectionPoint:
     """sigma = (4/k) sum_m eps_m sin^2(delta_m), by the core's partial-wave sum and weights."""
-    m_max = _check_cross_section_args(energy, spec.v, m_max)
-    k = math.sqrt(2.0 * (energy - spec.v))
+    m_max, k = _check_cross_section_args(energy, spec.v, m_max)
 
     def waves(m):
         delta = comm_phase_shift(energy, spec, m).delta

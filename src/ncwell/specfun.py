@@ -256,8 +256,8 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             else:
                 np.subtract(np.arange(2.0 * j - 1.0 + m, 2 * end + m, 2.0)[:, None], w, out=block[:, 0])
                 block[:, 1] = np.arange(j - 1.0 + m, end + m)[:, None]
-            # the lanes starting at step s are lanes [a, b) for (a, b) = joins[s]
-            joins = {}
+            # joins[s] is (a, b) when lanes [a, b) start at step s of the block, else None
+            joins = [None] * size
             room -= size * lg
             while g < len(gstart) and gstart[g] <= end:
                 joins[gstart[g] - j] = gb[g], gb[g + 1]
@@ -267,20 +267,14 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             if j > first:
                 rows[size:size + 2] = rows[:2]
             # the divisors j, j + 1, ... as exact floats
-            steps_run = zip(views[steps - size:], np.arange(float(j), end + 1.0).tolist())
-            if joins:
-                for s, ((cf, read, row), div) in enumerate(steps_run):
-                    if s in joins:
-                        a, b = joins[s]
-                        read[:, a:b] = pairs[:, a:b]
-                    np.multiply(cf, read, prod)
-                    np.subtract(prod0, prod1, row)
-                    np.divide(row, div, row)
-            else:
-                for (cf, read, row), div in steps_run:
-                    np.multiply(cf, read, prod)
-                    np.subtract(prod0, prod1, row)
-                    np.divide(row, div, row)
+            divs = np.arange(float(j), end + 1.0).tolist()
+            for (cf, read, row), div, join in zip(views[steps - size:], divs, joins):
+                if join:
+                    a, b = join
+                    read[:, a:b] = pairs[:, a:b]
+                np.multiply(cf, read, prod)
+                np.subtract(prod0, prod1, row)
+                np.divide(row, div, row)
             while ti < len(targets) and targets[ti] < end:
                 emit(targets[ti], rows[end - targets[ti]])
                 ti += 1
@@ -1125,41 +1119,45 @@ def _u_ratio_1m_grid(a, m, x: np.ndarray) -> np.ndarray:
 # cylinder functions
 # ---------------------------------------------------------------------------
 
-# scipy.special's ufunc of each kind, by name: the import is deferred to the
-# callers, since the CLI's noncommutative commands never call one
+# scipy.special's ufunc of each kind, by name: _cylinder defers the import,
+# since the CLI's noncommutative commands never call one
 _BESSEL = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv"}
 
 
-def bessel(kind: str, m: int, x: float) -> float:
-    """Cylinder function J/Y/I/K of integer order m >= 0 at x."""
+def _cylinder(kind: str):
+    """scipy.special's ufunc of the cylinder function of kind J, Y, I or K."""
     if kind not in _BESSEL:
         raise DomainError(f"kind must be one of J, Y, I, K, got {kind!r}")
-    m = _check_int(m, "m")
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
-    if kind in ("Y", "K"):
-        if not (x > 0.0):
-            raise DomainError(f"{kind}_m needs x > 0, got {x}")
-    elif x < 0.0:
-        raise DomainError(f"{kind}_m needs x >= 0, got {x}")
     from scipy import special
 
-    return float(getattr(special, _BESSEL[kind])(m, x))
+    return getattr(special, _BESSEL[kind])
+
+
+def _check_bessel_args(kind: str, m, x: float, what: str, zero_ok: bool = False):
+    """(ufunc, m as an int) of a cylinder-function call; x must be finite and > 0 (>= 0 if zero_ok)."""
+    fn = _cylinder(kind)
+    m = _check_int(m, "m")
+    if not math.isfinite(x):
+        raise DomainError(f"{what} needs a finite x, got {x}")
+    if not (x > 0.0 or zero_ok and x == 0.0):
+        raise DomainError(f"{what} needs x {'>=' if zero_ok else '>'} 0, got {x}")
+    return fn, m
+
+
+def bessel(kind: str, m: int, x: float) -> float:
+    """Cylinder function J/Y/I/K of integer order m >= 0 at finite x > 0 (x >= 0 for J and I)."""
+    fn, m = _check_bessel_args(kind, m, x, f"{kind}_m", zero_ok=kind in ("J", "I"))
+    if m < 0:
+        raise DomainError(f"order m must be >= 0, got {m}")
+    return float(fn(m, x))
 
 
 def bessel_deriv(kind: str, m: int, x: float) -> float:
-    """d/dx of the cylinder function, via C'_m = C_{m-1} - (m/x) C_m.
+    """d/dx of the cylinder function at finite x > 0, via C'_m = C_{m-1} - (m/x) C_m.
 
     K flips the first term: K'_m = -K_{m-1} - (m/x) K_m.
     """
-    if kind not in _BESSEL:
-        raise DomainError(f"kind must be one of J, Y, I, K, got {kind!r}")
-    m = _check_int(m, "m")
-    if not (x > 0.0):
-        raise DomainError(f"derivative recurrence needs x > 0, got {x}")
-    from scipy import special
-
-    fn = getattr(special, _BESSEL[kind])
+    fn, m = _check_bessel_args(kind, m, x, "derivative recurrence")
     lead = -fn(m - 1, x) if kind == "K" else fn(m - 1, x)
     return float(lead - (m / x) * fn(m, x))
 
@@ -1178,6 +1176,25 @@ def _integrand_support(p: int):
     return rpk, fpk, rmax
 
 
+# the largest s the quadrature takes: its J and Y panels split at the zeros
+# of C_m(s r) below the integrand's cutoff rmax, about s rmax / pi + m of them
+_HANKEL_MAX_S = 1e3
+
+
+def _check_hankel_args(n, m, kind: str, s: float) -> tuple[int, int]:
+    """(n, m) as ints; the quadrature needs n, m >= 0, a kind J, Y, I or K and 0 < s <= _HANKEL_MAX_S."""
+    n = _check_int(n, "n")
+    m = _check_int(m, "m")
+    _cylinder(kind)
+    if n < 0 or m < 0:
+        raise DomainError(f"oracle needs n >= 0 and m >= 0, got n={n}, m={m}")
+    if not (s > 0.0):
+        raise DomainError(f"oracle needs s > 0, got {s}")
+    if not (s <= _HANKEL_MAX_S):
+        raise DomainError(f"oracle needs s <= {_HANKEL_MAX_S:g}, got {s}")
+    return n, m
+
+
 def _hankel_quad(n: int, m: int, kind: str, s: float) -> tuple[float, float]:
     """Quadrature of int_0^inf r^{2n+m+1} e^{-r^2} C_m(s r) dr.
 
@@ -1188,7 +1205,7 @@ def _hankel_quad(n: int, m: int, kind: str, s: float) -> tuple[float, float]:
 
     p = 2 * n + m + 1
     _, fpk, rmax = _integrand_support(p)
-    fn = getattr(special, _BESSEL[kind])
+    fn = _cylinder(kind)
 
     def f(r):
         if r <= 0.0:
@@ -1199,25 +1216,15 @@ def _hankel_quad(n: int, m: int, kind: str, s: float) -> tuple[float, float]:
     if kind in ("J", "Y"):
         count = int(s * rmax / math.pi) + m + 6
         zeros = special.jn_zeros(m, count) if kind == "J" else special.yn_zeros(m, count)
-        points = [z / s for z in zeros if z / s < rmax]
-        if not points:
-            points = None
+        points = [z / s for z in zeros if z / s < rmax] or None
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            val, _ = integrate.quad(
-                f,
-                0.0,
-                rmax,
-                points=points,
-                limit=80 + 4 * (len(points) if points else 0),
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
+            val, _ = integrate.quad(f, 0.0, rmax, points=points, limit=80 + 4 * len(points or ()),
+                                    epsabs=1e-13, epsrel=1e-12)
         except integrate.IntegrationWarning as exc:
             raise ConvergenceError(
-                f"Hankel-integral quadrature failed for n={n}, m={m}, kind={kind}, "
-                f"s={s}: {exc}"
+                f"Hankel-integral quadrature failed for n={n}, m={m}, kind={kind}, s={s}: {exc}"
             ) from exc
     return val, fpk
 
@@ -1226,32 +1233,19 @@ def hankel_integral_oracle(n: int, m: int, kind: str, s: float) -> float:
     """Adaptive quadrature of int_0^inf r^{2n+m+1} e^{-r^2} C_m(s r) dr.
 
     Exists purely as an independent check of the closed forms; n + m is
-    capped so the plain-float result stays representable.
+    capped so the plain-float result stays representable.  Both Hankel
+    functions take a finite 0 < s <= _HANKEL_MAX_S = 1e3 (_check_hankel_args).
     """
-    n = _check_int(n, "n")
-    m = _check_int(m, "m")
-    if kind not in _BESSEL:
-        raise DomainError(f"kind must be one of J, Y, I, K, got {kind!r}")
-    if n < 0 or m < 0:
-        raise DomainError(f"oracle needs n >= 0 and m >= 0, got n={n}, m={m}")
-    if not (s > 0.0):
-        raise DomainError(f"oracle needs s > 0, got {s}")
+    n, m = _check_hankel_args(n, m, kind, s)
     if n + m > 64:
-        raise DomainError(
-            f"oracle quadrature is restricted to n + m <= 64, got {n + m}"
-        )
+        raise DomainError(f"oracle quadrature is restricted to n + m <= 64, got {n + m}")
     val, log_scale = _hankel_quad(n, m, kind, s)
     return val * math.exp(log_scale)
 
 
 def hankel_integral_scaled(n: int, m: int, kind: str, s: float) -> LogScaled:
     """Log-scaled variant of the quadrature oracle, usable at large n."""
-    n = _check_int(n, "n")
-    m = _check_int(m, "m")
-    if kind not in _BESSEL:
-        raise DomainError(f"kind must be one of J, Y, I, K, got {kind!r}")
-    if n < 0 or m < 0 or not (s > 0.0):
-        raise DomainError("hankel_integral_scaled needs n, m >= 0 and s > 0")
+    n, m = _check_hankel_args(n, m, kind, s)
     val, log_scale = _hankel_quad(n, m, kind, s)
     if val == 0.0:
         return ZERO

@@ -613,7 +613,21 @@ def test_wavefunction_satisfies_helmholtz_with_h2_decay():
         lambda: wavefunction_eval(RegionSolution(EXTERIOR, -0.6, ZERO, ONE), -1, [(1.0, 0.0)]),
         "bound-branch position evaluation supports m >= 0; negative m reduces to the shifted positive-order sector",
     ),
-], ids=["cross_section_total", "cross_section_differential", "bound_solutions", "wavefunction_eval"])
+    (
+        lambda: wavefunction_eval(RegionSolution(INTERIOR, 0.8, ONE, ZERO), 0, [(1.0, 0.0), (math.nan, 0.0)]),
+        "wavefunction points need a finite radial argument 2 sqrt(|w|) r, got (nan, 0.0)",
+    ),
+    (
+        lambda: wavefunction_eval(RegionSolution(EXTERIOR, -0.6, ZERO, ONE), 1, [(math.inf, 0.0)]),
+        "wavefunction points need a finite radial argument 2 sqrt(|w|) r, got (inf, 0.0)",
+    ),
+    (
+        lambda: wavefunction_eval(RegionSolution(EXTERIOR, 0.8, ONE, ONE), 0, [(1e308, 1e308)]),
+        "wavefunction points need a finite radial argument 2 sqrt(|w|) r, got (1e+308, 1e+308)",
+    ),
+], ids=["cross_section_total", "cross_section_differential", "bound_solutions", "wavefunction_eval",
+        "wavefunction_eval non-finite point", "wavefunction_eval point at infinity",
+        "wavefunction_eval radial argument overflow"])
 def test_library_domain_errors_name_their_rule(call, message):
     with pytest.raises(DomainError) as exc:
         call()

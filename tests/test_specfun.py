@@ -393,6 +393,12 @@ def test_bessel_domain_errors():
         bessel("Q", 0, 1.0)
     with pytest.raises(DomainError):
         bessel("J", -1, 1.0)
+    for kind in ("J", "Y", "I", "K"):
+        for x in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=" x"):
+                bessel(kind, 1, x)
+        with pytest.raises(DomainError, match=" x"):
+            bessel_deriv(kind, 1, math.inf)
 
 
 def test_bessel_deriv_matches_finite_differences():
@@ -466,9 +472,24 @@ def test_order_index_validation():
     (lambda: hankel_integral_oracle(1, -2, "J", 1.0), "oracle needs n >= 0 and m >= 0, got n=1, m=-2"),
     (lambda: hankel_integral_oracle(1, 0, "J", 0.0), "oracle needs s > 0, got 0.0"),
     (lambda: hankel_integral_scaled(1, 0, "Q", 1.0), "kind must be one of J, Y, I, K, got 'Q'"),
-    (lambda: hankel_integral_scaled(-1, 0, "J", 1.0), "hankel_integral_scaled needs n, m >= 0 and s > 0"),
-    (lambda: hankel_integral_scaled(1, -2, "J", 1.0), "hankel_integral_scaled needs n, m >= 0 and s > 0"),
-    (lambda: hankel_integral_scaled(1, 0, "J", -0.5), "hankel_integral_scaled needs n, m >= 0 and s > 0"),
+    # the scaled oracle shares the oracle's check and messages
+    pytest.param(lambda: hankel_integral_scaled(-1, 0, "J", 1.0), "oracle needs n >= 0 and m >= 0, got n=-1, m=0",
+                 id="hankel_integral_scaled n=-1"),
+    pytest.param(lambda: hankel_integral_scaled(1, -2, "J", 1.0), "oracle needs n >= 0 and m >= 0, got n=1, m=-2",
+                 id="hankel_integral_scaled m=-2"),
+    pytest.param(lambda: hankel_integral_scaled(1, 0, "J", -0.5), "oracle needs s > 0, got -0.5",
+                 id="hankel_integral_scaled s=-0.5"),
+    (lambda: bessel("J", 1, math.nan), "J_m needs a finite x, got nan"),
+    (lambda: bessel("K", 1, math.inf), "K_m needs a finite x, got inf"),
+    (lambda: bessel_deriv("Y", 1, math.inf), "derivative recurrence needs a finite x, got inf"),
+    *[
+        pytest.param(lambda f=f, kind=kind, s=s: f(1, 0, kind, s), message, id=f"{f.__name__} {kind} s={s}")
+        for f in (hankel_integral_oracle, hankel_integral_scaled)
+        for kind in ("J", "Y", "I", "K")
+        for s, message in ((math.nan, "oracle needs s > 0, got nan"),
+                           (math.inf, "oracle needs s <= 1000, got inf"),
+                           (1e9, "oracle needs s <= 1000, got 1000000000.0"))
+    ],
 ])
 def test_cylinder_and_oracle_domain_errors(call, message):
     with pytest.raises(DomainError) as exc:
