@@ -374,12 +374,21 @@ def matching_residual_bound(energy: float, spec: WellSpec, m: int) -> float:
     return _matching_residual_grid(np.array([energy], dtype=float), spec, m)[0]
 
 
-def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m) -> list[float]:
+def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m, count: bool = False):
     """G at every energy, lane i in sector m (an int) or m[i] (an int array), each lane bit for bit a lane alone.
 
     The Laguerre sweep and the U-ratio quadrature run on numpy lanes, one
     per energy, on one order when the lanes share a sector and an order per
     lane otherwise; _bound_residual combines them lane by lane.
+
+    With count, returns (G list, level count list): the levels of sector m
+    below each energy E, the negative pivots of H - E for the Fock-basis
+    Hamiltonian H of the sector (tridiagonal, Sylvester's law of inertia).
+    Its leading minors are n! L^{|m|}_n(theta E) times positive factors, with
+    the well's step at row N - k for m = -k (element(n, -k) is element(n-k,
+    +k)), so the count is the sign changes of L^{|m|}_n over n = 0..N-k, plus
+    the last pivot's bit [G' L^{|m|}_{N-k} < 0], where G' = (-1)^k G is G of
+    that +k problem; the exterior block alone is positive definite below V.
     """
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
@@ -387,15 +396,21 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m) -> list[flo
     _check_bound_x(float(x[low]), float(energies[low]), spec)
     if isinstance(m, np.ndarray):
         order, row = np.abs(m), spec.cap_n - np.maximum(-m, 0)
-        swept = _laguerre_sweep_grid(order, w, set(row.tolist()) | set((row + 1).tolist()))
+        swept = _laguerre_sweep_grid(order, w, set(row.tolist()) | set((row + 1).tolist()), count)
         rows = [_lane_rows(swept, row), _lane_rows(swept, row + 1)]
-        m = m.tolist()
+        odd, m = (m < 0) & (m % 2 == 1), m.tolist()
     else:
         order, row = _sector(m, spec)
-        swept = _laguerre_sweep_grid(order, w, (row, row + 1))
+        swept = _laguerre_sweep_grid(order, w, (row, row + 1), count)
         rows = [swept[row], swept[row + 1]]
+        odd = m < 0 and m % 2 == 1
     ratio = _u_ratio_1m_grid(row + 1, order, x)
-    return _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[0], *rows[1], ratio)))
+    g = _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[0][:2], *rows[1][:2], ratio)))
+    if not count:
+        return g
+    mant, changes = rows[0][0], rows[0][2]
+    gv = np.array(g)
+    return g, (changes + ((gv != 0.0) & (((gv < 0.0) != odd) != (mant < 0.0)))).tolist()
 
 
 def _brent(a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
@@ -451,56 +466,122 @@ def _brent(a: float, b: float, ga: float, gb: float, xtol: float, rtol: float):
     raise ConvergenceError(f"Brent's method did not converge within {BRENT_MAX_ITER} steps on the bracket [{a}, {b}]")
 
 
-def _lane_values(g, energies: list, sectors: list) -> list:
+def _lane_values(g, energies: list, sectors: list, count: bool = False) -> list:
     """g at each (energy, sector) lane as floats, in one lane pass on one sector (an int) or an int array.
 
-    When the pass raises a package error, each lane is rerun alone, and a
-    lane that raises one gives it in place of its value; lanes equal their
-    one-lane calls bit for bit, so the rerun changes no value.
+    With count, g(energies, s, True) returns (values, level counts), and
+    each lane gives a (value, count) pair.  When the pass raises a package
+    error, each lane is rerun alone, and a lane that raises one gives it in
+    place of its value; lanes equal their one-lane calls bit for bit, so the
+    rerun changes no value.
     """
+
+    def run(es, key):
+        if count:
+            values, counts = g(es, key, True)
+            return list(zip(np.asarray(values, dtype=float).tolist(), counts))
+        return np.asarray(g(es, key), dtype=float).tolist()
+
     key = sectors[0] if len(set(sectors)) == 1 else np.array(sectors)
     try:
-        return np.asarray(g(np.array(energies), key), dtype=float).tolist()
+        return run(np.array(energies), key)
     except NCWellError:
         out = []
         for e, s in zip(energies, sectors):
             try:
-                out.append(float(np.asarray(g(np.array([e]), s), dtype=float)[0]))
+                out.append(run(np.array([e]), s)[0])
             except NCWellError as exc:
                 out.append(exc)
         return out
 
 
-def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol: float) -> list:
+def _grid_call(g, grid: np.ndarray, s, count: bool):
+    """(g on the whole grid in sector s as an array, or the error of that one call; count(hi) - count(lo) or None)."""
+    try:
+        if not count:
+            return np.asarray(g(grid, s), dtype=float), None
+        values, counts = g(grid, s, True)
+        return np.asarray(values, dtype=float), counts[-1] - counts[0]
+    except NCWellError as exc:
+        return exc, None
+
+
+def _grid_values(g, sectors: list, grid: np.ndarray, count: bool) -> list:
+    """Per sector, g on the whole grid as _grid_call gives it, and the level count between the grid's ends.
+
+    Without count, each sector's grid is one call.  With count, two lane
+    passes (_lane_values) cover all the sectors.  The coarse pass takes g
+    and the level count at every s-th grid point and the last, with s =
+    floor(sqrt(size / 4)).  The fine pass takes g at the other points of each
+    coarse cell whose ends differ in count or in the sign of g, or hold a
+    zero of g.  The level count is exact, so a cell whose ends agree holds
+    no level and g keeps its sign there; its points take the value at its
+    left end, and every sign change, bracket and bracket value of the full
+    grid is kept.  A sector with a failing lane, or a coarse value that is
+    not finite, falls back to one call on its whole grid.
+    """
+    if not count:
+        return [_grid_call(g, grid, s, False) for s in sectors]
+    size = grid.size
+    coarse = np.unique(np.append(np.arange(0, size, max(1, math.isqrt(size // 4))), size - 1))
+    energies = grid[coarse].tolist()
+    lanes = _lane_values(g, energies * len(sectors), [s for s in sectors for _ in energies], count=True)
+    # per sector: its grid values and count, or None to fall back; the grid indices of its fine pass
+    out, fine = [], []
+    for j in range(len(sectors)):
+        pairs = lanes[j * len(energies):(j + 1) * len(energies)]
+        if any(isinstance(p, Exception) or not math.isfinite(p[0]) for p in pairs):
+            out.append(None)
+            fine.append([])
+            continue
+        values, counts = (np.array(c) for c in zip(*pairs))
+        neg = values < 0.0
+        cells = (counts[:-1] != counts[1:]) | (neg[:-1] != neg[1:]) | (values[:-1] == 0.0) | (values[1:] == 0.0)
+        out.append((np.append(np.repeat(values[:-1], np.diff(coarse)), values[-1]), int(counts[-1] - counts[0])))
+        fine.append([i for a, b in zip(coarse[:-1][cells].tolist(), coarse[1:][cells].tolist()) for i in range(a + 1, b)])
+    es = grid.tolist()
+    lanes = [(es[i], s) for s, idx in zip(sectors, fine) for i in idx]
+    values = iter(_lane_values(g, *zip(*lanes)) if lanes else ())
+    for j, idx in enumerate(fine):
+        got = [next(values) for _ in idx]
+        if out[j] is None or any(isinstance(v, Exception) for v in got):
+            out[j] = _grid_call(g, grid, sectors[j], True)
+        else:
+            out[j][0][idx] = got
+    return out
+
+
+def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol: float, count: bool = False):
     """Roots of g(., s) in [lo, hi] for each sector s, as (root, |g(root)|) pairs in increasing order.
 
     g(energies, s) evaluates lane i at energies[i] in sector s, or in
     sector s[i] when s is an int array, and must equal g at each lane alone.
-    Each sector's uniform scan grid is one call, in sector order; each
-    sign change between neighbouring grid values starts a _brent stepper,
+    The uniform scan grid is evaluated by _grid_values: a call per sector,
+    or with count (g(energies, s, True) also returns the number of roots
+    below each energy) only in the coarse cells that hold a root.  Each sign
+    change between neighbouring grid values starts a _brent stepper,
     refined to within tol + BRENT_RTOL |root|, and a grid value that is
     exactly 0 is itself a root.  Then every round sends the pending points
     of all live steppers through one call (_lane_values), so g is called
     only strictly inside the brackets.  Returns, per sector, its roots or
     the error a loop over the sectors, refining one bracket after another,
     would raise there: that of its grid call, else of its first failing
-    bracket.
+    bracket; and per sector count(hi) - count(lo), or None without count.
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
     found = [[] for _ in sectors]
     if hi <= lo:
-        return found
+        return found, [None] * len(sectors)
     step = (hi - lo) / (grid_points - 1)
     grid = lo + np.arange(grid_points) * step
     es = grid.tolist()
     live = []  # [sector index, slot in its roots, stepper, pending point]
-    for j, s in enumerate(sectors):
-        try:
-            vals = np.asarray(g(grid, s), dtype=float)
-        except NCWellError as exc:  # raised when the sector is reached
-            found[j] = exc
+    scanned = _grid_values(g, sectors, grid, count)
+    for j, (vals, _) in enumerate(scanned):
+        if isinstance(vals, Exception):  # raised when the sector is reached
+            found[j] = vals
             continue
         zero, neg = vals == 0.0, vals < 0.0
         hits = np.flatnonzero(zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:]))
@@ -531,7 +612,8 @@ def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol:
         values = _lane_values(g, [lane[3] for lane in live], [sectors[lane[0]] for lane in live])
         live = [lane for lane, value in zip(live, values) if advance(lane, value)]
     # a sector's first failing bracket is the one a loop over the brackets meets first
-    return [f if isinstance(f, Exception) else next((r for r in f if isinstance(r, Exception)), f) for f in found]
+    found = [f if isinstance(f, Exception) else next((r for r in f if isinstance(r, Exception)), f) for f in found]
+    return found, [c for _, c in scanned]
 
 
 def scan_roots(g, lo: float, hi: float, grid_points: int, tol: float):
@@ -540,48 +622,74 @@ def scan_roots(g, lo: float, hi: float, grid_points: int, tol: float):
     g(energies) evaluates g on an array of energies in one call, the scan
     grid or a round of Brent points, and must equal g point by point.
     """
-    (roots,) = _scan_sectors(lambda e, _: g(e), [0], lo, hi, grid_points, tol)
+    (roots,), _ = _scan_sectors(lambda e, _: g(e), [0], lo, hi, grid_points, tol)
     if isinstance(roots, Exception):
         raise roots
     return roots
 
 
-def _bound_levels(g, sectors: list, v: float, grid_points: int) -> list:
-    """Per sector, the roots of g(., sector) in (0, V) by _scan_sectors, or the sector's error.
+def _bound_levels(g, sectors: list, v: float, grid_points: int):
+    """Per sector, the roots of g(., sector) in (0, V) by _scan_sectors (or the sector's error), and its level count.
 
-    The scan stays EDGE_FRACTION V clear of both ends and refines each sign
+    g(energies, s, count) must take the count _scan_sectors asks for.  The
+    scan stays EDGE_FRACTION V clear of both ends and refines each sign
     change to within ROOT_FRACTION V.
     """
     eps = EDGE_FRACTION * v
-    return _scan_sectors(g, sectors, eps, v - eps, grid_points, ROOT_FRACTION * v)
+    return _scan_sectors(g, sectors, eps, v - eps, grid_points, ROOT_FRACTION * v, count=True)
 
 
-def _levels(m: int, found) -> list[BoundState]:
-    """A sector's roots from _bound_levels as BoundStates labelled m; its error is raised."""
+def _levels(m: int, found, count, scan: str, grid_points: int, stacklevel: int) -> list[BoundState]:
+    """A sector's roots and level count from _bound_levels as BoundStates labelled m; its error is raised.
+
+    When the roots found are not the count, it warns (RuntimeWarning) in
+    the name of scan; stacklevel counts frames as warnings.warn does from
+    the caller's frame.
+    """
     if isinstance(found, Exception):
         raise found
+    if count is not None and len(found) != count:
+        warnings.warn(
+            f"{scan} found {len(found)} levels for m = {m}, expected {count}; "
+            f"levels that share a cell of the {grid_points}-point grid are missed",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
     return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(found)]
 
 
-def _bound_sectors(spec: WellSpec, ms: list, grid_points: int):
+def _bound_sectors(spec: WellSpec, ms: list, grid_points: int, stacklevel: int = 2):
     """find_bound_states(spec, m, grid_points) for each m of ms, in order, from one scan.
 
     The scan covers the sectors up to the first one cut off (m < -N),
     where a loop over find_bound_states stops.  The iterator raises a
-    sector's error when it reaches the sector, so the errors come in the
-    loop's order.
+    sector's error, and warns of a level count that differs from the levels
+    found, when it reaches the sector, so both come in the loop's order;
+    stacklevel counts frames as warnings.warn does from the iterator's own
+    frame.
     """
     scanned = list(itertools.takewhile(lambda m: m >= -spec.cap_n, ms))
     if scanned:
-        found = _bound_levels(lambda e, s: _matching_residual_grid(e, spec, s), scanned, spec.v, grid_points)
+        found, counts = _bound_levels(
+            lambda e, s, count=False: _matching_residual_grid(e, spec, s, count), scanned, spec.v, grid_points
+        )
     for j, m in enumerate(ms):
         _check_negative_cutoff(m, spec)
-        yield _levels(m, found[j])
+        yield _levels(m, found[j], counts[j], f"noncommutative bound scan at N = {spec.cap_n}", grid_points,
+                      stacklevel)
 
 
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
-    """Scan (0, V) for sign changes of the matching function and refine them."""
-    return next(_bound_sectors(spec, [_check_int(m, "m")], grid_points))
+    """The bound levels of sector m in (0, V), from sign changes of the matching function on a grid.
+
+    The grid of grid_points energies defines the brackets, each refined by
+    Brent's method.  The matching function is evaluated only in the grid
+    cells where the level count (_matching_residual_grid) puts a level, and
+    a scan that finds another number of levels than the count, as when two
+    levels share a grid cell, warns (RuntimeWarning) naming m, N and both
+    numbers.
+    """
+    return next(_bound_sectors(spec, [_check_int(m, "m")], grid_points, stacklevel=3))
 
 
 def bound_solutions(energy: float, spec: WellSpec, m: int):

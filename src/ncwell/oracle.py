@@ -11,13 +11,11 @@ derivative continuity at r = R fixes the spectrum and tan(delta) = -B/A.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    EDGE_FRACTION,
     GRID_POINTS,
     BoundState,
     CrossSectionPoint,
@@ -46,7 +44,11 @@ class CommWellSpec:
             raise DomainError(f"v must be >= 0, got {self.v}")
 
 
-def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m) -> np.ndarray:
+# the level count's grid of J_m runs to kR in steps of 3: 10^6 points at most
+_COUNT_MAX_KR = 3e6
+
+
+def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool = False):
     """Cross-multiplied continuity condition; zeros are the bound levels.
 
     k J'_m(kR) K_m(kappa R) - kappa K'_m(kappa R) J_m(kR), pole-free in E,
@@ -57,6 +59,10 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m) -> np.ndarray
     kappa R ~ 697.9 on, which would make each such energy an exact zero;
     there both K columns are kve = e^{kappa R} K, which keeps the sign and
     the zeros.
+
+    With count (an array of energies), returns (values, level counts): the
+    levels below each energy are the zeros of J_m in (0, kR), plus the bit
+    [G J_m(kR) < 0] (a zero counting as positive).
     """
     from scipy import special  # deferred: the noncommutative commands never load it
 
@@ -72,7 +78,26 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m) -> np.ndarray
     j_m = special.jv(m, kr)
     dj = special.jv(m - 1, kr) - (m / kr) * j_m
     dk = -k_m1 - (m / kappar) * k_m
-    return k * dj * k_m - kappa * dk * j_m
+    g = k * dj * k_m - kappa * dk * j_m
+    if not count:
+        return g
+    # J_m > 0 on (0, max(m, 1)], and its zeros lie more than 3 apart, so on the grid max(m, 1) + 3i
+    # each cell holds at most one: the zeros below kR are the sign changes on the grid up to kR's
+    # cell, plus one where J_m(kR) differs in sign from J_m at that cell's start
+    if not kr.max(initial=0.0) <= _COUNT_MAX_KR:
+        raise DomainError(f"the commutative level count needs kR <= {_COUNT_MAX_KR:g}, got kR={kr.max()}")
+    orders = np.broadcast_to(m, kr.shape)
+    zeros = np.zeros(kr.shape, dtype=int)
+    for n in np.unique(orders).tolist():
+        lanes = orders == n
+        x, lo = kr[lanes], max(n, 1.0)
+        cell = np.floor((x - lo) / 3.0).astype(int)
+        neg = special.jv(n, lo + 3.0 * np.arange(max(cell.max(initial=0), 0) + 1)) < 0.0
+        changes = np.concatenate(([0], np.cumsum(neg[1:] != neg[:-1])))
+        inside = cell >= 0
+        at = np.maximum(cell, 0)
+        zeros[lanes] = np.where(inside, changes[at] + (neg[at] != (j_m[lanes] < 0.0)), 0)
+    return g, (zeros + ((g != 0.0) & ((g < 0.0) != (j_m < 0.0)))).tolist()
 
 
 def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel: int = 2):
@@ -80,45 +105,28 @@ def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel
 
     The spectrum depends on |m| only, so one scan (core._bound_levels) runs
     each |m| once, and its levels are labelled for every m with that |m|.
-    The iterator raises a sector's error, and warns of a count that differs
-    from the expected one, when it reaches each m, as a loop over
-    comm_bound_states would; the warning names the frame stacklevel - 1
-    above the one that advances the iterator.
+    The iterator raises a sector's error, and warns of a level count that
+    differs from the levels found, when it reaches each m, as a loop over
+    comm_bound_states would; stacklevel counts frames as warnings.warn does
+    from the iterator's own frame.
     """
-    from scipy import special
-
     orders = list(dict.fromkeys(abs(m) for m in labels))
-    found = dict(zip(orders, _bound_levels(
-        lambda e, m: _log_derivative_mismatch_grid(e, spec, m), orders, spec.v, grid_points
-    )))
-    top = math.sqrt(2.0 * spec.v * (1.0 - EDGE_FRACTION)) * spec.radius
+    found, counts = _bound_levels(
+        lambda e, m, count=False: _log_derivative_mismatch_grid(e, spec, m, count), orders, spec.v, grid_points
+    )
+    found, counts = dict(zip(orders, found)), dict(zip(orders, counts))
     for label in labels:
-        m = abs(label)
-        levels = _levels(label, found[m])
-        # the zeros of J_n lie above n and more than 3 apart, so on a grid of step 3 from top down to
-        # max(n, 1), where J_n > 0, J_n changes sign once per zero (jn_zeros costs 10x more)
-        n = abs(m - 1)
-        lo = max(n, 1.0)
-        signs = np.sign(special.jv(n, np.append(np.arange(top, lo, -3.0), lo)))
-        signs = signs[signs != 0.0]
-        expected = int(np.count_nonzero(signs[1:] != signs[:-1])) + (m == 0 and top > 0.0)
-        if len(levels) != expected:
-            warnings.warn(
-                f"commutative bound scan found {len(levels)} levels for m = {label}, expected {expected}; "
-                f"levels that share a cell of the {grid_points}-point grid are missed",
-                RuntimeWarning,
-                stacklevel=stacklevel,
-            )
-        yield levels
+        yield _levels(label, found[abs(label)], counts[abs(label)], "commutative bound scan", grid_points, stacklevel)
 
 
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only.
 
-    The sector holds one level per zero of J_{|m|-1} in (0, kR) at the top
-    of the scan, k = sqrt(2V(1 - EDGE_FRACTION)), and m = 0 one more (J_1
-    vanishes at 0).  A scan that finds another count, as when two levels
-    share a grid cell, warns (RuntimeWarning) naming m and both counts.
+    The grid of grid_points energies defines the brackets, and the matching
+    function is evaluated only in the grid cells where the level count
+    (_log_derivative_mismatch_grid) puts a level.  A scan that finds another
+    number of levels than the count, as when two levels share a grid cell,
+    warns (RuntimeWarning) naming m and both numbers.
     """
     return next(_comm_sectors(spec, [_check_int(m, "m")], grid_points, stacklevel=3))
 

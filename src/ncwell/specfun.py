@@ -141,7 +141,7 @@ def _room(a: np.ndarray) -> np.ndarray:
 
 
 def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
-                          ls: np.ndarray, targets):
+                          ls: np.ndarray, targets, count: bool = False):
     """_recurrence_rows on numpy lanes, lane i starting at its own row j0[i].
 
     m is one order for every lane (an int) or an int array of per-lane
@@ -175,9 +175,15 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     since, could use up the room of a running or joining lane.  That step
     is tested and renormalized as the scalar does after it, so every lane
     is renormalized on the scalar's step.
+
+    With count, every lane must start on the same row j0, and each target's
+    entry gains a third array: the sign changes of each lane's rows j0 - 2
+    up to t, a zero row counting as positive (renormalization keeps signs).
+    They are counted once per block, from the buffer's rows, and such a call
+    runs on the lanes however few they are.
     """
     targets = sorted(targets)
-    if w.size <= _REC_SCALAR_LANES:
+    if w.size <= _REC_SCALAR_LANES and not count:
         runs = [
             _recurrence_rows(*lane, targets)
             for lane in zip(np.broadcast_to(m, w.shape).tolist(), w.tolist(), j0.tolist(), lp.tolist(),
@@ -196,18 +202,24 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     if lane_m:
         m = m[order].astype(float)
     begin = starts.tolist()
+    if count and begin[:1] != begin[-1:]:
+        raise ValueError("a counted recurrence needs every lane to start on the same row")
     out = {}
 
-    def emit(t, row):
+    def emit(t, row, changes=None):
         # row holds row t of the lanes started by t; a lane starting at t + 1 is at its
         # row j0 - 1, one starting later at its row j0 - 2
         k1, k2 = bisect.bisect_right(begin, t), bisect.bisect_right(begin, t + 1)
         out[t] = (np.concatenate((row[:k1], lc0[k1:k2], lp0[k2:]))[inverse], ls[inverse])
+        if count:
+            out[t] += (changes[inverse],)
 
     first = begin[0] if lanes else math.inf
+    # the sign changes of each lane's rows so far: none at row j0 - 2, the start pair's at j0 - 1
+    changes = ((lp0 < 0.0) != (lc0 < 0.0)).astype(int)
     for t in targets:
         if t < first:
-            emit(t, lp0)
+            emit(t, lp0, changes if t == first - 1 else np.zeros_like(changes))
     if not targets or targets[-1] < first:
         return out
     last = targets[-1]
@@ -275,9 +287,15 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
                 np.multiply(cf, read, prod)
                 np.subtract(prod0, prod1, row)
                 np.divide(row, div, row)
+            if count:
+                # row end - i changes sign from row end - i - 1 at crossed[i]
+                crossed = (rows[:size] < 0.0) != (rows[1:size + 1] < 0.0)
             while ti < len(targets) and targets[ti] < end:
-                emit(targets[ti], rows[end - targets[ti]])
+                t = targets[ti]
+                emit(t, rows[end - t], changes + np.count_nonzero(crossed[end - t:], axis=0) if count else None)
                 ti += 1
+            if count:
+                changes = changes + np.count_nonzero(crossed, axis=0)
             if end == test:
                 k = bisect.bisect_right(begin, end)
                 lp, lc = rows[1, :k], rows[0, :k]
@@ -289,19 +307,20 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
                     a[i] = abs(lp[i]) + abs(lc[i])
                 room = float(_room(a).min(initial=math.inf))
             if ti < len(targets) and targets[ti] == end:
-                emit(end, rows[0])
+                emit(end, rows[0], changes)
                 ti += 1
             j = end + 1
     return out
 
 
 def _lane_rows(swept, row: np.ndarray):
-    """(mantissa array, log scale array) of row[i] at each lane i, from _recurrence_rows_grid's {row: ...}."""
-    mant, scale = np.empty(row.size), np.empty(row.size)
-    for t, (mt, sc) in swept.items():
+    """The arrays of row[i] at each lane i (mantissa, log scale and any count), from _recurrence_rows_grid's {row: ...}."""
+    out = [np.empty(row.size, a.dtype) for a in next(iter(swept.values()))]
+    for t, arrays in swept.items():
         sel = row == t
-        mant[sel], scale[sel] = mt[sel], sc[sel]
-    return mant, scale
+        for o, a in zip(out, arrays):
+            o[sel] = a[sel]
+    return out
 
 
 def _laguerre_start(m, w):
@@ -317,13 +336,14 @@ def _laguerre_sweep(m: int, w: float, targets):
     return _recurrence_rows(m, w, *_laguerre_start(m, w), targets)
 
 
-def _laguerre_sweep_grid(m, w: np.ndarray, targets):
+def _laguerre_sweep_grid(m, w: np.ndarray, targets, count: bool = False):
     """_laguerre_sweep on an array of arguments, one lane per w, bit for bit.
 
     m is one order (an int) or an int array of per-lane orders.  Returns
-    {n: (mantissa array, log_scale array)}.
+    {n: (mantissa array, log_scale array)}, with count also the sign changes
+    of L^m_0(w), ..., L^m_n(w) at each lane.
     """
-    return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets)
+    return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets, count)
 
 
 def _sweep_pair(mant: float, scale: float, log_div: float = 0.0) -> tuple[int, float]:

@@ -129,18 +129,19 @@ FOCK_ROWS = 600
 FOCK_REL_TOL = 1e-9
 
 
-def _fock_levels(spec, m):
+def _fock_levels(spec, m, rows=FOCK_ROWS):
     """Bound levels of sector m by diagonalizing the sector Hamiltonian.
 
     H = (1/theta)[b,[b^+, .]] + V (1 - P_N), the potential acting from the
     left, is tridiagonal on the elements c_n = <n|psi|n+m>: diagonal
     (2n+m+1)/theta + V [n > N], off-diagonal -sqrt((n+1)(n+m+1))/theta.  For
     m = -k the rows n >= k, re-indexed j = n - k, are the +k problem with the
-    step moved to j > N - k.  Truncated at FOCK_ROWS; eigenvalues in (0, V).
+    step moved to j > N - k.  Truncated at `rows` rows (FOCK_ROWS by default);
+    eigenvalues in (0, V).
     """
     k = abs(m)
     step = spec.cap_n - k if m < 0 else spec.cap_n
-    j = np.arange(FOCK_ROWS, dtype=float)
+    j = np.arange(rows, dtype=float)
     diag = (2.0 * j + k + 1.0) / spec.theta + spec.v * (j > step)
     off = -np.sqrt((j[:-1] + 1.0) * (j[:-1] + k + 1.0)) / spec.theta
     return list(eigh_tridiagonal(

@@ -180,10 +180,18 @@ def test_nan_residual_raises_naming_the_energy():
 
 
 def test_cli_maps_a_nan_residual_to_the_convergence_exit(monkeypatch, capsys):
-    # the grid is untouched, so its brackets stand and the first refinement round meets the NaN
+    # the grid's lanes are untouched, so its brackets stand and the first refinement round meets the NaN
     real = core._matching_residual_grid
-    monkeypatch.setattr(core, "_matching_residual_grid",
-                        lambda e, spec, m: real(e, spec, m) if e.size == core.GRID_POINTS else [math.nan] * e.size)
+    v, points = 6.0, core.GRID_POINTS
+    lo, hi = core.EDGE_FRACTION * v, v - core.EDGE_FRACTION * v
+    grid = {lo + i * ((hi - lo) / (points - 1)) for i in range(points)}
+
+    def residual(e, spec, m, count=False):
+        got = real(e, spec, m, count)
+        values = [g if x in grid else math.nan for x, g in zip(e.tolist(), got[0] if count else got)]
+        return (values, got[1]) if count else values
+
+    monkeypatch.setattr(core, "_matching_residual_grid", residual)
     argv = ["bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "6", "--m", "0"]
     assert cli.main(argv) == cli.CONVERGENCE_EXIT
     assert "numerical non-convergence: matching residual is NaN at E=" in capsys.readouterr().err

@@ -403,17 +403,19 @@ def test_domain_error_paths_exit_1_with_their_message(capsys, argv, message):
 
 
 def test_deep_well_bound_states_warn_and_keep_stdout(capsys):
-    # the commutative scan misses levels that share a grid cell and warns (pytest records the
-    # warning, which the interpreter would print on stderr); the table is the pinned one
+    # both scans miss levels that share a grid cell and warn, sector by sector, the noncommutative
+    # one first (pytest records the warnings, which the interpreter would print on stderr); the
+    # table is the pinned one
     argv = make_golden.CLI_GOLDENS["bound_states_n10_v20000.csv"]
     with pytest.warns(RuntimeWarning) as rec:
         code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out.encode() == (make_golden.DATA / "bound_states_n10_v20000.csv").read_bytes()
     assert [str(w.message) for w in rec] == [
-        f"commutative bound scan found {found} levels for m = {m}, expected {expected}; "
+        f"{scan} found {found} levels for m = {m}, expected {expected}; "
         "levels that share a cell of the 300-point grid are missed"
-        for m, found, expected in ((0, 193, 285), (1, 190, 284))
+        for m, nc, comm in ((0, (1, 11), (193, 285)), (1, (1, 11), (190, 284)))
+        for scan, (found, expected) in (("noncommutative bound scan at N = 10", nc), ("commutative bound scan", comm))
     ]
 
 

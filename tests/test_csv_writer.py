@@ -62,7 +62,7 @@ def tables_of(capsys, monkeypatch, argv):
     return (*seen[0], out)
 
 
-@pytest.mark.filterwarnings("ignore:commutative bound scan found")
+@pytest.mark.filterwarnings("ignore:(non)?commutative bound scan")
 @pytest.mark.filterwarnings("ignore:partial-wave sum hit the cap")
 @pytest.mark.parametrize(
     "argv, kinds",
