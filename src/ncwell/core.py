@@ -389,6 +389,8 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m, count: bool
     +k)), so the count is the sign changes of L^{|m|}_n over n = 0..N-k, plus
     the last pivot's bit [G' L^{|m|}_{N-k} < 0], where G' = (-1)^k G is G of
     that +k problem; the exterior block alone is positive definite below V.
+    The count is optional, as only the scan's coarse pass needs it
+    (_scan_sectors).
     """
     w = spec.theta * energies
     x = spec.theta * (spec.v - energies)
@@ -495,33 +497,22 @@ def _lane_values(g, energies: list, sectors: list, count: bool = False) -> list:
         return out
 
 
-def _grid_call(g, grid: np.ndarray, s, count: bool):
-    """(g on the whole grid in sector s as an array, or the error of that one call; count(hi) - count(lo) or None)."""
-    try:
-        if not count:
-            return np.asarray(g(grid, s), dtype=float), None
-        values, counts = g(grid, s, True)
-        return np.asarray(values, dtype=float), counts[-1] - counts[0]
-    except NCWellError as exc:
-        return exc, None
+def _grid_values(g, sectors: list, grid: np.ndarray) -> list:
+    """Per sector, g on the whole grid as an array (or the error of one whole-grid call), and count(hi) - count(lo).
 
-
-def _grid_values(g, sectors: list, grid: np.ndarray, count: bool) -> list:
-    """Per sector, g on the whole grid as _grid_call gives it, and the level count between the grid's ends.
-
-    Without count, each sector's grid is one call.  With count, two lane
-    passes (_lane_values) cover all the sectors.  The coarse pass takes g
-    and the level count at every s-th grid point and the last, with s =
-    floor(sqrt(size / 4)).  The fine pass takes g at the other points of each
-    coarse cell whose ends differ in count or in the sign of g, or hold a
-    zero of g.  The level count is exact, so a cell whose ends agree holds
+    Two lane passes (_lane_values) cover all the sectors.  The coarse pass
+    takes g and the level count at every s-th grid point and the last, with
+    s = floor(sqrt(size / 4)).  The fine pass takes g at the other points of
+    each coarse cell whose ends differ in count or in the sign of g, or hold
+    a zero of g.  The level count is exact, so a cell whose ends agree holds
     no level and g keeps its sign there; its points take the value at its
     left end, and every sign change, bracket and bracket value of the full
     grid is kept.  A sector with a failing lane, or a coarse value that is
-    not finite, falls back to one call on its whole grid.
+    not finite, is evaluated in one call on its whole grid, whose error
+    lane-by-lane reruns could not give without every point: in it, x
+    underflow at the top of the grid outranks the first failing quadrature
+    lane, which outranks the first failing series lane.
     """
-    if not count:
-        return [_grid_call(g, grid, s, False) for s in sectors]
     size = grid.size
     coarse = np.unique(np.append(np.arange(0, size, max(1, math.isqrt(size // 4))), size - 1))
     energies = grid[coarse].tolist()
@@ -541,44 +532,52 @@ def _grid_values(g, sectors: list, grid: np.ndarray, count: bool) -> list:
         fine.append([i for a, b in zip(coarse[:-1][cells].tolist(), coarse[1:][cells].tolist()) for i in range(a + 1, b)])
     es = grid.tolist()
     lanes = [(es[i], s) for s, idx in zip(sectors, fine) for i in idx]
-    values = iter(_lane_values(g, *zip(*lanes)) if lanes else ())
+    got = iter(_lane_values(g, *zip(*lanes)) if lanes else ())
     for j, idx in enumerate(fine):
-        got = [next(values) for _ in idx]
-        if out[j] is None or any(isinstance(v, Exception) for v in got):
-            out[j] = _grid_call(g, grid, sectors[j], True)
-        else:
-            out[j][0][idx] = got
+        values = [next(got) for _ in idx]
+        if out[j] is not None and not any(isinstance(v, Exception) for v in values):
+            out[j][0][idx] = values
+            continue
+        try:
+            values, counts = g(grid, sectors[j], True)
+            out[j] = np.asarray(values, dtype=float), counts[-1] - counts[0]
+        except NCWellError as exc:
+            out[j] = exc, None
     return out
 
 
-def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol: float, count: bool = False):
-    """Roots of g(., s) in [lo, hi] for each sector s, as (root, |g(root)|) pairs in increasing order.
+def _scan_sectors(g, sectors: list, v: float, grid_points: int):
+    """The roots of g(., s) in (0, V) for each sector s, as (root, |g(root)|) pairs in increasing order.
 
     g(energies, s) evaluates lane i at energies[i] in sector s, or in
-    sector s[i] when s is an int array, and must equal g at each lane alone.
-    The uniform scan grid is evaluated by _grid_values: a call per sector,
-    or with count (g(energies, s, True) also returns the number of roots
-    below each energy) only in the coarse cells that hold a root.  Each sign
-    change between neighbouring grid values starts a _brent stepper,
-    refined to within tol + BRENT_RTOL |root|, and a grid value that is
-    exactly 0 is itself a root.  Then every round sends the pending points
-    of all live steppers through one call (_lane_values), so g is called
-    only strictly inside the brackets.  Returns, per sector, its roots or
-    the error a loop over the sectors, refining one bracket after another,
-    would raise there: that of its grid call, else of its first failing
-    bracket; and per sector count(hi) - count(lo), or None without count.
+    sector s[i] when s is an int array, and must equal g at each lane alone;
+    g(energies, s, True) also returns the number of roots below each energy.
+    Only the coarse pass of _grid_values asks for that count: the fine pass
+    and the rounds need none, and counting there too made a bound-spectrum
+    pass 1.3x slower.  The uniform grid of grid_points energies stays
+    EDGE_FRACTION V clear of both ends.  Each sign change between
+    neighbouring grid values starts a _brent stepper, refined to within
+    ROOT_FRACTION V + BRENT_RTOL |root|, and a grid value that is exactly 0
+    is itself a root.  Then every round sends the pending points of all live
+    steppers through one call (_lane_values), so g is called only strictly
+    inside the brackets.  Returns, per sector, its roots or the error a loop
+    over the sectors, refining one bracket after another, would raise there:
+    that of its grid, else of its first failing bracket; and per sector
+    count(hi) - count(lo), 0 when the grid is empty (hi <= lo).
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
     found = [[] for _ in sectors]
+    lo, hi = EDGE_FRACTION * v, v - EDGE_FRACTION * v
     if hi <= lo:
-        return found, [None] * len(sectors)
+        return found, [0] * len(sectors)
+    tol = ROOT_FRACTION * v
     step = (hi - lo) / (grid_points - 1)
     grid = lo + np.arange(grid_points) * step
     es = grid.tolist()
     live = []  # [sector index, slot in its roots, stepper, pending point]
-    scanned = _grid_values(g, sectors, grid, count)
+    scanned = _grid_values(g, sectors, grid)
     for j, (vals, _) in enumerate(scanned):
         if isinstance(vals, Exception):  # raised when the sector is reached
             found[j] = vals
@@ -616,31 +615,8 @@ def _scan_sectors(g, sectors: list, lo: float, hi: float, grid_points: int, tol:
     return found, [c for _, c in scanned]
 
 
-def scan_roots(g, lo: float, hi: float, grid_points: int, tol: float):
-    """Roots of g in [lo, hi] as (root, |g(root)|) pairs, in increasing order: _scan_sectors on one sector.
-
-    g(energies) evaluates g on an array of energies in one call, the scan
-    grid or a round of Brent points, and must equal g point by point.
-    """
-    (roots,), _ = _scan_sectors(lambda e, _: g(e), [0], lo, hi, grid_points, tol)
-    if isinstance(roots, Exception):
-        raise roots
-    return roots
-
-
-def _bound_levels(g, sectors: list, v: float, grid_points: int):
-    """Per sector, the roots of g(., sector) in (0, V) by _scan_sectors (or the sector's error), and its level count.
-
-    g(energies, s, count) must take the count _scan_sectors asks for.  The
-    scan stays EDGE_FRACTION V clear of both ends and refines each sign
-    change to within ROOT_FRACTION V.
-    """
-    eps = EDGE_FRACTION * v
-    return _scan_sectors(g, sectors, eps, v - eps, grid_points, ROOT_FRACTION * v, count=True)
-
-
 def _levels(m: int, found, count, scan: str, grid_points: int, stacklevel: int) -> list[BoundState]:
-    """A sector's roots and level count from _bound_levels as BoundStates labelled m; its error is raised.
+    """A sector's roots and level count from _scan_sectors as BoundStates labelled m; its error is raised.
 
     When the roots found are not the count, it warns (RuntimeWarning) in
     the name of scan; stacklevel counts frames as warnings.warn does from
@@ -648,7 +624,7 @@ def _levels(m: int, found, count, scan: str, grid_points: int, stacklevel: int) 
     """
     if isinstance(found, Exception):
         raise found
-    if count is not None and len(found) != count:
+    if len(found) != count:
         warnings.warn(
             f"{scan} found {len(found)} levels for m = {m}, expected {count}; "
             f"levels that share a cell of the {grid_points}-point grid are missed",
@@ -670,7 +646,7 @@ def _bound_sectors(spec: WellSpec, ms: list, grid_points: int, stacklevel: int =
     """
     scanned = list(itertools.takewhile(lambda m: m >= -spec.cap_n, ms))
     if scanned:
-        found, counts = _bound_levels(
+        found, counts = _scan_sectors(
             lambda e, s, count=False: _matching_residual_grid(e, spec, s, count), scanned, spec.v, grid_points
         )
     for j, m in enumerate(ms):
@@ -682,12 +658,12 @@ def _bound_sectors(spec: WellSpec, ms: list, grid_points: int, stacklevel: int =
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """The bound levels of sector m in (0, V), from sign changes of the matching function on a grid.
 
-    The grid of grid_points energies defines the brackets, each refined by
-    Brent's method.  The matching function is evaluated only in the grid
-    cells where the level count (_matching_residual_grid) puts a level, and
-    a scan that finds another number of levels than the count, as when two
-    levels share a grid cell, warns (RuntimeWarning) naming m, N and both
-    numbers.
+    One counted scan (_scan_sectors): the grid of grid_points energies
+    defines the brackets, each refined by Brent's method, and the matching
+    function is evaluated only in the grid cells where the level count
+    (_matching_residual_grid) puts a level.  A scan that finds another
+    number of levels than the count, as when two levels share a grid cell,
+    warns (RuntimeWarning) naming m, N and both numbers.
     """
     return next(_bound_sectors(spec, [_check_int(m, "m")], grid_points, stacklevel=3))
 

@@ -20,10 +20,10 @@ from .core import (
     BoundState,
     CrossSectionPoint,
     PhaseShiftPoint,
-    _bound_levels,
     _check_above_v,
     _check_cross_section_args,
     _levels,
+    _scan_sectors,
     partial_wave_sum,
 )
 from .errors import DomainError
@@ -58,11 +58,16 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
     bits for an array as for scalars.  scipy's K underflows to 0 from
     kappa R ~ 697.9 on, which would make each such energy an exact zero;
     there both K columns are kve = e^{kappa R} K, which keeps the sign and
-    the zeros.
+    the zeros.  At high m, J_m(kR) and J_{m-1}(kR) both underflow to 0 at
+    small kR, which would make G exactly 0 there too; such a kR lies far
+    below J_m's first zero, where J_m, J'_m and K_m are positive and K'_m
+    negative, so G is positive, and those lanes return the least positive
+    float.
 
     With count (an array of energies), returns (values, level counts): the
     levels below each energy are the zeros of J_m in (0, kR), plus the bit
-    [G J_m(kR) < 0] (a zero counting as positive).
+    [G J_m(kR) < 0] (a zero counting as positive).  The count is optional,
+    as only the scan's coarse pass needs it (core._scan_sectors).
     """
     from scipy import special  # deferred: the noncommutative commands never load it
 
@@ -75,10 +80,13 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
     if low.any():
         k_m = np.where(low, special.kve(m, kappar), k_m)
         k_m1 = np.where(low, special.kve(m - 1, kappar), k_m1)
-    j_m = special.jv(m, kr)
-    dj = special.jv(m - 1, kr) - (m / kr) * j_m
+    j_m, j_m1 = special.jv(m, kr), special.jv(m - 1, kr)
+    dj = j_m1 - (m / kr) * j_m
     dk = -k_m1 - (m / kappar) * k_m
     g = k * dj * k_m - kappa * dk * j_m
+    under = (j_m == 0.0) & (j_m1 == 0.0)
+    if under.any():
+        g = np.where(under, math.ulp(0.0), g)
     if not count:
         return g
     # J_m > 0 on (0, max(m, 1)], and its zeros lie more than 3 apart, so on the grid max(m, 1) + 3i
@@ -103,7 +111,7 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
 def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel: int = 2):
     """comm_bound_states(spec, m, grid_points) for each m of labels, in order.
 
-    The spectrum depends on |m| only, so one scan (core._bound_levels) runs
+    The spectrum depends on |m| only, so one scan (core._scan_sectors) runs
     each |m| once, and its levels are labelled for every m with that |m|.
     The iterator raises a sector's error, and warns of a level count that
     differs from the levels found, when it reaches each m, as a loop over
@@ -111,7 +119,7 @@ def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel
     from the iterator's own frame.
     """
     orders = list(dict.fromkeys(abs(m) for m in labels))
-    found, counts = _bound_levels(
+    found, counts = _scan_sectors(
         lambda e, m, count=False: _log_derivative_mismatch_grid(e, spec, m, count), orders, spec.v, grid_points
     )
     found, counts = dict(zip(orders, found)), dict(zip(orders, counts))
@@ -122,8 +130,9 @@ def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only.
 
-    The grid of grid_points energies defines the brackets, and the matching
-    function is evaluated only in the grid cells where the level count
+    The one counted scan of both solvers (core._scan_sectors): the grid of
+    grid_points energies defines the brackets, and the matching function is
+    evaluated only in the grid cells where the level count
     (_log_derivative_mismatch_grid) puts a level.  A scan that finds another
     number of levels than the count, as when two levels share a grid cell,
     warns (RuntimeWarning) naming m and both numbers.

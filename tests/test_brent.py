@@ -12,13 +12,22 @@ scipy.optimize is imported here only; the package does not import it.
 import inspect
 import math
 import random
+import re
 import sys
 
 import pytest
 from scipy import optimize
 
 from ncwell import cli, core
-from ncwell.core import BRENT_RTOL, WellSpec, _brent, find_bound_states, matching_residual_bound, scan_roots
+from ncwell.core import (
+    BRENT_RTOL,
+    EDGE_FRACTION,
+    WellSpec,
+    _brent,
+    _scan_sectors,
+    find_bound_states,
+    matching_residual_bound,
+)
 from ncwell.errors import ConvergenceError
 from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
 
@@ -174,9 +183,13 @@ def test_nan_residual_raises_naming_the_energy():
         optimize.brentq(g, 0.0, 1.0)
     with pytest.raises(ConvergenceError, match=r"NaN at E=0\.7 "):
         drive(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12, BRENT_RTOL)
-    # a NaN bracket value from the scan grid, next to a negative one
-    with pytest.raises(ConvergenceError, match=r"NaN at E=1\.0 "):
-        scan_roots(lambda grid: [-0.7, math.nan], 0.0, 1.0, 2, 1e-12)
+    # a NaN bracket value from the scan grid, next to a negative one, at the grid's top, V = 1
+    def grid_g(grid, _, count=False):
+        return ([-0.7, math.nan], [0, 1]) if count else [-0.7, math.nan]
+
+    (found,), _ = _scan_sectors(grid_g, [0], 1.0, 2)
+    with pytest.raises(ConvergenceError, match=rf"NaN at E={re.escape(str(1.0 - EDGE_FRACTION))} "):
+        raise found
 
 
 def test_cli_maps_a_nan_residual_to_the_convergence_exit(monkeypatch, capsys):

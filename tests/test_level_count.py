@@ -20,9 +20,7 @@ import ncwell.core as core_mod
 from ncwell.core import (
     EDGE_FRACTION,
     GRID_POINTS,
-    ROOT_FRACTION,
     WellSpec,
-    _bound_levels,
     _bound_sectors,
     _matching_residual_grid,
     _scan_sectors,
@@ -107,11 +105,15 @@ def outcome(found):
 
 
 def scans(g, sectors, v, points):
-    # the count-guided scan and the scan of every grid point, as outcomes, and the guided counts
-    eps = EDGE_FRACTION * v
-    full, none = _scan_sectors(lambda e, s: g(e, s), sectors, eps, v - eps, points, ROOT_FRACTION * v)
-    guided, counts = _bound_levels(g, sectors, v, points)
-    assert none == [None] * len(sectors)
+    # the count-guided scan and the scan of every grid point, as outcomes, and the guided counts;
+    # the latter is the same scan handed a count that rises at every energy, the energy itself,
+    # which puts a level in every coarse cell
+    def every(e, s, count=False):
+        values = g(e, s)
+        return (values, e) if count else values
+
+    full, _ = _scan_sectors(every, sectors, v, points)
+    guided, counts = _scan_sectors(g, sectors, v, points)
     return outcome(guided), outcome(full), counts
 
 

@@ -6,6 +6,7 @@ and the CLI tables cannot move.  The U-ratio quadrature lanes are held to
 the one-lane scalar bit for bit and to 30-digit mpmath ratios.
 """
 
+import itertools
 import math
 import re
 
@@ -15,11 +16,13 @@ import pytest
 
 from ncwell import specfun
 from ncwell.core import (
+    EDGE_FRACTION,
+    ROOT_FRACTION,
     WellSpec,
     _matching_residual_grid,
+    _scan_sectors,
     find_bound_states,
     matching_residual_bound,
-    scan_roots,
 )
 from ncwell.errors import ConvergenceError, DomainError
 from ncwell.oracle import CommWellSpec, _log_derivative_mismatch_grid, comm_bound_states
@@ -35,8 +38,8 @@ from ncwell.specfun import (
 
 
 def scan_grid(v, points):
-    # the grid scan_roots builds: lo, then lo + i * step
-    lo, hi = 1e-9 * v, v - 1e-9 * v
+    # the grid _scan_sectors builds: lo, then lo + i * step
+    lo, hi = EDGE_FRACTION * v, v - EDGE_FRACTION * v
     return lo + np.arange(points) * ((hi - lo) / (points - 1))
 
 
@@ -264,11 +267,24 @@ def test_cf_cap_raises_the_reference_error_on_both_paths(monkeypatch, lanes, nod
     assert want[0][1].endswith("for a=1, b=1, x=1e+20")
 
 
+def scan_one(g, v, points):
+    # the roots of g(es, count) on _scan_sectors' grid for V = v, in one sector; its error is raised
+    (roots,), _ = _scan_sectors(lambda es, _, count=False: g(es, count), [0], v, points)
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
+
+
 def test_scan_roots_counts_an_exact_grid_zero_once():
-    roots = scan_roots(lambda es: es - 0.5, 0.0, 1.0, 5, 1e-12)
-    assert roots == [(0.5, 0.0)]
-    roots = scan_roots(lambda es: es - 0.5, 0.0, 1.0, 4, 1e-12)
-    assert len(roots) == 1 and abs(roots[0][0] - 0.5) <= 1e-12
+    def g(root):
+        # the one level, counted below every energy above it
+        return lambda es, count: (es - root, (es > root).astype(int)) if count else es - root
+
+    mid = scan_grid(1.0, 5)[2]  # 0.5 to within EDGE_FRACTION
+    roots = scan_one(g(mid), 1.0, 5)
+    assert roots == [(mid, 0.0)]
+    roots = scan_one(g(0.5), 1.0, 4)
+    assert len(roots) == 1 and abs(roots[0][0] - 0.5) <= ROOT_FRACTION
 
 
 @pytest.mark.parametrize(
@@ -279,23 +295,30 @@ def test_scan_roots_counts_an_exact_grid_zero_once():
     ],
 )
 def test_scan_roots_refines_inside_brackets_and_reuses_every_value(g, lo, hi, points, want):
+    assert lo == 0.0  # the scan covers (0, V)
+    v = hi
     passes = []
 
-    def lanes(es):
+    def lanes(es, count):
+        # a count that rises at every energy puts a level in every coarse cell, so the scan
+        # evaluates every grid point
         passes.append(es.tolist())
-        return [g(e) for e in passes[-1]]
+        values = [g(e) for e in passes[-1]]
+        return (values, passes[-1]) if count else values
 
-    grid = (lo + np.arange(points) * ((hi - lo) / (points - 1))).tolist()
-    tol = 1e-12
-    roots = scan_roots(lanes, lo, hi, points, tol)
+    grid = scan_grid(v, points).tolist()
+    tol = ROOT_FRACTION * v
+    roots = scan_one(lanes, v, points)
     assert [r for r, _ in roots] == pytest.approx(want, rel=0, abs=tol)
-    # the first pass is the grid, which supplies the bracket values; each later one is a round
-    # with at most one point per bracket, strictly inside it, so never at a grid point
-    assert passes[0] == grid
+    # the first passes are the grid, its coarse points and then the others, which supply the
+    # bracket values; each later one is a round with at most one point per bracket, strictly
+    # inside it, so never at a grid point
+    rounds = list(itertools.dropwhile(lambda p: set(p) <= set(grid), passes))
+    assert sorted(e for p in passes[:len(passes) - len(rounds)] for e in p) == grid
     brackets = [(a, b) for a, b in zip(grid, grid[1:]) if (g(a) < 0.0) != (g(b) < 0.0)]
     assert len(brackets) == len(roots)
-    called = [e for points_ in passes[1:] for e in points_]
-    assert all(len(points_) <= len(brackets) for points_ in passes[1:])
+    called = [e for points_ in rounds for e in points_]
+    assert all(len(points_) <= len(brackets) for points_ in rounds)
     assert all(sum(a < e < b for a, b in brackets) == 1 for e in called)
     assert len(called) == len(set(called)) <= 10 * len(roots)
     # each residual is |g| at a point g was called at, the root itself

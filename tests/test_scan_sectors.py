@@ -105,3 +105,26 @@ def test_the_first_failing_sector_in_loop_order_is_reported(monkeypatch, capsys)
     for command in (argv, ["compare", "--quantity", "bound-states", *argv[1:]]):
         assert cli.main(command) == cli.CONVERGENCE_EXIT
         assert capsys.readouterr().err == f"ncwell: numerical non-convergence: {loop.value}\n"
+
+
+def test_an_empty_scan_range_is_silent(capsys):
+    # V = 0 leaves no grid (hi <= lo): no level, a level count of 0 and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_bound_states(WellSpec.from_radius(20.0, 10, 0.0), 0) == []
+        assert comm_bound_states(CommWellSpec(math.sqrt(20.0), 0.0), 3) == []
+        assert cli.main(["bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "0", "--m=-2..2"]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["m,level,energy_nc,energy_comm"] and out.err == ""
+
+
+@pytest.mark.parametrize("m", [60, 100, 150])
+def test_no_false_commutative_levels_where_the_bessel_j_underflow(m):
+    # at the bottom of the grid J_m(kR) and J_{m-1}(kR) both underflow to 0, far below J_m's
+    # first zero, where G is positive; an exact 0 there was taken for a level
+    comm = CommWellSpec(math.sqrt(20.0), 6.0)
+    g, counts = _log_derivative_mismatch_grid(np.array([6e-9]), comm, m, True)
+    assert g[0] > 0.0 and counts == [0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert comm_bound_states(comm, m) == []
