@@ -42,6 +42,7 @@ from .specfun import (  # noqa: F401  (_reu_direct, _u_ratio_1m: bench/tracing.p
     _laguerre_sweep,
     _laguerre_sweep_grid,
     _lane_rows,
+    _lower_order,
     _lowering_log,
     _sweep_pair,
     _ZERO_PAIR,
@@ -224,6 +225,14 @@ def _y_rows(m: int, w: float, reu, yc):
     return [(-s, l + (c + w - half) - _LOG_PI) if s else _ZERO_PAIR for (s, l), c in zip(reu, yc)]
 
 
+def _bound_prefactors(n: int, m: int) -> tuple[LogScaled, LogScaled]:
+    """The bound branch's row-n prefactors sqrt(m! n!/(n+m)!) (Laguerre) and sqrt(n! (n+m)!/m!) (U), m >= 0."""
+    return (
+        ls_exp(0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0) - math.lgamma(n + m + 1.0))),
+        ls_exp(0.5 * (math.lgamma(n + 1.0) + math.lgamma(n + m + 1.0) - math.lgamma(m + 1.0))),
+    )
+
+
 def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     """Matrix element <n|psi_m|n+m> of the region solution.
 
@@ -254,13 +263,8 @@ def fock_element(n: int, m: int, sol: RegionSolution) -> LogScaled:
     x = -w
     lag = laguerre(n, m, w)
     u = kummer_u(n + 1, 1 - m, x)
-    c1_part = a * lag * ls_exp(
-        0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0) - math.lgamma(n + m + 1.0))
-    )
-    c2_part = b * u * ls_exp(
-        0.5 * (math.lgamma(n + 1.0) + math.lgamma(n + m + 1.0) - math.lgamma(m + 1.0))
-    )
-    return c1_part + c2_part
+    pref_l, pref_u = _bound_prefactors(n, m)
+    return a * lag * pref_l + b * u * pref_u
 
 
 def _check_bound_energy(energy: float, spec: WellSpec) -> None:
@@ -300,9 +304,13 @@ def _check_bound_x(x: float, energy: float, spec: WellSpec) -> None:
         raise DomainError(f"x = theta (V - E) underflows to 0 at theta={spec.theta}, V={spec.v}, E={energy}")
 
 
-def _sector(m: int, spec: WellSpec) -> tuple[int, int]:
-    """(order, row): sector m matches at rows row, row + 1 of order |m|; negative m sits -m rows lower."""
-    return abs(m), spec.cap_n - max(-m, 0)
+def _sector(m, spec: WellSpec):
+    """(order, row): sector m matches at rows row, row + 1 of order |m|; negative m sits -m rows lower.
+
+    m is an int, or an int array mapped lane by lane to two int arrays.
+    """
+    order = abs(m)
+    return order, spec.cap_n - (order - m) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +330,28 @@ def _bound_residual(spec: WellSpec, m, energies, w, mant_n, scale_n, mant_n1, sc
     step calls math in LogScaled's order (logscale.log_add, log_to_float), so
     G has the bits of the LogScaled combination.  The lowering constants
     log((n-k)!/n!) are sector constants, taken as -log of the exact integer
-    n!/(n-k)! (specfun._lowering_log).  A non-finite (N+m+1) ratio raises
+    n!/(n-k)! (specfun._lowering_log), and each row is lowered by
+    specfun._lower_order.  A non-finite (N+m+1) ratio raises
     ConvergenceError naming E, m and N.
     """
     n = spec.cap_n
     ms = [m] * len(energies) if isinstance(m, int) else m
-    # per sector: k, N + m + 1, the sign of (-w)^k at w > 0 (negative only for odd k) and the
-    # lowering constants of rows N and N + 1
+    # per sector: k, N + m + 1 and the lowering constants of rows N and N + 1
     consts = {}
     for mi in set(ms):
         k = max(-mi, 0)
-        consts[mi] = k, n + mi + 1, (-1) ** k, _lowering_log(n, k), _lowering_log(n + 1, k)
+        consts[mi] = k, n + mi + 1, _lowering_log(n, k), _lowering_log(n + 1, k)
     out = []
     for e, mi, wi, m0, s0, m1, s1, r in zip(energies, ms, w, mant_n, scale_n, mant_n1, scale_n1, ratio):
-        k, c, sign_k, lg_n, lg_n1 = consts[mi]
+        k, c, lg_n, lg_n1 = consts[mi]
         f = c * r
         if not math.isfinite(f):
             raise ConvergenceError(f"U ratio (N+m+1) U(N+2)/U(N+1) = {f} is not finite at E={e}, m={mi}, N={n}")
         s_n, l_n = _sweep_pair(m0, s0)
         s_n1, l_n1 = _sweep_pair(m1, s1)
         if k:
-            if wi == 0.0:
-                s_n, l_n, s_n1, l_n1 = 0, 0.0, 0, 0.0
-            else:
-                sign = sign_k if wi > 0 else 1
-                lw = k * math.log(abs(wi))
-                s_n, l_n = s_n * sign, l_n + (lw + lg_n)
-                s_n1, l_n1 = s_n1 * sign, l_n1 + (lw + lg_n1)
+            s_n, l_n = _lower_order((s_n, l_n), lg_n, k, wi)
+            s_n1, l_n1 = _lower_order((s_n1, l_n1), lg_n1, k, wi)
         # t1 = (s_n1, l_n1); t2 = L^m_N * f
         s2, l2 = (s_n * (1 if f > 0 else -1), l_n + math.log(abs(f))) if s_n and f != 0.0 else (0, 0.0)
         if not (s_n1 or s2):
@@ -396,16 +399,15 @@ def _matching_residual_grid(energies: np.ndarray, spec: WellSpec, m, count: bool
     x = spec.theta * (spec.v - energies)
     low = int(x.argmin())
     _check_bound_x(float(x[low]), float(energies[low]), spec)
+    order, row = _sector(m, spec)
+    odd = (m < 0) & (m % 2 == 1)
     if isinstance(m, np.ndarray):
-        order, row = np.abs(m), spec.cap_n - np.maximum(-m, 0)
         swept = _laguerre_sweep_grid(order, w, set(row.tolist()) | set((row + 1).tolist()), count)
         rows = [_lane_rows(swept, row), _lane_rows(swept, row + 1)]
-        odd, m = (m < 0) & (m % 2 == 1), m.tolist()
+        m = m.tolist()
     else:
-        order, row = _sector(m, spec)
         swept = _laguerre_sweep_grid(order, w, (row, row + 1), count)
         rows = [swept[row], swept[row + 1]]
-        odd = m < 0 and m % 2 == 1
     ratio = _u_ratio_1m_grid(row + 1, order, x)
     g = _bound_residual(spec, m, *(a.tolist() for a in (energies, w, *rows[0][:2], *rows[1][:2], ratio)))
     if not count:
@@ -615,44 +617,49 @@ def _scan_sectors(g, sectors: list, v: float, grid_points: int):
     return found, [c for _, c in scanned]
 
 
-def _levels(m: int, found, count, scan: str, grid_points: int, stacklevel: int) -> list[BoundState]:
-    """A sector's roots and level count from _scan_sectors as BoundStates labelled m; its error is raised.
+def _sector_levels(g, labels: list, key, v: float, grid_points: int, scan: str, stacklevel: int):
+    """The BoundStates of each label of labels, in order, from one _scan_sectors call.
 
-    When the roots found are not the count, it warns (RuntimeWarning) in
-    the name of scan; stacklevel counts frames as warnings.warn does from
-    the caller's frame.
+    The scan runs g on the distinct sectors key(label), in first-seen
+    order, and an empty labels list scans nothing.  For each label in turn
+    the iterator raises its sector's error, else warns (RuntimeWarning, in
+    the name of scan) when the roots found are not the level count, and
+    yields the roots as BoundStates labelled with it, so errors and warnings
+    come in the order of a loop over the labels.  stacklevel counts frames
+    as warnings.warn does from the iterator's own frame.
     """
-    if isinstance(found, Exception):
-        raise found
-    if len(found) != count:
-        warnings.warn(
-            f"{scan} found {len(found)} levels for m = {m}, expected {count}; "
-            f"levels that share a cell of the {grid_points}-point grid are missed",
-            RuntimeWarning,
-            stacklevel=stacklevel + 1,
-        )
-    return [BoundState(m=m, energy=e, residual=r, level=i) for i, (e, r) in enumerate(found)]
+    sectors = list(dict.fromkeys(map(key, labels)))
+    if sectors:
+        scanned = dict(zip(sectors, zip(*_scan_sectors(g, sectors, v, grid_points))))
+    for label in labels:
+        found, count = scanned[key(label)]
+        if isinstance(found, Exception):
+            raise found
+        if len(found) != count:
+            warnings.warn(
+                f"{scan} found {len(found)} levels for m = {label}, expected {count}; "
+                f"levels that share a cell of the {grid_points}-point grid are missed",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+        yield [BoundState(m=label, energy=e, residual=r, level=i) for i, (e, r) in enumerate(found)]
 
 
 def _bound_sectors(spec: WellSpec, ms: list, grid_points: int, stacklevel: int = 2):
     """find_bound_states(spec, m, grid_points) for each m of ms, in order, from one scan.
 
-    The scan covers the sectors up to the first one cut off (m < -N),
-    where a loop over find_bound_states stops.  The iterator raises a
-    sector's error, and warns of a level count that differs from the levels
-    found, when it reaches the sector, so both come in the loop's order;
-    stacklevel counts frames as warnings.warn does from the iterator's own
-    frame.
+    The scan (_sector_levels) covers the sectors up to the first one cut
+    off (m < -N), where a loop over find_bound_states stops by raising that
+    m's DomainError.  stacklevel counts frames as warnings.warn does from
+    the iterator's own frame.
     """
     scanned = list(itertools.takewhile(lambda m: m >= -spec.cap_n, ms))
-    if scanned:
-        found, counts = _scan_sectors(
-            lambda e, s, count=False: _matching_residual_grid(e, spec, s, count), scanned, spec.v, grid_points
-        )
-    for j, m in enumerate(ms):
-        _check_negative_cutoff(m, spec)
-        yield _levels(m, found[j], counts[j], f"noncommutative bound scan at N = {spec.cap_n}", grid_points,
-                      stacklevel)
+    yield from _sector_levels(
+        lambda e, s, count=False: _matching_residual_grid(e, spec, s, count), scanned, int, spec.v, grid_points,
+        f"noncommutative bound scan at N = {spec.cap_n}", stacklevel + 1,
+    )
+    if len(scanned) < len(ms):
+        _check_negative_cutoff(ms[len(scanned)], spec)
 
 
 def find_bound_states(spec: WellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
@@ -685,13 +692,8 @@ def bound_solutions(energy: float, spec: WellSpec, m: int):
     n_cap = spec.cap_n
     lag = laguerre(n_cap, m, w_in)
     u = kummer_u(n_cap + 1, 1 - m, -w_out)
-    elem_l = lag * ls_exp(
-        0.5 * (math.lgamma(m + 1.0) + math.lgamma(n_cap + 1.0) - math.lgamma(n_cap + m + 1.0))
-    )
-    elem_u = u * ls_exp(
-        0.5 * (math.lgamma(n_cap + 1.0) + math.lgamma(n_cap + m + 1.0) - math.lgamma(m + 1.0))
-    )
-    c2 = elem_l / elem_u
+    pref_l, pref_u = _bound_prefactors(n_cap, m)
+    c2 = (lag * pref_l) / (u * pref_u)
     a_pos = ls_exp(0.5 * math.lgamma(m + 1.0) - 0.5 * m * math.log(w_in))
     interior = RegionSolution(INTERIOR, w_in, a_pos, ZERO)
     exterior = RegionSolution(EXTERIOR, w_out, ZERO, c2)

@@ -22,8 +22,7 @@ from .core import (
     PhaseShiftPoint,
     _check_above_v,
     _check_cross_section_args,
-    _levels,
-    _scan_sectors,
+    _sector_levels,
     partial_wave_sum,
 )
 from .errors import DomainError
@@ -58,11 +57,14 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
     bits for an array as for scalars.  scipy's K underflows to 0 from
     kappa R ~ 697.9 on, which would make each such energy an exact zero;
     there both K columns are kve = e^{kappa R} K, which keeps the sign and
-    the zeros.  At high m, J_m(kR) and J_{m-1}(kR) both underflow to 0 at
-    small kR, which would make G exactly 0 there too; such a kR lies far
-    below J_m's first zero, where J_m, J'_m and K_m are positive and K'_m
-    negative, so G is positive, and those lanes return the least positive
-    float.
+    the zeros.  At high m, K_m overflows to inf at small kappa R, which
+    would make G inf - inf = NaN; where either K column is inf, both are
+    divided by K_m > 0, giving (1, K_{m-1}/K_m) with the ratio from the
+    stable upward recurrence, so G keeps its sign and zeros.  At high m,
+    J_m(kR) and J_{m-1}(kR) both underflow to 0 at small kR, which would
+    make G exactly 0 there too; such a kR lies far below J_m's first zero,
+    where J_m, J'_m and K_m are positive and K'_m negative, so G is
+    positive, and those lanes return the least positive float.
 
     With count (an array of energies), returns (values, level counts): the
     levels below each energy are the zeros of J_m in (0, kR), plus the bit
@@ -80,6 +82,13 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
     if low.any():
         k_m = np.where(low, special.kve(m, kappar), k_m)
         k_m1 = np.where(low, special.kve(m - 1, kappar), k_m1)
+    high = np.isinf(k_m) | np.isinf(k_m1)
+    if high.any():
+        # r_nu = K_{nu-1}/K_nu from r_0 = K_1/K_0 by r_{nu+1} = 1/(r_nu + 2 nu/x), stable upward
+        ratio = special.kve(1, kappar) / special.kve(0, kappar)
+        for nu in range(int(np.max(m))):
+            ratio = np.where(nu < m, 1.0 / (ratio + 2.0 * nu / kappar), ratio)
+        k_m, k_m1 = np.where(high, 1.0, k_m), np.where(high, ratio, k_m1)
     j_m, j_m1 = special.jv(m, kr), special.jv(m - 1, kr)
     dj = j_m1 - (m / kr) * j_m
     dk = -k_m1 - (m / kappar) * k_m
@@ -111,26 +120,21 @@ def _log_derivative_mismatch_grid(energies, spec: CommWellSpec, m, count: bool =
 def _comm_sectors(spec: CommWellSpec, labels: list, grid_points: int, stacklevel: int = 2):
     """comm_bound_states(spec, m, grid_points) for each m of labels, in order.
 
-    The spectrum depends on |m| only, so one scan (core._scan_sectors) runs
-    each |m| once, and its levels are labelled for every m with that |m|.
-    The iterator raises a sector's error, and warns of a level count that
-    differs from the levels found, when it reaches each m, as a loop over
-    comm_bound_states would; stacklevel counts frames as warnings.warn does
-    from the iterator's own frame.
+    The spectrum depends on |m| only, so the one scan (core._sector_levels)
+    runs each |m| once, and its levels are labelled for every m with that
+    |m|.  stacklevel counts frames as warnings.warn does from the iterator's
+    own frame.
     """
-    orders = list(dict.fromkeys(abs(m) for m in labels))
-    found, counts = _scan_sectors(
-        lambda e, m, count=False: _log_derivative_mismatch_grid(e, spec, m, count), orders, spec.v, grid_points
+    return _sector_levels(
+        lambda e, m, count=False: _log_derivative_mismatch_grid(e, spec, m, count), labels, abs, spec.v, grid_points,
+        "commutative bound scan", stacklevel,
     )
-    found, counts = dict(zip(orders, found)), dict(zip(orders, counts))
-    for label in labels:
-        yield _levels(label, found[abs(label)], counts[abs(label)], "commutative bound scan", grid_points, stacklevel)
 
 
 def comm_bound_states(spec: CommWellSpec, m: int, grid_points: int = GRID_POINTS) -> list[BoundState]:
     """Bound levels in (0, V), labelled with the m passed; the spectrum depends on |m| only.
 
-    The one counted scan of both solvers (core._scan_sectors): the grid of
+    The one counted scan of both solvers (core._sector_levels): the grid of
     grid_points energies defines the brackets, and the matching function is
     evaluated only in the grid cells where the level count
     (_log_derivative_mismatch_grid) puts a level.  A scan that finds another

@@ -358,14 +358,16 @@ def _lowering_log(n: int, k: int) -> float:
     return -math.log(math.perm(n, k))
 
 
-def _lower_order(base: tuple[int, float], n: int, k: int, w: float) -> tuple[int, float]:
-    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base, as (sign, log magnitude) pairs."""
+def _lower_order(base: tuple[int, float], lowering: float, k: int, w: float) -> tuple[int, float]:
+    """L^{-k}_n(w) from base = L^k_{n-k}(w): (-w)^k ((n-k)!/n!) base, as (sign, log magnitude) pairs.
+
+    lowering is _lowering_log(n, k), which a caller lowering many lanes of one n takes once.
+    """
     if w == 0.0 or base[0] == 0:
         return _ZERO_PAIR
     # (-w)^k is negative only for w > 0 and odd k
     sign = (-1) ** k if w > 0 else 1
-    lg = k * math.log(abs(w)) + _lowering_log(n, k)
-    return base[0] * sign, base[1] + lg
+    return base[0] * sign, base[1] + (k * math.log(abs(w)) + lowering)
 
 
 def laguerre(n: int, m: int, w: float) -> LogScaled:
@@ -386,7 +388,7 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
             f"L^m_n with m < 0 needs n >= -m, got n={n}, m={m}"
         )
     val = _sweep_pair(*_laguerre_sweep(abs(m), w, {n - k})[n - k])
-    return LogScaled.from_log(*(_lower_order(val, n, k, w) if k else val))
+    return LogScaled.from_log(*(_lower_order(val, _lowering_log(n, k), k, w) if k else val))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,12 @@ CLI_GOLDENS = {
         "bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "20000", "--m=0..1",
         "--grid-points", "300",
     ],
+    # K_150 overflows to inf at small kappa R, where the commutative scan divides both K columns by
+    # K_m and takes K_{m-1}/K_m from the upward ratio recurrence
+    "bound_states_n10_v20000_m150.csv": [
+        "bound-states", "--radius", "sqrt20", "--capital-n", "10", "--v", "20000", "--m", "150",
+        "--grid-points", "300",
+    ],
     "readme_phase_shifts_n1000_m4.csv": [
         "phase-shifts", *WELL1000, "--m", "4", "--emin", "10.05", "--emax", "35", "--esteps", "400",
     ],

@@ -6,6 +6,7 @@ from scipy import special
 from ncwell.errors import DomainError
 from ncwell.oracle import (
     CommWellSpec,
+    _log_derivative_mismatch_grid,
     comm_bound_states,
     comm_cross_section,
     comm_phase_shift,
@@ -240,3 +241,19 @@ def test_scan_finds_every_commutative_level_without_a_warning(r2, v, counts):
         warnings.simplefilter("error")
         assert [len(comm_bound_states(spec, m)) for m in range(9)] == counts
         assert [len(comm_bound_states(spec, -m)) for m in range(9)] == counts
+
+
+@pytest.mark.parametrize("m, levels", [(150, 214), (200, 192)])
+def test_high_m_deep_well_levels_where_k_overflows(m, levels):
+    # K_m and K_{m-1} overflow to inf at small kappa R, where the mismatch divides both by K_m; at
+    # 20000 points the scan finds every level the count puts there (inf - inf gave NaN before)
+    import warnings
+
+    import numpy as np
+
+    spec = CommWellSpec(SQRT20, 20000.0)
+    g = _log_derivative_mismatch_grid(np.array([19999.99998]), spec, m)
+    assert np.isfinite(g).all() and math.isinf(special.kv(m, math.sqrt(2.0 * 2e-5) * SQRT20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(comm_bound_states(spec, m, 20000)) == levels

@@ -44,8 +44,8 @@ PAIR_KERNELS = {
     "_u_pos_direct (escalated)": lambda: specfun._u_pos_direct(20, 3, 12.0),
     "_reu_rows": lambda: specfun._reu_rows(3, 2.5, 63, 3),
     "_reu_rows (recurrence)": lambda: specfun._reu_rows(8, 9.0, 200, 2),
-    "_lower_order": lambda: specfun._lower_order((1, 0.5), 10, 3, 2.5),
-    "_lower_order (zero)": lambda: specfun._lower_order((1, 0.5), 10, 3, 0.0),
+    "_lower_order": lambda: specfun._lower_order((1, 0.5), specfun._lowering_log(10, 3), 3, 2.5),
+    "_lower_order (zero)": lambda: specfun._lower_order((1, 0.5), specfun._lowering_log(10, 3), 3, 0.0),
     "_u_abs_anchor_product": lambda: specfun._u_abs_anchor_product(3, 1, 1.0),
     "core._laguerre_pair": lambda: core._laguerre_pair(3, 2.5, 10),
     "core._reu_pair": lambda: core._reu_pair(3, 2.5, 70),
@@ -90,7 +90,7 @@ PUBLIC = {
     "laguerre": (lambda: specfun.laguerre(10, 3, 2.5), lambda: ls(core._laguerre_pair(3, 2.5, 10)[0])),
     "laguerre (m < 0)": (
         lambda: specfun.laguerre(10, -3, 2.5),
-        lambda: ls(specfun._lower_order(core._laguerre_pair(3, 2.5, 7)[0], 10, 3, 2.5)),
+        lambda: ls(specfun._lower_order(core._laguerre_pair(3, 2.5, 7)[0], specfun._lowering_log(10, 3), 3, 2.5)),
     ),
     "kummer_u": (lambda: specfun.kummer_u(5, -1, 0.5), lambda: ls(specfun._u_pos_direct(5, 2, 0.5))),
     "re_u_neg": (lambda: specfun.re_u_neg(70, 3, 2.5), lambda: ls(core._reu_pair(3, 2.5, 70)[0])),
