@@ -500,7 +500,7 @@ def _lane_values(g, energies: list, sectors: list, count: bool = False) -> list:
 
 
 def _grid_values(g, sectors: list, grid: np.ndarray) -> list:
-    """Per sector, g on the whole grid as an array (or the error of one whole-grid call), and count(hi) - count(lo).
+    """Per sector, g on the whole grid as an array (or the error of one whole-grid call), and (count(lo), count(hi)).
 
     Two lane passes (_lane_values) cover all the sectors.  The coarse pass
     takes g and the level count at every s-th grid point and the last, with
@@ -530,7 +530,7 @@ def _grid_values(g, sectors: list, grid: np.ndarray) -> list:
         values, counts = (np.array(c) for c in zip(*pairs))
         neg = values < 0.0
         cells = (counts[:-1] != counts[1:]) | (neg[:-1] != neg[1:]) | (values[:-1] == 0.0) | (values[1:] == 0.0)
-        out.append((np.append(np.repeat(values[:-1], np.diff(coarse)), values[-1]), int(counts[-1] - counts[0])))
+        out.append((np.append(np.repeat(values[:-1], np.diff(coarse)), values[-1]), (int(counts[0]), int(counts[-1]))))
         fine.append([i for a, b in zip(coarse[:-1][cells].tolist(), coarse[1:][cells].tolist()) for i in range(a + 1, b)])
     es = grid.tolist()
     lanes = [(es[i], s) for s, idx in zip(sectors, fine) for i in idx]
@@ -542,7 +542,7 @@ def _grid_values(g, sectors: list, grid: np.ndarray) -> list:
             continue
         try:
             values, counts = g(grid, sectors[j], True)
-            out[j] = np.asarray(values, dtype=float), counts[-1] - counts[0]
+            out[j] = np.asarray(values, dtype=float), (counts[0], counts[-1])
         except NCWellError as exc:
             out[j] = exc, None
     return out
@@ -565,7 +565,9 @@ def _scan_sectors(g, sectors: list, v: float, grid_points: int):
     inside the brackets.  Returns, per sector, its roots or the error a loop
     over the sectors, refining one bracket after another, would raise there:
     that of its grid, else of its first failing bracket; and per sector
-    count(hi) - count(lo), 0 when the grid is empty (hi <= lo).
+    the level counts (count(lo), count(hi)) at the grid's ends, (0, 0) when
+    the grid is empty (hi <= lo).  Both counts are 0 as E -> 0+, so
+    count(hi) levels lie below hi, count(lo) of them below the grid.
     """
     grid_points = _check_int(grid_points, "grid_points")
     if grid_points < 2:
@@ -573,7 +575,7 @@ def _scan_sectors(g, sectors: list, v: float, grid_points: int):
     found = [[] for _ in sectors]
     lo, hi = EDGE_FRACTION * v, v - EDGE_FRACTION * v
     if hi <= lo:
-        return found, [0] * len(sectors)
+        return found, [(0, 0)] * len(sectors)
     tol = ROOT_FRACTION * v
     step = (hi - lo) / (grid_points - 1)
     grid = lo + np.arange(grid_points) * step
@@ -623,22 +625,26 @@ def _sector_levels(g, labels: list, key, v: float, grid_points: int, scan: str, 
     The scan runs g on the distinct sectors key(label), in first-seen
     order, and an empty labels list scans nothing.  For each label in turn
     the iterator raises its sector's error, else warns (RuntimeWarning, in
-    the name of scan) when the roots found are not the level count, and
-    yields the roots as BoundStates labelled with it, so errors and warnings
-    come in the order of a loop over the labels.  stacklevel counts frames
+    the name of scan) when the roots found are not the level count below
+    the grid's last point, naming the levels below its first point if there
+    are any, and yields the roots as BoundStates labelled with it, so
+    errors and warnings come in the order of a loop over the labels.  stacklevel counts frames
     as warnings.warn does from the iterator's own frame.
     """
     sectors = list(dict.fromkeys(map(key, labels)))
     if sectors:
         scanned = dict(zip(sectors, zip(*_scan_sectors(g, sectors, v, grid_points))))
     for label in labels:
-        found, count = scanned[key(label)]
+        found, counts = scanned[key(label)]
         if isinstance(found, Exception):
             raise found
+        below, count = counts
         if len(found) != count:
+            why = [f"{below} lie below the grid's first point E = {EDGE_FRACTION * v:g}"] if below else []
+            if len(found) != count - below:
+                why.append(f"levels that share a cell of the {grid_points}-point grid are missed")
             warnings.warn(
-                f"{scan} found {len(found)} levels for m = {label}, expected {count}; "
-                f"levels that share a cell of the {grid_points}-point grid are missed",
+                f"{scan} found {len(found)} levels for m = {label}, expected {count}; " + ", and ".join(why),
                 RuntimeWarning,
                 stacklevel=stacklevel,
             )

@@ -60,6 +60,8 @@ _MP_MAX_TERMS = 2_000_000
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
 _LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
+# the largest |w| of a Laguerre sweep (_laguerre_sweep)
+_LAGUERRE_MAX_W = 1e57
 
 # the lane kernels run their lanes in blocks: _recurrence_rows_grid
 # _REC_BLOCK steps at a time and _cut_series_grid's digamma series
@@ -71,10 +73,10 @@ _LOG_HI, _LOG_LO = math.log(_RENORM_HI), math.log(_RENORM_LO)
 _REC_BLOCK = 64
 _SERIES_BLOCK = 32
 # a _recurrence_rows_grid call of _REC_SCALAR_LANES or fewer runs each lane on
-# _recurrence_rows (Python 3.11, numpy 2.4, 2-core host: a Laguerre sweep of 6
-# lanes took 0.92-0.98x the lane time at N = 10^3 and 10^4, of 8 lanes
-# 1.26-1.30x)
-_REC_SCALAR_LANES = 6
+# _recurrence_rows (Python 3.11, numpy 2.4, 2-core host: a Laguerre sweep of 8
+# lanes took 0.82-0.89x the lane time at N = 10^3 and 10^4 and 0.43-0.62x at
+# N = 20 and 100, of 10 lanes 0.90-1.14x at N = 10^3 and 10^4)
+_REC_SCALAR_LANES = 8
 _BLOCK_CELLS = 8_192
 
 
@@ -112,32 +114,68 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
     and the scaled cut values (n+m)! Re[U(n+1,1-m,-w)] both obey this
     recurrence.  Returns {j: (mantissa, log_scale)} for the targets, each
     >= j0 - 2 (a target below j0 is one of the two start rows).
+
+    The test for renormalization runs only on the steps _due picks, as in
+    _recurrence_rows_grid, so the pair is renormalized on the steps where a
+    test after every step would; 2j-1+m and j-1+m run as exact ints.
     """
     out = {}
-    j = j0
-    # run up to each target in turn, so the steps test no membership
+    grow, low = abs(m) + abs(w) - 1.0, min(m - 1.0, 0.0)
+    c2, c1, j = 2 * j0 - 1 + m, j0 - 1 + m, j0
+    test = _due(_room(abs(lp) + abs(lc)), j, _step_log(j, grow, low))
     for target in sorted(targets):
-        for j in range(j, target + 1):
-            lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
-            a = abs(lp) + abs(lc)
-            if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
-                lp /= a
-                lc /= a
-                ls += math.log(a)
+        while j <= target:
+            stop = min(target, test)
+            for j in range(j, stop + 1):
+                lp, lc = lc, ((c2 - w) * lc - c1 * lp) / j
+                c2 += 2
+                c1 += 1
+            j += 1
+            if stop == test:
+                a = abs(lp) + abs(lc)
+                if a > _RENORM_HI or (0.0 < a < _RENORM_LO):
+                    lp /= a
+                    lc /= a
+                    ls += math.log(a)
+                    a = abs(lp) + abs(lc)
+                test = _due(_room(a), j, _step_log(j, grow, low))
         out[target] = (lc if target >= j0 - 1 else lp, ls)
-        j = max(j, target + 1)
     return out
 
 
-def _room(a: np.ndarray) -> np.ndarray:
+# _room of a pair sum of 1: the log of the range's nearer end, less 1 for the rounding of the steps and of the sum
+_ROOM = min(_LOG_HI, -_LOG_LO) - 1.0
+
+
+def _room(a: float) -> float:
     """Log of the growth or shrinkage a pair sum a may take and stay in [1e-250, 1e250].
 
-    A margin of 1 covers the rounding of the steps and of a.  A sum of 0 or
-    NaN is never renormalized (the recurrence keeps it 0 or NaN), so its
-    room is inf; a sum outside the range has negative room.
+    A sum of 0 or NaN is never renormalized (the recurrence keeps it 0 or
+    NaN), so its room is inf; a sum outside the range has negative room.
     """
+    return _ROOM - abs(math.log(a)) if a > 0.0 else math.inf
+
+
+def _rooms(a: np.ndarray) -> np.ndarray:
+    """_room of each lane's pair sum."""
     pos = a > 0.0
-    return np.where(pos, min(_LOG_HI, -_LOG_LO) - 1.0 - np.abs(np.log(np.where(pos, a, 1.0))), math.inf)
+    return np.where(pos, _ROOM - np.abs(np.log(np.where(pos, a, 1.0))), math.inf)
+
+
+def _step_log(j: int, grow: float, low: float) -> float:
+    """Log of the factor 1 + (2j - 1 + |m| + |w|) / min(j, j - 1 + m) that bounds step j's change of |y_{j-1}| + |y_j|.
+
+    grow is the largest |m| + |w| - 1 and low the least min(m - 1, 0) of
+    the lanes.  The factor does not grow with j.  With no bound (j - 1 + m
+    < 1) or a NaN one it is 2 _LOG_HI, more than any room.
+    """
+    lg = math.log1p((2 * j + grow) / (j + low)) if j + low >= 1.0 else math.inf
+    return lg if lg < 2.0 * _LOG_HI else 2.0 * _LOG_HI
+
+
+def _due(room: float, j: int, lg: float):
+    """The first step from j on after which a pair with this room may have left the range, at log factor lg a step."""
+    return j + math.floor(max(room / lg, 0.0)) if room < math.inf else math.inf
 
 
 def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: np.ndarray,
@@ -160,19 +198,20 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     that holds the block's rows last first, so the two rows a step reads
     are one slice: a step is one multiply of the stacked coefficients by
     that slice, one subtract and one divide by j (as a float).  The views
-    of every step are built once per call, a short block filling the last
-    of the coefficient rows and running the last of the steps.  Lanes that
+    of every step are built once per call, for no more steps than the call
+    runs, a short block filling the last of the coefficient rows and
+    running the last of the steps.  Lanes that
     have not started run the steps on zeros; just before a lane's first
     step its two start rows are copied into the buffer, so lanes join
     mid-block.
 
     The renormalization test runs only on a step where a lane may have left
     [1e-250, 1e250].  A step j changes |y_{j-1}| + |y_j| by at most a factor
-    1 + (2j - 1 + |m| + |w|) / min(j, j - 1 + m) either way, which does not
-    grow with j, and a lane's room is the log of the change it may take
-    from its start pair or its last test.  A block ends early on the first
-    step where the factor at the block's first step, taken on every step
-    since, could use up the room of a running or joining lane.  That step
+    that does not grow with j (_step_log), and a lane's room (_rooms) is
+    the log of the change it may take from its start pair or its last test.
+    A block ends early on the first step where the factor at the block's
+    first step, taken on every step since, could use up the room of a
+    running or joining lane (_due).  That step
     is tested and renormalized as the scalar does after it, so every lane
     is renormalized on the scalar's step.
 
@@ -184,10 +223,10 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     """
     targets = sorted(targets)
     if w.size <= _REC_SCALAR_LANES and not count:
+        ms = m.tolist() if isinstance(m, np.ndarray) else [m] * w.size
         runs = [
             _recurrence_rows(*lane, targets)
-            for lane in zip(np.broadcast_to(m, w.shape).tolist(), w.tolist(), j0.tolist(), lp.tolist(),
-                            lc.tolist(), ls.tolist())
+            for lane in zip(ms, w.tolist(), j0.tolist(), lp.tolist(), lc.tolist(), ls.tolist())
         ]
         return {t: (np.array([r[t][0] for r in runs]), np.array([r[t][1] for r in runs])) for t in targets}
     order = np.argsort(j0, kind="stable")
@@ -197,7 +236,7 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     lanes = starts.size
     # rows j0 - 1 and j0 - 2 of each lane, in the order a step reads them
     pairs = np.empty((2, lanes))
-    lc0, lp0 = np.take(lc, order, out=pairs[0]), np.take(lp, order, out=pairs[1])
+    lc0, lp0 = lc.take(order, out=pairs[0]), lp.take(order, out=pairs[1])
     lane_m = isinstance(m, np.ndarray)
     if lane_m:
         m = m[order].astype(float)
@@ -223,24 +262,14 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     if not targets or targets[-1] < first:
         return out
     last = targets[-1]
-    grow = float(np.abs(m).max()) + float(np.abs(w).max()) - 1.0
+    grow = (float(abs(m).max()) if lane_m else abs(m)) + float(abs(w).max()) - 1.0
     low = min(float(m.min() if lane_m else m) - 1.0, 0.0)
-
-    def spend(j):
-        # log of the factor of step j; without a bound (j - 1 + m < 1), more than any room
-        lg = math.log1p((2 * j + grow) / (j + low)) if j + low >= 1.0 else math.inf
-        return lg if lg < 2.0 * _LOG_HI else 2.0 * _LOG_HI
-
-    def due(room, j, lg):
-        # the first step from j on after which a lane with this room may have left the range
-        return j + math.floor(max(room / lg, 0.0)) if room < math.inf else math.inf
-
     # the lanes starting at row gstart[h] are lanes [gb[h], gb[h + 1]), with room groom[h]
-    gb = [0, *(np.flatnonzero(np.diff(starts)) + 1).tolist(), lanes]
+    gb = [0, *((starts[1:] != starts[:-1]).nonzero()[0] + 1).tolist(), lanes]
     gstart = [begin[b] for b in gb[:-1]]
-    groom = np.minimum.reduceat(_room(np.abs(lp0) + np.abs(lc0)), gb[:-1]).tolist()
+    groom = np.minimum.reduceat(_rooms(np.abs(lp0) + np.abs(lc0)), gb[:-1]).tolist()
 
-    steps = max(1, min(_REC_BLOCK, _BLOCK_CELLS // lanes))
+    steps = max(1, min(_REC_BLOCK, _BLOCK_CELLS // lanes, last - first + 1))
     rows = np.zeros((steps + 2, lanes))
     coef = np.empty((steps, 2, lanes))
     prod = np.empty((2, lanes))
@@ -252,11 +281,11 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     room, j, g = math.inf, first, 0
     with np.errstate(all="ignore"):
         while j <= last:
-            lg = spend(j)
+            lg = _step_log(j, grow, low)
             end = min(j + steps, last + 1) - 1
-            test = due(room, j, lg)
+            test = _due(room, j, lg)
             for h in range(g, bisect.bisect_right(gstart, end, g)):
-                test = min(test, due(groom[h], gstart[h], lg))
+                test = min(test, _due(groom[h], gstart[h], lg))
             end = min(end, test)
             size = end - j + 1
             # exact integers as floats, so no cast runs in the loops
@@ -292,10 +321,10 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
                 crossed = (rows[:size] < 0.0) != (rows[1:size + 1] < 0.0)
             while ti < len(targets) and targets[ti] < end:
                 t = targets[ti]
-                emit(t, rows[end - t], changes + np.count_nonzero(crossed[end - t:], axis=0) if count else None)
+                emit(t, rows[end - t], changes + crossed[end - t:].sum(axis=0) if count else None)
                 ti += 1
             if count:
-                changes = changes + np.count_nonzero(crossed, axis=0)
+                changes = changes + crossed.sum(axis=0)
             if end == test:
                 k = bisect.bisect_right(begin, end)
                 lp, lc = rows[1, :k], rows[0, :k]
@@ -305,7 +334,7 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
                     lc[i] /= a[i]
                     ls[i] += math.log(a[i])
                     a[i] = abs(lp[i]) + abs(lc[i])
-                room = float(_room(a).min(initial=math.inf))
+                room = float(_rooms(a).min(initial=math.inf))
             if ti < len(targets) and targets[ti] == end:
                 emit(end, rows[0], changes)
                 ti += 1
@@ -332,7 +361,14 @@ def _laguerre_start(m, w):
 
 
 def _laguerre_sweep(m: int, w: float, targets):
-    """Forward recurrence for L^m_n(w), m >= 0; returns {n: (mantissa, log_scale)}."""
+    """Forward recurrence for L^m_n(w), m >= 0; returns {n: (mantissa, log_scale)}.
+
+    A step multiplies a row of up to 1e250 by 2j-1+m-w, so |w| above
+    _LAGUERRE_MAX_W = B, where (B + 2n + m + 1) 1e250 stays below the
+    largest double, raises DomainError (past |w| ~ 1.8e58 the rows are NaN).
+    """
+    if abs(w) > _LAGUERRE_MAX_W:
+        raise DomainError(f"the Laguerre recurrence needs |w| <= {_LAGUERRE_MAX_W:g}, got w={w}")
     return _recurrence_rows(m, w, *_laguerre_start(m, w), targets)
 
 
@@ -343,7 +379,9 @@ def _laguerre_sweep_grid(m, w: np.ndarray, targets, count: bool = False):
     {n: (mantissa array, log_scale array)}, with count also the sign changes
     of L^m_0(w), ..., L^m_n(w) at each lane.
     """
-    return _recurrence_rows_grid(m, w, *np.broadcast_arrays(*_laguerre_start(m, w)), targets, count)
+    j0, lp, lc, ls = _laguerre_start(m, w)
+    size = w.size
+    return _recurrence_rows_grid(m, w, np.full(size, j0), np.full(size, lp), lc, np.full(size, ls), targets, count)
 
 
 def _sweep_pair(mant: float, scale: float, log_div: float = 0.0) -> tuple[int, float]:
@@ -375,6 +413,7 @@ def laguerre(n: int, m: int, w: float) -> LogScaled:
 
     Negative superscripts reduce through
     L^{-k}_n(w) = (-w)^k ((n-k)!/n!) L^k_{n-k}(w), which requires n >= k.
+    The recurrence needs |w| <= 1e57 (_laguerre_sweep); past it raises DomainError.
     """
     n = _check_int(n, "n")
     m = _check_int(m, "m")
@@ -466,10 +505,11 @@ def _u_quad(a, b, x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         p = x + (1.0 - b)
         ts = 2.0 * a / (p + np.sqrt(p * p + 4.0 * a * x))
-        sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / ((1.0 + ts) * (1.0 + ts)))
+        ts1 = 1.0 + ts
+        sigma = 1.0 / np.sqrt(x * ts + (a + 1.0 - b) * ts / (ts1 * ts1))
         u = np.multiply.outer(sigma, s)
         d = np.expm1(u) * ts[:, None]
-        logw = np.log1p(d / (1.0 + ts)[:, None]) * (bc - ac - 1.0) - x[:, None] * d + ac * u + logj
+        logw = np.log1p(d / ts1[:, None]) * (bc - ac - 1.0) - x[:, None] * d + ac * u + logj
         w = np.exp(logw)
         t = d + ts[:, None]
         wf = w * (t / (1.0 + t))
@@ -1131,9 +1171,11 @@ def _u_ratio_1m_grid(a, m, x: np.ndarray) -> np.ndarray:
     for i in range(0, quad.size, chunk):
         lanes = quad[i:i + chunk]
         out[lanes] = _u_quad(a[lanes], 1 - m[lanes], x[lanes]) if lane_am else _u_quad(a, 1 - m, x[lanes])
-    a, m = np.broadcast_to(a, x.shape), np.broadcast_to(m, x.shape)
-    for i in np.flatnonzero(series).tolist():
-        out[i] = _u_ratio_1m(int(a[i]), int(m[i]), float(x[i]))
+    lanes = np.flatnonzero(series).tolist()
+    if lanes:
+        a, m = np.broadcast_to(a, x.shape), np.broadcast_to(m, x.shape)
+        for i in lanes:
+            out[i] = _u_ratio_1m(int(a[i]), int(m[i]), float(x[i]))
     return out
 
 

@@ -5,7 +5,10 @@ of plain floats: the bound-scan residual core._bound_residual, the basis
 rows core._j_rows/_y_rows and the 2x2 solve core._solve_matching.  This
 module keeps the LogScaled versions those replaced, unchanged
 (_bound_residual, _j_rows, _y_rows, _solve_matching), so the tests can hold
-every lane to them with == without calling the code under test.  The one
+every lane to them with == without calling the code under test.  It also
+keeps the scalar recurrence runner specfun._recurrence_rows as it was when
+it tested every step for renormalization (_recurrence_rows), where the
+library now tests only the steps where the pair may have left the range.  The one
 method change since is the lowering constant of _lower_order,
 log((n-k)!/n!), taken as -log of the exact integer n!/(n-k)! as the
 library takes it, where it was the difference of two lgamma values.
@@ -25,6 +28,30 @@ import math
 from ncwell import core
 from ncwell.errors import SingularSystemError
 from ncwell.logscale import ZERO, LogScaled, ls_exp
+
+
+def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float, targets):
+    """Run j y_j = (2j-1+m-w) y_{j-1} - (j-1+m) y_{j-2} upward from row j0, testing every step.
+
+    (lp, lc) are rows j0-2 and j0-1 as mantissas at the common log scale ls;
+    the pair is renormalized whenever it leaves [1e-250, 1e250].  Returns
+    {j: (mantissa, log_scale)} for the targets, each >= j0 - 2 (a target
+    below j0 is one of the two start rows).
+    """
+    out = {}
+    j = j0
+    # run up to each target in turn, so the steps test no membership
+    for target in sorted(targets):
+        for j in range(j, target + 1):
+            lp, lc = lc, ((2 * j - 1 + m - w) * lc - (j - 1 + m) * lp) / j
+            a = abs(lp) + abs(lc)
+            if a > 1e250 or (0.0 < a < 1e-250):
+                lp /= a
+                lc /= a
+                ls += math.log(a)
+        out[target] = (lc if target >= j0 - 1 else lp, ls)
+        j = max(j, target + 1)
+    return out
 
 
 def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:

@@ -177,3 +177,50 @@ def test_the_scan_evaluates_only_the_cells_that_hold_a_level(monkeypatch):
     spec = WellSpec.from_radius(20.0, 10, 6.0)
     lanes, levels = lanes_of(monkeypatch, lambda: list(_bound_sectors(spec, list(range(-6, 7)), GRID_POINTS)))
     assert sum(map(len, levels)) > 40 and lanes <= 0.15 * 26_198
+
+
+def scan_warnings(run):
+    # the messages of the RuntimeWarnings run() raises, and its levels
+    with pytest.warns(RuntimeWarning) as rec:
+        levels = run()
+    return [str(w.message) for w in rec], levels
+
+
+@pytest.mark.parametrize("v, found, expected, below, shared", [
+    # the level count puts every level of the 1e11 well below E = 1e-9 V = 100; at 1e9, 2 lie below
+    # E = 1 and the levels above share grid cells
+    (1e11, 0, 11, 11, False),
+    (1e9, 1, 11, 2, True),
+])
+def test_nc_scan_names_the_levels_below_the_grids_first_point(v, found, expected, below, shared):
+    spec = WellSpec.from_radius(20.0, 10, v)
+    messages, levels = scan_warnings(lambda: find_bound_states(spec, 0))
+    assert len(levels) == found
+    assert _matching_residual_grid(np.array([EDGE_FRACTION * v]), spec, 0, True)[1] == [below]
+    tail = ", and levels that share a cell of the 2000-point grid are missed" if shared else ""
+    assert messages == [
+        f"noncommutative bound scan at N = 10 found {found} levels for m = 0, expected {expected}; "
+        f"{below} lie below the grid's first point E = {EDGE_FRACTION * v:g}{tail}"
+    ]
+
+
+@pytest.mark.parametrize("v, found, expected, below", [(1e11, 1018, 636620, 20), (1e9, 986, 63662, 2)])
+def test_comm_scan_names_the_levels_below_the_grids_first_point(v, found, expected, below):
+    messages, levels = scan_warnings(lambda: comm_bound_states(CommWellSpec(math.sqrt(20.0), v), 0))
+    assert len(levels) == found
+    assert messages == [
+        f"commutative bound scan found {found} levels for m = 0, expected {expected}; "
+        f"{below} lie below the grid's first point E = {EDGE_FRACTION * v:g}, "
+        "and levels that share a cell of the 2000-point grid are missed"
+    ]
+
+
+def test_the_pinned_wells_have_no_level_below_the_grid():
+    # the README, golden and bench wells: their warnings keep the text without a below-grid part
+    for r2, n, v, ms in ((20.0, 10, 6.0, range(-6, 7)), (20.0, 1000, 6.0, [0, 3]), (20.0, 10, 20000.0, [0, 1, 150]),
+                         (20.0, 3, 6.6, [-3, 3]), (20.0, 360, 6.1, [9])):
+        spec = WellSpec.from_radius(r2, n, v)
+        e = np.array([EDGE_FRACTION * v])
+        assert all(_matching_residual_grid(e, spec, m, True)[1] == [0] for m in ms)
+        comm = CommWellSpec(math.sqrt(r2), v)
+        assert all(_log_derivative_mismatch_grid(e, comm, abs(m), True)[1] == [0] for m in ms)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -83,6 +84,30 @@ def test_laguerre_domain_errors():
         laguerre(-1, 0, 1.0)
     with pytest.raises(DomainError):
         laguerre(3, 0, math.inf)
+
+
+@pytest.mark.parametrize("n, m, w", [(2, 0, 1e308), (3, 1, 1e155), (10, 0, -1e308), (5, 0, 1e62), (5, 0, -1e62)])
+def test_laguerre_refuses_an_argument_past_the_recurrence_bound(n, m, w):
+    # a step multiplies a row of up to 1e250 by 2j-1+m-w, which overflows past |w| ~ 1.8e58;
+    # these returned LogScaled(-exp(nan))
+    with pytest.raises(DomainError, match=re.escape(f"the Laguerre recurrence needs |w| <= 1e+57, got w={w}")):
+        laguerre(n, m, w)
+
+
+def test_fock_element_refuses_an_interior_argument_past_the_recurrence_bound():
+    from ncwell.core import INTERIOR, RegionSolution, fock_element
+    from ncwell.logscale import ONE, ZERO
+
+    with pytest.raises(DomainError, match=r"\|w\| <= 1e\+57, got w=1e\+200"):
+        fock_element(2, 0, RegionSolution(INTERIOR, 1e200, ONE, ZERO))
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 100])
+@pytest.mark.parametrize("w", [1e57, -1e57])
+def test_laguerre_rows_stay_finite_up_to_the_bound(m, w):
+    for n in (5, 100, 3000):
+        value = laguerre(n, m, w)
+        assert value.sign != 0 and math.isfinite(value.logmag)
 
 
 @settings(deadline=None, max_examples=60)

@@ -172,7 +172,7 @@ def test_runner_lane_counts_around_the_scalar_crossover(monkeypatch, offset):
     lanes = specfun._REC_SCALAR_LANES + offset
     b = specfun._REC_BLOCK
     rng = np.random.default_rng(40 + offset)
-    j0 = np.array([2, b + b // 2, 5, 2 * b + 3, 40, 7, 3 * b - 1, 2, 11][:lanes])
+    j0 = np.array([2, b + b // 2, 5, 2 * b + 3, 40, 7, 3 * b - 1, 2, 11, 3, 2 * b - 1][:lanes])
     w = rng.uniform(0.05, 2.0, lanes)
     w[::2] = rng.uniform(1500.0, 3000.0, w[::2].size)
     lp, lc, ls = rng.uniform(-1.0, 1.0, lanes), rng.uniform(-1.0, 1.0, lanes), rng.uniform(-5.0, 5.0, lanes)
