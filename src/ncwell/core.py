@@ -830,7 +830,7 @@ def _scattering_lanes(spec: WellSpec, energies, sectors):
     order is an int when the lanes share one sector, as the lane pass runs
     faster on one order than on an order per lane.  The returned iterator
     runs a lane's basis rows and 2x2 solve when it reaches the lane, and
-    raises there the lane's ConvergenceError or the solve's
+    raises there the lane's ConvergenceError or DomainError or the solve's
     SingularSystemError, so errors come in the order of a point-by-point
     loop.  This is the one scattering solve: a single point
     (scattering_coeffs, phase_shift) is a block of one lane.
@@ -843,7 +843,7 @@ def _scattering_lanes(spec: WellSpec, energies, sectors):
     consts = {key: _row_consts(*key) for key in set(zip(orders, rows))}
 
     def solve(i, wi, wo):
-        if isinstance(reu[i], ConvergenceError):
+        if isinstance(reu[i], NCWellError):
             raise reu[i]
         rc = consts[orders[i], rows[i]]
         jin = _j_rows(orders[i], wi, lag_in[i], rc[0])

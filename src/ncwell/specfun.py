@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NCWellError
 from .logscale import LogScaled, ZERO, log_to_float, ls_exp
 
 EULER_GAMMA = 0.5772156649015328606
@@ -56,6 +56,15 @@ _MAX_LOST_DIGITS = 3.5
 # its digamma-weighted series may run before it raises ConvergenceError
 _GUARD_BITS = 40
 _MP_MAX_TERMS = 2_000_000
+# the most work a Re U escalation may be predicted to take: its start digits
+# times its series length, w + n + 1 terms (the M sum has n + 1 and the
+# digamma-weighted series peaks near r = w + n).  On a 2-core shared host
+# (Python 3.11, mpmath 1.3) an escalation predicted at the limit took 0.2 to
+# 1.8 s at nine (n, m) from (0, 0) to (3000, 5) and (64, 1000), the slowest
+# (n = 300, m = 0, w = 1779) in two passes; past it, n = 900, m = 9,
+# w = 3000 (1.1e7) took 8.9 s.  The bench's and the tests' Re U escalations
+# predict at most 4e4
+_MP_MAX_WORK = 3e6
 
 _RENORM_HI = 1e250
 _RENORM_LO = 1e-250
@@ -197,13 +206,16 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     2j-1+m-w and j-1+m at once, and writes each step's row into a buffer
     that holds the block's rows last first, so the two rows a step reads
     are one slice: a step is one multiply of the stacked coefficients by
-    that slice, one subtract and one divide by j (as a float).  The views
+    that slice, one subtract and one divide by j.  The divisor is a 0-d
+    view into a per-call buffer of divisors that the block fills at once,
+    as numpy would convert a Python float divisor on every step.  The views
     of every step are built once per call, for no more steps than the call
     runs, a short block filling the last of the coefficient rows and
-    running the last of the steps.  Lanes that
+    divisors and running the last of the steps.  Lanes that
     have not started run the steps on zeros; just before a lane's first
     step its two start rows are copied into the buffer, so lanes join
-    mid-block.
+    mid-block, and a block in which no lane starts runs its steps without
+    the join test.
 
     The renormalization test runs only on a step where a lane may have left
     [1e-250, 1e250].  A step j changes |y_{j-1}| + |y_j| by at most a factor
@@ -272,11 +284,14 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     steps = max(1, min(_REC_BLOCK, _BLOCK_CELLS // lanes, last - first + 1))
     rows = np.zeros((steps + 2, lanes))
     coef = np.empty((steps, 2, lanes))
+    divbuf = np.empty(steps)
     prod = np.empty((2, lanes))
     prod0, prod1 = prod
-    # step s of a full block: its coefficient rows, the two rows it reads and the row it writes;
-    # a block of size steps fills the last size coefficient rows and runs the last size views
-    views = [(coef[s], rows[steps - s:steps - s + 2], rows[steps - 1 - s]) for s in range(steps)]
+    # step s of a full block: its coefficient rows, the two rows it reads, the row it writes and
+    # its divisor j as a 0-d view; a block of size steps fills the last size coefficient rows and
+    # divisors and runs the last size views
+    views = [(coef[s], rows[steps - s:steps - s + 2], rows[steps - 1 - s], divbuf[s, ...]) for s in range(steps)]
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     ti = bisect.bisect_left(targets, first)
     room, j, g = math.inf, first, 0
     with np.errstate(all="ignore"):
@@ -297,25 +312,32 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             else:
                 np.subtract(np.arange(2.0 * j - 1.0 + m, 2 * end + m, 2.0)[:, None], w, out=block[:, 0])
                 block[:, 1] = np.arange(j - 1.0 + m, end + m)[:, None]
-            # joins[s] is (a, b) when lanes [a, b) start at step s of the block, else None
-            joins = [None] * size
+            # the divisors j, j + 1, ... as exact floats
+            divbuf[steps - size:] = np.arange(j, end + 1.0)
             room -= size * lg
-            while g < len(gstart) and gstart[g] <= end:
-                joins[gstart[g] - j] = gb[g], gb[g + 1]
-                room = min(room, groom[g] - (end - gstart[g] + 1) * lg)
-                g += 1
             # rows[size + 1 - s] is row j - 2 + s; the last two rows of the previous block move up
             if j > first:
                 rows[size:size + 2] = rows[:2]
-            # the divisors j, j + 1, ... as exact floats
-            divs = np.arange(float(j), end + 1.0).tolist()
-            for (cf, read, row), div, join in zip(views[steps - size:], divs, joins):
-                if join:
-                    a, b = join
-                    read[:, a:b] = pairs[:, a:b]
-                np.multiply(cf, read, prod)
-                np.subtract(prod0, prod1, row)
-                np.divide(row, div, row)
+            if g < len(gstart) and gstart[g] <= end:
+                # joins[s] is (a, b) when lanes [a, b) start at step s of the block, else None
+                joins = [None] * size
+                while g < len(gstart) and gstart[g] <= end:
+                    joins[gstart[g] - j] = gb[g], gb[g + 1]
+                    room = min(room, groom[g] - (end - gstart[g] + 1) * lg)
+                    g += 1
+                for (cf, read, row, div), join in zip(views[steps - size:], joins):
+                    if join:
+                        a, b = join
+                        read[:, a:b] = pairs[:, a:b]
+                    multiply(cf, read, prod)
+                    subtract(prod0, prod1, row)
+                    divide(row, div, row)
+            else:
+                # no lane starts in the block
+                for cf, read, row, div in views[steps - size:]:
+                    multiply(cf, read, prod)
+                    subtract(prod0, prod1, row)
+                    divide(row, div, row)
             if count:
                 # row end - i changes sign from row end - i - 1 at crossed[i]
                 crossed = (rows[:size] < 0.0) != (rows[1:size + 1] < 0.0)
@@ -639,9 +661,15 @@ def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     are that loop's bit for bit.  Each lane's sum is read in the block that
     holds its own n.  A lane's ratio at r = n is 0, so its terms past its n
     are 0 (or NaN after an overflow) and leave its largest term as it is.
-    A chunk stops once every lane not yet read has a running term of 0.0:
-    its later terms are all 0.0 too, and they change neither its sum nor
-    its largest term.  Overflow comes back as inf or nan.
+    A chunk stops at a block's end once no later term of a lane not yet
+    read can change its sum (_m_sum_settled: its running term is 0.0, or
+    its ratios are at most 1 in magnitude and its term is below a quarter
+    of the sum's spacing).  Those terms are no larger than the running
+    term, so they change neither its sum nor its largest term.  Against a
+    stop on 0.0 terms alone it cuts the cells run on a seed-0 bench pass
+    from 518,386 to 225,522 (phase-sweep) and from 304,768 to 97,024
+    (cross-section).  An inf or NaN sum never settles, so it runs to the
+    end.  Overflow comes back as inf or nan.
     """
     lane_m = isinstance(m, np.ndarray)
     order = np.argsort(n, kind="stable")
@@ -655,7 +683,12 @@ def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             t_run, s_run, t_max = np.ones(nc.size), np.ones(nc.size), np.ones(nc.size)
             # lanes[read:] are those whose n lies past the blocks run so far; n = 0 needs no block
             j0, top, read = 0, int(nc[-1]), int(np.searchsorted(nc, 0, side="right"))
-            while j0 < top and t_run[read:].any():
+            while j0 < top:
+                # the ratio that makes term j0 + 1 of each lane not yet read
+                mr = mc[read:, 0] if lane_m else m
+                ratio = (j0 - nc[read:]) * wc[read:, 0] / ((mr + 1 + j0) * (j0 + 1.0))
+                if _m_sum_settled(t_run[read:], s_run[read:], ratio).all():
+                    break
                 size = min(_REC_BLOCK, top - j0)
                 r = np.arange(j0, j0 + size)
                 # column k holds term j0 + k; column 0 is the term the block before ended on
@@ -674,6 +707,21 @@ def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             mv[lanes[read:]] = s_run[read:]
             mmax[lanes] = t_max
     return mv, mmax
+
+
+def _m_sum_settled(t: np.ndarray, s: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Whether no later term of a running sum s, last term t and next ratio can change s.
+
+    True where t is 0.0, or where |ratio| <= 1 and |t| is below a quarter of
+    s's spacing: the ratios of an M sum only fall in magnitude, so no later
+    term exceeds |t|, and s + t' rounds to s for every |t'| < spacing / 4,
+    also where s is a power of two and the spacing below it is half that
+    above.  After a 0.0 term every term is 0.0 (w is finite).  An inf or
+    NaN sum or term is never settled, nor is a sum of largest magnitude,
+    whose spacing is inf.
+    """
+    quarter = 0.25 * np.abs(np.spacing(s))
+    return (t == 0.0) | ((np.abs(ratio) <= 1.0) & (np.abs(t) < quarter) & (quarter < math.inf))
 
 
 def _digamma_starts(m: int, count: int) -> np.ndarray:
@@ -744,7 +792,9 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     (a+r)(-z) / ((m-1-r)(r+1)), run down from its top term
     (-sgn z)^(m-1) m / ((a+m-1) |z|).  The piece size the lost-digits rule
     reads is pref times the largest of e^z mmax |ln z|, smax and the
-    largest tail term.  An overflowing q is _SERIES_FAILED.
+    largest tail term.  An overflowing q is _SERIES_FAILED.  This is the
+    scalar form _log_series_float ends in; the lanes of _cut_series_grid
+    end in its lane form on the cut, _cut_tail_grid, bit for bit.
     """
     cut = z < 0.0
     lnz = math.log(abs(z))
@@ -768,6 +818,63 @@ def _log_series_tail(a: int, m: int, z: float, mv: float, mmax: float, s: float,
     return result, pref_log + math.log(max(ez * mmax * abs(lnz), smax, tmax, 1e-300))
 
 
+def _cut_tail_grid(a: np.ndarray, m, w: np.ndarray, mv: np.ndarray, mmax: np.ndarray,
+                   s: np.ndarray, smax: np.ndarray) -> list:
+    """_log_series_tail(a[i], m, -w[i], mv[i], mmax[i], s[i], smax[i]) on numpy lanes, bit for bit; w > 0.
+
+    m is one order (an int) or an int array of per-lane orders.  The tail
+    terms are the columns of one np.multiply.accumulate, started from each
+    lane's top term and run over its ratio rows r = m-1 .. 1 in the scalar
+    loop's order, and the tail is the column m - 1 of their
+    np.add.accumulate.  A lane of a lower order than the top one has NaN
+    ratios past its own, so its later terms are NaN: they are never read as
+    its sum and np.fmax skips them in its largest term.  The scalar max
+    skips a NaN term too, and a NaN top term makes every term NaN, so the
+    two agree.  The largest piece keeps Python's max, where a NaN first
+    argument stays the max.  lgamma, log and exp are math calls, as numpy's
+    log and exp round some arguments differently.
+    """
+    lanes = a.size
+    ms = np.broadcast_to(m, a.shape)
+    mlist = ms.tolist()
+    with np.errstate(all="ignore"):
+        lnz = np.array(list(map(math.log, w.tolist())))
+        ez = np.array(list(map(math.exp, (-w).tolist())))
+        lg_m = {mi: math.lgamma(mi + 1.0) for mi in set(mlist)}
+        lg_a = np.array(list(map(math.lgamma, (a + 0.0).tolist())))
+        pref_log = ms * lnz - np.array([lg_m[mi] for mi in mlist]) - lg_a
+        tail, tmax = np.zeros(lanes), np.zeros(lanes)
+        # the tail's terms run in chunks of at most _BLOCK_CELLS cells
+        top = max(mlist, default=0)
+        nonzero = np.flatnonzero(ms > 0)
+        chunk = max(1, _BLOCK_CELLS // max(top, 1))
+        for i in range(0, nonzero.size, chunk):
+            live = nonzero[i:i + chunk]
+            ml, al, wl = ms[live], a[live], w[live]
+            # column 0 is the top term, column k the term of r = m - k
+            t = np.empty((live.size, top))
+            t[:, 0] = ml / ((al + ml - 1) * wl)
+            r = ml[:, None] - np.arange(1, top)
+            t[:, 1:] = np.where(r > 0, (ml[:, None] - r) * r / ((al[:, None] + r - 1) * wl[:, None]), math.nan)
+            np.multiply.accumulate(t, axis=1, out=t)
+            tmax[live] = np.fmax.reduce(np.abs(t), axis=1)
+            np.add.accumulate(t, axis=1, out=t)
+            tail[live] = t[np.arange(live.size), ml - 1]
+        # the prefactor's sign is -1 on the cut
+        q = -1 * (ez * mv * lnz + s) + tail
+        piece = ez * mmax * np.abs(lnz)
+        for other in (smax, tmax, 1e-300):
+            piece = np.where(other > piece, other, piece)
+    big_log = (pref_log + np.array(list(map(math.log, piece.tolist())))).tolist()
+    out = []
+    for qi, pl, bl in zip(q.tolist(), pref_log.tolist(), big_log):
+        if not math.isfinite(qi):
+            out.append(_SERIES_FAILED)
+        else:
+            out.append(((1 if qi > 0 else -1, pl + math.log(abs(qi))) if qi else _ZERO_PAIR, bl))
+    return out
+
+
 def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
     """_log_series_float(a[i], m, -w[i]) on numpy lanes, bit for bit; w > 0.
 
@@ -780,7 +887,8 @@ def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
     its largest term smax are accumulates of those rows along the
     iterations (each entry one operation on the one before, as in the
     scalar loop).  A lane leaves on its first iteration that meets the
-    scalar loop's stop or failure rule and ends in the scalar
+    scalar loop's stop or failure rule; the lanes that stop are collected
+    and finished by one _cut_tail_grid call, the lane form of
     _log_series_tail.  Returns one _log_series_float result per lane,
     _SERIES_FAILED included.
     """
@@ -800,6 +908,8 @@ def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
         A, z = a[live] + mk, -w[live]
         s, t, smax = np.zeros(live.size), np.ones(live.size), np.zeros(live.size)
         r0 = 0
+        # the lanes that met the stop rule, with their s and smax
+        tail_lanes, tail_s, tail_smax = [], [], []
         while live.size:
             size = max(1, min(_SERIES_BLOCK, _BLOCK_CELLS // live.size))
             r = np.arange(r0, r0 + size)[:, None]
@@ -822,18 +932,24 @@ def _cut_series_grid(a: np.ndarray, m, w: np.ndarray) -> list:
             exits = np.flatnonzero(fin)
             k = leave[:, exits].argmax(axis=0)
             ok = (done & finite)[k, exits]
-            for i, ki in zip(exits[ok].tolist(), k[ok].tolist()):
-                lane = live[i]
-                out[lane] = _log_series_tail(
-                    int(a[lane]), ms[lane], float(-w[lane]), float(mv[lane]), float(mmax[lane]),
-                    float(ss[ki + 1, i]), float(smaxs[ki + 1, i]),
-                )
+            exits, k = exits[ok], k[ok]
+            tail_lanes.append(live[exits])
+            tail_s.append(ss[k + 1, exits])
+            tail_smax.append(smaxs[k + 1, exits])
             keep = ~fin
             live, A, z = live[keep], A[keep], z[keep]
             t, br, s, smax = ts[-1, keep], brs[-1, keep], ss[-1, keep], smaxs[-1, keep]
             if lane_m:
                 mk = mk[keep]
             r0 += size
+    if tail_lanes:
+        lanes = np.concatenate(tail_lanes)
+        tails = _cut_tail_grid(
+            a[lanes], m[lanes] if lane_m else m, w[lanes], mv[lanes], mmax[lanes],
+            np.concatenate(tail_s), np.concatenate(tail_smax),
+        )
+        for lane, value in zip(lanes.tolist(), tails):
+            out[lane] = value
     return out
 
 
@@ -1002,9 +1118,21 @@ def _mp_start(pieces, big: int, z: float):
 
 
 def _reu_settle(n: int, m: int, w: float, pieces) -> tuple[int, float]:
-    """Re[U(n+1,1-m,-w)] from its double pass pieces (_reu_pieces_float), or from mpmath at _mp_start."""
+    """Re[U(n+1,1-m,-w)] from its double pass pieces (_reu_pieces_float), or from mpmath at _mp_start.
+
+    An escalation predicted to take more than _MP_MAX_WORK = 3e6 digit-terms
+    (start digits times w + n + 1 series terms; about 2 s) raises
+    DomainError instead of starting.
+    """
     dps = _mp_start(pieces, n + m + 1, -w)
-    return pieces[0] if dps is None else _reu_direct_mp(n, m, w, dps)
+    if dps is None:
+        return pieces[0]
+    if dps * (w + n + 1) > _MP_MAX_WORK:
+        raise DomainError(
+            f"Re U escalation of {dps} digits over about {w + n + 1:.4g} series terms passes the work limit "
+            f"of {_MP_MAX_WORK:g} digit-terms for n={n}, m={m}, w={w}"
+        )
+    return _reu_direct_mp(n, m, w, dps)
 
 
 def _anchor_index(m: int, w: float) -> int:
@@ -1055,10 +1183,14 @@ def _reu_rows(m: int, w: float, n: int, count: int) -> list[tuple[int, float]]:
 
 
 def _reu_settle_pair(n: int, m: int, w: float, lo, hi):
-    """Re U rows n, n+1 settled from their double pass pieces, or the ConvergenceError of the first to fail."""
+    """Re U rows n, n+1 settled from their double pass pieces, or the error of the first to fail.
+
+    The error is a ConvergenceError of the mpmath pass or the DomainError of
+    the escalation's work limit (_reu_settle).
+    """
     try:
         return _reu_settle(n, m, w, lo), _reu_settle(n + 1, m, w, hi)
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         return exc
 
 
@@ -1070,7 +1202,7 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
     each row as a (sign, log magnitude) pair: lag_in[i] = (L^m_n, L^m_{n+1})
     at w_in[i] as _laguerre_sweep gives them, lag_out[i] the same at
     w_out[i], and reu[i] = the rows of _reu_rows(m, w_out[i], n, 2), or the
-    ConvergenceError that _reu_rows raises there.  Each Re U lane
+    ConvergenceError or DomainError that _reu_rows raises there.  Each Re U lane
     takes _reu_rows's series rows (rows n and n+1 up to _DIRECT_N, else the
     two anchors of the recurrence); they run in one _cut_series_grid call
     and then settle lane by lane through _reu_settle.  A lane whose mpmath
@@ -1089,7 +1221,7 @@ def _lag_reu_pairs_grid(m, n, w_in: np.ndarray, w_out: np.ndarray):
         for j, mi, wi, lo, hi in zip(first, ms, ws, pieces[:len(ws)], pieces[len(ws):])
     ]
     # recurrence lanes: every Laguerre lane at w_in, then at w_out, then the settled Re U lanes above _DIRECT_N
-    rec = [i for i, ni in enumerate(ns) if ni + 1 > _DIRECT_N and not isinstance(reu[i], ConvergenceError)]
+    rec = [i for i, ni in enumerate(ns) if ni + 1 > _DIRECT_N and not isinstance(reu[i], NCWellError)]
     w = np.concatenate((w_in, w_out, w_out[rec]))
     lag_lanes = 2 * w_out.size
     if lane_m:
@@ -1119,7 +1251,10 @@ def re_u_neg(n: int, m: int, w: float) -> LogScaled:
 
     Large n is reached by anchoring the logarithmic series past the
     recurrence turning points and carrying the value up with the shared
-    three-term recurrence.
+    three-term recurrence.  Where the double-precision series cancels, the
+    mpmath escalation must be predicted to take at most 3e6 digit-terms
+    (_reu_settle; about 2 s), else DomainError: w up to about 2000 at
+    n <= 100, less as the series row n grows.
     """
     n = _check_int(n, "n")
     m = _check_int(m, "m")

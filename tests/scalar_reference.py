@@ -12,6 +12,10 @@ library now tests only the steps where the pair may have left the range.  The on
 method change since is the lowering constant of _lower_order,
 log((n-k)!/n!), taken as -log of the exact integer n!/(n-k)! as the
 library takes it, where it was the difference of two lgamma values.
+And it keeps the lane kernel specfun._cut_m_sum as it was when a chunk
+stopped only once every lane not yet read had a running term of 0.0
+(_cut_m_sum), where the library now also stops once those terms can no
+longer move a sum.
 
 It also solves one scattering point from the scalar kernels instead of a
 lane of core._scattering_lanes: the Laguerre rows of one forward sweep
@@ -24,6 +28,8 @@ _solve_matching here) patches the reference too.
 """
 
 import math
+
+import numpy as np
 
 from ncwell import core
 from ncwell.errors import SingularSystemError
@@ -52,6 +58,62 @@ def _recurrence_rows(m: int, w: float, j0: int, lp: float, lc: float, ls: float,
         out[target] = (lc if target >= j0 - 1 else lp, ls)
         j = max(j, target + 1)
     return out
+
+
+# the lane and term blocks of _cut_m_sum; they set the chunking only, not a value
+_REC_BLOCK = 64
+_BLOCK_CELLS = 8_192
+
+
+def _cut_m_sum(n: np.ndarray, m, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, largest |t_r| for r >= 1, at least 1) of the cut's finite M sum on each lane, w > 0.
+
+    M = sum_{r=0}^{n} t_r with t_0 = 1, t_{r+1} = t_r (r-n) w / ((m+1+r)(r+1)):
+    Kummer's M(-n, m+1, w).  m is one order (an int) or an int array of
+    per-lane orders.  The lanes run sorted by n, in chunks of
+    _BLOCK_CELLS // min(top n + 1, _REC_BLOCK) lanes, and a chunk's terms in
+    blocks of up to _REC_BLOCK.  A block's terms are one
+    np.multiply.accumulate of its ratio rows along axis 1 and its sums one
+    np.add.accumulate, each row started from the term and sum the block
+    before it ended on, in the order of a term-by-term loop, so both values
+    are that loop's bit for bit.  Each lane's sum is read in the block that
+    holds its own n.  A lane's ratio at r = n is 0, so its terms past its n
+    are 0 (or NaN after an overflow) and leave its largest term as it is.
+    A chunk stops once every lane not yet read has a running term of 0.0:
+    its later terms are all 0.0 too, and they change neither its sum nor
+    its largest term.  Overflow comes back as inf or nan.
+    """
+    lane_m = isinstance(m, np.ndarray)
+    order = np.argsort(n, kind="stable")
+    ns = n[order]
+    mv, mmax = np.ones(n.size), np.empty(n.size)
+    chunk = max(1, _BLOCK_CELLS // min(int(ns[-1]) + 1, _REC_BLOCK)) if n.size else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n.size, chunk):
+            lanes, nc = order[i:i + chunk], ns[i:i + chunk]
+            wc, mc = w[lanes, None], (m[lanes, None] if lane_m else m)
+            t_run, s_run, t_max = np.ones(nc.size), np.ones(nc.size), np.ones(nc.size)
+            # lanes[read:] are those whose n lies past the blocks run so far; n = 0 needs no block
+            j0, top, read = 0, int(nc[-1]), int(np.searchsorted(nc, 0, side="right"))
+            while j0 < top and t_run[read:].any():
+                size = min(_REC_BLOCK, top - j0)
+                r = np.arange(j0, j0 + size)
+                # column k holds term j0 + k; column 0 is the term the block before ended on
+                t = np.empty((nc.size, size + 1))
+                t[:, 0] = t_run
+                t[:, 1:] = (r - nc[:, None]) * wc / ((mc + 1 + r) * (r + 1.0))
+                np.multiply.accumulate(t, axis=1, out=t)
+                np.fmax(t_max, np.fmax.reduce(np.abs(t[:, 1:]), axis=1), out=t_max)
+                t_run = t[:, -1].copy()
+                t[:, 0] = s_run
+                np.add.accumulate(t, axis=1, out=t)
+                s_run = t[:, -1].copy()
+                end = int(np.searchsorted(nc, j0 + size, side="right"))
+                mv[lanes[read:end]] = t[np.arange(read, end), nc[read:end] - j0]
+                j0, read = j0 + size, end
+            mv[lanes[read:]] = s_run[read:]
+            mmax[lanes] = t_max
+    return mv, mmax
 
 
 def _lower_order(base: LogScaled, n: int, k: int, w: float) -> LogScaled:
