@@ -214,8 +214,7 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
     divisors and running the last of the steps.  Lanes that
     have not started run the steps on zeros; just before a lane's first
     step its two start rows are copied into the buffer, so lanes join
-    mid-block, and a block in which no lane starts runs its steps without
-    the join test.
+    mid-block.
 
     The renormalization test runs only on a step where a lane may have left
     [1e-250, 1e250].  A step j changes |y_{j-1}| + |y_j| by at most a factor
@@ -318,26 +317,19 @@ def _recurrence_rows_grid(m, w: np.ndarray, j0: np.ndarray, lp: np.ndarray, lc: 
             # rows[size + 1 - s] is row j - 2 + s; the last two rows of the previous block move up
             if j > first:
                 rows[size:size + 2] = rows[:2]
-            if g < len(gstart) and gstart[g] <= end:
-                # joins[s] is (a, b) when lanes [a, b) start at step s of the block, else None
-                joins = [None] * size
-                while g < len(gstart) and gstart[g] <= end:
-                    joins[gstart[g] - j] = gb[g], gb[g + 1]
-                    room = min(room, groom[g] - (end - gstart[g] + 1) * lg)
-                    g += 1
-                for (cf, read, row, div), join in zip(views[steps - size:], joins):
-                    if join:
-                        a, b = join
-                        read[:, a:b] = pairs[:, a:b]
-                    multiply(cf, read, prod)
-                    subtract(prod0, prod1, row)
-                    divide(row, div, row)
-            else:
-                # no lane starts in the block
-                for cf, read, row, div in views[steps - size:]:
-                    multiply(cf, read, prod)
-                    subtract(prod0, prod1, row)
-                    divide(row, div, row)
+            # joins[s] is (a, b) when lanes [a, b) start at step s of the block, else None
+            joins = [None] * size
+            while g < len(gstart) and gstart[g] <= end:
+                joins[gstart[g] - j] = gb[g], gb[g + 1]
+                room = min(room, groom[g] - (end - gstart[g] + 1) * lg)
+                g += 1
+            for (cf, read, row, div), join in zip(views[steps - size:], joins):
+                if join:
+                    a, b = join
+                    read[:, a:b] = pairs[:, a:b]
+                multiply(cf, read, prod)
+                subtract(prod0, prod1, row)
+                divide(row, div, row)
             if count:
                 # row end - i changes sign from row end - i - 1 at crossed[i]
                 crossed = (rows[:size] < 0.0) != (rows[1:size + 1] < 0.0)
@@ -1122,7 +1114,9 @@ def _reu_settle(n: int, m: int, w: float, pieces) -> tuple[int, float]:
 
     An escalation predicted to take more than _MP_MAX_WORK = 3e6 digit-terms
     (start digits times w + n + 1 series terms; about 2 s) raises
-    DomainError instead of starting.
+    DomainError instead of starting.  Its message names the series row n
+    (a caller past _DIRECT_N reaches its row through the anchor rows below
+    it), m, w and the limit.
     """
     dps = _mp_start(pieces, n + m + 1, -w)
     if dps is None:
@@ -1130,7 +1124,7 @@ def _reu_settle(n: int, m: int, w: float, pieces) -> tuple[int, float]:
     if dps * (w + n + 1) > _MP_MAX_WORK:
         raise DomainError(
             f"Re U escalation of {dps} digits over about {w + n + 1:.4g} series terms passes the work limit "
-            f"of {_MP_MAX_WORK:g} digit-terms for n={n}, m={m}, w={w}"
+            f"of {_MP_MAX_WORK:g} digit-terms for series row n={n}, m={m}, w={w}"
         )
     return _reu_direct_mp(n, m, w, dps)
 

@@ -35,7 +35,8 @@ def raised_within(fn, seconds):
 ], ids=["phase_shift-1e6", "re_u_neg-1e9", "re_u_neg-2e4"])
 def test_escalations_past_the_limit_raise_within_a_second(call, row, w):
     msg = raised_within(call, 1.0)
-    assert f"n={row}," in msg and f"w={w}" in msg and f"{specfun._MP_MAX_WORK:g}" in msg
+    # the row named is the series row that escalates, an anchor row below the caller's n past _DIRECT_N
+    assert f"series row n={row}, m=" in msg and f"w={w}" in msg and f"{specfun._MP_MAX_WORK:g}" in msg
 
 
 def test_escalation_below_the_limit_still_runs():
